@@ -10,7 +10,7 @@ budget raises CollectionLimit, which consistency checks treat as failure.
 
 from __future__ import annotations
 
-from .freegroup import ExpWord
+from .freegroup import ExpWord, coords_to_word, structure_relations
 
 
 class CollectionLimit(RuntimeError):
@@ -134,11 +134,10 @@ class Collector:
 # Constructors for the two presentation flavours.
 
 def collector_for_quotient(pres) -> Collector:
-    from .freegroup import structure_relations
     basis = pres.basis
     sr = structure_relations(basis)
-    alpha = {k: _vector_word(v) for k, v in sr.alpha.items()}
-    beta = {k: _vector_word(v) for k, v in sr.beta.items()}
+    alpha = {k: coords_to_word(v) for k, v in sr.alpha.items()}
+    beta = {k: coords_to_word(v) for k, v in sr.beta.items()}
     orders: dict[int, int] = {}
     tails: dict[int, ExpWord] = {}
     for col, row in pres.torsion_rows.items():
@@ -150,11 +149,7 @@ def collector_for_quotient(pres) -> Collector:
 
 def collector_for_nilpotent(npres) -> Collector:
     orders = {i: e for i, e in enumerate(npres.orders, start=1) if e is not None}
-    tails = {i: _vector_word(v) for i, v in npres.power_tails.items()}
-    alpha = {k: _vector_word(v) for k, v in npres.alpha.items()}
-    beta = {k: _vector_word(v) for k, v in npres.beta.items()}
+    tails = {i: coords_to_word(v) for i, v in npres.power_tails.items()}
+    alpha = {k: coords_to_word(v) for k, v in npres.alpha.items()}
+    beta = {k: coords_to_word(v) for k, v in npres.beta.items()}
     return Collector(npres.s, orders, tails, alpha, beta)
-
-
-def _vector_word(coords) -> ExpWord:
-    return tuple((i + 1, e) for i, e in enumerate(coords) if e)

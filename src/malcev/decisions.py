@@ -8,13 +8,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .extgcd import RejectedInput
-from .freegroup import build_hall_basis
-from .groups import (GroupElement, element, identity, inverse, mult, power,
-                     reduce_coords)
-from .presentations import (QuotientPresentation, first_nonzero,
-                            free_presentation, make_quotient_presentation)
-from .subgroups import (FullFormMatrix, GroupContext, ProductContext,
-                        _membership_scan, full_form_free, full_form_rows)
+from .freegroup import InternalConsistencyError, build_hall_basis
+from .groups import GroupElement, element, identity, inverse, mult, power
+from .presentations import (QuotientPresentation, _membership_scan,
+                            first_nonzero, make_quotient_presentation)
+from .subgroups import ProductContext, full_form_free, full_form_rows
 
 
 class NotInImage(ValueError):
@@ -62,29 +60,24 @@ def torsion_bound(pres: QuotientPresentation) -> int:
 
 
 def element_order(g: GroupElement) -> int | None:
-    """Order of g, or None for infinite order."""
-    bound = torsion_bound(g.presentation)
-    if not power(g, bound).is_identity():
-        return None
-    order = bound
-    for p in _prime_factors(bound):
-        while order % p == 0 and power(g, order // p).is_identity():
-            order //= p
+    """Order of g, or None for infinite order.
+
+    The pivot coordinate of g^k is k times that of g, so g^k can only be
+    trivial when the pivot column has torsion e and q = e / gcd(g_piv, e)
+    divides k; then g^q has a later pivot and the order is q times its order.
+    """
+    pres = g.presentation
+    cur = g.coords
+    order = 1
+    while any(cur):
+        piv = first_nonzero(cur)
+        e = pres.torsion.get(piv)
+        if e is None:
+            return None
+        q = e // math.gcd(cur[piv - 1], e)
+        order *= q
+        cur = pres.pow(cur, q)
     return order
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +99,8 @@ def kernel_and_preimage(spec: HomSpec, h: GroupElement | None = None
     kernel = [GroupElement(spec.source, row[split:]) for row in form[r:]]
     preimage = None
     if h is not None:
-        tctx = GroupContext(spec.target)
         image_rows = [row[:split] for row in form[:r]]
-        beta = _membership_scan(tctx.m, tctx.torsion, image_rows, tctx.mult,
-                                tctx.pow, h.coords)
+        beta = _membership_scan(spec.target, image_rows, h.coords)
         if beta is None:
             raise NotInImage("h is not in the image of the homomorphism")
         preimage = identity(spec.source)
@@ -211,7 +202,8 @@ def conjugacy(pres: QuotientPresentation, g: GroupElement, h: GroupElement
     except NotInImage:
         return ConjugacyAnswer(None)
     u = mult(v, inverse(w))
-    assert mult(mult(inverse(u), h), u) == g
+    if mult(mult(inverse(u), h), u) != g:
+        raise InternalConsistencyError("conjugacy witness fails to conjugate")
     return ConjugacyAnswer(u)
 
 
@@ -253,20 +245,20 @@ def power_problem(pres: QuotientPresentation, g: GroupElement,
         # non-negative one.
         step = order if progression is None else math.lcm(order, progression[1])
         k %= step
-    assert power(g, k) == h
-    if progression is not None:
-        assert (k - progression[0]) % progression[1] == 0
+    if power(g, k) != h:
+        raise InternalConsistencyError("power witness k has g^k != h")
+    if progression is not None and (k - progression[0]) % progression[1]:
+        raise InternalConsistencyError("power witness k outside the progression")
     return k
 
 
 def _power_search(pres, gc, hc, prog) -> int | None:
     """Any k (within prog) with g^k = h, else None."""
-    basis = pres.basis
     if not any(gc):
         if any(hc):
             return None
         return 0 if prog is None else prog[0] % prog[1]
-    i = min(first_nonzero(gc) or basis.m + 1, first_nonzero(hc) or basis.m + 1)
+    i = min(first_nonzero(gc) or pres.m + 1, first_nonzero(hc) or pres.m + 1)
     k0 = gc[i - 1]
     l0 = hc[i - 1]
     e = pres.torsion.get(i)
@@ -277,7 +269,7 @@ def _power_search(pres, gc, hc, prog) -> int | None:
         n = l0 // k0
         if prog is not None and (n - prog[0]) % prog[1]:
             return None
-        if reduce_coords(pres, _pow(basis, gc, n)) != hc:
+        if pres.pow(gc, n) != hc:
             return None
         return n
     # Torsion coordinate: k * k0 = l0 (mod e) pins k to a progression.
@@ -291,20 +283,11 @@ def _power_search(pres, gc, hc, prog) -> int | None:
     if merged is None:
         return None
     a, b = merged
-    g2 = reduce_coords(pres, _pow(basis, gc, b))
-    h2 = _mult(pres, reduce_coords(pres, _pow(basis, gc, -a)), hc)
+    g2 = pres.pow(gc, b)
+    h2 = pres.mult(pres.pow(gc, -a), hc)
     assert not any(g2[:i]) and not any(h2[:i])
     sub = _power_search(pres, g2, h2, None)
     if sub is None:
         return None
     return a + b * sub
 
-
-def _pow(basis, coords, e):
-    from .freegroup import coords_pow
-    return coords_pow(basis, coords, e)
-
-
-def _mult(pres, u, v):
-    from .freegroup import coords_mult
-    return reduce_coords(pres, coords_mult(pres.basis, u, v))

@@ -341,7 +341,6 @@ def eval_free(basis: HallBasis, word: ExpWord) -> tuple[int, ...]:
 
 
 def coords_mult(basis: HallBasis, u, v) -> tuple[int, ...]:
-    data = _data(basis)
     return _coords_mult_cached(basis, tuple(u), tuple(v))
 
 

@@ -1,9 +1,7 @@
 """Elements of a quotient presentation and their normal-form arithmetic.
 
 A normal form is an exponent vector whose entry at every torsion column lies
-in [0, e).  Reduction folds excess pivot powers into the suffix using the
-relator row of that column; this is valid because within the subgroup
-generated by the letters from position i on, the i-th coordinate is additive.
+in [0, e); `reduce_coords` computes it.
 """
 
 from __future__ import annotations
@@ -11,9 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .extgcd import RejectedInput
-from .freegroup import (ExpWord, coords_inverse, coords_mult, coords_pow,
-                        coords_to_word, eval_free, identity_coords)
-from .presentations import QuotientPresentation
+from .freegroup import ExpWord, coords_to_word, eval_free
+from .presentations import QuotientPresentation, reduce_coords
 
 
 @dataclass(frozen=True)
@@ -37,22 +34,6 @@ class GroupElement:
         return coords_to_word(self.coords)
 
 
-def reduce_coords(pres: QuotientPresentation, coords) -> tuple[int, ...]:
-    """Fold torsion columns left to right until every one is reduced."""
-    basis = pres.basis
-    y = list(coords)
-    for col in sorted(pres.torsion):
-        e = pres.torsion[col]
-        q, rem = divmod(y[col - 1], e)
-        if q:
-            relator = pres.torsion_rows[col]
-            suffix = tuple([0] * (col - 1) + y[col - 1:])
-            folded = coords_mult(basis, coords_pow(basis, relator, -q), suffix)
-            assert not any(folded[:col - 1]) and folded[col - 1] == rem
-            y[col - 1:] = folded[col - 1:]
-    return tuple(y)
-
-
 def normal_form(pres: QuotientPresentation, word: ExpWord) -> GroupElement:
     for letter, _ in word:
         if not 1 <= letter <= pres.m:
@@ -70,7 +51,7 @@ def element(pres: QuotientPresentation, coords) -> GroupElement:
 
 
 def identity(pres: QuotientPresentation) -> GroupElement:
-    return GroupElement(pres, identity_coords(pres.basis))
+    return GroupElement(pres, pres.identity)
 
 
 def word_problem(pres: QuotientPresentation, word: ExpWord) -> bool:
@@ -86,17 +67,13 @@ def _same(u: GroupElement, v: GroupElement) -> QuotientPresentation:
 
 def mult(u: GroupElement, v: GroupElement) -> GroupElement:
     pres = _same(u, v)
-    return GroupElement(pres, reduce_coords(
-        pres, coords_mult(pres.basis, u.coords, v.coords)))
+    return GroupElement(pres, pres.mult(u.coords, v.coords))
 
 
 def inverse(u: GroupElement) -> GroupElement:
-    pres = u.presentation
-    return GroupElement(pres, reduce_coords(
-        pres, coords_inverse(pres.basis, u.coords)))
+    return power(u, -1)
 
 
 def power(u: GroupElement, e: int) -> GroupElement:
     pres = u.presentation
-    return GroupElement(pres, reduce_coords(
-        pres, coords_pow(pres.basis, u.coords, e)))
+    return GroupElement(pres, pres.pow(u.coords, e))

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .collect import (CollectionLimit, collector_for_nilpotent,
+                      collector_for_quotient)
 from .extgcd import RejectedInput
 from .freegroup import (ExpWord, HallBasis, build_hall_basis, coords_inverse,
-                        coords_mult, coords_to_word, eval_free,
-                        identity_coords)
+                        coords_mult, coords_pow, coords_to_word, eval_free)
 
 
 class FullFormViolation(RejectedInput):
@@ -30,6 +31,29 @@ def first_nonzero(row) -> int:
         if v:
             return j + 1
     return 0
+
+
+def _membership_scan(ctx, rows, h):
+    """Exponents gamma with h = g_1^{gamma_1} ... g_s^{gamma_s}, or None."""
+    cur = tuple(h)
+    gamma = []
+    for row in rows:
+        piv = first_nonzero(row)
+        f = first_nonzero(cur)
+        if f == 0 or f > piv:
+            gamma.append(0)
+            continue
+        if f < piv:
+            return None
+        a = row[piv - 1]
+        if cur[f - 1] % a:
+            return None
+        q = cur[f - 1] // a
+        cur = ctx.mult(ctx.pow(row, -q), cur)
+        gamma.append(q)
+    if first_nonzero(cur):
+        return None
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -83,12 +107,27 @@ def check_echelon_conditions(rows, torsion: dict[int, int] | None = None) -> Non
 
 @dataclass(frozen=True)
 class QuotientPresentation:
+    """The group context: multiplication and powering of normal forms.
+
+    A componentwise direct product (`subgroups.ProductContext`) offers the
+    same members: `m`, `torsion`, `identity`, `mult` and `pow`.
+    """
     basis: HallBasis
     relators: FullFormMatrix
 
     @property
     def m(self) -> int:
         return self.basis.m
+
+    @cached_property
+    def identity(self) -> tuple[int, ...]:
+        return (0,) * self.m
+
+    def mult(self, u, v) -> tuple[int, ...]:
+        return reduce_coords(self, coords_mult(self.basis, u, v))
+
+    def pow(self, u, e: int) -> tuple[int, ...]:
+        return reduce_coords(self, coords_pow(self.basis, u, e))
 
     @cached_property
     def torsion(self) -> dict[int, int]:
@@ -109,6 +148,27 @@ class QuotientPresentation:
         return "\n".join(lines)
 
 
+def reduce_coords(pres: QuotientPresentation, coords) -> tuple[int, ...]:
+    """Fold torsion columns left to right until every one is reduced.
+
+    Within the subgroup generated by the letters from column i on, the i-th
+    coordinate is additive, so excess pivot powers fold into the suffix
+    through the relator row of that column.
+    """
+    basis = pres.basis
+    y = list(coords)
+    for col in sorted(pres.torsion):
+        e = pres.torsion[col]
+        q, rem = divmod(y[col - 1], e)
+        if q:
+            relator = pres.torsion_rows[col]
+            suffix = tuple([0] * (col - 1) + y[col - 1:])
+            folded = coords_mult(basis, coords_pow(basis, relator, -q), suffix)
+            assert not any(folded[:col - 1]) and folded[col - 1] == rem
+            y[col - 1:] = folded[col - 1:]
+    return tuple(y)
+
+
 def free_presentation(c: int, r: int) -> QuotientPresentation:
     return QuotientPresentation(build_hall_basis(c, r), FullFormMatrix(()))
 
@@ -127,27 +187,18 @@ def make_quotient_presentation(basis: HallBasis, rows) -> QuotientPresentation:
 def _check_closure(basis: HallBasis, rows) -> None:
     """Condition (vi) for a relator matrix over the free group, decided by the
     membership scan over the trailing rows."""
-    from .subgroups import _membership_scan
-    pivots = [first_nonzero(r) for r in rows]
+    free = QuotientPresentation(basis, FullFormMatrix(()))
     for k in range(len(rows)):
         hk = rows[k]
-        hk_inv = coords_inverse(basis, hk)
+        hk_inv = free.pow(hk, -1)
         tail = rows[k + 1:]
         for j in range(k + 1, len(rows)):
             for left, right in ((hk_inv, hk), (hk, hk_inv)):
-                conj = coords_mult(basis, coords_mult(basis, left, rows[j]), right)
-                if _membership_scan(basis.m, {}, tail,
-                                    lambda u, v: coords_mult(basis, u, v),
-                                    lambda u, e: _free_pow(basis, u, e),
-                                    conj) is None:
+                conj = free.mult(free.mult(left, rows[j]), right)
+                if _membership_scan(free, tail, conj) is None:
                     raise FullFormViolation(
                         "vi", f"conjugate of row {j + 1} by row {k + 1} escapes"
                           " the trailing rows")
-
-
-def _free_pow(basis, u, e):
-    from .freegroup import coords_pow
-    return coords_pow(basis, u, e)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +212,10 @@ def consistency_check(pres: QuotientPresentation) -> bool:
     exchange relations and the relator rows (independent of the series
     carrier), so a bogus relator matrix shows up as a genuine failure.
     """
-    from .collect import CollectionLimit, collector_for_quotient
     try:
         col = collector_for_quotient(pres)
         m = pres.m
-        zero = identity_coords(pres.basis)
+        zero = pres.identity
         for row in pres.relators.rows:
             if col.collect(coords_to_word(row)) != zero:
                 return False
@@ -303,7 +353,6 @@ class NilpotentPresentation:
 
 def nilpotent_presentation_consistent(npres: NilpotentPresentation) -> bool:
     """Collection-based consistency test, same regime as consistency_check."""
-    from .collect import CollectionLimit, collector_for_nilpotent
     try:
         col = collector_for_nilpotent(npres)
         zero = (0,) * npres.s

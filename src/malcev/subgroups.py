@@ -15,31 +15,18 @@ import itertools
 from dataclasses import dataclass
 
 from .extgcd import (RejectedInput, extgcd_bounded, extgcd_pair_bounded)
-from .freegroup import ExpWord, SizeCapExceeded, coords_mult, coords_pow
-from .groups import GroupElement, reduce_coords
+from .freegroup import ExpWord, SizeCapExceeded
+from .groups import GroupElement
 from .presentations import (FullFormMatrix, NilpotentPresentation,
-                            QuotientPresentation, check_echelon_conditions,
-                            first_nonzero)
+                            QuotientPresentation, _membership_scan,
+                            check_echelon_conditions, first_nonzero,
+                            free_presentation, reduce_coords)
 
 DEFAULT_WORD_CAP = 1 << 20
 
 
 # ---------------------------------------------------------------------------
-# Polycyclic contexts.
-
-class GroupContext:
-    def __init__(self, pres: QuotientPresentation):
-        self.pres = pres
-        self.m = pres.m
-        self.torsion = pres.torsion
-        self.identity = (0,) * pres.m
-
-    def mult(self, u, v):
-        return reduce_coords(self.pres, coords_mult(self.pres.basis, u, v))
-
-    def pow(self, u, e):
-        return reduce_coords(self.pres, coords_pow(self.pres.basis, u, e))
-
+# The product context.
 
 class ProductContext:
     """H x G with concatenated coordinates, H first.
@@ -49,8 +36,8 @@ class ProductContext:
     """
 
     def __init__(self, p_h: QuotientPresentation, p_g: QuotientPresentation):
-        self.h = GroupContext(p_h)
-        self.g = GroupContext(p_g)
+        self.h = p_h
+        self.g = p_g
         self.split = p_h.m
         self.m = p_h.m + p_g.m
         self.torsion = dict(p_h.torsion)
@@ -68,89 +55,88 @@ class ProductContext:
 
 
 # ---------------------------------------------------------------------------
-# Expression trees over the original generator symbols.
+# Derivations: expression trees over the original generator symbols, with
+# ("g", k) for the 0-based symbol k, ("p", e, l) for e^l and ("m", parts) for
+# a product.  Subtrees are shared, so each derivation step costs O(1).
+
+_EXPR_ONE = ("m", ())
+
 
 def _expr_gen(k: int):
     return ("g", k)
 
 
 def _expr_pow(e, l: int):
+    if l == 0 or e == _EXPR_ONE:
+        return _EXPR_ONE
     if l == 1:
         return e
     return ("p", e, l)
 
 
 def _expr_mul(parts):
-    parts = tuple(p for p in parts if p != ("m", ()))
+    parts = tuple(p for p in parts if p != _EXPR_ONE)
     if len(parts) == 1:
         return parts[0]
     return ("m", parts)
 
 
-_EXPR_ONE = ("m", ())
-
-
 def expand_expression(expr, cap: int = DEFAULT_WORD_CAP) -> ExpWord:
     """Flatten an expression tree to a word over the original generators
-    (1-based symbol indices)."""
-    budget = [cap]
-
-    def emit(out, factor):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SizeCapExceeded(f"expression longer than cap {cap}")
-        out.append(factor)
-
-    def walk(e, out, flip: bool):
-        tag = e[0]
-        if tag == "g":
-            emit(out, (e[1] + 1, -1 if flip else 1))
-        elif tag == "m":
-            parts = reversed(e[1]) if flip else e[1]
-            for p in parts:
-                walk(p, out, flip)
-        else:  # power
-            _, base, l = e
-            if l == 0:
-                return
-            if flip:
-                l = -l
-            if base[0] == "g":
-                emit(out, (base[1] + 1, l))
-                return
-            sub: list = []
-            walk(base, sub, l < 0)
-            for _ in range(abs(l)):
-                for f in sub:
-                    emit(out, f)
-
-    out: list = []
-    walk(expr, out, False)
-    merged: list = []
-    for g, x in out:
-        if merged and merged[-1][0] == g:
-            merged[-1] = (g, merged[-1][1] + x)
-            if merged[-1][1] == 0:
-                merged.pop()
+    (1-based symbol indices), merging adjacent powers of one symbol."""
+    word: list = []
+    emitted = 0
+    # Entries are (subtree, inverted, repetitions).  An explicit stack, since
+    # a long chain of row operations nests deeper than the recursion limit.
+    stack = [(expr, False, 1)]
+    while stack:
+        e, flip, times = stack.pop()
+        if times > 1:
+            stack.append((e, flip, times - 1))
+        if e[0] == "m":
+            stack.extend((p, flip, 1)
+                         for p in (e[1] if flip else reversed(e[1])))
+            continue
+        if e[0] == "g":
+            sym, x = e[1] + 1, -1 if flip else 1
         else:
-            merged.append((g, x))
-    return tuple(merged)
+            _, base, x = e
+            if flip:
+                x = -x
+            if base[0] != "g":
+                stack.append((base, x < 0, abs(x)))
+                continue
+            sym = base[1] + 1
+        if emitted == cap:
+            raise SizeCapExceeded(f"expression longer than cap {cap}")
+        emitted += 1
+        if word and word[-1][0] == sym:
+            x += word[-1][1]
+            if x:
+                word[-1] = (sym, x)
+            else:
+                word.pop()
+        else:
+            word.append((sym, x))
+    return tuple(word)
 
 
 @dataclass(frozen=True)
 class TrackedExpressions:
     """Derivations of the full-form rows over the original generators."""
     expressions: tuple
-    n_generators: int
 
 
 # ---------------------------------------------------------------------------
 # The five-step reduction.
 
-def full_form_rows(ctx, rows, track: bool = False):
+def full_form_rows(ctx, rows, exprs=None):
     """Unique full form of the subgroup generated by the given reduced
-    coordinate vectors; optionally the derivation of every output row."""
-    work: list = [(tuple(r), _expr_gen(k)) for k, r in enumerate(rows)]
+    coordinate vectors, and the derivation of every output row over the
+    derivations `exprs` of the input rows (by default, the input rows)."""
+    if exprs is None:
+        exprs = map(_expr_gen, range(len(rows)))
+    work: list = [(tuple(r), ex) for r, ex in zip(rows, exprs)]
     k = 0
     last_pivot = 0
     while True:
@@ -257,7 +243,7 @@ def full_form_rows(ctx, rows, track: bool = False):
 
     out = tuple(r for r, _ in work[:k])
     check_echelon_conditions(out, ctx.torsion)
-    return out, (tuple(ex for _, ex in work[:k]) if track else None)
+    return out, tuple(ex for _, ex in work[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +253,7 @@ def full_form_rows(ctx, rows, track: bool = False):
 class CoordinateMatrix:
     presentation: QuotientPresentation
     rows: tuple[tuple[int, ...], ...]
-    expressions: tuple[ExpWord, ...] | None = None  # over original symbols
+    expressions: tuple | None = None  # derivations over the original rows
 
     def __post_init__(self):
         for r in self.rows:
@@ -279,23 +265,8 @@ class CoordinateMatrix:
 def coordinate_matrix(pres: QuotientPresentation, rows,
                       track: bool = False) -> CoordinateMatrix:
     rows = tuple(tuple(r) for r in rows)
-    exprs = tuple(((k + 1, 1),) for k in range(len(rows))) if track else None
+    exprs = tuple(map(_expr_gen, range(len(rows)))) if track else None
     return CoordinateMatrix(pres, rows, exprs)
-
-
-def _word_inv(w: ExpWord) -> ExpWord:
-    return tuple((g, -x) for g, x in reversed(w))
-
-
-def _word_pow(w: ExpWord, l: int, cap: int = DEFAULT_WORD_CAP) -> ExpWord:
-    if l == 0 or not w:
-        return ()
-    if len(w) == 1:
-        return ((w[0][0], w[0][1] * l),)
-    if len(w) * abs(l) > cap:
-        raise SizeCapExceeded(f"expression longer than cap {cap}")
-    base = w if l > 0 else _word_inv(w)
-    return base * abs(l)
 
 
 def apply_row_operation(matrix: CoordinateMatrix, op) -> CoordinateMatrix:
@@ -307,7 +278,6 @@ def apply_row_operation(matrix: CoordinateMatrix, op) -> CoordinateMatrix:
     Row indices are 1-based.
     """
     pres = matrix.presentation
-    ctx = GroupContext(pres)
     rows = list(matrix.rows)
     exprs = list(matrix.expressions) if matrix.expressions is not None else None
 
@@ -327,25 +297,25 @@ def apply_row_operation(matrix: CoordinateMatrix, op) -> CoordinateMatrix:
         check(i), check(j)
         if i == j:
             raise RejectedInput("combine requires distinct rows")
-        rows[i - 1] = ctx.mult(_reduced(pres, rows[i - 1]),
-                               ctx.pow(_reduced(pres, rows[j - 1]), l))
+        rows[i - 1] = pres.mult(rows[i - 1], pres.pow(rows[j - 1], l))
         if exprs is not None:
-            exprs[i - 1] = exprs[i - 1] + _word_pow(exprs[j - 1], l)
+            exprs[i - 1] = _expr_mul((exprs[i - 1],
+                                      _expr_pow(exprs[j - 1], l)))
     elif kind == "add_trivial":
-        rows.append(ctx.identity)
+        rows.append(pres.identity)
         if exprs is not None:
-            exprs.append(())
+            exprs.append(_EXPR_ONE)
     elif kind == "add_relator":
         _, col = op
         if col not in pres.torsion:
             raise RejectedInput(f"column {col} is not a torsion column")
         rows.append(pres.torsion_rows[col])
         if exprs is not None:
-            exprs.append(())
+            exprs.append(_EXPR_ONE)
     elif kind == "remove":
         _, i = op
         check(i)
-        if any(_reduced(pres, rows[i - 1])):
+        if any(reduce_coords(pres, rows[i - 1])):
             raise RejectedInput("only trivial rows can be removed")
         del rows[i - 1]
         if exprs is not None:
@@ -353,46 +323,39 @@ def apply_row_operation(matrix: CoordinateMatrix, op) -> CoordinateMatrix:
     elif kind == "invert":
         _, i = op
         check(i)
-        rows[i - 1] = ctx.pow(_reduced(pres, rows[i - 1]), -1)
+        rows[i - 1] = pres.pow(rows[i - 1], -1)
         if exprs is not None:
-            exprs[i - 1] = _word_inv(exprs[i - 1])
+            exprs[i - 1] = _expr_pow(exprs[i - 1], -1)
     elif kind == "append_product":
         _, factors = op
-        acc = ctx.identity
-        word: tuple = ()
+        acc = pres.identity
         for i, l in factors:
             check(i)
-            acc = ctx.mult(acc, ctx.pow(_reduced(pres, rows[i - 1]), l))
-            if exprs is not None:
-                word = word + _word_pow(exprs[i - 1], l)
+            acc = pres.mult(acc, pres.pow(rows[i - 1], l))
         rows.append(acc)
         if exprs is not None:
-            exprs.append(word)
+            exprs.append(_expr_mul(tuple(_expr_pow(exprs[i - 1], l)
+                                         for i, l in factors)))
     else:
         raise RejectedInput(f"unknown row operation {kind!r}")
     return CoordinateMatrix(pres, tuple(rows),
                             tuple(exprs) if exprs is not None else None)
 
 
-def _reduced(pres, row):
-    return reduce_coords(pres, row)
-
-
 def full_form(pres: QuotientPresentation, matrix: CoordinateMatrix,
               track: bool = False) -> tuple[FullFormMatrix, TrackedExpressions | None]:
-    ctx = GroupContext(pres)
+    """Full form of the subgroup the matrix rows generate.  With `track`,
+    the derivation of every full-form row over the original rows of a
+    tracked matrix, or over the current rows of an untracked one."""
     rows = [reduce_coords(pres, r) for r in matrix.rows]
-    out, exprs = full_form_rows(ctx, rows, track=track)
-    tracked = (TrackedExpressions(exprs, len(matrix.rows))
-               if track else None)
-    return FullFormMatrix(out), tracked
+    out, exprs = full_form_rows(pres, rows, matrix.expressions)
+    return FullFormMatrix(out), (TrackedExpressions(exprs) if track else None)
 
 
 def full_form_free(basis, rows) -> tuple[tuple[int, ...], ...]:
     """Full form over the free nilpotent group itself."""
-    from .presentations import free_presentation
-    ctx = GroupContext(free_presentation(basis.c, basis.r))
-    return full_form_rows(ctx, [tuple(r) for r in rows])[0]
+    return full_form_rows(free_presentation(basis.c, basis.r),
+                          [tuple(r) for r in rows])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -404,37 +367,12 @@ class MembershipWitness:
     word: ExpWord | None = None
 
 
-def _membership_scan(m, torsion, rows, mult, pow_, h):
-    """Exponents gamma with h = g_1^{gamma_1} ... g_s^{gamma_s}, or None."""
-    cur = tuple(h)
-    gamma = []
-    for row in rows:
-        piv = first_nonzero(row)
-        f = first_nonzero(cur)
-        if f == 0 or f > piv:
-            gamma.append(0)
-            continue
-        if f < piv:
-            return None
-        a = row[piv - 1]
-        if cur[f - 1] % a:
-            return None
-        q = cur[f - 1] // a
-        cur = mult(pow_(row, -q), cur)
-        gamma.append(q)
-    if first_nonzero(cur):
-        return None
-    return gamma
-
-
 def membership(pres: QuotientPresentation, form: FullFormMatrix,
                h: GroupElement) -> MembershipWitness | None:
     """Witness exponents over the full-form rows, or None for non-members."""
     if h.presentation != pres:
         raise RejectedInput("element belongs to a different presentation")
-    ctx = GroupContext(pres)
-    gamma = _membership_scan(ctx.m, ctx.torsion, form.rows, ctx.mult,
-                             ctx.pow, h.coords)
+    gamma = _membership_scan(pres, form.rows, h.coords)
     if gamma is None:
         return None
     return MembershipWitness(tuple(gamma))
@@ -459,12 +397,10 @@ def subgroup_presentation(pres: QuotientPresentation,
     form, _ = full_form(pres, gens)
     rows = form.rows
     s = len(rows)
-    ctx = GroupContext(pres)
 
     def against_suffix(j: int, target) -> tuple[int, ...]:
         """Tail vector of an element of <g_{j+1}, ..., g_s>."""
-        gamma = _membership_scan(ctx.m, ctx.torsion, rows[j:], ctx.mult,
-                                 ctx.pow, target)
+        gamma = _membership_scan(pres, rows[j:], target)
         assert gamma is not None, "relation tail escapes the suffix subgroup"
         return (0,) * j + tuple(gamma)
 
@@ -478,18 +414,18 @@ def subgroup_presentation(pres: QuotientPresentation,
             continue
         order = e // row[piv - 1]
         orders.append(order)
-        power_tails[i] = against_suffix(i, ctx.pow(row, order))
+        power_tails[i] = against_suffix(i, pres.pow(row, order))
 
     alpha: dict[tuple[int, int], tuple[int, ...]] = {}
     beta: dict[tuple[int, int], tuple[int, ...]] = {}
-    inv = {i: ctx.pow(rows[i], -1) for i in range(s)}
+    inv = {i: pres.pow(rows[i], -1) for i in range(s)}
     for i, j in itertools.combinations(range(s), 2):
         gi, gj = rows[i], rows[j]
-        head = ctx.mult(gi, gj)
-        tail = ctx.mult(ctx.pow(head, -1), ctx.mult(gj, gi))
+        head = pres.mult(gi, gj)
+        tail = pres.mult(pres.pow(head, -1), pres.mult(gj, gi))
         alpha[(i + 1, j + 1)] = against_suffix(j + 1, tail)
-        head = ctx.mult(gi, inv[j])
-        tail = ctx.mult(ctx.pow(head, -1), ctx.mult(inv[j], gi))
+        head = pres.mult(gi, inv[j])
+        tail = pres.mult(pres.pow(head, -1), pres.mult(inv[j], gi))
         beta[(i + 1, j + 1)] = against_suffix(j + 1, tail)
 
     return NilpotentPresentation(s=s, orders=tuple(orders),

@@ -1,7 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import malcev
 from malcev.cli import run
 from malcev.parsing import parse_word
 
@@ -143,6 +147,17 @@ def test_extgcd():
     assert lines[0] == "1"
     x = [int(v) for v in lines[1].split()]
     assert 6 * x[0] + 10 * x[1] + 15 * x[2] == 1
+
+
+def test_module_entry_points():
+    src = os.path.dirname(os.path.dirname(malcev.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    expected = invoke(["extgcd", "6", "10", "15"])[1]
+    for module in ("malcev", "malcev.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "extgcd", "6", "10", "15"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, expected)
 
 
 def test_torsionbound(tmp_path):

@@ -5,6 +5,8 @@ import pytest
 import malcev as M
 from conftest import (FiniteGroup, hom_apply, hom_image_of_letters,
                       random_finite_presentation)
+from malcev import decisions
+from malcev.freegroup import InternalConsistencyError
 
 
 HEIS = M.free_presentation(2, 2)
@@ -48,6 +50,16 @@ def test_element_order_matches_brute_force_and_divides_bound():
 def test_element_order_infinite():
     assert M.element_order(M.element(HEIS, (1, 0, 0))) is None
     assert M.element_order(M.identity(HEIS)) == 1
+
+
+def test_element_order_with_large_prime_torsion():
+    # Factoring the torsion bound here would take far too long.
+    b = M.build_hall_basis(1, 2)
+    pres = M.from_finite_presentation(
+        b, [((1, 1000000007),), ((2, 998244353),)])
+    g = M.element(pres, (1, 1))
+    assert M.element_order(g) == 1000000007 * 998244353
+    assert M.power_problem(pres, g, M.power(g, 12345)) == 12345
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +240,31 @@ def test_power_problem_matches_brute_force():
                 continue
             assert solutions and k == solutions[0]
             assert M.power(g, k) == h
+
+
+def test_corrupt_witnesses_raise(monkeypatch):
+    preimage = decisions.kernel_and_preimage
+
+    def shifted_preimage(spec, h=None):
+        kernel, w = preimage(spec, h)
+        return kernel, M.mult(w, M.element(HEIS, (0, 1, 0)))
+
+    monkeypatch.setattr(decisions, "kernel_and_preimage", shifted_preimage)
+    with pytest.raises(InternalConsistencyError):
+        M.conjugacy(HEIS, M.element(HEIS, (1, 0, 2)), M.element(HEIS, (1, 0, 0)))
+
+    search = decisions._power_search
+    g = M.element(HEIS, (1, 1, 0))
+    monkeypatch.setattr(decisions, "_power_search", lambda *a: search(*a) + 1)
+    with pytest.raises(InternalConsistencyError):
+        M.power_problem(HEIS, g, M.power(g, 3))
+
+    # k = 12 gives g^k = h in Z/5 but lies outside the progression 1 + 3Z.
+    pres = M.make_quotient_presentation(M.build_hall_basis(1, 1), ((5,),))
+    monkeypatch.setattr(decisions, "_power_search", lambda *a: search(*a) + 5)
+    with pytest.raises(InternalConsistencyError):
+        M.power_problem(pres, M.element(pres, (1,)), M.element(pres, (2,)),
+                        progression=(1, 3))
 
 
 def test_decision_inputs_must_share_presentation():

@@ -50,14 +50,16 @@ def test_full_form_output_is_valid(subtests=None):
 
 def test_row_operations_preserve_full_form():
     rng = random.Random(21)
+    pick = random.Random(22)
     ops_seen = set()
+    expressed = 0
     for trial in range(40):
         pres = (random_finite_presentation(rng, rng.choice([1, 2]), 2)
                 if rng.random() < 0.5 else M.free_presentation(
                     rng.choice([1, 2]), 2))
         rows = [tuple(rng.randint(-9, 9) for _ in range(pres.m))
                 for _ in range(rng.randint(1, 4))]
-        mat = M.coordinate_matrix(pres, rows)
+        mat = M.coordinate_matrix(pres, rows, track=True)
         reference, _ = M.full_form(pres, mat)
         for _ in range(10):
             n = len(mat.rows)
@@ -77,10 +79,41 @@ def test_row_operations_preserve_full_form():
             op = rng.choice(candidates)
             ops_seen.add(op[0])
             mat = M.apply_row_operation(mat, op)
-        result, _ = M.full_form(pres, mat)
+        result, tracked = M.full_form(pres, mat, track=True)
         assert result == reference
+        # The derivations survive the row operations: words are over the
+        # rows the matrix was created with.
+        originals = [M.element(pres, row) for row in rows]
+        for _ in range(3):
+            h = M.identity(pres)
+            for row in result.rows:
+                h = M.mult(h, M.power(M.element(pres, row),
+                                      pick.randint(-3, 3)))
+            try:
+                word = M.express_in_original_generators(
+                    tracked, M.membership(pres, result, h), cap=1 << 14)
+            except SizeCapExceeded:
+                continue  # too long to evaluate letter by letter
+            expressed += 1
+            acc = M.identity(pres)
+            for sym, e in word:
+                acc = M.mult(acc, M.power(originals[sym - 1], e))
+            assert acc == h
     assert {"swap", "combine", "add_trivial", "invert",
             "append_product"} <= ops_seen
+    assert expressed >= 100
+
+
+def test_long_row_operation_chain_stays_expressible():
+    z2 = M.free_presentation(1, 2)
+    mat = M.coordinate_matrix(z2, [(1, 0), (0, 1)], track=True)
+    for k in range(3000):
+        mat = M.apply_row_operation(mat, ("combine", 1, 2, (-1) ** k))
+    form, tracked = M.full_form(z2, mat, track=True)
+    h = M.element(z2, (3, 5))
+    word = M.express_in_original_generators(
+        tracked, M.membership(z2, form, h))
+    assert word == ((1, 3), (2, 5))
 
 
 def test_row_operation_errors():
