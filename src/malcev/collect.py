@@ -10,6 +10,7 @@ budget raises CollectionLimit, which consistency checks treat as failure.
 
 from __future__ import annotations
 
+from .extgcd import InternalConsistencyError
 from .freegroup import ExpWord, coords_to_word, structure_relations
 
 
@@ -106,14 +107,18 @@ class Collector:
 
     def _collect(self, word, i: int) -> list[int]:
         if i > self.s:
-            assert not word
+            if word:
+                raise InternalConsistencyError(
+                    "letters left over after the last generator")
             return []
         y = 0
         rest: list[tuple[int, int]] = []
         for g, x in word:
             if x == 0:
                 continue
-            assert i <= g <= self.s
+            if not i <= g <= self.s:
+                raise InternalConsistencyError(
+                    f"letter {g} outside generators {i}..{self.s}")
             if g == i:
                 rest = list(self._conj_word(rest, i, x))
                 y += x

@@ -95,7 +95,8 @@ def kernel_and_preimage(spec: HomSpec, h: GroupElement | None = None
     form, _ = full_form_rows(ctx, rows)
     split = spec.target.m
     r = sum(1 for row in form if any(row[:split]))
-    assert all(not any(row[:split]) for row in form[r:])
+    if any(any(row[:split]) for row in form[r:]):
+        raise InternalConsistencyError("kernel row with a nonzero image part")
     kernel = [GroupElement(spec.source, row[split:]) for row in form[r:]]
     preimage = None
     if h is not None:
@@ -120,7 +121,8 @@ def quotient_mod_last(pres: QuotientPresentation) -> QuotientPresentation:
     if basis.c < 2:
         raise RejectedInput("class must be at least 2")
     small = build_hall_basis(basis.c - 1, basis.r)
-    assert basis.letters[:small.m] == small.letters
+    if basis.letters[:small.m] != small.letters:
+        raise InternalConsistencyError("class c-1 basis is not a prefix")
     rows = [row[:small.m] for row in pres.relators.rows
             if first_nonzero(row) <= small.m]
     return make_quotient_presentation(small, full_form_free(small, rows))
@@ -285,7 +287,8 @@ def _power_search(pres, gc, hc, prog) -> int | None:
     a, b = merged
     g2 = pres.pow(gc, b)
     h2 = pres.mult(pres.pow(gc, -a), hc)
-    assert not any(g2[:i]) and not any(h2[:i])
+    if any(g2[:i]) or any(h2[:i]):
+        raise InternalConsistencyError("power search left the suffix subgroup")
     sub = _power_search(pres, g2, h2, None)
     if sub is None:
         return None

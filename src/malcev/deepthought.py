@@ -1,0 +1,171 @@
+"""Derivation of the multiplication polynomials of a free nilpotent group.
+
+The Mal'cev coordinates of u·v are fixed polynomials with rational
+coefficients, integer-valued on integer inputs, in the coordinates of u and v
+(P. Hall, *Nilpotent groups*, 1957; Leedham-Green & Soicher, "Symbolic
+collection using Deep Thought", 1998).  They are derived here by running the
+Magnus-series engine of `series` once with the coordinates of u and v as
+indeterminates, and emitted as straight-line Python source, `def mult(u, v)`,
+each coordinate written as `(integer polynomial) // denominator`.
+
+`freegroup` imports the checked-in source for c <= 5, r <= 3 (generated by
+`tools/gen_tables.py`) and compiles `mult_source(basis)` on first use of any
+other basis.  `import malcev` does not load this module.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .freegroup import HallBasis
+from .series import SeriesBasis, series_mult
+
+
+class Poly:
+    """Polynomial with rational coefficients in indeterminates x_0, x_1, ...,
+    held as integer coefficients over one positive common denominator.
+
+    A monomial is an int that packs the exponent of x_j into the bits
+    [j·width, (j+1)·width), so multiplying monomials adds their keys.  The
+    caller picks a width that no exponent overflows; a coefficient of a
+    degree-d monomial of a class-c series has weighted degree <= d <= c, so
+    `c.bit_length()` suffices.  Zero coefficients are never stored, and the
+    denominator is coprime to the coefficients, so the representation is
+    unique.  One denominator keeps the arithmetic in integers, about four
+    times as fast as a `Fraction` per coefficient, and is the form the
+    emitted source takes.
+    """
+
+    __slots__ = ("terms", "den")
+
+    def __init__(self, terms: dict, den: int = 1):
+        g = den
+        for v in terms.values():
+            if g == 1:
+                break
+            g = math.gcd(g, v)
+        if g != 1:
+            terms = {k: v // g for k, v in terms.items()}
+            den //= g
+        self.terms = terms
+        self.den = den
+
+    @classmethod
+    def var(cls, j: int, width: int) -> Poly:
+        return cls({1 << (j * width): 1})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def _combine(self, other, sign: int) -> Poly:
+        if not isinstance(other, Poly):
+            other = Poly({0: other} if other else {})
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = {k: v * fa for k, v in self.terms.items()}
+        for mon, v in other.terms.items():
+            s = out.get(mon, 0) + fb * v
+            if s:
+                out[mon] = s
+            else:
+                del out[mon]
+        return Poly(out, den)
+
+    def __add__(self, other) -> Poly:
+        return self._combine(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> Poly:
+        return self._combine(other, -1)
+
+    def __neg__(self) -> Poly:
+        return self * -1
+
+    def __mul__(self, other) -> Poly:
+        if not isinstance(other, Poly):
+            return Poly({k: v * other for k, v in self.terms.items()}
+                        if other else {}, self.den)
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                key = m1 + m2
+                s = out.get(key, 0) + c1 * c2
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return Poly(out, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, d: int) -> tuple[Poly, int]:
+        """Exact division by a positive integer: the remainder is 0."""
+        return Poly(self.terms, self.den * d), 0
+
+
+def derive_mult(basis: HallBasis) -> tuple[tuple[Poly, ...], int]:
+    """Coordinates of u·v as polynomials in x_0..x_{m-1} (the coordinates of
+    u) and x_m..x_{2m-1} (those of v), with the exponent width used."""
+    m, c = basis.m, basis.c
+    width = c.bit_length()
+    data = SeriesBasis(basis)
+    u = data.word_series(tuple((i + 1, Poly.var(i, width)) for i in range(m)))
+    # The series of v is that of u with every x_j renamed to x_{m+j}.
+    shift = m * width
+    v = {mon: Poly({k << shift: coef for k, coef in p.terms.items()}, p.den)
+         if isinstance(p, Poly) else p for mon, p in u.items()}
+    coords = data.series_to_coords(series_mult(c, u, v))
+    return coords, width
+
+
+def _poly_source(p: Poly, names: list[str], width: int) -> str:
+    mask = (1 << width) - 1
+    terms = []
+    for key, v in p.terms.items():
+        exps = [(key >> (j * width)) & mask for j in range(len(names))]
+        factors = [name if e == 1 else f"{name}**{e}"
+                   for name, e in zip(names, exps) if e]
+        terms.append(((sum(exps), [-e for e in exps]), v, factors))
+    terms.sort(key=lambda t: t[0])
+    out = []
+    for _, coef, factors in terms:
+        body = "*".join(([str(abs(coef))] if abs(coef) != 1 else []) + factors)
+        if out:
+            out.append(("- " if coef < 0 else "+ ") + body)
+        else:
+            out.append(("-" if coef < 0 else "") + body)
+    expr = " ".join(out) if out else "0"
+    return f"({expr}) // {p.den}" if p.den != 1 else expr
+
+
+def mult_source(basis: HallBasis) -> str:
+    """Python source of a module defining `mult(u, v)` for the basis."""
+    coords, width = derive_mult(basis)
+    m = basis.m
+    names = [f"u{i}" for i in range(1, m + 1)] + [f"v{i}" for i in range(1, m + 1)]
+    comma = "," if m == 1 else ""
+    lines = [
+        f'"""Multiplication polynomials of the free nilpotent group of class '
+        f'{basis.c} and rank {basis.r}.',
+        "",
+        "Generated by tools/gen_tables.py from malcev.deepthought; do not edit.",
+        '"""',
+        "",
+        "",
+        "def mult(u, v):",
+        f"    {', '.join(names[:m])}{comma} = u",
+        f"    {', '.join(names[m:])}{comma} = v",
+        "    return (",
+    ]
+    lines += [f"        {_poly_source(p, names, width)}," for p in coords]
+    lines += ["    )", ""]
+    return "\n".join(lines)
+
+
+def compile_mult(basis: HallBasis):
+    """Derive, compile and return `mult(u, v)` for the basis."""
+    namespace: dict = {}
+    exec(compile(mult_source(basis), f"<mult c={basis.c} r={basis.r}>", "exec"),
+         namespace)
+    return namespace["mult"]

@@ -17,6 +17,10 @@ class RejectedInput(ValueError):
     """Raised when an argument violates a documented precondition."""
 
 
+class InternalConsistencyError(AssertionError):
+    """An invariant the algorithms guarantee failed; indicates a bug."""
+
+
 def gcd_vector(a: list[int] | tuple[int, ...]) -> int:
     """gcd of arbitrarily many integers; 0 for the empty or all-zero vector."""
     g = 0
@@ -61,8 +65,9 @@ def extgcd_pair_bounded(a: int, b: int) -> tuple[int, int, int]:
         if abs(x) > bound:  # cannot happen; guard for the canonical claim
             x = alt
     y = (g - a * x) // b
-    assert a * x + b * y == g
-    assert abs(x) <= bound and abs(y) <= bound
+    if a * x + b * y != g or abs(x) > bound or abs(y) > bound:
+        raise InternalConsistencyError(
+            f"pair combination {x}, {y} of {a}, {b} is not bounded to the gcd")
     return g, x, y
 
 
@@ -126,7 +131,8 @@ def _reduction_tables(a: list[int], x: list[int], A: int):
             n_adj[i] += 1
     P = _prefix_sums(p)
     N = _prefix_sums(n_adj)
-    assert P[-1] == N[-1]
+    if P[-1] != N[-1]:
+        raise InternalConsistencyError("balanced prefix totals differ")
     # Interval-overlap counts: index i in the positive support occupies the
     # interval (P_{i-1}, P_i], index j in the negative support (N_{j-1}, N_j].
     overlap: dict[tuple[int, int], int] = {}
@@ -163,9 +169,7 @@ def reduce_coefficients(a: list[int], x: list[int], A: int) -> list[int]:
     if sum(xi * ai for xi, ai in zip(x, a)) != 1:
         raise RejectedInput("sum x_i * a_i must equal 1")
     x_final = _reduction_tables(a, x, A)[-1]
-    assert sum(xi * ai for xi, ai in zip(x_final, a)) == 1
-    bound = (len(a) + 1) * A * A
-    assert all(abs(v) <= bound for v in x_final)
+    _check_combination(x_final, a, 1, (len(a) + 1) * A * A)
     return x_final
 
 
@@ -190,7 +194,8 @@ def extgcd_bounded(a: list[int] | tuple[int, ...]) -> tuple[int, list[int], Boun
         _, y, z = extgcd_pair_bounded(d[-1], v)
         d.append(math.gcd(d[-1], v))
         yz.append((y, z))
-    assert d[-1] == 1
+    if d[-1] != 1:
+        raise InternalConsistencyError("normalized entries are not coprime")
 
     x_raw = []
     for i in range(n):
@@ -198,7 +203,7 @@ def extgcd_bounded(a: list[int] | tuple[int, ...]) -> tuple[int, list[int], Boun
         for j in range(i + 1, n):
             prod *= yz[j][0]
         x_raw.append(prod)
-    assert sum(xi * ai for xi, ai in zip(x_raw, norm)) == 1
+    _check_combination(x_raw, norm, 1)
 
     if A == 1:
         # All normalized entries are 1; x_raw is a unit vector and already
@@ -223,12 +228,19 @@ def extgcd_bounded(a: list[int] | tuple[int, ...]) -> tuple[int, list[int], Boun
             p=tuple(p), n=tuple(n_adj), P=tuple(P), N=tuple(N),
             overlap=overlap, y_pair=y_pair, x_final=tuple(x_final))
 
-    bound = (n + 1) * A * A
-    assert sum(xi * ai for xi, ai in zip(x_final, norm)) == 1
-    assert all(abs(v) <= bound for v in x_final)
+    _check_combination(x_final, norm, 1, (n + 1) * A * A)
 
     x = [0] * len(a)
     for k, i in enumerate(support):
         x[i] = signs[k] * x_final[k]
-    assert sum(xi * ai for xi, ai in zip(x, a)) == g
+    _check_combination(x, a, g)
     return g, x, trace
+
+
+def _check_combination(x, a, g: int, bound: int | None = None) -> None:
+    """Raise unless sum(x_i * a_i) == g and, given a bound, every |x_i| is
+    within it."""
+    if sum(xi * ai for xi, ai in zip(x, a)) != g:
+        raise InternalConsistencyError(f"combination does not give {g}")
+    if bound is not None and any(abs(v) > bound for v in x):
+        raise InternalConsistencyError(f"combination exceeds the bound {bound}")

@@ -1,39 +1,40 @@
 """Exact arithmetic in the free nilpotent group of class c and rank r.
 
-Elements are handled through two representations:
+Elements are exponent vectors (Mal'cev coordinates) with respect to a fixed,
+weight-ordered Hall basis of basic commutators.  The coordinates of u·v are
+fixed integer-valued polynomials in the coordinates of u and v (P. Hall), and
+every operation here evaluates them:
 
-* exponent vectors with respect to a fixed basis of basic commutators
-  (weight-ordered Hall basis), and
-* truncated noncommutative power series over the generators, with every
-  monomial of degree > c discarded.  Sending each generator to 1 + X_i embeds
-  the group faithfully into the units of that ring (the classical Magnus
-  embedding), which makes products, inverses and huge powers exact.
+* `coords_mult` is one call of the basis's `mult(u, v)`;
+* `coords_pow(u, e)` interpolates in e from u**0 .. u**c, with c - 1
+  multiplications whatever |e|, and `coords_inverse` is `coords_pow(u, -1)`;
+* `eval_free` folds `mult` over the letter powers of a word.
 
-Coordinates are recovered from a series weight by weight: the degree-w part of
-an element of the w-th lower central term is a Lie element, and the degree-w
-parts of the weight-w basis letters span exactly those, with unique integer
-coefficients.
+The polynomials for c <= 5, r <= 3 ship as generated modules in
+`malcev.tables`, imported on first use of their basis.  Any other basis
+derives them once per process with `malcev.deepthought`, which runs the
+Magnus-series engine of `malcev.series` over polynomial coefficients.
 """
 
 from __future__ import annotations
 
-import math
+import importlib
+from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .extgcd import RejectedInput
+from .extgcd import InternalConsistencyError, RejectedInput
 
 
 class SizeCapExceeded(ValueError):
     """Basis would contain more letters than the configured cap allows."""
 
 
-class InternalConsistencyError(AssertionError):
-    """A structural property of the basis failed; indicates a bug."""
-
-
-DEFAULT_LETTER_CAP = 128  # covers every (c, r) with c <= 5, r <= 3
+# Bases with more letters are refused.  A basis without shipped tables derives
+# its multiplication polynomials on its first operation, and that cost grows
+# quickly with the class: 0.6 s at (4, 4) with 90 letters, 5 s at (8, 2)
+# with 71.
+DEFAULT_LETTER_CAP = 128
 
 # An ExpWord is a sequence of (letter, exponent) pairs with 1-based letter
 # indices and arbitrarily large integer exponents.
@@ -92,269 +93,75 @@ def build_hall_basis(c: int, r: int, cap: int = DEFAULT_LETTER_CAP) -> HallBasis
 
 
 # ---------------------------------------------------------------------------
-# Truncated series arithmetic.  A series is a dict mapping monomials (tuples
-# of 0-based generator indices, length <= c) to nonzero integer coefficients.
+# Public coordinate operations.  Every one of them evaluates the basis's
+# multiplication polynomials, loaded or derived on first use of the basis.
 
-Series = dict[tuple[int, ...], int]
-
-
-def series_one() -> Series:
-    return {(): 1}
+SHIPPED_MAX = (5, 3)  # tables ship in malcev.tables for c <= 5 and r <= 3
+_MULT: dict[tuple[int, int], Callable] = {}
 
 
-def series_mult(c: int, f: Series, g: Series) -> Series:
-    out: Series = {}
-    for m1, c1 in f.items():
-        room = c - len(m1)
-        for m2, c2 in g.items():
-            if len(m2) > room:
-                continue
-            key = m1 + m2
-            v = out.get(key, 0) + c1 * c2
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
+def _mult(basis: HallBasis, *vectors) -> Callable:
+    """The basis's `mult(u, v)`, after checking the length of each vector."""
+    m = basis.m
+    for x in vectors:
+        if len(x) != m:
+            raise RejectedInput(
+                f"coordinate vector has {len(x)} entries, the basis has {m} letters")
+    key = (basis.c, basis.r)
+    fn = _MULT.get(key)
+    if fn is None:
+        if basis.c <= SHIPPED_MAX[0] and basis.r <= SHIPPED_MAX[1]:
+            fn = importlib.import_module(
+                f"{__package__}.tables.c{basis.c}r{basis.r}").mult
+        else:
+            fn = importlib.import_module(
+                f"{__package__}.deepthought").compile_mult(basis)
+        _MULT[key] = fn
+    return fn
 
-
-def series_inverse(c: int, f: Series) -> Series:
-    if f.get((), 0) != 1:
-        raise InternalConsistencyError("only series with constant term 1 invert")
-    n = {k: -v for k, v in f.items() if k}  # f = 1 + n, n nilpotent
-    out = series_one()
-    term = series_one()
-    for _ in range(c):
-        term = series_mult(c, term, n)
-        if not term:
-            break
-        for k, v in term.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-    return out
-
-
-def _falling_binom(e: int, k: int) -> int:
-    """binomial(e, k) for arbitrary integer e (integer-valued)."""
-    num = 1
-    for i in range(k):
-        num *= e - i
-    den = 1
-    for i in range(2, k + 1):
-        den *= i
-    q, rem = divmod(num, den)
-    assert rem == 0
-    return q
-
-
-def series_power(c: int, f: Series, e: int) -> Series:
-    """f**e for a series with constant term 1, exact for any integer e."""
-    if f.get((), 0) != 1:
-        raise InternalConsistencyError("only series with constant term 1 power")
-    u = {k: v for k, v in f.items() if k}
-    out: Series = {}
-    term = series_one()  # u**k
-    k = 0
-    while term:
-        b = _falling_binom(e, k)
-        if b:
-            for mon, v in term.items():
-                w = out.get(mon, 0) + b * v
-                if w:
-                    out[mon] = w
-                elif mon in out:
-                    del out[mon]
-        k += 1
-        if k > c:
-            break
-        term = series_mult(c, term, u)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Per-basis caches: letter series and weight-by-weight coordinate solvers.
-
-class _BasisData:
-    def __init__(self, basis: HallBasis):
-        self.basis = basis
-        self._series_cache: dict[tuple[int, ...], Series] = {}
-        c, r = basis.c, basis.r
-        self.letter_series: list[Series] = []
-        for bc in basis.letters:
-            if bc.weight == 1:
-                i = len(self.letter_series)
-                self.letter_series.append({(): 1, (i,): 1})
-            else:
-                a = self.letter_series[bc.left - 1]
-                b = self.letter_series[bc.right - 1]
-                comm = series_mult(c, series_mult(c, series_inverse(c, a),
-                                                  series_inverse(c, b)),
-                                   series_mult(c, a, b))
-                self.letter_series.append(comm)
-        # For each weight w: the letters of that weight, a choice of pivot
-        # monomials and the inverse of the resulting square matrix, used to
-        # read coordinates off the degree-w part of a series.
-        self.solvers: dict[int, tuple[list[int], list[tuple[int, ...]], list[list[Fraction]]]] = {}
-        for w in range(1, c + 1):
-            idxs = [i + 1 for i in range(basis.m) if basis.weight(i + 1) == w]
-            if not idxs:
-                continue
-            cols = []
-            monomials: dict[tuple[int, ...], int] = {}
-            for i in idxs:
-                col = {}
-                for mon, v in self.letter_series[i - 1].items():
-                    if len(mon) == w:
-                        col[mon] = v
-                        monomials.setdefault(mon, len(monomials))
-                cols.append(col)
-            mon_list = sorted(monomials)
-            rows = [[Fraction(col.get(mon, 0)) for col in cols] for mon in mon_list]
-            pivot_rows, inv = _invertible_square(rows)
-            # Store each inverse row over the integers with its denominator.
-            int_inv = []
-            for frow in inv:
-                den = 1
-                for v in frow:
-                    den = den * v.denominator // math.gcd(den, v.denominator)
-                int_inv.append(([int(v * den) for v in frow], den))
-            self.solvers[w] = (idxs, [mon_list[i] for i in pivot_rows], int_inv)
-
-    def coords_to_series(self, coords) -> Series:
-        key = tuple(coords)
-        cached = self._series_cache.get(key)
-        if cached is not None:
-            return cached
-        c = self.basis.c
-        out = series_one()
-        for i, e in enumerate(key):
-            if e:
-                out = series_mult(c, out, series_power(c, self.letter_series[i], e))
-        if len(self._series_cache) < (1 << 16):
-            self._series_cache[key] = out
-        return out
-
-    def series_to_coords(self, s: Series) -> tuple[int, ...]:
-        c = self.basis.c
-        coords = [0] * self.basis.m
-        residual = s
-        for w in range(1, c + 1):
-            if w not in self.solvers:
-                continue
-            idxs, pivot_mons, inv = self.solvers[w]
-            vec = [residual.get(mon, 0) for mon in pivot_mons]
-            alphas = []
-            for row, den in inv:
-                num = sum(a * b for a, b in zip(row, vec))
-                val, rem = divmod(num, den)
-                if rem:
-                    raise InternalConsistencyError(
-                        f"non-integer coordinate at weight {w}")
-                alphas.append(val)
-            for i, a in zip(idxs, alphas):
-                coords[i - 1] = a
-            if any(alphas):
-                div = series_one()
-                for i, a in zip(idxs, alphas):
-                    if a:
-                        div = series_mult(c, div,
-                                          series_power(c, self.letter_series[i - 1], a))
-                residual = series_mult(c, series_inverse(c, div), residual)
-            if any(v for mon, v in residual.items() if len(mon) == w):
-                raise InternalConsistencyError(
-                    f"degree-{w} terms not spanned by weight-{w} letters")
-        if any(v for mon, v in residual.items() if mon):
-            raise InternalConsistencyError("series is not a group element image")
-        return tuple(coords)
-
-
-def _invertible_square(rows: list[list[Fraction]]) -> tuple[list[int], list[list[Fraction]]]:
-    """Select rows forming an invertible square matrix; return their indices
-    and the inverse of that matrix."""
-    ncols = len(rows[0])
-    chosen: list[int] = []
-    work: list[list[Fraction]] = []
-    pivots: list[int] = []
-    basis_rows: list[list[Fraction]] = []
-    for ri, row in enumerate(rows):
-        red = list(row)
-        for wrow, pc in zip(work, pivots):
-            factor = red[pc] / wrow[pc]
-            if factor:
-                red = [a - factor * b for a, b in zip(red, wrow)]
-        if any(red):
-            pivots.append(next(k for k, v in enumerate(red) if v))
-            work.append(red)
-            chosen.append(ri)
-            basis_rows.append(list(row))
-            if len(chosen) == ncols:
-                break
-    if len(chosen) != ncols:
-        raise InternalConsistencyError("weight block is rank deficient")
-    return chosen, _matrix_inverse(basis_rows)
-
-
-def _matrix_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
-_basis_data_cache: dict[HallBasis, _BasisData] = {}
-
-
-def _data(basis: HallBasis) -> _BasisData:
-    d = _basis_data_cache.get(basis)
-    if d is None:
-        d = _BasisData(basis)
-        _basis_data_cache[basis] = d
-    return d
-
-
-# ---------------------------------------------------------------------------
-# Public coordinate operations.
 
 def eval_free(basis: HallBasis, word: ExpWord) -> tuple[int, ...]:
     """Coordinates of the element represented by a word with binary exponents."""
-    data = _data(basis)
-    c = basis.c
-    s = series_one()
+    mult = _mult(basis)
+    m = basis.m
+    out = (0,) * m
     for letter, e in word:
-        if not 1 <= letter <= basis.m:
-            raise RejectedInput(f"letter index {letter} out of range 1..{basis.m}")
+        if not 1 <= letter <= m:
+            raise RejectedInput(f"letter index {letter} out of range 1..{m}")
         if e:
-            s = series_mult(c, s, series_power(c, data.letter_series[letter - 1], e))
-    return data.series_to_coords(s)
+            step = [0] * m
+            step[letter - 1] = e
+            out = mult(out, step)
+    return out
 
 
 def coords_mult(basis: HallBasis, u, v) -> tuple[int, ...]:
-    return _coords_mult_cached(basis, tuple(u), tuple(v))
-
-
-@lru_cache(maxsize=1 << 16)
-def _coords_mult_cached(basis: HallBasis, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    data = _data(basis)
-    s = series_mult(basis.c, data.coords_to_series(u), data.coords_to_series(v))
-    return data.series_to_coords(s)
+    return _mult(basis, u, v)(u, v)
 
 
 def coords_pow(basis: HallBasis, u, e: int) -> tuple[int, ...]:
-    data = _data(basis)
-    s = data.coords_to_series(tuple(u))
-    return data.series_to_coords(series_power(basis.c, s, e))
+    """u**e for any integer e, from u**0 .. u**c by Newton interpolation.
+
+    A coordinate of weight w of u**e is a polynomial of degree <= w in e, so
+    it equals the sum over d <= c of binomial(e, d) times the d-th forward
+    difference at 0 of its values on u**0 .. u**c.
+    """
+    mult = _mult(basis, u)
+    diffs = [(0,) * basis.m, tuple(u)]
+    for _ in range(basis.c - 1):
+        diffs.append(mult(diffs[-1], u))
+    out = [0] * basis.m
+    binom = 1
+    for d in range(1, basis.c + 1):
+        # binomial(e, d) from binomial(e, d - 1); the division is exact for
+        # every integer e, negative ones included.
+        binom = binom * (e - d + 1) // d
+        if not binom:  # 0 <= e < d: every later binomial is 0 as well
+            break
+        diffs = [tuple(b - a for a, b in zip(p, q))
+                 for p, q in zip(diffs, diffs[1:])]
+        out = [o + binom * x for o, x in zip(out, diffs[0])]
+    return tuple(out)
 
 
 def coords_inverse(basis: HallBasis, u) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .collect import (CollectionLimit, collector_for_nilpotent,
                       collector_for_quotient)
-from .extgcd import RejectedInput
+from .extgcd import InternalConsistencyError, RejectedInput
 from .freegroup import (ExpWord, HallBasis, build_hall_basis, coords_inverse,
                         coords_mult, coords_pow, coords_to_word, eval_free)
 
@@ -164,7 +164,9 @@ def reduce_coords(pres: QuotientPresentation, coords) -> tuple[int, ...]:
             relator = pres.torsion_rows[col]
             suffix = tuple([0] * (col - 1) + y[col - 1:])
             folded = coords_mult(basis, coords_pow(basis, relator, -q), suffix)
-            assert not any(folded[:col - 1]) and folded[col - 1] == rem
+            if any(folded[:col - 1]) or folded[col - 1] != rem:
+                raise InternalConsistencyError(
+                    f"torsion fold of column {col} left the suffix")
             y[col - 1:] = folded[col - 1:]
     return tuple(y)
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .extgcd import (RejectedInput, extgcd_bounded, extgcd_pair_bounded)
+from .extgcd import (InternalConsistencyError, RejectedInput, extgcd_bounded,
+                     extgcd_pair_bounded)
 from .freegroup import ExpWord, SizeCapExceeded
 from .groups import GroupElement
 from .presentations import (FullFormMatrix, NilpotentPresentation,
@@ -153,7 +154,8 @@ def full_form_rows(ctx, rows, exprs=None):
         piv = min((first_nonzero(r) for r, _ in work[k:]), default=0)
         if piv == 0:
             break
-        assert piv > last_pivot
+        if piv <= last_pivot:
+            raise InternalConsistencyError("pivot column did not advance")
         n = len(work)
 
         # Step 1: bounded gcd combination of the pivot column.
@@ -166,7 +168,8 @@ def full_form_rows(ctx, rows, exprs=None):
                 new_row = ctx.mult(new_row, ctx.pow(work[i][0], l))
                 parts.append(_expr_pow(work[i][1], l))
         new_ex = _expr_mul(parts)
-        assert new_row[piv - 1] == d and not any(new_row[:piv - 1])
+        if new_row[piv - 1] != d or any(new_row[:piv - 1]):
+            raise InternalConsistencyError("gcd row does not lead with the gcd")
         work.append((new_row, new_ex))
 
         # Step 2: clear the column below, reduce above, move the pivot up.
@@ -195,7 +198,9 @@ def full_form_rows(ctx, rows, exprs=None):
             delta, n1, _ = extgcd_pair_bounded(d_cur, e)
             comb = ctx.pow(hk, n1)
             comb_ex = _expr_pow(hk_ex, n1)
-            assert comb[piv - 1] == delta and not any(comb[:piv - 1])
+            if comb[piv - 1] != delta or any(comb[:piv - 1]):
+                raise InternalConsistencyError(
+                    "torsion combination does not lead with the gcd")
             cleared_k = (ctx.mult(hk, ctx.pow(comb, -(d_cur // delta))),
                          _expr_mul((hk_ex, _expr_pow(comb_ex, -(d_cur // delta)))))
             cleared_rel = (ctx.pow(comb, -(e // delta)),
@@ -401,7 +406,9 @@ def subgroup_presentation(pres: QuotientPresentation,
     def against_suffix(j: int, target) -> tuple[int, ...]:
         """Tail vector of an element of <g_{j+1}, ..., g_s>."""
         gamma = _membership_scan(pres, rows[j:], target)
-        assert gamma is not None, "relation tail escapes the suffix subgroup"
+        if gamma is None:
+            raise InternalConsistencyError(
+                "relation tail escapes the suffix subgroup")
         return (0,) * j + tuple(gamma)
 
     orders: list[int | None] = []

@@ -1,0 +1,13 @@
+"""Multiplication polynomials of the free nilpotent group of class 1 and rank 2.
+
+Generated by tools/gen_tables.py from malcev.deepthought; do not edit.
+"""
+
+
+def mult(u, v):
+    u1, u2 = u
+    v1, v2 = v
+    return (
+        u1 + v1,
+        u2 + v2,
+    )

@@ -122,3 +122,16 @@ def test_reduce_coefficients_contract():
         reduce_coefficients([2, -3], [-1, -1], 3)  # negative entry
     with pytest.raises(RejectedInput):
         reduce_coefficients([2, 3], [-1, 1], 5)  # wrong A
+
+
+def test_corrupt_combination_raises(monkeypatch):
+    import malcev.extgcd as E
+    from malcev.freegroup import InternalConsistencyError
+
+    def corrupt(a, b):
+        g, x, y = extgcd_pair_bounded(a, b)
+        return g, x + 1, y
+
+    monkeypatch.setattr(E, "extgcd_pair_bounded", corrupt)
+    with pytest.raises(InternalConsistencyError):
+        E.extgcd_bounded([6, 10, 15])

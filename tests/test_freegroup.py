@@ -131,3 +131,15 @@ def test_coords_to_word_roundtrip():
 def test_letter_out_of_range_rejected():
     with pytest.raises(RejectedInput):
         eval_free(HEIS, ((4, 1),))
+
+
+def test_wrong_length_vectors_rejected():
+    for u, v in (((1, 2), (1, 2, 3)), ((1, 2, 3, 4), (1, 2, 3))):
+        with pytest.raises(RejectedInput):
+            coords_mult(HEIS, u, v)
+        with pytest.raises(RejectedInput):
+            coords_mult(HEIS, v, u)
+        with pytest.raises(RejectedInput):
+            coords_pow(HEIS, u, 2)
+        with pytest.raises(RejectedInput):
+            coords_inverse(HEIS, u)
