@@ -7,7 +7,11 @@ every operation here evaluates them:
 
 * `coords_mult` is one call of the basis's `mult(u, v)`;
 * `coords_pow(u, e)` interpolates in e from u**0 .. u**c, with c - 1
-  multiplications whatever |e|, and `coords_inverse` is `coords_pow(u, -1)`;
+  multiplications whatever |e| (none for e in {0, 1}).  Its two
+  halves are public, so a caller that powers one element often (a relator
+  row in `presentations.reduce_coords`) keeps `power_differences` and pays
+  only `power_from_differences` per power.  `coords_inverse` is
+  `coords_pow(u, -1)`;
 * `eval_free` folds `mult` over the letter powers of a word.
 
 The polynomials for c <= 5, r <= 3 ship as generated modules in
@@ -100,13 +104,17 @@ SHIPPED_MAX = (5, 3)  # tables ship in malcev.tables for c <= 5 and r <= 3
 _MULT: dict[tuple[int, int], Callable] = {}
 
 
-def _mult(basis: HallBasis, *vectors) -> Callable:
-    """The basis's `mult(u, v)`, after checking the length of each vector."""
+def _check_lengths(basis: HallBasis, vectors) -> None:
     m = basis.m
     for x in vectors:
         if len(x) != m:
             raise RejectedInput(
                 f"coordinate vector has {len(x)} entries, the basis has {m} letters")
+
+
+def _mult(basis: HallBasis, *vectors) -> Callable:
+    """The basis's `mult(u, v)`, after checking the length of each vector."""
+    _check_lengths(basis, vectors)
     key = (basis.c, basis.r)
     fn = _MULT.get(key)
     if fn is None:
@@ -139,29 +147,45 @@ def coords_mult(basis: HallBasis, u, v) -> tuple[int, ...]:
     return _mult(basis, u, v)(u, v)
 
 
-def coords_pow(basis: HallBasis, u, e: int) -> tuple[int, ...]:
-    """u**e for any integer e, from u**0 .. u**c by Newton interpolation.
+def power_differences(basis: HallBasis, u) -> tuple[tuple[int, ...], ...]:
+    """Forward differences at 0, of orders 1 .. c, of u**0 .. u**c.
 
     A coordinate of weight w of u**e is a polynomial of degree <= w in e, so
-    it equals the sum over d <= c of binomial(e, d) times the d-th forward
-    difference at 0 of its values on u**0 .. u**c.
+    these c vectors determine u**e for every integer e
+    (`power_from_differences`).  Costs c - 1 multiplications.
     """
     mult = _mult(basis, u)
-    diffs = [(0,) * basis.m, tuple(u)]
+    powers = [(0,) * basis.m, tuple(u)]
     for _ in range(basis.c - 1):
-        diffs.append(mult(diffs[-1], u))
-    out = [0] * basis.m
+        powers.append(mult(powers[-1], u))
+    diffs = []
+    for _ in range(basis.c):
+        powers = [tuple(b - a for a, b in zip(p, q))
+                  for p, q in zip(powers, powers[1:])]
+        diffs.append(powers[0])
+    return tuple(diffs)
+
+
+def power_from_differences(diffs, e: int) -> tuple[int, ...]:
+    """u**e as the Newton sum over d of binomial(e, d) * diffs[d - 1]."""
+    out = [0] * len(diffs[0])
     binom = 1
-    for d in range(1, basis.c + 1):
+    for d, diff in enumerate(diffs, start=1):
         # binomial(e, d) from binomial(e, d - 1); the division is exact for
         # every integer e, negative ones included.
         binom = binom * (e - d + 1) // d
         if not binom:  # 0 <= e < d: every later binomial is 0 as well
             break
-        diffs = [tuple(b - a for a, b in zip(p, q))
-                 for p, q in zip(diffs, diffs[1:])]
-        out = [o + binom * x for o, x in zip(out, diffs[0])]
+        out = [o + binom * x for o, x in zip(out, diff)]
     return tuple(out)
+
+
+def coords_pow(basis: HallBasis, u, e: int) -> tuple[int, ...]:
+    """u**e for any integer e, by Newton interpolation from u**0 .. u**c."""
+    if e == 0 or e == 1:
+        _check_lengths(basis, (u,))
+        return tuple(u) if e else (0,) * basis.m
+    return power_from_differences(power_differences(basis, u), e)
 
 
 def coords_inverse(basis: HallBasis, u) -> tuple[int, ...]:

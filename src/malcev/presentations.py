@@ -16,7 +16,8 @@ from .collect import (CollectionLimit, collector_for_nilpotent,
                       collector_for_quotient)
 from .extgcd import InternalConsistencyError, RejectedInput
 from .freegroup import (ExpWord, HallBasis, build_hall_basis, coords_inverse,
-                        coords_mult, coords_pow, coords_to_word, eval_free)
+                        coords_mult, coords_pow, coords_to_word, eval_free,
+                        power_differences, power_from_differences)
 
 
 class FullFormViolation(RejectedInput):
@@ -140,6 +141,15 @@ class QuotientPresentation:
         return {p: self.relators.rows[i]
                 for i, p in enumerate(self.relators.pivots)}
 
+    @cached_property
+    def folds(self) -> tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]:
+        """(column, relative order, power differences of the relator row)
+        for each torsion column, in increasing column order."""
+        return tuple(sorted(
+            (p, self.relators.pivot_value(i),
+             power_differences(self.basis, self.relators.rows[i]))
+            for i, p in enumerate(self.relators.pivots)))
+
     def describe(self) -> str:
         c, r = self.basis.c, self.basis.r
         lines = [f"group c={c} r={r}"]
@@ -153,17 +163,21 @@ def reduce_coords(pres: QuotientPresentation, coords) -> tuple[int, ...]:
 
     Within the subgroup generated by the letters from column i on, the i-th
     coordinate is additive, so excess pivot powers fold into the suffix
-    through the relator row of that column.
+    through the relator row of that column.  The relator's power comes from
+    the differences the presentation stores (`QuotientPresentation.folds`),
+    so each fold is one multiplication.
     """
+    folds = pres.folds
+    if not folds:
+        return tuple(coords)
     basis = pres.basis
     y = list(coords)
-    for col in sorted(pres.torsion):
-        e = pres.torsion[col]
+    for col, e, diffs in folds:
         q, rem = divmod(y[col - 1], e)
         if q:
-            relator = pres.torsion_rows[col]
             suffix = tuple([0] * (col - 1) + y[col - 1:])
-            folded = coords_mult(basis, coords_pow(basis, relator, -q), suffix)
+            folded = coords_mult(basis, power_from_differences(diffs, -q),
+                                 suffix)
             if any(folded[:col - 1]) or folded[col - 1] != rem:
                 raise InternalConsistencyError(
                     f"torsion fold of column {col} left the suffix")
@@ -228,18 +242,25 @@ def consistency_check(pres: QuotientPresentation) -> bool:
                 for row in pres.relators.rows)
             if not conj_ok:
                 return False
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                jk = col.collect(((i, 1), (j, 1)))
-                for k in range(1, m + 1):
-                    left = col.collect(coords_to_word(jk) + ((k, 1),))
-                    inner = col.collect(((j, 1), (k, 1)))
-                    right = col.collect(((i, 1),) + coords_to_word(inner))
-                    if left != right:
-                        return False
+        if not _associative(col, m):
+            return False
     except CollectionLimit:
         return False
     return True
+
+
+def _associative(col, s: int) -> bool:
+    """(g_i g_j) g_k == g_i (g_j g_k) under the collector for every triple.
+
+    Each pair product g_i g_j is collected once and reused, as a word, on
+    both sides: s**2 pair collections instead of s**3.
+    """
+    gens = range(1, s + 1)
+    pairs = {(i, j): coords_to_word(col.collect(((i, 1), (j, 1))))
+             for i in gens for j in gens}
+    return all(col.collect(pairs[i, j] + ((k, 1),))
+               == col.collect(((i, 1),) + pairs[j, k])
+               for i in gens for j in gens for k in gens)
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +386,8 @@ def nilpotent_presentation_consistent(npres: NilpotentPresentation) -> bool:
             lhs = col.collect(((i, e),))
             if lhs != col.collect(coords_to_word(tail)):
                 return False
-        for i in range(1, npres.s + 1):
-            for j in range(1, npres.s + 1):
-                jk = col.collect(((i, 1), (j, 1)))
-                for k in range(1, npres.s + 1):
-                    left = col.collect(coords_to_word(jk) + ((k, 1),))
-                    inner = col.collect(((j, 1), (k, 1)))
-                    right = col.collect(((i, 1),) + coords_to_word(inner))
-                    if left != right:
-                        return False
+        if not _associative(col, npres.s):
+            return False
     except CollectionLimit:
         return False
     return True

@@ -29,16 +29,15 @@ def mat_inv(a):
 
 
 def mat_pow(a, e):
-    if e < 0:
-        return mat_pow(mat_inv(a), -e)
-    out = MAT_ID
-    base = a
-    while e:
-        if e & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return out
+    """a**e for a unitriangular a, any integer e, in closed form:
+    ((1, x, z), (0, 1, y), (0, 0, 1))**e
+        = ((1, e x, e z + binomial(e, 2) x y), (0, 1, e y), (0, 0, 1)).
+    `test_mat_pow_closed_form` checks it against repeated `mat_mul`."""
+    assert a[1][0] == a[2][0] == a[2][1] == 0
+    assert a[0][0] == a[1][1] == a[2][2] == 1
+    x, z, y = a[0][1], a[0][2], a[1][2]
+    return ((1, e * x, e * z + e * (e - 1) // 2 * x * y),
+            (0, 1, e * y), (0, 0, 1))
 
 
 MAT_A1 = ((1, 1, 0), (0, 1, 0), (0, 0, 1))

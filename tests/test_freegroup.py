@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat_of_coords, mat_of_word
+from conftest import (MAT_ID, mat_inv, mat_mul, mat_of_coords, mat_of_word,
+                      mat_pow)
 from malcev.extgcd import RejectedInput
 from malcev.freegroup import (SizeCapExceeded, build_hall_basis,
                               coords_inverse, coords_mult, coords_pow,
@@ -58,6 +59,19 @@ def test_unitriangular_oracle_random_words():
                      for _ in range(rng.randint(0, 12)))
         coords = eval_free(HEIS, word)
         assert mat_of_coords(coords) == mat_of_word(word)
+
+
+def test_mat_pow_closed_form():
+    rng = random.Random(12)
+    for _ in range(40):
+        x, y, z = (rng.randint(-50, 50) for _ in range(3))
+        a = ((1, x, z), (0, 1, y), (0, 0, 1))
+        pos, neg = MAT_ID, MAT_ID
+        for e in range(21):
+            assert mat_pow(a, e) == pos
+            assert mat_pow(a, -e) == neg
+            pos = mat_mul(pos, a)
+            neg = mat_mul(neg, mat_inv(a))
 
 
 def test_binary_exponents_fast_and_exact():
@@ -139,7 +153,8 @@ def test_wrong_length_vectors_rejected():
             coords_mult(HEIS, u, v)
         with pytest.raises(RejectedInput):
             coords_mult(HEIS, v, u)
-        with pytest.raises(RejectedInput):
-            coords_pow(HEIS, u, 2)
+        for e in (0, 1, 2):
+            with pytest.raises(RejectedInput):
+                coords_pow(HEIS, u, e)
         with pytest.raises(RejectedInput):
             coords_inverse(HEIS, u)

@@ -3,7 +3,10 @@ import random
 import pytest
 
 import malcev as M
+import malcev.presentations as P
 from conftest import normal_closure_rows, random_finite_presentation
+from malcev.freegroup import (InternalConsistencyError, coords_mult,
+                              coords_pow, power_differences)
 from malcev.presentations import FullFormViolation, check_echelon_conditions
 
 
@@ -125,3 +128,90 @@ def test_describe_parses_back():
     pres = M.make_quotient_presentation(HEIS_BASIS, ((2, 0, 0), (0, 0, 2)))
     doc = parse_document(pres.describe())
     assert doc.groups[0].presentation == pres
+
+
+# The four fixed quotients of the finite_decisions benchmark workload.
+_COMM = ((2, -1), (1, -1), (2, 1), (1, 1))  # [a2, a1]
+FINITE_QUOTIENTS = (
+    ((2, 2), [((1, 3),), ((2, 3),)]),
+    ((2, 2), [((1, 4),), ((2, 4),), _COMM * 2]),
+    ((3, 2), [((1, 2),), ((2, 2),)]),
+    ((3, 2), [((1, 3),), ((2, 3),)]),
+)
+
+
+def reference_reduce(pres, coords, quotients):
+    """The torsion fold with each relator power recomputed by `coords_pow`;
+    appends every nonzero quotient q to `quotients`."""
+    basis = pres.basis
+    y = list(coords)
+    for col in sorted(pres.torsion):
+        q, _ = divmod(y[col - 1], pres.torsion[col])
+        if q:
+            quotients.append(q)
+            suffix = tuple([0] * (col - 1) + y[col - 1:])
+            relator_pow = coords_pow(basis, pres.torsion_rows[col], -q)
+            y[col - 1:] = coords_mult(basis, relator_pow, suffix)[col - 1:]
+    return tuple(y)
+
+
+def test_reduce_coords_matches_reference_fold():
+    rng = random.Random(44)
+    presentations = [M.from_finite_presentation(M.build_hall_basis(c, r), rels)
+                     for (c, r), rels in FINITE_QUOTIENTS]
+    presentations += [random_finite_presentation(rng, c, 2)
+                      for c in (1, 2, 3) for _ in range(3)]
+    for pres in presentations:
+        quotients = []
+        for _ in range(30):
+            bound = rng.choice((9, 1 << 64))
+            coords = tuple(rng.randint(-bound, bound) for _ in range(pres.m))
+            reduced = M.reduce_coords(pres, coords)
+            assert reduced == reference_reduce(pres, coords, quotients)
+            for col, e in pres.torsion.items():
+                assert 0 <= reduced[col - 1] < e
+        assert {q > 0 for q in quotients} == {True, False}
+
+
+def test_reduce_coords_folds_with_one_multiply(monkeypatch):
+    pres = M.from_finite_presentation(M.build_hall_basis(3, 2),
+                                      [((1, 3),), ((2, 3),)])
+    coords = (7, -8, 1 << 70, 5, -(1 << 64))
+    quotients = []
+    expected = reference_reduce(pres, coords, quotients)
+    calls = []
+
+    def counted_mult(basis, u, v):
+        calls.append(1)
+        return coords_mult(basis, u, v)
+
+    def no_pow(*args):
+        raise AssertionError("reduce_coords must not call coords_pow")
+
+    monkeypatch.setattr(P, "coords_mult", counted_mult)
+    monkeypatch.setattr(P, "coords_pow", no_pow)
+    assert M.reduce_coords(pres, coords) == expected
+    assert len(calls) == len(quotients) >= 2
+    assert [col for col, _, _ in pres.folds] == sorted(pres.torsion)
+
+
+def test_reduce_coords_without_torsion_returns_input():
+    pres = M.free_presentation(2, 2)
+    assert pres.folds == ()
+    assert M.reduce_coords(pres, [4, -5, 1 << 80]) == (4, -5, 1 << 80)
+
+
+@pytest.mark.parametrize("index,corrupt_row", [
+    (0, (3, 0, 0)),  # wrong pivot: the folded column is not the remainder
+    (1, (1, 0, 2)),  # support left of the column: the fold leaves the suffix
+])
+def test_corrupt_fold_raises(monkeypatch, index, corrupt_row):
+    pres = M.make_quotient_presentation(HEIS_BASIS, ((2, 0, 0), (0, 0, 2)))
+    folds = list(pres.folds)
+    col, e, _ = folds[index]
+    folds[index] = (col, e, power_differences(HEIS_BASIS, corrupt_row))
+    monkeypatch.setitem(pres.__dict__, "folds", tuple(folds))
+    coords = [0, 0, 0]
+    coords[col - 1] = 5
+    with pytest.raises(InternalConsistencyError):
+        M.reduce_coords(pres, coords)
