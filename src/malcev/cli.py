@@ -244,17 +244,22 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
+    # Integers have unbounded magnitude in the grammar, so lift Python's
+    # limit on decimal conversion for this call only.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code else 0
         return args.fn(args, out)
     except (InputError, parsing.ParseError, RejectedInput,
             SizeCapExceeded) as exc:
         print(f"error: {exc}", file=err)
         return 2
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 def main() -> None:

@@ -1,5 +1,9 @@
 """Kernels and preimages of homomorphisms, centralizers, conjugacy with
-witnesses, the power problem, and the torsion-order bound."""
+witnesses, the power problem, and the torsion-order bound.
+
+Centralizers and conjugacy share one descent through G/Gamma_c (Macdonald,
+Myasnikov, Nikolaev & Vassileva): one kernel per class, whose kernel is the
+centralizer and whose preimage gives the conjugator."""
 
 from __future__ import annotations
 
@@ -153,12 +157,39 @@ def _last_term_transversal(pres: QuotientPresentation) -> list[GroupElement]:
     return out
 
 
-def _centralizer_cover(pres: QuotientPresentation, g: GroupElement
-                       ) -> list[GroupElement]:
-    """Generators of the preimage in G of the centralizer of g Gamma_c."""
+def _descend(pres: QuotientPresentation, g: GroupElement, h: GroupElement
+             ) -> tuple[list[GroupElement] | None, GroupElement | None]:
+    """Generators of C_G(g) and some u with g = u^{-1} h u, or (None, None)
+    when g and h are not conjugate.
+
+    One descent through G/Gamma_c with one kernel per class: given C and v
+    for the images of g and h in G/Gamma_c, u -> [g, u] is a homomorphism on
+    the preimage of C (its image lies in the central Gamma_c).  Its kernel
+    is C_G(g), and g^{-1} v^{-1} h v lies in its image exactly when g and h
+    are conjugate, with a preimage w giving u = v w^{-1}.
+    """
+    if pres.basis.c == 1:
+        # Abelian: everything centralizes g, and only g is conjugate to g.
+        if g != h:
+            return None, None
+        return _last_term_transversal(pres), identity(pres)
     small = quotient_mod_last(pres)
-    lifted = [_lift(pres, z) for z in centralizer(small, _project(small, g))]
-    return lifted + _last_term_transversal(pres)
+    below, v = _descend(small, _project(small, g), _project(small, h))
+    if below is None:
+        return None, None
+    v = _lift(pres, v)
+    cover = [_lift(pres, z) for z in below] + _last_term_transversal(pres)
+    spec = HomSpec(source=pres, target=pres, generators=tuple(cover),
+                   images=tuple(_commutator(g, u) for u in cover))
+    target = mult(inverse(g), mult(inverse(v), mult(h, v)))  # in Gamma_c
+    try:
+        kernel, w = kernel_and_preimage(spec, target)
+    except NotInImage:
+        return None, None
+    u = mult(v, inverse(w))
+    if mult(mult(inverse(u), h), u) != g:
+        raise InternalConsistencyError("conjugacy witness fails to conjugate")
+    return kernel, u
 
 
 def centralizer(pres: QuotientPresentation, g: GroupElement
@@ -166,21 +197,7 @@ def centralizer(pres: QuotientPresentation, g: GroupElement
     """Generating set of C_G(g)."""
     if g.presentation != pres:
         raise RejectedInput("element belongs to a different presentation")
-    basis = pres.basis
-    if basis.c == 1:
-        out = []
-        for i in range(basis.r):
-            unit = [0] * basis.m
-            unit[i] = 1
-            out.append(element(pres, unit))
-        return out
-    cover = _centralizer_cover(pres, g)
-    # u -> [g, u] is a homomorphism on <cover> because its image lies in the
-    # central subgroup Gamma_c; the centralizer is exactly its kernel.
-    spec = HomSpec(source=pres, target=pres, generators=tuple(cover),
-                   images=tuple(_commutator(g, u) for u in cover))
-    kernel, _ = kernel_and_preimage(spec)
-    return kernel
+    return _descend(pres, g, g)[0]
 
 
 def conjugacy(pres: QuotientPresentation, g: GroupElement, h: GroupElement
@@ -188,25 +205,7 @@ def conjugacy(pres: QuotientPresentation, g: GroupElement, h: GroupElement
     """Witness u with g = u^{-1} h u, or the answer NotConjugate."""
     if g.presentation != pres or h.presentation != pres:
         raise RejectedInput("elements belong to a different presentation")
-    if pres.basis.c == 1:
-        return ConjugacyAnswer(identity(pres) if g == h else None)
-    small = quotient_mod_last(pres)
-    sub = conjugacy(small, _project(small, g), _project(small, h))
-    if not sub.conjugate:
-        return ConjugacyAnswer(None)
-    v = _lift(pres, sub.witness)
-    target = mult(inverse(g), mult(inverse(v), mult(h, v)))  # in Gamma_c
-    cover = _centralizer_cover(pres, g)
-    spec = HomSpec(source=pres, target=pres, generators=tuple(cover),
-                   images=tuple(_commutator(g, u) for u in cover))
-    try:
-        _, w = kernel_and_preimage(spec, target)
-    except NotInImage:
-        return ConjugacyAnswer(None)
-    u = mult(v, inverse(w))
-    if mult(mult(inverse(u), h), u) != g:
-        raise InternalConsistencyError("conjugacy witness fails to conjugate")
-    return ConjugacyAnswer(u)
+    return ConjugacyAnswer(_descend(pres, g, h)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,7 @@ def embed_letter_map(small: HallBasis, big: HallBasis, offset: int) -> list[int]
             right = out[bc.right - 1]
             img = by_shape.get((bc.weight, left, right))
             if img is None:
-                raise AssertionError(
+                raise InternalConsistencyError(
                     "embedded commutator is not a basic commutator of the"
                     " larger basis")
             out.append(img)

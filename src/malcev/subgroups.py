@@ -137,7 +137,17 @@ def full_form_rows(ctx, rows, exprs=None):
     derivations `exprs` of the input rows (by default, the input rows)."""
     if exprs is None:
         exprs = map(_expr_gen, range(len(rows)))
+    # Each work entry is a row with its derivation; `power` and `times` do
+    # all the row arithmetic on both.
     work: list = [(tuple(r), ex) for r, ex in zip(rows, exprs)]
+
+    def power(a, l):
+        return ctx.pow(a[0], l), _expr_pow(a[1], l)
+
+    def times(a, b, l):  # a * b^l
+        return (ctx.mult(a[0], ctx.pow(b[0], l)),
+                _expr_mul((a[1], _expr_pow(b[1], l))))
+
     k = 0
     last_pivot = 0
     while True:
@@ -159,32 +169,20 @@ def full_form_rows(ctx, rows, exprs=None):
         n = len(work)
 
         # Step 1: bounded gcd combination of the pivot column.
-        column = [work[i][0][piv - 1] for i in range(k, n)]
-        d, ls, _ = extgcd_bounded(column)
-        new_row = ctx.identity
-        parts = []
+        d, ls, _ = extgcd_bounded([work[i][0][piv - 1] for i in range(k, n)])
+        new = (ctx.identity, _EXPR_ONE)
         for i, l in zip(range(k, n), ls):
             if l:
-                new_row = ctx.mult(new_row, ctx.pow(work[i][0], l))
-                parts.append(_expr_pow(work[i][1], l))
-        new_ex = _expr_mul(parts)
-        if new_row[piv - 1] != d or any(new_row[:piv - 1]):
+                new = times(new, work[i], l)
+        if new[0][piv - 1] != d or any(new[0][:piv - 1]):
             raise InternalConsistencyError("gcd row does not lead with the gcd")
-        work.append((new_row, new_ex))
+        work.append(new)
 
         # Step 2: clear the column below, reduce above, move the pivot up.
-        for i in range(k, n):
+        for i in range(n):
             q = work[i][0][piv - 1] // d
             if q:
-                row, ex = work[i]
-                work[i] = (ctx.mult(row, ctx.pow(new_row, -q)),
-                           _expr_mul((ex, _expr_pow(new_ex, -q))))
-        for i in range(k):
-            q = work[i][0][piv - 1] // d
-            if q:
-                row, ex = work[i]
-                work[i] = (ctx.mult(row, ctx.pow(new_row, -q)),
-                           _expr_mul((ex, _expr_pow(new_ex, -q))))
+                work[i] = times(work[i], new, -q)
         work[k], work[-1] = work[-1], work[k]
 
         # Step 3: fold in the relator of a torsion pivot column.  The
@@ -193,27 +191,20 @@ def full_form_rows(ctx, rows, exprs=None):
         # a genuine power of it.
         if piv in ctx.torsion:
             e = ctx.torsion[piv]
-            hk, hk_ex = work[k]
-            d_cur = hk[piv - 1]
+            hk = work[k]
+            d_cur = hk[0][piv - 1]
             delta, n1, _ = extgcd_pair_bounded(d_cur, e)
-            comb = ctx.pow(hk, n1)
-            comb_ex = _expr_pow(hk_ex, n1)
-            if comb[piv - 1] != delta or any(comb[:piv - 1]):
+            comb = power(hk, n1)
+            if comb[0][piv - 1] != delta or any(comb[0][:piv - 1]):
                 raise InternalConsistencyError(
                     "torsion combination does not lead with the gcd")
-            cleared_k = (ctx.mult(hk, ctx.pow(comb, -(d_cur // delta))),
-                         _expr_mul((hk_ex, _expr_pow(comb_ex, -(d_cur // delta)))))
-            cleared_rel = (ctx.pow(comb, -(e // delta)),
-                           _expr_pow(comb_ex, -(e // delta)))
-            work[k] = (comb, comb_ex)
-            work.append(cleared_k)
-            work.append(cleared_rel)
+            work[k] = comb
+            work.append(times(hk, comb, -(d_cur // delta)))
+            work.append(power(comb, -(e // delta)))
             for j in range(k):
                 q = work[j][0][piv - 1] // delta
                 if q:
-                    row, ex = work[j]
-                    work[j] = (ctx.mult(row, ctx.pow(comb, -q)),
-                               _expr_mul((ex, _expr_pow(comb_ex, -q))))
+                    work[j] = times(work[j], comb, -q)
 
         # Step 4: closure under conjugation by the new pivot row, plus the
         # torsion power.
@@ -240,8 +231,7 @@ def full_form_rows(ctx, rows, exprs=None):
                             _expr_pow(hk_ex, sign * l)))))
             work.extend(appended)
         if piv in ctx.torsion:
-            q = ctx.torsion[piv] // hk[piv - 1]
-            work.append((ctx.pow(hk, q), _expr_pow(hk_ex, q)))
+            work.append(power(work[k], ctx.torsion[piv] // hk[piv - 1]))
 
         last_pivot = piv
         k += 1
@@ -369,7 +359,6 @@ def full_form_free(basis, rows) -> tuple[tuple[int, ...], ...]:
 @dataclass(frozen=True)
 class MembershipWitness:
     gamma: tuple[int, ...]
-    word: ExpWord | None = None
 
 
 def membership(pres: QuotientPresentation, form: FullFormMatrix,
@@ -427,13 +416,10 @@ def subgroup_presentation(pres: QuotientPresentation,
     beta: dict[tuple[int, int], tuple[int, ...]] = {}
     inv = {i: pres.pow(rows[i], -1) for i in range(s)}
     for i, j in itertools.combinations(range(s), 2):
-        gi, gj = rows[i], rows[j]
-        head = pres.mult(gi, gj)
-        tail = pres.mult(pres.pow(head, -1), pres.mult(gj, gi))
-        alpha[(i + 1, j + 1)] = against_suffix(j + 1, tail)
-        head = pres.mult(gi, inv[j])
-        tail = pres.mult(pres.pow(head, -1), pres.mult(inv[j], gi))
-        beta[(i + 1, j + 1)] = against_suffix(j + 1, tail)
+        for gj, table in ((rows[j], alpha), (inv[j], beta)):
+            head = pres.mult(rows[i], gj)
+            tail = pres.mult(pres.pow(head, -1), pres.mult(gj, rows[i]))
+            table[(i + 1, j + 1)] = against_suffix(j + 1, tail)
 
     return NilpotentPresentation(s=s, orders=tuple(orders),
                                  power_tails=power_tails, alpha=alpha,

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import malcev
 from malcev.cli import run
@@ -208,3 +210,131 @@ def test_output_is_byte_deterministic(tmp_path, argv_text):
     first = invoke(argv + [f])
     second = invoke(argv + [f])
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Integers beyond Python's default limit of 4,300 decimal digits.  The texts
+# are built as strings, so the test itself converts no large integer.
+
+def answers(argv, status, out):
+    """Whether argv exits with status, prints out and writes no error.  A
+    plain == on the strings would make pytest diff 5,000-digit texts."""
+    return invoke(argv) == (status, out, "")
+
+
+def test_nf_prints_coordinates_beyond_the_digit_limit(tmp_path):
+    n = "1" + "0" * 3000
+    f = doc(tmp_path, HEIS_HEADER + f"word a2^{n} a1^{n}\n")
+    assert answers(["nf", f], 0, f"{n} {n} 1{'0' * 6000}\n")
+
+
+def test_parse_accepts_numbers_beyond_the_digit_limit(tmp_path):
+    n = "9" * 5000
+    f = doc(tmp_path, HEIS_HEADER + f"subgroup\nrow {n} 0 0\n")
+    assert answers(["fullform", f], 0, f"row {n} 0 0\n")
+    f = doc(tmp_path, HEIS_HEADER + f"word a1^-{n}\n")
+    assert answers(["nf", f], 0, f"-{n} 0 0\n")
+    f = doc(tmp_path, HEIS_HEADER + f"word a1\nword a1^{n}\n"
+            f"progression {n} {n}\n")
+    assert answers(["power", f], 0, f"yes\nk {n}\n")
+    f = doc(tmp_path, HEIS_HEADER + f"word a{n}\n")
+    status, out, err = invoke(["nf", f])
+    assert (status, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_extgcd_beyond_the_digit_limit():
+    status, out, err = invoke(["extgcd", "7" * 5000, "3"])
+    assert (status, err) == (0, "")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        g, x = out.splitlines()
+        x1, x2 = map(int, x.split())
+        assert g == "1" and x1 * int("7" * 5000) + x2 * 3 == 1
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_run_restores_the_digit_limit(tmp_path):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        f = doc(tmp_path, HEIS_HEADER + f"word a3^{'8' * 5000}\n")
+        assert answers(["nf", f], 0, f"0 0 {'8' * 5000}\n")
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: documents built from the grammar's line kinds, with some numbers
+# far beyond the digit limit, some malformed lines and some wrong row lengths.
+# The draws are derandomized: some legal documents with 5,000-digit entries
+# take tens of seconds, and a fixed set keeps the run time fixed.
+
+SHAPES = {(1, 1): 1, (1, 2): 2, (2, 2): 3, (3, 2): 5}
+HUGE = ["9" * 5000, "-1" + "0" * 4400, "4" * 4301]
+# True one time in six.  Each rare choice is the True side, so shrinking moves
+# towards small numbers and well-formed lines.
+RARELY = st.integers(0, 5).map(lambda k: k == 5)
+NUMBERS = RARELY.flatmap(lambda huge: st.sampled_from(HUGE) if huge
+                         else st.integers(-6, 6).map(str))
+MALFORMED = st.one_of(
+    st.sampled_from(["row x", "word b1", "word a1^", "group c=2", "element",
+                     "progression 1", "subgroup 3", "frobnicate", "# note"]),
+    st.text(alphabet="aw0123456789^ -rx", max_size=12),
+    st.lists(NUMBERS, max_size=6).map(lambda xs: "row " + " ".join(xs)))
+
+
+@st.composite
+def documents(draw):
+    """One group block (rarely two) of well-formed lines, with rarely a
+    malformed line or a row of the wrong length inserted."""
+    lines = []
+    for _ in range(2 if draw(RARELY) else 1):
+        (c, r), m = draw(st.sampled_from(sorted(SHAPES.items())))
+        row = st.lists(NUMBERS, min_size=m, max_size=m).map(
+            lambda xs: "row " + " ".join(xs))
+        index = RARELY.flatmap(lambda bad: st.sampled_from(
+            ["0", str(m + 1), HUGE[0]]) if bad else st.integers(1, m).map(str))
+        word = st.lists(st.tuples(index, NUMBERS), max_size=3).map(
+            lambda fs: " ".join(f"a{k}^{x}" for k, x in fs))
+        lines.append(f"group c={c} r={r}")
+        relator = draw(st.sampled_from(["none", "central", "random"]))
+        if relator == "central":  # a torsion order on a central letter
+            e = draw(st.sampled_from(["2", "5", HUGE[0]]))
+            lines.append("row " + " ".join(["0"] * (m - 1) + [e]))
+        elif relator == "random":
+            lines.append(draw(row))
+        lines += ["word " + draw(word)
+                  for _ in range(draw(st.integers(1, 2)))]
+        if draw(st.booleans()):
+            lines += ["subgroup"] + draw(st.lists(row, min_size=1, max_size=2))
+        if draw(st.booleans()):
+            lines.append("element " + draw(word))
+        if draw(st.booleans()):
+            lines.append(f"progression {draw(NUMBERS)} {draw(NUMBERS)}")
+    if draw(RARELY):
+        lines.insert(draw(st.integers(0, len(lines))), draw(MALFORMED))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(documents(), st.lists(NUMBERS, min_size=1, max_size=3))
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_documents_end_in_an_exit_status(fuzz_dir, text, numbers):
+    f = doc(fuzz_dir, text)
+    commands = [[name, f] for name in malcev.cli._FILE_COMMANDS]
+    for argv in commands + [["member", "--track", f], ["extgcd", *numbers]]:
+        status, out, err = invoke(argv)
+        assert status in (0, 1, 2)
+        if status == 2:
+            assert err.startswith("error:") and err.count("\n") == 1
+        else:
+            assert err == ""

@@ -194,6 +194,56 @@ def test_conjugacy_matches_brute_force():
                 assert M.mult(M.mult(M.inverse(w), h), w) == g
 
 
+def test_class_three_descent_matches_brute_force():
+    # At class 3 the descent runs through G/Gamma_3 and G/Gamma_2.
+    rng = random.Random(63)
+    conjugate = 0
+    for _ in range(3):
+        pres = random_finite_presentation(rng, 3, 2, max_pivot=3)
+        fg = FiniteGroup(pres)
+        for _ in range(8):
+            g = M.element(pres, rng.choice(fg.elements))
+            gens = M.centralizer(pres, g)
+            closure = fg.subgroup_closure([u.coords for u in gens])
+            assert closure == fg.centralizer_brute(g.coords)
+            if rng.random() < 0.5:
+                u = M.element(pres, rng.choice(fg.elements))
+                h = M.mult(M.mult(u, g), M.inverse(u))
+            else:
+                h = M.element(pres, rng.choice(fg.elements))
+            ans = M.conjugacy(pres, g, h)
+            brute = fg.conjugator_brute(g.coords, h.coords)
+            assert ans.conjugate == (brute is not None)
+            if ans.conjugate:
+                w = ans.witness
+                assert M.mult(M.mult(M.inverse(w), h), w) == g
+                conjugate += 1
+    assert conjugate >= 8
+
+
+@pytest.mark.parametrize("c", [2, 3, 4])
+def test_descent_makes_one_kernel_per_class(monkeypatch, c):
+    classes = []
+    preimage = decisions.kernel_and_preimage
+
+    def counted(spec, h=None):
+        classes.append(spec.source.basis.c)
+        return preimage(spec, h)
+
+    monkeypatch.setattr(decisions, "kernel_and_preimage", counted)
+    rng = random.Random(64 + c)
+    pres = M.free_presentation(c, 2)
+    g, u = (M.element(pres, tuple(rng.randint(-3, 3) for _ in range(pres.m)))
+            for _ in range(2))
+    h = M.mult(M.mult(u, g), M.inverse(u))
+    w = M.conjugacy(pres, g, h).witness
+    assert M.mult(M.mult(M.inverse(w), h), w) == g
+    assert sorted(classes) == list(range(2, c + 1))
+    classes.clear()
+    M.centralizer(pres, g)
+    assert sorted(classes) == list(range(2, c + 1))
+
+
 # ---------------------------------------------------------------------------
 # The power problem.
 

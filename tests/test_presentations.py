@@ -123,6 +123,12 @@ def test_direct_product_rejects_mismatched_parameters():
         M.direct_product(M.free_presentation(2, 2), M.free_presentation(1, 2))
 
 
+def test_embedding_into_a_smaller_class_raises():
+    # [a2, a1] has no image among the letters of the class-1 basis.
+    with pytest.raises(InternalConsistencyError):
+        P.embed_letter_map(HEIS_BASIS, M.build_hall_basis(1, 4), 0)
+
+
 def test_describe_parses_back():
     from malcev.parsing import parse_document
     pres = M.make_quotient_presentation(HEIS_BASIS, ((2, 0, 0), (0, 0, 2)))
