@@ -6,18 +6,21 @@ fixed integer-valued polynomials in the coordinates of u and v (P. Hall), and
 every operation here evaluates them:
 
 * `coords_mult` is one call of the basis's `mult(u, v)`;
-* `coords_pow(u, e)` interpolates in e from u**0 .. u**c, with c - 1
-  multiplications whatever |e| (none for e in {0, 1}).  Its two
+* `coords_pow(u, e)` interpolates in e from u**0 .. u**w, with w - 1
+  multiplications whatever |e| (none for e in {0, 1}), where w is the
+  weight of the basis's heaviest letter: c, or 1 at rank 1.  Its two
   halves are public, so a caller that powers one element often (a relator
   row in `presentations.reduce_coords`) keeps `power_differences` and pays
   only `power_from_differences` per power.  `coords_inverse` is
   `coords_pow(u, -1)`;
 * `eval_free` folds `mult` over the letter powers of a word.
 
-The polynomials for c <= 5, r <= 3 ship as generated modules in
-`malcev.tables`, imported on first use of their basis.  Any other basis
-derives them once per process with `malcev.deepthought`, which runs the
-Magnus-series engine of `malcev.series` over polynomial coefficients.
+The polynomials depend on the class only through that weight, so every
+rank-1 basis, whatever its class, uses the class-1 table.  The polynomials
+for c <= 5, r <= 3 ship as generated modules in `malcev.tables`, imported on
+first use of their basis.  Any other basis derives them once per process
+with `malcev.deepthought`, which runs the Magnus-series engine of
+`malcev.series` over polynomial coefficients.
 """
 
 from __future__ import annotations
@@ -66,6 +69,13 @@ class HallBasis:
         """Weight of the 1-based letter i."""
         return self.letters[i - 1].weight
 
+    @property
+    def top_weight(self) -> int:
+        """Weight of the heaviest letter: c for r >= 2, but 1 for r = 1,
+        whose group is Z at every class.  The multiplication polynomials
+        depend on the class only through it."""
+        return self.letters[-1].weight
+
 
 def _hall_letters(c: int, r: int, cap: int) -> list[BasicCommutator]:
     letters = [BasicCommutator(1, 0, 0) for _ in range(r)]
@@ -100,7 +110,7 @@ def build_hall_basis(c: int, r: int, cap: int = DEFAULT_LETTER_CAP) -> HallBasis
 # Public coordinate operations.  Every one of them evaluates the basis's
 # multiplication polynomials, loaded or derived on first use of the basis.
 
-SHIPPED_MAX = (5, 3)  # tables ship in malcev.tables for c <= 5 and r <= 3
+SHIPPED_MAX = (5, 3)  # tables ship for c <= 5, r <= 3; at rank 1 only c = 1
 _MULT: dict[tuple[int, int], Callable] = {}
 
 
@@ -115,12 +125,12 @@ def _check_lengths(basis: HallBasis, vectors) -> None:
 def _mult(basis: HallBasis, *vectors) -> Callable:
     """The basis's `mult(u, v)`, after checking the length of each vector."""
     _check_lengths(basis, vectors)
-    key = (basis.c, basis.r)
+    key = (basis.top_weight, basis.r)
     fn = _MULT.get(key)
     if fn is None:
-        if basis.c <= SHIPPED_MAX[0] and basis.r <= SHIPPED_MAX[1]:
-            fn = importlib.import_module(
-                f"{__package__}.tables.c{basis.c}r{basis.r}").mult
+        c, r = key
+        if c <= SHIPPED_MAX[0] and r <= SHIPPED_MAX[1]:
+            fn = importlib.import_module(f"{__package__}.tables.c{c}r{r}").mult
         else:
             fn = importlib.import_module(
                 f"{__package__}.deepthought").compile_mult(basis)
@@ -148,18 +158,20 @@ def coords_mult(basis: HallBasis, u, v) -> tuple[int, ...]:
 
 
 def power_differences(basis: HallBasis, u) -> tuple[tuple[int, ...], ...]:
-    """Forward differences at 0, of orders 1 .. c, of u**0 .. u**c.
+    """Forward differences at 0, of orders 1 .. w, of u**0 .. u**w, where w
+    is the basis's top weight.
 
     A coordinate of weight w of u**e is a polynomial of degree <= w in e, so
-    these c vectors determine u**e for every integer e
-    (`power_from_differences`).  Costs c - 1 multiplications.
+    these w vectors determine u**e for every integer e
+    (`power_from_differences`).  Costs w - 1 multiplications.
     """
     mult = _mult(basis, u)
+    w = basis.top_weight
     powers = [(0,) * basis.m, tuple(u)]
-    for _ in range(basis.c - 1):
+    for _ in range(w - 1):
         powers.append(mult(powers[-1], u))
     diffs = []
-    for _ in range(basis.c):
+    for _ in range(w):
         powers = [tuple(b - a for a, b in zip(p, q))
                   for p, q in zip(powers, powers[1:])]
         diffs.append(powers[0])

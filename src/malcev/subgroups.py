@@ -1,6 +1,10 @@
 """Row operations, matrix reduction to the unique subgroup full form,
 membership with witnesses, and subgroup presentations.
 
+The full form is an induced polycyclic sequence: the generators are sifted
+into a table with one row per pivot column, which is then closed under
+conjugation and relative-order powers.  Each row carries its derivation.
+
 The reduction is written against a minimal polycyclic context (length of the
 coordinate vector, torsion columns with relative orders, and exact group
 multiplication/powering on reduced vectors).  Besides a quotient presentation
@@ -14,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .extgcd import (InternalConsistencyError, RejectedInput, extgcd_bounded,
+from .extgcd import (InternalConsistencyError, RejectedInput,
                      extgcd_pair_bounded)
 from .freegroup import ExpWord, SizeCapExceeded
 from .groups import GroupElement
@@ -129,17 +133,29 @@ class TrackedExpressions:
 
 
 # ---------------------------------------------------------------------------
-# The five-step reduction.
+# Sifting into one row per pivot column.
 
 def full_form_rows(ctx, rows, exprs=None):
     """Unique full form of the subgroup generated by the given reduced
     coordinate vectors, and the derivation of every output row over the
-    derivations `exprs` of the input rows (by default, the input rows)."""
+    derivations `exprs` of the input rows (by default, the input rows).
+
+    The rows are sifted into a table with one row per pivot column, the
+    induced polycyclic sequence of Sims, *Computation with Finitely Presented
+    Groups* (1994), ch. 9.  Sifting x divides it by powers of the table rows
+    at its pivots; where the row y at x's pivot does not divide x there, the
+    bounded pair gcd of the leading entries combines x and y into a new
+    table row, and both remainders are sifted.  A column without a row acts
+    as the identity with leading entry its relative order, or 0.  Rows enter
+    the table reduced at the later pivot columns.  The table is then closed
+    by sifting the relative-order power of each torsion row and h_i^-1 h_j h_i
+    for each pair of pivots i < j until nothing changes.  One direction is
+    enough: by the maximal condition on subgroups, h_i^-1 T h_i <= T forces
+    equality for T = <h_{i+1}, ...>.
+    """
     if exprs is None:
         exprs = map(_expr_gen, range(len(rows)))
-    # Each work entry is a row with its derivation; `power` and `times` do
-    # all the row arithmetic on both.
-    work: list = [(tuple(r), ex) for r, ex in zip(rows, exprs)]
+    table: dict = {}  # pivot column -> (row, derivation)
 
     def power(a, l):
         return ctx.pow(a[0], l), _expr_pow(a[1], l)
@@ -148,97 +164,65 @@ def full_form_rows(ctx, rows, exprs=None):
         return (ctx.mult(a[0], ctx.pow(b[0], l)),
                 _expr_mul((a[1], _expr_pow(b[1], l))))
 
-    k = 0
-    last_pivot = 0
+    def place(piv, row):
+        """Enter a row at its pivot, with its entries at the later pivot
+        columns reduced into [0, pivot entry)."""
+        for q in sorted(table):
+            if q > piv:
+                k = row[0][q - 1] // table[q][0][q - 1]
+                if k:
+                    row = times(row, table[q], -k)
+        table[piv] = row
+        return row
+
+    def sift(x):
+        pending = [x]
+        while pending:
+            x = pending.pop()
+            piv = first_nonzero(x[0])
+            while piv:
+                a = x[0][piv - 1]
+                y = table.get(piv)
+                b = ctx.torsion.get(piv, 0) if y is None else y[0][piv - 1]
+                if y is None and (b % a == 0 if b else a > 0):
+                    place(piv, x)
+                    break
+                if y is not None and a % b == 0:
+                    x = times(x, y, -(a // b))
+                else:
+                    d, s, t = extgcd_pair_bounded(a, b)
+                    new = power(x, s) if y is None else times(power(x, s), y, t)
+                    if new[0][piv - 1] != d or any(new[0][:piv - 1]):
+                        raise InternalConsistencyError(
+                            "combination row does not lead with the gcd")
+                    new = place(piv, new)
+                    if y is not None:
+                        pending.append(times(y, new, -(b // d)))
+                    x = times(x, new, -(a // d))
+                piv = first_nonzero(x[0])
+
+    for x in zip(map(tuple, rows), exprs):
+        sift(x)
+    done: set = set()
     while True:
-        # Step 5 (and deduplication): drop zero and repeated tail rows.
-        seen = set()
-        tail = []
-        for row, ex in work[k:]:
-            if not any(row) or row in seen:
-                continue
-            seen.add(row)
-            tail.append((row, ex))
-        work[k:] = tail
-
-        piv = min((first_nonzero(r) for r, _ in work[k:]), default=0)
-        if piv == 0:
+        pairs = itertools.combinations_with_replacement(sorted(table), 2)
+        pairs = [(p, q) for p, q in pairs
+                 if (table[p][0], table[q][0]) not in done]
+        if not pairs:
             break
-        if piv <= last_pivot:
-            raise InternalConsistencyError("pivot column did not advance")
-        n = len(work)
+        for p, q in pairs:
+            hp, hq = table[p], table[q]
+            done.add((hp[0], hq[0]))
+            if p < q:
+                sift(times(times(power(hp, -1), hq, 1), hp, 1))
+            elif p in ctx.torsion:
+                sift(power(hp, ctx.torsion[p] // hp[0][p - 1]))
 
-        # Step 1: bounded gcd combination of the pivot column.
-        d, ls, _ = extgcd_bounded([work[i][0][piv - 1] for i in range(k, n)])
-        new = (ctx.identity, _EXPR_ONE)
-        for i, l in zip(range(k, n), ls):
-            if l:
-                new = times(new, work[i], l)
-        if new[0][piv - 1] != d or any(new[0][:piv - 1]):
-            raise InternalConsistencyError("gcd row does not lead with the gcd")
-        work.append(new)
-
-        # Step 2: clear the column below, reduce above, move the pivot up.
-        for i in range(n):
-            q = work[i][0][piv - 1] // d
-            if q:
-                work[i] = times(work[i], new, -q)
-        work[k], work[-1] = work[-1], work[k]
-
-        # Step 3: fold in the relator of a torsion pivot column.  The
-        # appended trivial relator row is the identity element, so the
-        # combination row is plainly h_k^{n1} and the cleared relator row is
-        # a genuine power of it.
-        if piv in ctx.torsion:
-            e = ctx.torsion[piv]
-            hk = work[k]
-            d_cur = hk[0][piv - 1]
-            delta, n1, _ = extgcd_pair_bounded(d_cur, e)
-            comb = power(hk, n1)
-            if comb[0][piv - 1] != delta or any(comb[0][:piv - 1]):
-                raise InternalConsistencyError(
-                    "torsion combination does not lead with the gcd")
-            work[k] = comb
-            work.append(times(hk, comb, -(d_cur // delta)))
-            work.append(power(comb, -(e // delta)))
-            for j in range(k):
-                q = work[j][0][piv - 1] // delta
-                if q:
-                    work[j] = times(work[j], comb, -q)
-
-        # Step 4: closure under conjugation by the new pivot row, plus the
-        # torsion power.
-        hk, hk_ex = work[k]
-        bound = ctx.m - piv
-        if bound > 0:
-            hk_inv = ctx.pow(hk, -1)
-            appended = []
-            for j in range(k + 1, len(work)):
-                hj, hj_ex = work[j]
-                if not any(hj):
-                    continue
-                for sign in (1, -1):
-                    left = hk_inv if sign == 1 else hk
-                    right = hk if sign == 1 else hk_inv
-                    cur = hj
-                    for l in range(1, bound + 1):
-                        nxt = ctx.mult(ctx.mult(left, cur), right)
-                        if nxt == cur:
-                            break
-                        cur = nxt
-                        appended.append((cur, _expr_mul((
-                            _expr_pow(hk_ex, -sign * l), hj_ex,
-                            _expr_pow(hk_ex, sign * l)))))
-            work.extend(appended)
-        if piv in ctx.torsion:
-            work.append(power(work[k], ctx.torsion[piv] // hk[piv - 1]))
-
-        last_pivot = piv
-        k += 1
-
-    out = tuple(r for r, _ in work[:k])
+    # Reduce above the pivots: each row again at the later pivot columns.
+    work = [place(p, table[p]) for p in sorted(table)]
+    out = tuple(r for r, _ in work)
     check_echelon_conditions(out, ctx.torsion)
-    return out, tuple(ex for _, ex in work[:k])
+    return out, tuple(ex for _, ex in work)
 
 
 # ---------------------------------------------------------------------------

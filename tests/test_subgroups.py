@@ -6,7 +6,7 @@ import malcev as M
 from conftest import FiniteGroup, random_finite_presentation
 from malcev.freegroup import SizeCapExceeded
 from malcev.presentations import check_echelon_conditions
-from malcev.subgroups import full_form_free
+from malcev.subgroups import full_form_free, full_form_rows
 
 
 HEIS = M.free_presentation(2, 2)
@@ -30,11 +30,17 @@ def test_full_form_fixtures():
 
 def test_full_form_output_is_valid(subtests=None):
     rng = random.Random(12)
+    cases = []
     for _ in range(30):
         pres = (random_finite_presentation(rng, 2, 2)
                 if rng.random() < 0.5 else HEIS)
+        cases.append((pres, rng.randint(1, 5)))
+    # Infinite ambient groups beyond the Heisenberg group.
+    for c, r in ((2, 3), (3, 3)):
+        cases += [(M.free_presentation(c, r), n) for n in (1, 2, 3)]
+    for pres, n in cases:
         rows = [tuple(rng.randint(-9, 9) for _ in range(pres.m))
-                for _ in range(rng.randint(1, 5))]
+                for _ in range(n)]
         form, _ = ff(pres, rows)
         check_echelon_conditions(form.rows, pres.torsion)
         # closure (vi) via membership of the conjugates
@@ -46,6 +52,42 @@ def test_full_form_output_is_valid(subtests=None):
                 for conj in (M.mult(M.mult(M.inverse(hk), hj), hk),
                              M.mult(M.mult(hk, hj), M.inverse(hk))):
                     assert M.membership(pres, tail, conj) is not None
+
+
+class CountingContext:
+    """A presentation whose group operations raise after `budget` calls."""
+
+    def __init__(self, pres, budget):
+        self.pres, self.budget, self.calls = pres, budget, 0
+        self.m, self.torsion, self.identity = pres.m, pres.torsion, pres.identity
+
+    def _count(self):
+        self.calls += 1
+        if self.calls > self.budget:
+            raise RuntimeError(f"more than {self.budget} group operations")
+
+    def mult(self, u, v):
+        self._count()
+        return self.pres.mult(u, v)
+
+    def pow(self, u, e):
+        self._count()
+        return self.pres.pow(u, e)
+
+
+@pytest.mark.parametrize("c,r", [(3, 3), (5, 2)])
+def test_full_form_work_stays_small(c, r):
+    # Three small rows generate a subgroup of finite index.  With one working
+    # row per pivot this takes about a thousand group operations; a working
+    # set that keeps every conjugate of every row grows past the budget.
+    pres = M.free_presentation(c, r)
+    rng = random.Random(5)
+    rows = [tuple(rng.randint(-9, 9) for _ in range(pres.m))
+            for _ in range(3)]
+    ctx = CountingContext(pres, 20_000)
+    out, _ = full_form_rows(ctx, rows)
+    assert out == M.full_form(pres, M.coordinate_matrix(pres, rows))[0].rows
+    assert len(out) == pres.m
 
 
 def test_row_operations_preserve_full_form():

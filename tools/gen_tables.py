@@ -1,7 +1,9 @@
 """Write the shipped multiplication tables, src/malcev/tables/c<c>r<r>.py.
 
 Each module defines `mult(u, v)` for the free nilpotent group of class c and
-rank r (c <= 5, r <= 3), derived by `malcev.deepthought.mult_source`.
+rank r (c <= 5, r <= 3), derived by `malcev.deepthought.mult_source`.  A
+basis whose heaviest letter is lighter than c (rank 1 above class 1) gets no
+module: it uses the table of that letter's weight.
 
     python tools/gen_tables.py
 
@@ -24,8 +26,11 @@ def main() -> None:
     out = ROOT / "src" / "malcev" / "tables"
     for c in range(1, SHIPPED_MAX[0] + 1):
         for r in range(1, SHIPPED_MAX[1] + 1):
+            basis = build_hall_basis(c, r)
+            if basis.top_weight < c:
+                continue
             path = out / f"c{c}r{r}.py"
-            path.write_text(mult_source(build_hall_basis(c, r)))
+            path.write_text(mult_source(basis))
             print(path.relative_to(ROOT))
 
 
