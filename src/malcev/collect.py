@@ -3,10 +3,12 @@
 The collector knows nothing about the series carrier used elsewhere: it
 normalizes words purely by rewriting with the exchange relations
 (g_j^{±1} g_i -> g_i g_j^{±1} tail) and the power relations
-(g_i^{e_i} -> tail), so it provides an independent arithmetic for
-consistency checking.  Every rewriting step is counted; exceeding the step
-budget raises CollectionLimit, which consistency checks treat as failure.
-"""
+(g_i^{e_i} -> tail), so it provides an independent arithmetic.  It checks
+the consistency of subgroup presentations
+(`presentations.nilpotent_presentation_consistent`), and the tests use it as
+the oracle for quotient presentations.  Collection takes steps linear in the
+exponents; every rewriting step is counted, and exceeding the step budget
+raises CollectionLimit."""
 
 from __future__ import annotations
 
@@ -30,14 +32,12 @@ class Collector:
                  orders: dict[int, int],
                  power_tails: dict[int, ExpWord],
                  alpha: dict[tuple[int, int], ExpWord],
-                 beta: dict[tuple[int, int], ExpWord],
-                 step_cap: int = DEFAULT_STEP_CAP):
+                 beta: dict[tuple[int, int], ExpWord]):
         self.s = s
         self.orders = orders          # generator index -> relative order
         self.power_tails = power_tails
         self.alpha = alpha            # (i, j), i < j: conj tail of g_j by g_i
         self.beta = beta              # same for g_j^{-1}
-        self.step_cap = step_cap
         self._steps = 0
         self._letter_memo: dict[tuple[int, int, int], tuple[ExpWord, ExpWord]] = {}
 
@@ -45,8 +45,8 @@ class Collector:
 
     def _tick(self, n: int = 1) -> None:
         self._steps += n
-        if self._steps > self.step_cap:
-            raise CollectionLimit(f"step budget {self.step_cap} exhausted")
+        if self._steps > DEFAULT_STEP_CAP:
+            raise CollectionLimit(f"step budget {DEFAULT_STEP_CAP} exhausted")
 
     # -- conjugation maps ---------------------------------------------------
 

@@ -16,7 +16,7 @@ from .freegroup import InternalConsistencyError, build_hall_basis
 from .groups import GroupElement, element, identity, inverse, mult, power
 from .presentations import (QuotientPresentation, _membership_scan,
                             first_nonzero, make_quotient_presentation)
-from .subgroups import ProductContext, full_form_free, full_form_rows
+from .subgroups import ProductContext, full_form_rows
 
 
 class NotInImage(ValueError):
@@ -129,7 +129,7 @@ def quotient_mod_last(pres: QuotientPresentation) -> QuotientPresentation:
         raise InternalConsistencyError("class c-1 basis is not a prefix")
     rows = [row[:small.m] for row in pres.relators.rows
             if first_nonzero(row) <= small.m]
-    return make_quotient_presentation(small, full_form_free(small, rows))
+    return make_quotient_presentation(small, rows)
 
 
 def _project(pres_small: QuotientPresentation, g: GroupElement) -> GroupElement:

@@ -34,7 +34,7 @@ from .extgcd import InternalConsistencyError, RejectedInput
 
 
 class SizeCapExceeded(ValueError):
-    """Basis would contain more letters than the configured cap allows."""
+    """Basis would contain more letters than DEFAULT_LETTER_CAP allows."""
 
 
 # Bases with more letters are refused.  A basis without shipped tables derives
@@ -77,7 +77,7 @@ class HallBasis:
         return self.letters[-1].weight
 
 
-def _hall_letters(c: int, r: int, cap: int) -> list[BasicCommutator]:
+def _hall_letters(c: int, r: int) -> list[BasicCommutator]:
     letters = [BasicCommutator(1, 0, 0) for _ in range(r)]
     for w in range(2, c + 1):
         fresh = []
@@ -90,20 +90,21 @@ def _hall_letters(c: int, r: int, cap: int) -> list[BasicCommutator]:
                 if letters[u - 1].weight > 1 and letters[u - 1].right > v:
                     continue
                 fresh.append(BasicCommutator(w, u, v))
-                if len(letters) + len(fresh) > cap:
+                if len(letters) + len(fresh) > DEFAULT_LETTER_CAP:
                     raise SizeCapExceeded(
-                        f"basis for c={c}, r={r} has more than {cap} letters")
+                        f"basis for c={c}, r={r} has more than"
+                        f" {DEFAULT_LETTER_CAP} letters")
         fresh.sort(key=lambda bc: (bc.left, bc.right))
         letters.extend(fresh)
     return letters
 
 
 @lru_cache(maxsize=None)
-def build_hall_basis(c: int, r: int, cap: int = DEFAULT_LETTER_CAP) -> HallBasis:
+def build_hall_basis(c: int, r: int) -> HallBasis:
     """Weight-ordered basis of basic commutators for class c and rank r."""
     if c < 1 or r < 1:
         raise RejectedInput("class and rank must be positive")
-    return HallBasis(c, r, tuple(_hall_letters(c, r, cap)))
+    return HallBasis(c, r, tuple(_hall_letters(c, r)))
 
 
 # ---------------------------------------------------------------------------

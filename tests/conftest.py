@@ -5,7 +5,10 @@ from __future__ import annotations
 import itertools
 
 import malcev as M
-from malcev.freegroup import coords_inverse, coords_mult, eval_free
+from malcev.collect import collector_for_quotient
+from malcev.freegroup import (coords_inverse, coords_mult, coords_to_word,
+                              eval_free)
+from malcev.presentations import _associative
 from malcev.subgroups import full_form_free
 
 # ---------------------------------------------------------------------------
@@ -139,6 +142,27 @@ def normal_closure_rows(basis, rows):
         if new == rows:
             return new
         rows = new
+
+
+def collector_consistent(pres):
+    """The collector's verdict on a quotient presentation: every relator row,
+    and its conjugate by each letter in both directions, collects to the
+    identity, and collection is associative on the letters.  The collector
+    derives its arithmetic from the exchange and power relations alone, so it
+    shares no code with the full-form sift.  A `CollectionLimit` propagates:
+    running out of steps is no verdict."""
+    col = collector_for_quotient(pres)
+    zero = pres.identity
+    words = [coords_to_word(row) for row in pres.relators.rows]
+    for w in words:
+        if col.collect(w) != zero:
+            return False
+    for j in range(1, pres.m + 1):
+        for w in words:
+            if (col.collect(((j, -1),) + w + ((j, 1),)) != zero
+                    or col.collect(((j, 1),) + w + ((j, -1),)) != zero):
+                return False
+    return _associative(col, pres.m)
 
 
 def random_finite_presentation(rng, c, r, max_pivot=4):

@@ -183,6 +183,11 @@ def test_input_errors(tmp_path):
     f = doc(tmp_path, "group c=1 r=2\nrow 0 0\nword a1\n")
     status, _, err = invoke(["nf", f])
     assert status == 2 and "error:" in err
+    # relator rows that are closed but do not span a normal subgroup
+    f = doc(tmp_path, "group c=2 r=2\nrow 2 0 1\nword a1\n")
+    status, out, err = invoke(["wp", f])
+    assert (status, out) == (2, "") and err.count("error:") == 1
+    assert "(vi)" in err
     # wrong number of words
     f = doc(tmp_path, HEIS_HEADER + "word a1\n")
     assert invoke(["conj", f])[0] == 2

@@ -4,10 +4,12 @@ import pytest
 
 import malcev as M
 import malcev.presentations as P
-from conftest import normal_closure_rows, random_finite_presentation
+from conftest import (collector_consistent, normal_closure_rows,
+                      random_finite_presentation)
 from malcev.freegroup import (InternalConsistencyError, coords_mult,
                               coords_pow, power_differences)
 from malcev.presentations import FullFormViolation, check_echelon_conditions
+from malcev.subgroups import full_form_free
 
 
 HEIS_BASIS = M.build_hall_basis(2, 2)
@@ -25,6 +27,7 @@ def test_make_quotient_presentation_valid():
     (((-2, 0, 0),), "iii"),                 # negative pivot
     (((1, 0, 5), (0, 0, 2)), "iv"),         # entry above pivot not reduced
     (((2, 0, 0), (0, 1, 0)), "vi"),         # missing closure row a3^2
+    (((2, 0, 1),), "vi"),                   # closed but not normal
 ])
 def test_validation_names_the_violated_condition(rows, condition):
     with pytest.raises(FullFormViolation) as exc:
@@ -58,6 +61,67 @@ def test_consistency_check_rejects_non_normal_relators():
     # <a1^2 a3> is closed in the full-form sense but not normal in F_{2,2}.
     bogus = M.QuotientPresentation(HEIS_BASIS, M.FullFormMatrix(((2, 0, 1),)))
     assert not M.consistency_check(bogus)
+
+
+def test_consistency_check_rejects_matrices_outside_full_form():
+    # <a1^-3 a2^-2 a3^3, a3> is normal, and the collector accepts the
+    # rewriting system these rows spell out, whose transversal at column 1
+    # is {-2, -1, 0}.  But a negative pivot breaks condition (iii), so the
+    # rows are no full form and the presentation is not one of this library.
+    rows = ((-3, -2, 3), (0, 0, -1))
+    pres = M.QuotientPresentation(HEIS_BASIS, M.FullFormMatrix(rows))
+    assert collector_consistent(pres)
+    assert not M.consistency_check(pres)
+
+
+@pytest.mark.parametrize("p", [10**7, 10**40])
+def test_consistency_check_of_heisenberg_mod_large_p(p):
+    # Collecting from the left costs steps linear in p.
+    pres = M.from_finite_presentation(HEIS_BASIS, [((1, p),), ((2, p),)])
+    assert pres.torsion == {1: p, 2: p, 3: p}
+    assert M.consistency_check(pres)
+
+
+def agreement_set():
+    """Seeded quotient presentations, consistent or not: finite quotients,
+    full forms of random subgroups (mostly not normal) and matrices that
+    need not be full forms at all."""
+    rng = random.Random(2027)
+    out = [random_finite_presentation(rng, rng.choice((1, 2, 3)),
+                                      rng.choice((2, 3)))
+           for _ in range(60)]
+    for c, r in ((2, 2), (3, 2), (2, 3)):
+        basis = M.build_hall_basis(c, r)
+        for _ in range(30):
+            rows = [tuple(rng.randint(-4, 4) for _ in range(basis.m))
+                    for _ in range(rng.randint(1, 3))]
+            out.append(M.QuotientPresentation(
+                basis, M.FullFormMatrix(full_form_free(basis, rows))))
+    for _ in range(60):
+        rows = tuple(tuple(rng.randint(-3, 3) for _ in range(3))
+                     for _ in range(rng.randint(1, 3)))
+        out.append(M.QuotientPresentation(HEIS_BASIS, M.FullFormMatrix(rows)))
+    return out
+
+
+def is_echelon(rows):
+    try:
+        check_echelon_conditions(rows)
+    except FullFormViolation:
+        return False
+    return True
+
+
+def test_consistency_check_agrees_with_the_collector():
+    """The collector judges every matrix that satisfies conditions (i)-(iv);
+    a matrix that does not is no full form and never consistent."""
+    verdicts = []
+    for pres in agreement_set():
+        expected = (is_echelon(pres.relators.rows)
+                    and collector_consistent(pres))
+        assert M.consistency_check(pres) == expected
+        verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_from_finite_presentation_fixture():
