@@ -141,10 +141,6 @@ def _lift(pres_big: QuotientPresentation, g: GroupElement) -> GroupElement:
     return element(pres_big, pad)
 
 
-def _commutator(g: GroupElement, u: GroupElement) -> GroupElement:
-    return mult(mult(inverse(g), inverse(u)), mult(g, u))
-
-
 def _last_term_transversal(pres: QuotientPresentation) -> list[GroupElement]:
     """The weight-c basis letters, as elements."""
     basis = pres.basis
@@ -179,9 +175,11 @@ def _descend(pres: QuotientPresentation, g: GroupElement, h: GroupElement
         return None, None
     v = _lift(pres, v)
     cover = [_lift(pres, z) for z in below] + _last_term_transversal(pres)
+    g_inv = inverse(g)
     spec = HomSpec(source=pres, target=pres, generators=tuple(cover),
-                   images=tuple(_commutator(g, u) for u in cover))
-    target = mult(inverse(g), mult(inverse(v), mult(h, v)))  # in Gamma_c
+                   images=tuple(mult(mult(g_inv, inverse(u)), mult(g, u))
+                                for u in cover))  # the commutators [g, u]
+    target = mult(g_inv, mult(inverse(v), mult(h, v)))  # in Gamma_c
     try:
         kernel, w = kernel_and_preimage(spec, target)
     except NotInImage:

@@ -1,16 +1,19 @@
-"""Derivation of the multiplication polynomials of a free nilpotent group.
+"""Derivation of the multiplication and inverse polynomials of a free
+nilpotent group.
 
-The Mal'cev coordinates of u·v are fixed polynomials with rational
-coefficients, integer-valued on integer inputs, in the coordinates of u and v
-(P. Hall, *Nilpotent groups*, 1957; Leedham-Green & Soicher, "Symbolic
-collection using Deep Thought", 1998).  They are derived here by running the
-Magnus-series engine of `series` once with the coordinates of u and v as
-indeterminates, and emitted as straight-line Python source, `def mult(u, v)`,
-each coordinate written as `(integer polynomial) // denominator`.
+The Mal'cev coordinates of u·v and of u^-1 are fixed polynomials with
+rational coefficients, integer-valued on integer inputs, in the coordinates
+of u and v (P. Hall, *Nilpotent groups*, 1957; Leedham-Green & Soicher,
+"Symbolic collection using Deep Thought", 1998).  They are derived here by
+running the Magnus-series engine of `series` once with the coordinates as
+indeterminates (`series_mult` of the series of u and v, `series_inverse` of
+that of u), and emitted as straight-line Python source, `def mult(u, v)` or
+`def inverse(u)`, each coordinate written as
+`(integer polynomial) // denominator`.
 
 `freegroup` imports the checked-in source for c <= 5, r <= 3 (generated by
-`tools/gen_tables.py`) and compiles `mult_source(basis)` on first use of any
-other basis.  `import malcev` does not load this module.
+`tools/gen_tables.py`) and compiles `table_source(basis, kind)` on the first
+use of a kind on any other basis.  `import malcev` does not load this module.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .freegroup import HallBasis
-from .series import SeriesBasis, series_mult
+from .series import SeriesBasis, series_inverse, series_mult
 
 
 class Poly:
@@ -104,19 +107,21 @@ class Poly:
         return Poly(self.terms, self.den * d), 0
 
 
-def derive_mult(basis: HallBasis) -> tuple[tuple[Poly, ...], int]:
-    """Coordinates of u·v as polynomials in x_0..x_{m-1} (the coordinates of
-    u) and x_m..x_{2m-1} (those of v), with the exponent width used."""
+def derive(basis: HallBasis, kind: str) -> tuple[tuple[Poly, ...], int]:
+    """Coordinates of u·v (kind "mult") or of u^-1 (kind "inverse") as
+    polynomials in x_0..x_{m-1}, the coordinates of u, and for "mult" in
+    x_m..x_{2m-1}, those of v; with the exponent width used."""
     m, c = basis.m, basis.c
     width = c.bit_length()
     data = SeriesBasis(basis)
     u = data.word_series(tuple((i + 1, Poly.var(i, width)) for i in range(m)))
+    if kind == "inverse":
+        return data.series_to_coords(series_inverse(c, u)), width
     # The series of v is that of u with every x_j renamed to x_{m+j}.
     shift = m * width
     v = {mon: Poly({k << shift: coef for k, coef in p.terms.items()}, p.den)
          if isinstance(p, Poly) else p for mon, p in u.items()}
-    coords = data.series_to_coords(series_mult(c, u, v))
-    return coords, width
+    return data.series_to_coords(series_mult(c, u, v)), width
 
 
 def _poly_source(p: Poly, names: list[str], width: int) -> str:
@@ -139,33 +144,36 @@ def _poly_source(p: Poly, names: list[str], width: int) -> str:
     return f"({expr}) // {p.den}" if p.den != 1 else expr
 
 
-def mult_source(basis: HallBasis) -> str:
-    """Python source of a module defining `mult(u, v)` for the basis."""
-    coords, width = derive_mult(basis)
+def table_source(basis: HallBasis, kind: str) -> str:
+    """Python source of a module defining `mult(u, v)` or `inverse(u)` for
+    the basis."""
+    coords, width = derive(basis, kind)
     m = basis.m
-    names = [f"u{i}" for i in range(1, m + 1)] + [f"v{i}" for i in range(1, m + 1)]
+    args = ("u", "v") if kind == "mult" else ("u",)
+    names = [f"{a}{i}" for a in args for i in range(1, m + 1)]
     comma = "," if m == 1 else ""
+    title = "Multiplication" if kind == "mult" else "Inverse"
     lines = [
-        f'"""Multiplication polynomials of the free nilpotent group of class '
+        f'"""{title} polynomials of the free nilpotent group of class '
         f'{basis.c} and rank {basis.r}.',
         "",
         "Generated by tools/gen_tables.py from malcev.deepthought; do not edit.",
         '"""',
         "",
         "",
-        "def mult(u, v):",
-        f"    {', '.join(names[:m])}{comma} = u",
-        f"    {', '.join(names[m:])}{comma} = v",
-        "    return (",
+        f"def {kind}({', '.join(args)}):",
     ]
+    lines += [f"    {', '.join(names[k * m:(k + 1) * m])}{comma} = {a}"
+              for k, a in enumerate(args)]
+    lines.append("    return (")
     lines += [f"        {_poly_source(p, names, width)}," for p in coords]
     lines += ["    )", ""]
     return "\n".join(lines)
 
 
-def compile_mult(basis: HallBasis):
-    """Derive, compile and return `mult(u, v)` for the basis."""
+def compile_table(basis: HallBasis, kind: str):
+    """Derive, compile and return the basis's `mult` or `inverse`."""
     namespace: dict = {}
-    exec(compile(mult_source(basis), f"<mult c={basis.c} r={basis.r}>", "exec"),
-         namespace)
-    return namespace["mult"]
+    exec(compile(table_source(basis, kind),
+                 f"<{kind} c={basis.c} r={basis.r}>", "exec"), namespace)
+    return namespace[kind]

@@ -6,21 +6,24 @@ fixed integer-valued polynomials in the coordinates of u and v (P. Hall), and
 every operation here evaluates them:
 
 * `coords_mult` is one call of the basis's `mult(u, v)`;
-* `coords_pow(u, e)` interpolates in e from u**0 .. u**w, with w - 1
-  multiplications whatever |e| (none for e in {0, 1}), where w is the
+* `coords_inverse` is one call of the basis's `inverse(u)`, the
+  polynomials of the coordinates of u**-1;
+* `coords_pow(u, e)` is `coords_inverse` for e = -1 and returns u or the
+  identity for e in {0, 1}.  For any other e it interpolates in e from
+  u**0 .. u**w, with w - 1 multiplications whatever |e|, where w is the
   weight of the basis's heaviest letter: c, or 1 at rank 1.  Its two
   halves are public, so a caller that powers one element often (a relator
   row in `presentations.reduce_coords`) keeps `power_differences` and pays
-  only `power_from_differences` per power.  `coords_inverse` is
-  `coords_pow(u, -1)`;
+  only `power_from_differences` per power;
 * `eval_free` folds `mult` over the letter powers of a word.
 
 The polynomials depend on the class only through that weight, so every
-rank-1 basis, whatever its class, uses the class-1 table.  The polynomials
-for c <= 5, r <= 3 ship as generated modules in `malcev.tables`, imported on
-first use of their basis.  Any other basis derives them once per process
-with `malcev.deepthought`, which runs the Magnus-series engine of
-`malcev.series` over polynomial coefficients.
+rank-1 basis, whatever its class, uses the class-1 tables.  The polynomials
+for c <= 5, r <= 3 ship as generated modules in `malcev.tables`, one per
+basis and kind, each imported on the first use of its kind on its basis:
+a process that only multiplies never loads an inverse.  Any other basis
+derives each kind once per process with `malcev.deepthought`, which runs
+the Magnus-series engine of `malcev.series` over polynomial coefficients.
 """
 
 from __future__ import annotations
@@ -109,10 +112,18 @@ def build_hall_basis(c: int, r: int) -> HallBasis:
 
 # ---------------------------------------------------------------------------
 # Public coordinate operations.  Every one of them evaluates the basis's
-# multiplication polynomials, loaded or derived on first use of the basis.
+# multiplication or inverse polynomials, each kind loaded or derived on its
+# first use on the basis.
 
 SHIPPED_MAX = (5, 3)  # tables ship for c <= 5, r <= 3; at rank 1 only c = 1
-_MULT: dict[tuple[int, int], Callable] = {}
+_TABLES: dict[tuple[str, int, int], Callable] = {}
+
+
+def table_module(kind: str, c: int, r: int) -> str:
+    """Name of the module in `malcev.tables` that holds the `mult` or the
+    `inverse` polynomials of class c and rank r.  Each kind has its own
+    module, so a process that never inverts never loads an inverse."""
+    return f"c{c}r{r}" if kind == "mult" else f"c{c}r{r}_{kind}"
 
 
 def _check_lengths(basis: HallBasis, vectors) -> None:
@@ -123,25 +134,28 @@ def _check_lengths(basis: HallBasis, vectors) -> None:
                 f"coordinate vector has {len(x)} entries, the basis has {m} letters")
 
 
-def _mult(basis: HallBasis, *vectors) -> Callable:
-    """The basis's `mult(u, v)`, after checking the length of each vector."""
+def _table(kind: str, basis: HallBasis, *vectors) -> Callable:
+    """The basis's `mult(u, v)` or `inverse(u)`, after checking the length
+    of each vector."""
     _check_lengths(basis, vectors)
-    key = (basis.top_weight, basis.r)
-    fn = _MULT.get(key)
+    key = (kind, basis.top_weight, basis.r)
+    fn = _TABLES.get(key)
     if fn is None:
-        c, r = key
+        _, c, r = key
         if c <= SHIPPED_MAX[0] and r <= SHIPPED_MAX[1]:
-            fn = importlib.import_module(f"{__package__}.tables.c{c}r{r}").mult
+            module = importlib.import_module(
+                f"{__package__}.tables.{table_module(kind, c, r)}")
+            fn = getattr(module, kind)
         else:
             fn = importlib.import_module(
-                f"{__package__}.deepthought").compile_mult(basis)
-        _MULT[key] = fn
+                f"{__package__}.deepthought").compile_table(basis, kind)
+        _TABLES[key] = fn
     return fn
 
 
 def eval_free(basis: HallBasis, word: ExpWord) -> tuple[int, ...]:
     """Coordinates of the element represented by a word with binary exponents."""
-    mult = _mult(basis)
+    mult = _table("mult", basis)
     m = basis.m
     out = (0,) * m
     for letter, e in word:
@@ -155,7 +169,7 @@ def eval_free(basis: HallBasis, word: ExpWord) -> tuple[int, ...]:
 
 
 def coords_mult(basis: HallBasis, u, v) -> tuple[int, ...]:
-    return _mult(basis, u, v)(u, v)
+    return _table("mult", basis, u, v)(u, v)
 
 
 def power_differences(basis: HallBasis, u) -> tuple[tuple[int, ...], ...]:
@@ -166,7 +180,7 @@ def power_differences(basis: HallBasis, u) -> tuple[tuple[int, ...], ...]:
     these w vectors determine u**e for every integer e
     (`power_from_differences`).  Costs w - 1 multiplications.
     """
-    mult = _mult(basis, u)
+    mult = _table("mult", basis, u)
     w = basis.top_weight
     powers = [(0,) * basis.m, tuple(u)]
     for _ in range(w - 1):
@@ -194,15 +208,18 @@ def power_from_differences(diffs, e: int) -> tuple[int, ...]:
 
 
 def coords_pow(basis: HallBasis, u, e: int) -> tuple[int, ...]:
-    """u**e for any integer e, by Newton interpolation from u**0 .. u**c."""
+    """u**e for any integer e: the inverse polynomials for e = -1, Newton
+    interpolation from u**0 .. u**c otherwise."""
     if e == 0 or e == 1:
         _check_lengths(basis, (u,))
         return tuple(u) if e else (0,) * basis.m
+    if e == -1:
+        return coords_inverse(basis, u)
     return power_from_differences(power_differences(basis, u), e)
 
 
 def coords_inverse(basis: HallBasis, u) -> tuple[int, ...]:
-    return coords_pow(basis, u, -1)
+    return _table("inverse", basis, u)(u)
 
 
 def identity_coords(basis: HallBasis) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .collect import CollectionLimit, collector_for_nilpotent
+from .collect import collector_for_nilpotent
 from .extgcd import InternalConsistencyError, RejectedInput
 from .freegroup import (ExpWord, HallBasis, build_hall_basis, coords_inverse,
                         coords_mult, coords_pow, coords_to_word, eval_free,
@@ -264,14 +264,16 @@ def from_finite_presentation(basis: HallBasis, relators: list[ExpWord]) -> Quoti
     gens = []
     level = [eval_free(basis, w) for w in relators]
     gens.extend(level)
-    conjugators = [eval_free(basis, ((i, s),))
-                   for i in range(1, basis.r + 1) for s in (1, -1)]
+    conjugators = []
+    for i in range(1, basis.r + 1):
+        for s in (1, -1):
+            x = eval_free(basis, ((i, s),))
+            conjugators.append((x, coords_inverse(basis, x)))
     for _ in range(basis.c - 1):
         nxt = []
         for u in level:
             u_inv = coords_inverse(basis, u)
-            for x in conjugators:
-                x_inv = coords_inverse(basis, x)
+            for x, x_inv in conjugators:
                 comm = coords_mult(basis, coords_mult(basis, u_inv, x_inv),
                                    coords_mult(basis, u, x))
                 nxt.append(comm)
@@ -363,19 +365,17 @@ class NilpotentPresentation:
 def nilpotent_presentation_consistent(npres: NilpotentPresentation) -> bool:
     """Consistency of a subgroup presentation, decided by collection: every
     power relation holds and collection is associative on the generators.
-    False also when the collector runs out of steps."""
-    try:
-        col = collector_for_nilpotent(npres)
-        zero = (0,) * npres.s
-        for i, e in enumerate(npres.orders, start=1):
-            if e is None:
-                continue
-            tail = npres.power_tails.get(i, zero)
-            lhs = col.collect(((i, e),))
-            if lhs != col.collect(coords_to_word(tail)):
-                return False
-        if not _associative(col, npres.s):
+
+    The answer is True or False only when collection decided it: a
+    collection that exceeds `collect.DEFAULT_STEP_CAP` raises
+    `CollectionLimit`, which propagates rather than reading as False."""
+    col = collector_for_nilpotent(npres)
+    zero = (0,) * npres.s
+    for i, e in enumerate(npres.orders, start=1):
+        if e is None:
+            continue
+        tail = npres.power_tails.get(i, zero)
+        lhs = col.collect(((i, e),))
+        if lhs != col.collect(coords_to_word(tail)):
             return False
-    except CollectionLimit:
-        return False
-    return True
+    return _associative(col, npres.s)

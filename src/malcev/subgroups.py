@@ -160,8 +160,8 @@ def full_form_rows(ctx, rows, exprs=None):
     def power(a, l):
         return ctx.pow(a[0], l), _expr_pow(a[1], l)
 
-    def times(a, b, l):  # a * b^l
-        return (ctx.mult(a[0], ctx.pow(b[0], l)),
+    def times(a, b, l):  # a * b^l; mult reduces, so b^1 needs no pow
+        return (ctx.mult(a[0], b[0] if l == 1 else ctx.pow(b[0], l)),
                 _expr_mul((a[1], _expr_pow(b[1], l))))
 
     def place(piv, row):

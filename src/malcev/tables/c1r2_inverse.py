@@ -1,0 +1,12 @@
+"""Inverse polynomials of the free nilpotent group of class 1 and rank 2.
+
+Generated by tools/gen_tables.py from malcev.deepthought; do not edit.
+"""
+
+
+def inverse(u):
+    u1, u2 = u
+    return (
+        -u1,
+        -u2,
+    )

@@ -1,0 +1,13 @@
+"""Inverse polynomials of the free nilpotent group of class 1 and rank 3.
+
+Generated by tools/gen_tables.py from malcev.deepthought; do not edit.
+"""
+
+
+def inverse(u):
+    u1, u2, u3 = u
+    return (
+        -u1,
+        -u2,
+        -u3,
+    )

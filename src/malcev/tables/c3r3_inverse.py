@@ -1,0 +1,24 @@
+"""Inverse polynomials of the free nilpotent group of class 3 and rank 3.
+
+Generated by tools/gen_tables.py from malcev.deepthought; do not edit.
+"""
+
+
+def inverse(u):
+    u1, u2, u3, u4, u5, u6, u7, u8, u9, u10, u11, u12, u13, u14 = u
+    return (
+        -u1,
+        -u2,
+        -u3,
+        -u4 + u1*u2,
+        -u5 + u1*u3,
+        -u6 + u2*u3,
+        (-2*u7 - u1*u2 + 2*u1*u4 - u1**2*u2) // 2,
+        (-2*u8 - u1*u2 + 2*u2*u4 - u1*u2**2) // 2,
+        -u9 - u1*u6 + u3*u4,
+        (-2*u10 - u1*u3 + 2*u1*u5 - u1**2*u3) // 2,
+        -u11 + u1*u6 + u2*u5 - u1*u2*u3,
+        (-2*u12 - u1*u3 + 2*u3*u5 - u1*u3**2) // 2,
+        (-2*u13 - u2*u3 + 2*u2*u6 - u2**2*u3) // 2,
+        (-2*u14 - u2*u3 + 2*u3*u6 - u2*u3**2) // 2,
+    )

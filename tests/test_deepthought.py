@@ -1,5 +1,5 @@
-"""The multiplication polynomials against the Magnus-series engine they are
-derived from, which stays as the oracle."""
+"""The multiplication and inverse polynomials against the Magnus-series
+engine they are derived from, which stays as the oracle."""
 
 import functools
 import os
@@ -10,12 +10,24 @@ import sys
 
 import pytest
 
-from malcev.deepthought import mult_source
-from malcev.freegroup import (SHIPPED_MAX, build_hall_basis, coords_mult,
-                              coords_pow, coords_to_word, eval_free)
+from malcev import freegroup
+from malcev.deepthought import table_source
+from malcev.freegroup import (SHIPPED_MAX, build_hall_basis, coords_inverse,
+                              coords_mult, coords_pow, coords_to_word,
+                              eval_free, power_differences,
+                              power_from_differences, table_module)
 from malcev.series import SeriesBasis, series_mult, series_power
 
-TABLES = pathlib.Path(__file__).resolve().parent.parent / "src" / "malcev" / "tables"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+TABLES = SRC / "malcev" / "tables"
+
+
+def run_python(code):
+    """Stdout words of `code` run in a fresh interpreter on this source."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    return out.stdout.split()
 
 
 @functools.cache
@@ -49,27 +61,68 @@ def test_shipped_tables_match_a_fresh_derivation():
             basis = build_hall_basis(c, r)
             if basis.top_weight < c:
                 continue  # uses the table of its heaviest letter's weight
-            name = f"c{c}r{r}.py"
-            expected.append(name)
-            text = (TABLES / name).read_text()
-            assert text == mult_source(basis), name
+            for kind in ("mult", "inverse"):
+                name = f"{table_module(kind, c, r)}.py"
+                expected.append(name)
+                text = (TABLES / name).read_text()
+                assert text == table_source(basis, kind), name
     assert shipped == sorted(expected)
+    assert len(shipped) == 22
 
 
 def test_rank_one_uses_the_class_one_table_at_any_class():
     code = ("import sys\n"
-            "from malcev.freegroup import _mult, build_hall_basis\n"
-            "from malcev.tables import c1r1\n"
-            "print(_mult(build_hall_basis(40, 1)) is c1r1.mult,"
+            "from malcev.freegroup import _table, build_hall_basis\n"
+            "from malcev.tables import c1r1, c1r1_inverse\n"
+            "b = build_hall_basis(40, 1)\n"
+            "print(_table('mult', b) is c1r1.mult,"
+            " _table('inverse', b) is c1r1_inverse.inverse,"
             " 'malcev.deepthought' in sys.modules)")
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=60,
-                         env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.split() == ["True", "False"]
+    assert run_python(code) == ["True", "True", "False"]
     basis = build_hall_basis(40, 1)
     assert coords_pow(basis, (3,), -(1 << 70)) == (-3 << 70,)
+    assert coords_pow(basis, (3,), -1) == (-3,)
     assert coords_mult(basis, (5,), (-7,)) == (-2,)
+
+
+@pytest.mark.parametrize("c,r", [(3, 2), (5, 3)])
+def test_inverse_makes_no_multiplication(c, r, monkeypatch):
+    basis = build_hall_basis(c, r)
+    mult = freegroup._table("mult", basis)
+    calls = []
+
+    def counted(u, v):
+        calls.append(1)
+        return mult(u, v)
+
+    monkeypatch.setitem(freegroup._TABLES, ("mult", basis.top_weight, r),
+                        counted)
+    rng = random.Random(c * 10 + r)
+    for _ in range(5):
+        u = tuple(rng.randint(-1 << 40, 1 << 40) for _ in range(basis.m))
+        inv = coords_inverse(basis, u)
+        assert coords_pow(basis, u, -1) == inv
+        assert not calls
+        # the Newton sum at e = -1, which makes c - 1 multiplies
+        assert power_from_differences(power_differences(basis, u), -1) == inv
+        assert len(calls) == c - 1
+        assert coords_mult(basis, u, inv) == (0,) * basis.m
+        calls.clear()
+
+
+def test_inverse_table_loads_on_the_first_inverse():
+    code = ("import sys\n"
+            "from malcev import build_hall_basis, coords_inverse, coords_mult\n"
+            "b = build_hall_basis(5, 3)\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('malcev.tables.'))\n"
+            "coords_mult(b, (1,) * b.m, (2,) * b.m)\n"
+            "print(*loaded(), 'deepthought' if 'malcev.deepthought' in sys.modules else '-')\n"
+            "coords_inverse(b, (1,) * b.m)\n"
+            "print(*loaded(), 'deepthought' if 'malcev.deepthought' in sys.modules else '-')\n")
+    assert run_python(code) == ["malcev.tables.c5r3", "-",
+                                "malcev.tables.c5r3",
+                                "malcev.tables.c5r3_inverse", "-"]
 
 
 EXPONENTS = (-1, 0, 1, 1 << 64, -(1 << 64))
@@ -99,12 +152,7 @@ def test_engine_matches_series_oracle(c, r):
 
 
 def test_import_loads_no_table_or_derivation():
-    code = "import sys, malcev; print(*sys.modules)"
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(src)})
-    loaded = out.stdout.split()
+    loaded = run_python("import sys, malcev; print(*sys.modules)")
     assert "malcev.freegroup" in loaded
     assert not [m for m in loaded if m.startswith("malcev.tables")
                 or m in ("malcev.deepthought", "malcev.series")]

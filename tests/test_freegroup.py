@@ -153,7 +153,7 @@ def test_wrong_length_vectors_rejected():
             coords_mult(HEIS, u, v)
         with pytest.raises(RejectedInput):
             coords_mult(HEIS, v, u)
-        for e in (0, 1, 2):
+        for e in (-1, 0, 1, 2):
             with pytest.raises(RejectedInput):
                 coords_pow(HEIS, u, e)
         with pytest.raises(RejectedInput):

@@ -4,6 +4,7 @@ import pytest
 
 import malcev as M
 from conftest import FiniteGroup, random_finite_presentation
+from malcev import collect
 from malcev.freegroup import SizeCapExceeded
 from malcev.presentations import check_echelon_conditions
 from malcev.subgroups import full_form_free, full_form_rows
@@ -308,6 +309,15 @@ def test_subgroup_presentation_whole_group_and_torsion():
         assert npres.orders[k - 1] == expected
     assert von_dyck_holds(pres, form.rows, npres)
     assert M.nilpotent_presentation_consistent(npres)
+
+
+def test_subgroup_presentation_budget_raises_instead_of_false(monkeypatch):
+    npres = M.subgroup_presentation(
+        HEIS, M.coordinate_matrix(HEIS, [(2, 0, 0), (0, 1, 0)]))
+    assert M.nilpotent_presentation_consistent(npres)
+    monkeypatch.setattr(collect, "DEFAULT_STEP_CAP", 1)
+    with pytest.raises(collect.CollectionLimit):
+        M.nilpotent_presentation_consistent(npres)
 
 
 def test_subgroup_presentation_mixed_order_generator():

@@ -1,9 +1,13 @@
-"""Write the shipped multiplication tables, src/malcev/tables/c<c>r<r>.py.
+"""Write the shipped polynomial tables, src/malcev/tables/c<c>r<r>.py and
+src/malcev/tables/c<c>r<r>_inverse.py.
 
-Each module defines `mult(u, v)` for the free nilpotent group of class c and
-rank r (c <= 5, r <= 3), derived by `malcev.deepthought.mult_source`.  A
-basis whose heaviest letter is lighter than c (rank 1 above class 1) gets no
-module: it uses the table of that letter's weight.
+For the free nilpotent group of class c and rank r (c <= 5, r <= 3), the
+first module defines `mult(u, v)` and the second `inverse(u)`, both derived
+by `malcev.deepthought.table_source`.  They are separate modules so that a
+process that only multiplies does not import, and with bytecode writing off
+compile, the inverse.  A basis whose heaviest letter is lighter than c
+(rank 1 above class 1) gets no module: it uses the tables of that letter's
+weight.
 
     python tools/gen_tables.py
 
@@ -18,8 +22,9 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from malcev.deepthought import mult_source  # noqa: E402
-from malcev.freegroup import SHIPPED_MAX, build_hall_basis  # noqa: E402
+from malcev.deepthought import table_source  # noqa: E402
+from malcev.freegroup import (SHIPPED_MAX, build_hall_basis,  # noqa: E402
+                              table_module)
 
 
 def main() -> None:
@@ -29,9 +34,10 @@ def main() -> None:
             basis = build_hall_basis(c, r)
             if basis.top_weight < c:
                 continue
-            path = out / f"c{c}r{r}.py"
-            path.write_text(mult_source(basis))
-            print(path.relative_to(ROOT))
+            for kind in ("mult", "inverse"):
+                path = out / f"{table_module(kind, c, r)}.py"
+                path.write_text(table_source(basis, kind))
+                print(path.relative_to(ROOT))
 
 
 if __name__ == "__main__":
