@@ -208,25 +208,20 @@ def extgcd_bounded(a: list[int] | tuple[int, ...]) -> tuple[int, list[int], Boun
     if A == 1:
         # All normalized entries are 1; x_raw is a unit vector and already
         # meets the bound.  The reduction formulas (and the prefix-sum lemma
-        # behind them) assume A >= 2, so the reduction tables stay empty.
-        zeros = (0,) * n
-        trace = BoundedCombinationTrace(
-            a=tuple(norm), A=A, d=tuple(d), yz=tuple(yz),
-            x_raw=tuple(x_raw),
-            p_prime=zeros, n_prime=zeros, P_prime=zeros, N_prime=zeros,
-            D=0, p=zeros, n=zeros, P=zeros, N=zeros,
-            x_final=tuple(x_raw))
-        x_final = x_raw
+        # behind them) assume A >= 2, so the reduction tables stay zero.
+        zeros = [0] * n
+        tables = (zeros,) * 4 + (0,) + (zeros,) * 4 + ({}, {}, x_raw)
     else:
-        (p_prime, n_prime, P_prime, N_prime, D, p, n_adj, P, N,
-         overlap, y_pair, x_final) = _reduction_tables(norm, x_raw, A)
-        trace = BoundedCombinationTrace(
-            a=tuple(norm), A=A, d=tuple(d), yz=tuple(yz),
-            x_raw=tuple(x_raw),
-            p_prime=tuple(p_prime), n_prime=tuple(n_prime),
-            P_prime=tuple(P_prime), N_prime=tuple(N_prime), D=D,
-            p=tuple(p), n=tuple(n_adj), P=tuple(P), N=tuple(N),
-            overlap=overlap, y_pair=y_pair, x_final=tuple(x_final))
+        tables = _reduction_tables(norm, x_raw, A)
+    (p_prime, n_prime, P_prime, N_prime, D, p, n_adj, P, N,
+     overlap, y_pair, x_final) = tables
+    trace = BoundedCombinationTrace(
+        a=tuple(norm), A=A, d=tuple(d), yz=tuple(yz),
+        x_raw=tuple(x_raw),
+        p_prime=tuple(p_prime), n_prime=tuple(n_prime),
+        P_prime=tuple(P_prime), N_prime=tuple(N_prime), D=D,
+        p=tuple(p), n=tuple(n_adj), P=tuple(P), N=tuple(N),
+        overlap=overlap, y_pair=y_pair, x_final=tuple(x_final))
 
     _check_combination(x_final, norm, 1, (n + 1) * A * A)
 

@@ -5,9 +5,9 @@ A full-form matrix is the canonical (row-echelon, maximally reduced, closed)
 coordinate matrix of a subgroup; the pivot columns of the relator matrix are
 exactly the torsion letters of the quotient and the pivot entries their
 relative orders.  A relator matrix is valid, and the quotient presentation
-consistent, exactly when the matrix is the full form of a normal subgroup;
-the full-form sift decides that, in time polynomial in the bit size of the
-entries.
+consistent, exactly when the matrix is the full form of a normal subgroup.
+One sift closed under conjugation by the generators decides that and builds
+the normal closure of relators, in time polynomial in the entries' bit size.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from functools import cached_property
 
 from .collect import collector_for_nilpotent
 from .extgcd import InternalConsistencyError, RejectedInput
-from .freegroup import (ExpWord, HallBasis, build_hall_basis, coords_inverse,
-                        coords_mult, coords_pow, coords_to_word, eval_free,
+from .freegroup import (ExpWord, HallBasis, build_hall_basis, coords_mult,
+                        coords_pow, coords_to_word, eval_free,
                         power_differences, power_from_differences)
 
 
@@ -191,28 +191,30 @@ def free_presentation(c: int, r: int) -> QuotientPresentation:
     return QuotientPresentation(build_hall_basis(c, r), FullFormMatrix(()))
 
 
+def _normal_closure(basis: HallBasis, rows) -> tuple[tuple[int, ...], ...]:
+    """Full form of the normal closure of the rows in the free nilpotent
+    group: one sift closed under conjugation by the generators."""
+    from .subgroups import full_form_rows
+    units = [tuple(int(j == i) for j in range(basis.m))
+             for i in range(basis.r)]
+    free = free_presentation(basis.c, basis.r)
+    return full_form_rows(free, rows, conjugators=units)[0]
+
+
 def make_quotient_presentation(basis: HallBasis, rows) -> QuotientPresentation:
     """Wrap a full-form relator matrix; validates, never reduces.
 
     Conditions (i)-(iv) are checked by name.  The rows are the full form of
-    a normal subgroup N exactly when sifting them together with x^-1 h x,
-    for each row h and each generator x, gives them back: the full form is
-    unique, and one direction of conjugation is enough by the maximal
-    condition on subgroups.  Otherwise (vi) is named.
+    a normal subgroup N exactly when the sift that closes them under
+    conjugation by the generators gives them back: the full form is unique.
+    Otherwise (vi) is named.
     """
-    from .subgroups import full_form_free
     rows = tuple(tuple(r) for r in rows)
     for r in rows:
         if len(r) != basis.m:
             raise RejectedInput(f"relator rows must have length {basis.m}")
     check_echelon_conditions(rows)  # ambient group is free: no condition (v)
-    conjugates = []
-    for i in range(basis.r):
-        x = tuple(int(j == i) for j in range(basis.m))
-        x_inv = tuple(-v for v in x)  # a_i^-1 is -e_i: no coords_pow
-        conjugates += [coords_mult(basis, coords_mult(basis, x_inv, h), x)
-                       for h in rows]
-    if rows and full_form_free(basis, rows + tuple(conjugates)) != rows:
+    if rows and _normal_closure(basis, rows) != rows:
         raise FullFormViolation(
             "vi", "the rows are not the full form of a normal subgroup")
     return QuotientPresentation(basis, FullFormMatrix(rows))
@@ -254,33 +256,16 @@ def _associative(col, s: int) -> bool:
 
 def from_finite_presentation(basis: HallBasis, relators: list[ExpWord]) -> QuotientPresentation:
     """Quotient presentation of the group presented by relator words over the
-    group generators (weight-1 letters)."""
-    from .subgroups import full_form_free
+    group generators (weight-1 letters): the full form of the normal closure
+    of the relators.  Its sift stops only where `make_quotient_presentation`
+    accepts, so the rows are wrapped without a second sift."""
     for w in relators:
         for letter, _ in w:
             if not 1 <= letter <= basis.r:
                 raise RejectedInput(
                     "relators must use weight-1 letters a1..a%d" % basis.r)
-    gens = []
-    level = [eval_free(basis, w) for w in relators]
-    gens.extend(level)
-    conjugators = []
-    for i in range(1, basis.r + 1):
-        for s in (1, -1):
-            x = eval_free(basis, ((i, s),))
-            conjugators.append((x, coords_inverse(basis, x)))
-    for _ in range(basis.c - 1):
-        nxt = []
-        for u in level:
-            u_inv = coords_inverse(basis, u)
-            for x, x_inv in conjugators:
-                comm = coords_mult(basis, coords_mult(basis, u_inv, x_inv),
-                                   coords_mult(basis, u, x))
-                nxt.append(comm)
-        gens.extend(nxt)
-        level = nxt
-    rows = full_form_free(basis, gens)
-    return make_quotient_presentation(basis, rows)
+    rows = _normal_closure(basis, [eval_free(basis, w) for w in relators])
+    return QuotientPresentation(basis, FullFormMatrix(rows))
 
 
 def embed_letter_map(small: HallBasis, big: HallBasis, offset: int) -> list[int]:
@@ -314,8 +299,8 @@ def scatter_coords(coords, letter_map: list[int], big_m: int) -> tuple[int, ...]
 def direct_product(p_h: QuotientPresentation, p_g: QuotientPresentation) -> QuotientPresentation:
     """Presentation of H x G inside the free nilpotent group of doubled rank:
     H occupies generators 1..r, G occupies r+1..2r, and every basis letter in
-    neither image is killed by a pivot-1 relator row."""
-    from .subgroups import full_form_free
+    neither image is killed by a pivot-1 relator row.  The relator matrix is
+    the full form of the normal closure of those rows."""
     bh, bg = p_h.basis, p_g.basis
     if (bh.c, bh.r) != (bg.c, bg.r):
         raise RejectedInput("factors must share class and rank")
@@ -331,7 +316,7 @@ def direct_product(p_h: QuotientPresentation, p_g: QuotientPresentation) -> Quot
             unit = [0] * big.m
             unit[k - 1] = 1
             rows.append(tuple(unit))
-    return make_quotient_presentation(big, full_form_free(big, rows))
+    return QuotientPresentation(big, FullFormMatrix(_normal_closure(big, rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -133,12 +133,25 @@ class TrackedExpressions:
 
 
 # ---------------------------------------------------------------------------
-# Sifting into one row per pivot column.
+# Sifting into one row per pivot column, on (row, derivation) pairs.
 
-def full_form_rows(ctx, rows, exprs=None):
-    """Unique full form of the subgroup generated by the given reduced
-    coordinate vectors, and the derivation of every output row over the
-    derivations `exprs` of the input rows (by default, the input rows).
+def _power(ctx, a, l):
+    """The pair a^l."""
+    return ctx.pow(a[0], l), _expr_pow(a[1], l)
+
+
+def _times(ctx, a, b, l):
+    """The pair a * b^l; mult reduces, so b^1 needs no pow."""
+    return (ctx.mult(a[0], b[0] if l == 1 else ctx.pow(b[0], l)),
+            _expr_mul((a[1], _expr_pow(b[1], l))))
+
+
+def full_form_rows(ctx, rows, exprs=None, conjugators=()):
+    """Unique full form of the smallest subgroup that contains the given
+    reduced coordinate vectors and is normalized by the `conjugators`, and
+    the derivation of every output row over the derivations `exprs` of the
+    input rows (by default, the input rows) and the conjugators, whose
+    symbols are numbered after the input rows.
 
     The rows are sifted into a table with one row per pivot column, the
     induced polycyclic sequence of Sims, *Computation with Finitely Presented
@@ -148,21 +161,19 @@ def full_form_rows(ctx, rows, exprs=None):
     table row, and both remainders are sifted.  A column without a row acts
     as the identity with leading entry its relative order, or 0.  Rows enter
     the table reduced at the later pivot columns.  The table is then closed
-    by sifting the relative-order power of each torsion row and h_i^-1 h_j h_i
-    for each pair of pivots i < j until nothing changes.  One direction is
-    enough: by the maximal condition on subgroups, h_i^-1 T h_i <= T forces
-    equality for T = <h_{i+1}, ...>.
+    by sifting the relative-order power of each torsion row, h_i^-1 h_j h_i
+    for each pair of pivots i < j, and x^-1 h x for each row h and each
+    conjugator x, until nothing changes.  One direction is enough: by the
+    maximal condition on subgroups, y^-1 T y <= T forces equality, for
+    T = <h_{i+1}, ...> and y = h_i, and for the whole table T and y = x.
+    With the generators of the group as conjugators, the result is the
+    full form of the normal closure.
     """
     if exprs is None:
         exprs = map(_expr_gen, range(len(rows)))
+    syms = map(_expr_gen, itertools.count(len(rows)))  # after the rows
+    conj = [(_power(ctx, x, -1), x) for x in zip(map(tuple, conjugators), syms)]
     table: dict = {}  # pivot column -> (row, derivation)
-
-    def power(a, l):
-        return ctx.pow(a[0], l), _expr_pow(a[1], l)
-
-    def times(a, b, l):  # a * b^l; mult reduces, so b^1 needs no pow
-        return (ctx.mult(a[0], b[0] if l == 1 else ctx.pow(b[0], l)),
-                _expr_mul((a[1], _expr_pow(b[1], l))))
 
     def place(piv, row):
         """Enter a row at its pivot, with its entries at the later pivot
@@ -171,7 +182,7 @@ def full_form_rows(ctx, rows, exprs=None):
             if q > piv:
                 k = row[0][q - 1] // table[q][0][q - 1]
                 if k:
-                    row = times(row, table[q], -k)
+                    row = _times(ctx, row, table[q], -k)
         table[piv] = row
         return row
 
@@ -188,35 +199,43 @@ def full_form_rows(ctx, rows, exprs=None):
                     place(piv, x)
                     break
                 if y is not None and a % b == 0:
-                    x = times(x, y, -(a // b))
+                    x = _times(ctx, x, y, -(a // b))
                 else:
                     d, s, t = extgcd_pair_bounded(a, b)
-                    new = power(x, s) if y is None else times(power(x, s), y, t)
+                    new = _power(ctx, x, s)
+                    new = new if y is None else _times(ctx, new, y, t)
                     if new[0][piv - 1] != d or any(new[0][:piv - 1]):
                         raise InternalConsistencyError(
                             "combination row does not lead with the gcd")
                     new = place(piv, new)
                     if y is not None:
-                        pending.append(times(y, new, -(b // d)))
-                    x = times(x, new, -(a // d))
+                        pending.append(_times(ctx, y, new, -(b // d)))
+                    x = _times(ctx, x, new, -(a // d))
                 piv = first_nonzero(x[0])
 
     for x in zip(map(tuple, rows), exprs):
         sift(x)
-    done: set = set()
+    done: set = set()  # (h_i, h_j) rows and (k, h row) for conjugator k
     while True:
         pairs = itertools.combinations_with_replacement(sorted(table), 2)
         pairs = [(p, q) for p, q in pairs
                  if (table[p][0], table[q][0]) not in done]
-        if not pairs:
+        conjugates = [(k, p) for k in range(len(conj)) for p in sorted(table)
+                      if (k, table[p][0]) not in done]
+        if not pairs and not conjugates:
             break
+        for k, p in conjugates:
+            (x_inv, x), h = conj[k], table[p]
+            done.add((k, h[0]))
+            sift(_times(ctx, _times(ctx, x_inv, h, 1), x, 1))
         for p, q in pairs:
             hp, hq = table[p], table[q]
             done.add((hp[0], hq[0]))
             if p < q:
-                sift(times(times(power(hp, -1), hq, 1), hp, 1))
+                sift(_times(ctx, _times(ctx, _power(ctx, hp, -1), hq, 1),
+                            hp, 1))
             elif p in ctx.torsion:
-                sift(power(hp, ctx.torsion[p] // hp[0][p - 1]))
+                sift(_power(ctx, hp, ctx.torsion[p] // hp[0][p - 1]))
 
     # Reduce above the pivots: each row again at the later pivot columns.
     work = [place(p, table[p]) for p in sorted(table)]
@@ -257,8 +276,8 @@ def apply_row_operation(matrix: CoordinateMatrix, op) -> CoordinateMatrix:
     Row indices are 1-based.
     """
     pres = matrix.presentation
-    rows = list(matrix.rows)
-    exprs = list(matrix.expressions) if matrix.expressions is not None else None
+    exprs = matrix.expressions  # None for an untracked matrix
+    rows = list(zip(matrix.rows, exprs or itertools.repeat(_EXPR_ONE)))
 
     def check(i):
         if not 1 <= i <= len(rows):
@@ -269,56 +288,41 @@ def apply_row_operation(matrix: CoordinateMatrix, op) -> CoordinateMatrix:
         _, i, j = op
         check(i), check(j)
         rows[i - 1], rows[j - 1] = rows[j - 1], rows[i - 1]
-        if exprs is not None:
-            exprs[i - 1], exprs[j - 1] = exprs[j - 1], exprs[i - 1]
     elif kind == "combine":
         _, i, j, l = op
         check(i), check(j)
         if i == j:
             raise RejectedInput("combine requires distinct rows")
-        rows[i - 1] = pres.mult(rows[i - 1], pres.pow(rows[j - 1], l))
-        if exprs is not None:
-            exprs[i - 1] = _expr_mul((exprs[i - 1],
-                                      _expr_pow(exprs[j - 1], l)))
+        rows[i - 1] = _times(pres, rows[i - 1], rows[j - 1], l)
     elif kind == "add_trivial":
-        rows.append(pres.identity)
-        if exprs is not None:
-            exprs.append(_EXPR_ONE)
+        rows.append((pres.identity, _EXPR_ONE))
     elif kind == "add_relator":
         _, col = op
         if col not in pres.torsion:
             raise RejectedInput(f"column {col} is not a torsion column")
-        rows.append(pres.torsion_rows[col])
-        if exprs is not None:
-            exprs.append(_EXPR_ONE)
+        rows.append((pres.torsion_rows[col], _EXPR_ONE))
     elif kind == "remove":
         _, i = op
         check(i)
-        if any(reduce_coords(pres, rows[i - 1])):
+        if any(reduce_coords(pres, rows[i - 1][0])):
             raise RejectedInput("only trivial rows can be removed")
         del rows[i - 1]
-        if exprs is not None:
-            del exprs[i - 1]
     elif kind == "invert":
         _, i = op
         check(i)
-        rows[i - 1] = pres.pow(rows[i - 1], -1)
-        if exprs is not None:
-            exprs[i - 1] = _expr_pow(exprs[i - 1], -1)
+        rows[i - 1] = _power(pres, rows[i - 1], -1)
     elif kind == "append_product":
         _, factors = op
-        acc = pres.identity
+        acc = (pres.identity, _EXPR_ONE)
         for i, l in factors:
             check(i)
-            acc = pres.mult(acc, pres.pow(rows[i - 1], l))
+            acc = _times(pres, acc, rows[i - 1], l)
         rows.append(acc)
-        if exprs is not None:
-            exprs.append(_expr_mul(tuple(_expr_pow(exprs[i - 1], l)
-                                         for i, l in factors)))
     else:
         raise RejectedInput(f"unknown row operation {kind!r}")
-    return CoordinateMatrix(pres, tuple(rows),
-                            tuple(exprs) if exprs is not None else None)
+    return CoordinateMatrix(pres, tuple(r for r, _ in rows),
+                            None if exprs is None else
+                            tuple(e for _, e in rows))
 
 
 def full_form(pres: QuotientPresentation, matrix: CoordinateMatrix,

@@ -6,8 +6,9 @@ import malcev as M
 import malcev.presentations as P
 from conftest import (collector_consistent, normal_closure_rows,
                       random_finite_presentation)
+from malcev import freegroup
 from malcev.freegroup import (InternalConsistencyError, coords_mult,
-                              coords_pow, power_differences)
+                              coords_pow, eval_free, power_differences)
 from malcev.presentations import FullFormViolation, check_echelon_conditions
 from malcev.subgroups import full_form_free
 
@@ -148,6 +149,55 @@ def test_from_finite_presentation_closure_is_normal():
     pres = M.from_finite_presentation(basis, [((1, 2),), ((2, 3),)])
     assert normal_closure_rows(basis, pres.relators.rows) == pres.relators.rows
     assert M.consistency_check(pres)
+
+
+COMMUTATOR = ((1, -1), (2, -1), (1, 1), (2, 1))  # [a1, a2]
+
+
+def relator_sets(rng, r):
+    """Relator words at rank r: the torsion-free commutator relator, the
+    commutator times a1^-5, and seeded random words with and without a
+    power of every generator."""
+    def word():
+        return tuple((rng.randint(1, r), rng.choice((-2, -1, 1, 2)))
+                     for _ in range(rng.randint(1, 4)))
+    powers = [((i, rng.randint(2, 4)),) for i in range(1, r + 1)]
+    return [[COMMUTATOR], [COMMUTATOR + ((1, -5),)], powers + [word()],
+            [word(), word()]]
+
+
+@pytest.mark.parametrize("c,r", [(2, 2), (3, 2), (3, 3), (4, 2), (5, 2)])
+def test_from_finite_presentation_matches_the_normal_closure_oracle(c, r):
+    # The oracle conjugates in both directions, round after round, and the
+    # collector judges the result without the sift.
+    basis = M.build_hall_basis(c, r)
+    rng = random.Random(c * 10 + r)
+    for relators in relator_sets(rng, r):
+        pres = M.from_finite_presentation(basis, relators)
+        expected = normal_closure_rows(
+            basis, [eval_free(basis, w) for w in relators])
+        assert pres.relators.rows == expected
+        assert collector_consistent(pres)
+
+
+def test_from_finite_presentation_makes_few_polynomial_calls(monkeypatch):
+    # One sift closed under the generators takes about 1,600 calls of the
+    # compiled polynomials here; forming iterated commutators of the
+    # relators to depth c - 1 and sifting them took over 10,000.
+    basis = M.build_hall_basis(5, 2)
+    calls = []
+    for kind in ("mult", "inverse"):
+        table = freegroup._table(kind, basis)
+
+        def counted(*vectors, table=table):
+            calls.append(1)
+            return table(*vectors)
+
+        monkeypatch.setitem(freegroup._TABLES,
+                            (kind, basis.top_weight, basis.r), counted)
+    pres = M.from_finite_presentation(basis, [((1, 3),), ((2, 3),)])
+    assert len(pres.relators.rows) == basis.m
+    assert len(calls) < 4000
 
 
 def test_direct_product_projections_recover_factors():

@@ -3,11 +3,13 @@ import random
 import pytest
 
 import malcev as M
-from conftest import FiniteGroup, random_finite_presentation
+from conftest import (FiniteGroup, normal_closure_rows,
+                      random_finite_presentation)
 from malcev import collect
 from malcev.freegroup import SizeCapExceeded
 from malcev.presentations import check_echelon_conditions
-from malcev.subgroups import full_form_free, full_form_rows
+from malcev.subgroups import (expand_expression, full_form_free,
+                              full_form_rows)
 
 
 HEIS = M.free_presentation(2, 2)
@@ -89,6 +91,52 @@ def test_full_form_work_stays_small(c, r):
     out, _ = full_form_rows(ctx, rows)
     assert out == M.full_form(pres, M.coordinate_matrix(pres, rows))[0].rows
     assert len(out) == pres.m
+
+
+def test_conjugators_close_to_the_normal_closure():
+    # <a1, a2^3 a3> is not normal; the generators as conjugators give its
+    # normal closure, whose derivations use the conjugators as symbols 3, 4.
+    pres = M.free_presentation(3, 2)
+    basis = pres.basis
+    rows = [(1, 0, 0, 0, 0), (0, 3, 1, 0, 0)]
+    units = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]
+    plain, _ = full_form_rows(pres, rows)
+    closed, exprs = full_form_rows(pres, rows, conjugators=units)
+    assert closed == normal_closure_rows(basis, rows) != plain
+    symbols = [M.element(pres, v) for v in rows + units]
+    for row, ex in zip(closed, exprs):
+        acc = M.identity(pres)
+        for sym, e in expand_expression(ex):
+            acc = M.mult(acc, M.power(symbols[sym - 1], e))
+        assert acc.coords == row
+
+
+def test_conjugators_close_under_both_directions():
+    # One direction of conjugation is enough: the sift closed under x^-1 h x
+    # equals the brute-force closure under x^-1 h x and x h x^-1 together.
+    rng = random.Random(41)
+    grown = 0
+    for c, e in ((2, 4), (3, 2)):
+        pres = M.from_finite_presentation(M.build_hall_basis(c, 2),
+                                          [((1, e),), ((2, e),)])
+        group = FiniteGroup(pres)
+        for _ in range(8):
+            rows = [rng.choice(group.elements) for _ in range(2)]
+            xs = [rng.choice(group.elements) for _ in range(2)]
+            plain = closure = group.subgroup_closure(rows)
+            while True:
+                conj = {group.mult(group.mult(group.inv(x), h), x)
+                        for x in xs for h in closure}
+                conj |= {group.mult(group.mult(x, h), group.inv(x))
+                         for x in xs for h in closure}
+                bigger = group.subgroup_closure(closure | conj)
+                if bigger == closure:
+                    break
+                closure = bigger
+            out, _ = full_form_rows(pres, rows, conjugators=xs)
+            assert group.subgroup_closure(out) == closure
+            grown += closure != plain
+    assert grown >= 4
 
 
 def test_row_operations_preserve_full_form():
