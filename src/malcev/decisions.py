@@ -3,7 +3,9 @@ witnesses, the power problem, and the torsion-order bound.
 
 Centralizers and conjugacy share one descent through G/Gamma_c (Macdonald,
 Myasnikov, Nikolaev & Vassileva): one kernel per class, whose kernel is the
-centralizer and whose preimage gives the conjugator."""
+centralizer and whose preimage gives the conjugator.  The power problem is
+one descent over the first nonzero columns of g and h, which finds every
+solution k + nZ; the order of g is its period n."""
 
 from __future__ import annotations
 
@@ -64,24 +66,10 @@ def torsion_bound(pres: QuotientPresentation) -> int:
 
 
 def element_order(g: GroupElement) -> int | None:
-    """Order of g, or None for infinite order.
-
-    The pivot coordinate of g^k is k times that of g, so g^k can only be
-    trivial when the pivot column has torsion e and q = e / gcd(g_piv, e)
-    divides k; then g^q has a later pivot and the order is q times its order.
-    """
+    """Order of g, or None for infinite order: the period n of the
+    solutions j + nZ of g^j = 1."""
     pres = g.presentation
-    cur = g.coords
-    order = 1
-    while any(cur):
-        piv = first_nonzero(cur)
-        e = pres.torsion.get(piv)
-        if e is None:
-            return None
-        q = e // math.gcd(cur[piv - 1], e)
-        order *= q
-        cur = pres.pow(cur, q)
-    return order
+    return _power_search(pres, g.coords, pres.identity)[1] or None
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +199,14 @@ def conjugacy(pres: QuotientPresentation, g: GroupElement, h: GroupElement
 
 def _merge_progressions(r1: int, m1: int, r2: int, m2: int
                         ) -> tuple[int, int] | None:
-    """Intersection of r1 + m1 Z and r2 + m2 Z as (r, lcm), or None."""
+    """Intersection of r1 + m1 Z and r2 + m2 Z (m2 > 0) as (r, lcm) with
+    0 <= r < lcm, or None; m1 = 0 means the single value r1."""
     g = math.gcd(m1, m2)
     if (r1 - r2) % g:
         return None
     l = m1 // g * m2
     t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g) if m2 > g else 0
-    r = (r1 + m1 * t) % l
+    r = (r1 + m1 * t) % l if l else r1
     return r, l
 
 
@@ -226,68 +215,59 @@ def power_problem(pres: QuotientPresentation, g: GroupElement,
                   ) -> int:
     """Some k with g^k = h, restricted to k in alpha + beta*Z when a
     progression is given; raises NoPower if none exists.  For torsion g the
-    returned k is the smallest non-negative solution."""
+    returned k is the smallest non-negative solution.  One descent finds
+    every solution k + nZ, which is merged with the progression once."""
     if g.presentation != pres or h.presentation != pres:
         raise RejectedInput("elements belong to a different presentation")
-    if progression is not None:
-        alpha, beta = progression
-        if beta <= 0:
-            raise RejectedInput(
-                "progression step must be positive; omit the progression"
-                " for unrestricted search")
-    k = _power_search(pres, g.coords, h.coords, progression)
-    if k is None:
+    alpha, beta = (0, 1) if progression is None else progression
+    if beta <= 0:
+        raise RejectedInput(
+            "progression step must be positive; omit the progression"
+            " for unrestricted search")
+    found = _power_search(pres, g.coords, h.coords)
+    merged = None if found is None else _merge_progressions(*found, alpha, beta)
+    if merged is None:
         raise NoPower
-    order = element_order(g)
-    if order is not None:
-        # All solutions form k + lcm(order, step) * Z; take the smallest
-        # non-negative one.
-        step = order if progression is None else math.lcm(order, progression[1])
-        k %= step
+    k = merged[0]
     if power(g, k) != h:
         raise InternalConsistencyError("power witness k has g^k != h")
-    if progression is not None and (k - progression[0]) % progression[1]:
+    if (k - alpha) % beta:
         raise InternalConsistencyError("power witness k outside the progression")
     return k
 
 
-def _power_search(pres, gc, hc, prog) -> int | None:
-    """Any k (within prog) with g^k = h, else None."""
+def _power_search(pres, gc, hc) -> tuple[int, int] | None:
+    """(k, n) with g^j = h exactly when j is in k + nZ, where n = 0 when g
+    has infinite order; None when h is no power of g.
+
+    At the first column where g or h is nonzero, the coordinate of g^j is
+    j times that of g: at a torsion column with relative order e this pins
+    j to a + bZ with b = e / gcd(g_i, e), and g^(a + bj') = h exactly when
+    (g^b)^j' = g^-a h, a pair with a later first column; at a torsion-free
+    column it pins j itself.
+    """
     if not any(gc):
-        if any(hc):
-            return None
-        return 0 if prog is None else prog[0] % prog[1]
+        return None if any(hc) else (0, 1)
     i = min(first_nonzero(gc) or pres.m + 1, first_nonzero(hc) or pres.m + 1)
     k0 = gc[i - 1]
     l0 = hc[i - 1]
     e = pres.torsion.get(i)
     if e is None:
-        # The i-th coordinate of g^k is k * k0 exactly.
-        if k0 == 0 or l0 % k0:
+        # The i-th coordinate of g^j is j * k0 exactly.
+        if k0 == 0 or l0 % k0 or pres.pow(gc, l0 // k0) != hc:
             return None
-        n = l0 // k0
-        if prog is not None and (n - prog[0]) % prog[1]:
-            return None
-        if pres.pow(gc, n) != hc:
-            return None
-        return n
-    # Torsion coordinate: k * k0 = l0 (mod e) pins k to a progression.
+        return l0 // k0, 0
+    # Torsion coordinate: j * k0 = l0 (mod e) pins j to a + bZ.
     gcd = math.gcd(k0, e)
     if l0 % gcd:
         return None
-    d1 = e // gcd
-    n0 = (l0 // gcd * pow(k0 // gcd, -1, d1)) % d1 if d1 > 1 else 0
-    merged = (n0, d1) if prog is None else _merge_progressions(
-        n0, d1, prog[0] % prog[1], prog[1])
-    if merged is None:
-        return None
-    a, b = merged
+    b = e // gcd
+    a = l0 // gcd * pow(k0 // gcd, -1, b) % b
     g2 = pres.pow(gc, b)
-    h2 = pres.mult(pres.pow(gc, -a), hc)
+    h2 = pres.mult(pres.pow(gc, -a), hc) if a else hc
     if any(g2[:i]) or any(h2[:i]):
         raise InternalConsistencyError("power search left the suffix subgroup")
-    sub = _power_search(pres, g2, h2, None)
+    sub = _power_search(pres, g2, h2)
     if sub is None:
         return None
-    return a + b * sub
-
+    return a + b * sub[0], b * sub[1]

@@ -25,7 +25,7 @@ from .groups import GroupElement
 from .presentations import (FullFormMatrix, NilpotentPresentation,
                             QuotientPresentation, _membership_scan,
                             check_echelon_conditions, first_nonzero,
-                            free_presentation, reduce_coords)
+                            reduce_coords)
 
 DEFAULT_WORD_CAP = 1 << 20
 
@@ -148,10 +148,10 @@ def _times(ctx, a, b, l):
 
 def full_form_rows(ctx, rows, exprs=None, conjugators=()):
     """Unique full form of the smallest subgroup that contains the given
-    reduced coordinate vectors and is normalized by the `conjugators`, and
-    the derivation of every output row over the derivations `exprs` of the
-    input rows (by default, the input rows) and the conjugators, whose
-    symbols are numbered after the input rows.
+    reduced coordinate vectors and is normalized by the `conjugators`, and,
+    when the derivations `exprs` of the input rows are given, the derivation
+    of every output row over them and the conjugators, whose symbols are
+    numbered after the input rows (None otherwise).
 
     The rows are sifted into a table with one row per pivot column, the
     induced polycyclic sequence of Sims, *Computation with Finitely Presented
@@ -169,9 +169,11 @@ def full_form_rows(ctx, rows, exprs=None, conjugators=()):
     With the generators of the group as conjugators, the result is the
     full form of the normal closure.
     """
-    if exprs is None:
-        exprs = map(_expr_gen, range(len(rows)))
-    syms = map(_expr_gen, itertools.count(len(rows)))  # after the rows
+    tracked = exprs is not None
+    if tracked:
+        syms = map(_expr_gen, itertools.count(len(rows)))  # after the rows
+    else:  # untracked rows carry the placeholder and build no trees
+        exprs = syms = itertools.repeat(_EXPR_ONE)
     conj = [(_power(ctx, x, -1), x) for x in zip(map(tuple, conjugators), syms)]
     table: dict = {}  # pivot column -> (row, derivation)
 
@@ -241,7 +243,7 @@ def full_form_rows(ctx, rows, exprs=None, conjugators=()):
     work = [place(p, table[p]) for p in sorted(table)]
     out = tuple(r for r, _ in work)
     check_echelon_conditions(out, ctx.torsion)
-    return out, tuple(ex for _, ex in work)
+    return out, tuple(ex for _, ex in work) if tracked else None
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +333,10 @@ def full_form(pres: QuotientPresentation, matrix: CoordinateMatrix,
     the derivation of every full-form row over the original rows of a
     tracked matrix, or over the current rows of an untracked one."""
     rows = [reduce_coords(pres, r) for r in matrix.rows]
-    out, exprs = full_form_rows(pres, rows, matrix.expressions)
+    exprs = (matrix.expressions or tuple(map(_expr_gen, range(len(rows))))
+             if track else None)
+    out, exprs = full_form_rows(pres, rows, exprs)
     return FullFormMatrix(out), (TrackedExpressions(exprs) if track else None)
-
-
-def full_form_free(basis, rows) -> tuple[tuple[int, ...], ...]:
-    """Full form over the free nilpotent group itself."""
-    return full_form_rows(free_presentation(basis.c, basis.r),
-                          [tuple(r) for r in rows])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from malcev.collect import collector_for_quotient
 from malcev.freegroup import (coords_inverse, coords_mult, coords_to_word,
                               eval_free)
 from malcev.presentations import _associative
-from malcev.subgroups import full_form_free
+from malcev.subgroups import full_form_rows
 
 # ---------------------------------------------------------------------------
 # 3x3 unitriangular integer-matrix model of the free class-2 rank-2 group.
@@ -129,7 +129,8 @@ class FiniteGroup:
 def normal_closure_rows(basis, rows):
     """Full form of the normal closure of the given elements in the free
     nilpotent group."""
-    rows = full_form_free(basis, rows)
+    free = M.free_presentation(basis.c, basis.r)
+    rows = full_form_rows(free, rows)[0]
     letters = [eval_free(basis, ((j, s),))
                for j in range(1, basis.r + 1) for s in (1, -1)]
     while True:
@@ -138,7 +139,7 @@ def normal_closure_rows(basis, rows):
             for a in letters:
                 ext.append(coords_mult(
                     basis, coords_mult(basis, coords_inverse(basis, a), row), a))
-        new = full_form_free(basis, ext)
+        new = full_form_rows(free, ext)[0]
         if new == rows:
             return new
         rows = new

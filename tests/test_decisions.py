@@ -292,6 +292,66 @@ def test_power_problem_matches_brute_force():
             assert M.power(g, k) == h
 
 
+def test_power_problem_makes_one_descent(monkeypatch):
+    # The search finds every solution k + nZ, so the answer needs no second
+    # walk over g's pivots to learn the order n.
+    def no_order(g):
+        raise AssertionError("power_problem called element_order")
+
+    monkeypatch.setattr(decisions, "element_order", no_order)
+    z5 = M.make_quotient_presentation(M.build_hall_basis(1, 1), ((5,),))
+    g5 = M.element(z5, (1,))
+    assert M.power_problem(z5, g5, M.element(z5, (2,))) == 2
+    assert M.power_problem(z5, g5, M.element(z5, (2,)), (1, 3)) == 7
+    g = M.element(HEIS, (1, 1, 0))
+    assert M.power_problem(HEIS, g, M.power(g, -4)) == -4
+    assert M.power_problem(HEIS, g, M.power(g, -4), (2, 3)) == -4
+    with pytest.raises(M.NoPower):
+        M.power_problem(HEIS, g, M.power(g, -4), (0, 3))
+
+
+def test_power_problem_progressions_match_brute_force():
+    rng = random.Random(73)
+    for _ in range(3):
+        pres = random_finite_presentation(rng, 2, 2)
+        bound = M.torsion_bound(pres)
+        fg = FiniteGroup(pres)
+        for _ in range(15):
+            g = M.element(pres, rng.choice(fg.elements))
+            h = M.element(pres, rng.choice(fg.elements))
+            alpha, beta = rng.randint(-9, 9), rng.randint(1, 6)
+            # Every solution lies below lcm(order, beta) <= bound * beta.
+            solutions = [k for k in range(bound * beta)
+                         if (k - alpha) % beta == 0 and M.power(g, k) == h]
+            try:
+                k = M.power_problem(pres, g, h, (alpha, beta))
+            except M.NoPower:
+                assert not solutions
+                continue
+            assert solutions and k == solutions[0]
+    # Infinite order: the one solution k either lies in the progression or
+    # there is no answer.
+    g = M.element(HEIS, (2, -1, 3))
+    for k in (-7, 0, 5, 12):
+        h = M.power(g, k)
+        for alpha, beta in ((k, 1), (k + 4, 4), (k - 9, 3), (k + 1, 2),
+                            (k + 2, 5)):
+            if (k - alpha) % beta:
+                with pytest.raises(M.NoPower):
+                    M.power_problem(HEIS, g, h, (alpha, beta))
+            else:
+                assert M.power_problem(HEIS, g, h, (alpha, beta)) == k
+
+
+def test_merge_progressions_with_a_single_value():
+    # Step 0 means the single value r1, as the power search reports for g
+    # of infinite order.
+    assert decisions._merge_progressions(-4, 0, 2, 3) == (-4, 0)
+    assert decisions._merge_progressions(-4, 0, 0, 3) is None
+    assert decisions._merge_progressions(7, 0, 0, 1) == (7, 0)
+    assert decisions._merge_progressions(2, 5, 1, 3) == (7, 15)
+
+
 def test_corrupt_witnesses_raise(monkeypatch):
     preimage = decisions.kernel_and_preimage
 
@@ -305,14 +365,18 @@ def test_corrupt_witnesses_raise(monkeypatch):
 
     search = decisions._power_search
     g = M.element(HEIS, (1, 1, 0))
-    monkeypatch.setattr(decisions, "_power_search", lambda *a: search(*a) + 1)
-    with pytest.raises(InternalConsistencyError):
+    monkeypatch.setattr(decisions, "_power_search",
+                        lambda *a: (search(*a)[0] + 1, search(*a)[1]))
+    with pytest.raises(InternalConsistencyError, match="g\\^k != h"):
         M.power_problem(HEIS, g, M.power(g, 3))
+    monkeypatch.setattr(decisions, "_power_search", search)
 
     # k = 12 gives g^k = h in Z/5 but lies outside the progression 1 + 3Z.
+    merge = decisions._merge_progressions
     pres = M.make_quotient_presentation(M.build_hall_basis(1, 1), ((5,),))
-    monkeypatch.setattr(decisions, "_power_search", lambda *a: search(*a) + 5)
-    with pytest.raises(InternalConsistencyError):
+    monkeypatch.setattr(decisions, "_merge_progressions",
+                        lambda *a: (merge(*a)[0] + 5, merge(*a)[1]))
+    with pytest.raises(InternalConsistencyError, match="progression"):
         M.power_problem(pres, M.element(pres, (1,)), M.element(pres, (2,)),
                         progression=(1, 3))
 

@@ -10,7 +10,7 @@ from malcev import freegroup
 from malcev.freegroup import (InternalConsistencyError, coords_mult,
                               coords_pow, eval_free, power_differences)
 from malcev.presentations import FullFormViolation, check_echelon_conditions
-from malcev.subgroups import full_form_free
+from malcev.subgroups import full_form_rows
 
 
 HEIS_BASIS = M.build_hall_basis(2, 2)
@@ -97,7 +97,8 @@ def agreement_set():
             rows = [tuple(rng.randint(-4, 4) for _ in range(basis.m))
                     for _ in range(rng.randint(1, 3))]
             out.append(M.QuotientPresentation(
-                basis, M.FullFormMatrix(full_form_free(basis, rows))))
+                basis, M.FullFormMatrix(full_form_rows(
+                    M.free_presentation(c, r), rows)[0])))
     for _ in range(60):
         rows = tuple(tuple(rng.randint(-3, 3) for _ in range(3))
                      for _ in range(rng.randint(1, 3)))

@@ -8,8 +8,7 @@ from conftest import (FiniteGroup, normal_closure_rows,
 from malcev import collect
 from malcev.freegroup import SizeCapExceeded
 from malcev.presentations import check_echelon_conditions
-from malcev.subgroups import (expand_expression, full_form_free,
-                              full_form_rows)
+from malcev.subgroups import expand_expression, full_form_rows
 
 
 HEIS = M.free_presentation(2, 2)
@@ -101,7 +100,7 @@ def test_conjugators_close_to_the_normal_closure():
     rows = [(1, 0, 0, 0, 0), (0, 3, 1, 0, 0)]
     units = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]
     plain, _ = full_form_rows(pres, rows)
-    closed, exprs = full_form_rows(pres, rows, conjugators=units)
+    closed, exprs = full_form_rows(pres, rows, [("g", 0), ("g", 1)], units)
     assert closed == normal_closure_rows(basis, rows) != plain
     symbols = [M.element(pres, v) for v in rows + units]
     for row, ex in zip(closed, exprs):
@@ -336,7 +335,7 @@ def test_subgroup_presentation_heisenberg_fixture():
     assert npres.s == 3
     assert npres.orders == (None, None, None)
     assert npres.alpha[(1, 2)] == (0, 0, 1)  # [g2, g1] = g3 with g3 = a3^2
-    form = full_form_free(HEIS.basis, [(2, 0, 0), (0, 1, 0)])
+    form = full_form_rows(HEIS, [(2, 0, 0), (0, 1, 0)])[0]
     assert von_dyck_holds(HEIS, form, npres)
     assert M.nilpotent_presentation_consistent(npres)
 
