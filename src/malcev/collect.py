@@ -5,15 +5,15 @@ normalizes words purely by rewriting with the exchange relations
 (g_j^{±1} g_i -> g_i g_j^{±1} tail) and the power relations
 (g_i^{e_i} -> tail), so it provides an independent arithmetic.  It checks
 the consistency of subgroup presentations
-(`presentations.nilpotent_presentation_consistent`), and the tests use it as
-the oracle for quotient presentations.  Collection takes steps linear in the
-exponents; every rewriting step is counted, and exceeding the step budget
-raises CollectionLimit."""
+(`presentations.nilpotent_presentation_consistent`), and the tests build one
+for a quotient presentation as its oracle.  Collection takes steps linear in
+the exponents; every rewriting step is counted, and exceeding the step
+budget raises CollectionLimit."""
 
 from __future__ import annotations
 
 from .extgcd import InternalConsistencyError
-from .freegroup import ExpWord, coords_to_word, structure_relations
+from .freegroup import ExpWord, coords_to_word
 
 
 class CollectionLimit(RuntimeError):
@@ -136,21 +136,7 @@ class Collector:
 
 
 # ---------------------------------------------------------------------------
-# Constructors for the two presentation flavours.
-
-def collector_for_quotient(pres) -> Collector:
-    basis = pres.basis
-    sr = structure_relations(basis)
-    alpha = {k: coords_to_word(v) for k, v in sr.alpha.items()}
-    beta = {k: coords_to_word(v) for k, v in sr.beta.items()}
-    orders: dict[int, int] = {}
-    tails: dict[int, ExpWord] = {}
-    for col, row in pres.torsion_rows.items():
-        orders[col] = row[col - 1]
-        suffix = tuple((j + 1, v) for j, v in enumerate(row) if v and j + 1 > col)
-        tails[col] = invert_word(suffix)
-    return Collector(basis.m, orders, tails, alpha, beta)
-
+# The collector of a subgroup presentation.
 
 def collector_for_nilpotent(npres) -> Collector:
     orders = {i: e for i, e in enumerate(npres.orders, start=1) if e is not None}

@@ -3,12 +3,11 @@
 Elements are exponent vectors (Mal'cev coordinates) with respect to a fixed,
 weight-ordered Hall basis of basic commutators.  The coordinates of u·v are
 fixed integer-valued polynomials in the coordinates of u and v (P. Hall), and
-every operation here evaluates them:
+the basis owns them:
 
-* `coords_mult` is one call of the basis's `mult(u, v)`;
-* `coords_inverse` is one call of the basis's `inverse(u)`, the
-  polynomials of the coordinates of u**-1;
-* `coords_pow(u, e)` is `coords_inverse` for e = -1 and returns u or the
+* `HallBasis.mult(u, v)` and `HallBasis.inverse(u)` are one call each of the
+  polynomials of the coordinates of u·v and of u**-1;
+* `HallBasis.pow(u, e)` is `inverse` for e = -1 and returns u or the
   identity for e in {0, 1}.  For any other e it interpolates in e from
   u**0 .. u**w, with w - 1 multiplications whatever |e|, where w is the
   weight of the basis's heaviest letter: c, or 1 at rank 1.  Its two
@@ -17,6 +16,9 @@ every operation here evaluates them:
   only `power_from_differences` per power;
 * `eval_free` folds `mult` over the letter powers of a word.
 
+These trust their vectors' lengths.  The public `coords_mult`,
+`coords_inverse` and `coords_pow` check them first (`check_lengths`).
+
 The polynomials depend on the class only through that weight, so every
 rank-1 basis, whatever its class, uses the class-1 tables.  The polynomials
 for c <= 5, r <= 3 ship as generated modules in `malcev.tables`, one per
@@ -24,6 +26,7 @@ basis and kind, each imported on the first use of its kind on its basis:
 a process that only multiplies never loads an inverse.  Any other basis
 derives each kind once per process with `malcev.deepthought`, which runs
 the Magnus-series engine of `malcev.series` over polynomial coefficients.
+`build_hall_basis` returns one basis per (c, r), so the basis is the cache.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import importlib
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .extgcd import InternalConsistencyError, RejectedInput
 
@@ -79,6 +82,24 @@ class HallBasis:
         depend on the class only through it."""
         return self.letters[-1].weight
 
+    @cached_property
+    def mult(self) -> Callable:
+        """The product polynomials: `mult(u, v)` is the vector of u·v."""
+        return _polynomials(self, "mult")
+
+    @cached_property
+    def inverse(self) -> Callable:
+        """The inverse polynomials: `inverse(u)` is the vector of u**-1."""
+        return _polynomials(self, "inverse")
+
+    def pow(self, u, e: int) -> tuple[int, ...]:
+        """u**e for any integer e, as `coords_pow` but unchecked."""
+        if e == 0 or e == 1:
+            return tuple(u) if e else (0,) * self.m
+        if e == -1:
+            return self.inverse(u)
+        return power_from_differences(power_differences(self, u), e)
+
 
 def _hall_letters(c: int, r: int) -> list[BasicCommutator]:
     letters = [BasicCommutator(1, 0, 0) for _ in range(r)]
@@ -111,12 +132,10 @@ def build_hall_basis(c: int, r: int) -> HallBasis:
 
 
 # ---------------------------------------------------------------------------
-# Public coordinate operations.  Every one of them evaluates the basis's
-# multiplication or inverse polynomials, each kind loaded or derived on its
-# first use on the basis.
+# The polynomials, and the public coordinate operations: each checks the
+# vectors it is given, then calls the basis's polynomials.
 
 SHIPPED_MAX = (5, 3)  # tables ship for c <= 5, r <= 3; at rank 1 only c = 1
-_TABLES: dict[tuple[str, int, int], Callable] = {}
 
 
 def table_module(kind: str, c: int, r: int) -> str:
@@ -126,7 +145,19 @@ def table_module(kind: str, c: int, r: int) -> str:
     return f"c{c}r{r}" if kind == "mult" else f"c{c}r{r}_{kind}"
 
 
-def _check_lengths(basis: HallBasis, vectors) -> None:
+def _polynomials(basis: HallBasis, kind: str) -> Callable:
+    """The shipped `mult` or `inverse` of the basis, else a derived one."""
+    c, r = basis.top_weight, basis.r
+    if c <= SHIPPED_MAX[0] and r <= SHIPPED_MAX[1]:
+        module = importlib.import_module(
+            f"{__package__}.tables.{table_module(kind, c, r)}")
+        return getattr(module, kind)
+    return importlib.import_module(
+        f"{__package__}.deepthought").compile_table(basis, kind)
+
+
+def check_lengths(basis: HallBasis, *vectors) -> None:
+    """Raise RejectedInput unless every vector has one entry per letter."""
     m = basis.m
     for x in vectors:
         if len(x) != m:
@@ -134,28 +165,9 @@ def _check_lengths(basis: HallBasis, vectors) -> None:
                 f"coordinate vector has {len(x)} entries, the basis has {m} letters")
 
 
-def _table(kind: str, basis: HallBasis, *vectors) -> Callable:
-    """The basis's `mult(u, v)` or `inverse(u)`, after checking the length
-    of each vector."""
-    _check_lengths(basis, vectors)
-    key = (kind, basis.top_weight, basis.r)
-    fn = _TABLES.get(key)
-    if fn is None:
-        _, c, r = key
-        if c <= SHIPPED_MAX[0] and r <= SHIPPED_MAX[1]:
-            module = importlib.import_module(
-                f"{__package__}.tables.{table_module(kind, c, r)}")
-            fn = getattr(module, kind)
-        else:
-            fn = importlib.import_module(
-                f"{__package__}.deepthought").compile_table(basis, kind)
-        _TABLES[key] = fn
-    return fn
-
-
 def eval_free(basis: HallBasis, word: ExpWord) -> tuple[int, ...]:
     """Coordinates of the element represented by a word with binary exponents."""
-    mult = _table("mult", basis)
+    mult = basis.mult
     m = basis.m
     out = (0,) * m
     for letter, e in word:
@@ -169,7 +181,8 @@ def eval_free(basis: HallBasis, word: ExpWord) -> tuple[int, ...]:
 
 
 def coords_mult(basis: HallBasis, u, v) -> tuple[int, ...]:
-    return _table("mult", basis, u, v)(u, v)
+    check_lengths(basis, u, v)
+    return basis.mult(u, v)
 
 
 def power_differences(basis: HallBasis, u) -> tuple[tuple[int, ...], ...]:
@@ -180,7 +193,7 @@ def power_differences(basis: HallBasis, u) -> tuple[tuple[int, ...], ...]:
     these w vectors determine u**e for every integer e
     (`power_from_differences`).  Costs w - 1 multiplications.
     """
-    mult = _table("mult", basis, u)
+    mult = basis.mult
     w = basis.top_weight
     powers = [(0,) * basis.m, tuple(u)]
     for _ in range(w - 1):
@@ -209,17 +222,14 @@ def power_from_differences(diffs, e: int) -> tuple[int, ...]:
 
 def coords_pow(basis: HallBasis, u, e: int) -> tuple[int, ...]:
     """u**e for any integer e: the inverse polynomials for e = -1, Newton
-    interpolation from u**0 .. u**c otherwise."""
-    if e == 0 or e == 1:
-        _check_lengths(basis, (u,))
-        return tuple(u) if e else (0,) * basis.m
-    if e == -1:
-        return coords_inverse(basis, u)
-    return power_from_differences(power_differences(basis, u), e)
+    interpolation from u**0 .. u**w otherwise, w the top weight."""
+    check_lengths(basis, u)
+    return basis.pow(u, e)
 
 
 def coords_inverse(basis: HallBasis, u) -> tuple[int, ...]:
-    return _table("inverse", basis, u)(u)
+    check_lengths(basis, u)
+    return basis.inverse(u)
 
 
 def identity_coords(basis: HallBasis) -> tuple[int, ...]:
@@ -248,7 +258,7 @@ def structure_relations(basis: HallBasis) -> StructureRelations:
             for sign, store in ((1, alpha), (-1, beta)):
                 lhs = eval_free(basis, ((j, sign), (i, 1)))
                 head = eval_free(basis, ((i, 1), (j, sign)))
-                tail = coords_mult(basis, coords_inverse(basis, head), lhs)
+                tail = basis.mult(basis.inverse(head), lhs)
                 if any(tail[:j]):
                     raise InternalConsistencyError(
                         "exchange tail not supported on higher letters")

@@ -9,12 +9,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .extgcd import RejectedInput
-from .freegroup import ExpWord, coords_to_word, eval_free
+from .freegroup import ExpWord, check_lengths, coords_to_word, eval_free
 from .presentations import QuotientPresentation, reduce_coords
 
 
 @dataclass(frozen=True)
 class GroupElement:
+    """An element in normal form.  The raw constructor trusts its
+    coordinates to have the right length and be in normal form; `element`
+    and `normal_form` are the constructors that check and reduce."""
     presentation: QuotientPresentation
     coords: tuple[int, ...]
 
@@ -45,8 +48,7 @@ def normal_form(pres: QuotientPresentation, word: ExpWord) -> GroupElement:
 def element(pres: QuotientPresentation, coords) -> GroupElement:
     """Element with the given (not necessarily reduced) exponent vector."""
     coords = tuple(coords)
-    if len(coords) != pres.m:
-        raise RejectedInput(f"coordinate vectors must have length {pres.m}")
+    check_lengths(pres.basis, coords)
     return GroupElement(pres, reduce_coords(pres, coords))
 
 

@@ -17,9 +17,9 @@ from functools import cached_property
 
 from .collect import collector_for_nilpotent
 from .extgcd import InternalConsistencyError, RejectedInput
-from .freegroup import (ExpWord, HallBasis, build_hall_basis, coords_mult,
-                        coords_pow, coords_to_word, eval_free,
-                        power_differences, power_from_differences)
+from .freegroup import (ExpWord, HallBasis, build_hall_basis, check_lengths,
+                        coords_to_word, eval_free, power_differences,
+                        power_from_differences)
 
 
 class FullFormViolation(RejectedInput):
@@ -127,10 +127,10 @@ class QuotientPresentation:
         return (0,) * self.m
 
     def mult(self, u, v) -> tuple[int, ...]:
-        return reduce_coords(self, coords_mult(self.basis, u, v))
+        return reduce_coords(self, self.basis.mult(u, v))
 
     def pow(self, u, e: int) -> tuple[int, ...]:
-        return reduce_coords(self, coords_pow(self.basis, u, e))
+        return reduce_coords(self, self.basis.pow(u, e))
 
     @cached_property
     def torsion(self) -> dict[int, int]:
@@ -172,14 +172,13 @@ def reduce_coords(pres: QuotientPresentation, coords) -> tuple[int, ...]:
     folds = pres.folds
     if not folds:
         return tuple(coords)
-    basis = pres.basis
+    mult = pres.basis.mult
     y = list(coords)
     for col, e, diffs in folds:
         q, rem = divmod(y[col - 1], e)
         if q:
             suffix = tuple([0] * (col - 1) + y[col - 1:])
-            folded = coords_mult(basis, power_from_differences(diffs, -q),
-                                 suffix)
+            folded = mult(power_from_differences(diffs, -q), suffix)
             if any(folded[:col - 1]) or folded[col - 1] != rem:
                 raise InternalConsistencyError(
                     f"torsion fold of column {col} left the suffix")
@@ -201,22 +200,22 @@ def _normal_closure(basis: HallBasis, rows) -> tuple[tuple[int, ...], ...]:
     return full_form_rows(free, rows, conjugators=units)[0]
 
 
-def make_quotient_presentation(basis: HallBasis, rows) -> QuotientPresentation:
-    """Wrap a full-form relator matrix; validates, never reduces.
-
-    Conditions (i)-(iv) are checked by name.  The rows are the full form of
-    a normal subgroup N exactly when the sift that closes them under
-    conjugation by the generators gives them back: the full form is unique.
-    Otherwise (vi) is named.
-    """
-    rows = tuple(tuple(r) for r in rows)
-    for r in rows:
-        if len(r) != basis.m:
-            raise RejectedInput(f"relator rows must have length {basis.m}")
+def _check_normal_full_form(basis: HallBasis, rows) -> None:
+    """Raise FullFormViolation unless the rows are the full form of a
+    normal subgroup: conditions (i)-(iv) by name, then (vi) unless the sift
+    that closes them under conjugation by the generators gives them back,
+    since the full form is unique."""
     check_echelon_conditions(rows)  # ambient group is free: no condition (v)
     if rows and _normal_closure(basis, rows) != rows:
         raise FullFormViolation(
             "vi", "the rows are not the full form of a normal subgroup")
+
+
+def make_quotient_presentation(basis: HallBasis, rows) -> QuotientPresentation:
+    """Wrap a full-form relator matrix; validates, never reduces."""
+    rows = tuple(tuple(r) for r in rows)
+    check_lengths(basis, *rows)
+    _check_normal_full_form(basis, rows)
     return QuotientPresentation(basis, FullFormMatrix(rows))
 
 
@@ -231,7 +230,7 @@ def consistency_check(pres: QuotientPresentation) -> bool:
     with a negative pivot, is never consistent, even where the collector
     accepts its rewriting system with another transversal."""
     try:
-        make_quotient_presentation(pres.basis, pres.relators.rows)
+        _check_normal_full_form(pres.basis, pres.relators.rows)
     except RejectedInput:
         return False
     return True

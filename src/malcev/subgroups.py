@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .extgcd import (InternalConsistencyError, RejectedInput,
                      extgcd_pair_bounded)
-from .freegroup import ExpWord, SizeCapExceeded
+from .freegroup import ExpWord, SizeCapExceeded, check_lengths
 from .groups import GroupElement
 from .presentations import (FullFormMatrix, NilpotentPresentation,
                             QuotientPresentation, _membership_scan,
@@ -141,9 +141,12 @@ def _power(ctx, a, l):
 
 
 def _times(ctx, a, b, l):
-    """The pair a * b^l; mult reduces, so b^1 needs no pow."""
-    return (ctx.mult(a[0], b[0] if l == 1 else ctx.pow(b[0], l)),
-            _expr_mul((a[1], _expr_pow(b[1], l))))
+    """The pair a * b^l; mult reduces, so b^1 needs no pow, and an
+    untracked b leaves a's derivation as it is."""
+    row = ctx.mult(a[0], b[0] if l == 1 else ctx.pow(b[0], l))
+    if b[1] is _EXPR_ONE:
+        return row, a[1]
+    return row, _expr_mul((a[1], _expr_pow(b[1], l)))
 
 
 def full_form_rows(ctx, rows, exprs=None, conjugators=()):
@@ -256,10 +259,7 @@ class CoordinateMatrix:
     expressions: tuple | None = None  # derivations over the original rows
 
     def __post_init__(self):
-        for r in self.rows:
-            if len(r) != self.presentation.m:
-                raise RejectedInput(
-                    f"rows must have length {self.presentation.m}")
+        check_lengths(self.presentation.basis, *self.rows)
 
 
 def coordinate_matrix(pres: QuotientPresentation, rows,

@@ -5,9 +5,9 @@ from __future__ import annotations
 import itertools
 
 import malcev as M
-from malcev.collect import collector_for_quotient
+from malcev.collect import Collector, invert_word
 from malcev.freegroup import (coords_inverse, coords_mult, coords_to_word,
-                              eval_free)
+                              eval_free, structure_relations)
 from malcev.presentations import _associative
 from malcev.subgroups import full_form_rows
 
@@ -143,6 +143,23 @@ def normal_closure_rows(basis, rows):
         if new == rows:
             return new
         rows = new
+
+
+def collector_for_quotient(pres):
+    """The collector of a quotient presentation: the exchange relations of
+    its basis, and for each torsion column its relator row as the power
+    relation."""
+    basis = pres.basis
+    sr = structure_relations(basis)
+    alpha = {k: coords_to_word(v) for k, v in sr.alpha.items()}
+    beta = {k: coords_to_word(v) for k, v in sr.beta.items()}
+    orders: dict[int, int] = {}
+    tails: dict[int, tuple] = {}
+    for col, row in pres.torsion_rows.items():
+        orders[col] = row[col - 1]
+        suffix = tuple((j + 1, v) for j, v in enumerate(row) if v and j + 1 > col)
+        tails[col] = invert_word(suffix)
+    return Collector(basis.m, orders, tails, alpha, beta)
 
 
 def collector_consistent(pres):

@@ -10,7 +10,6 @@ import sys
 
 import pytest
 
-from malcev import freegroup
 from malcev.deepthought import table_source
 from malcev.freegroup import (SHIPPED_MAX, build_hall_basis, coords_inverse,
                               coords_mult, coords_pow, coords_to_word,
@@ -72,11 +71,11 @@ def test_shipped_tables_match_a_fresh_derivation():
 
 def test_rank_one_uses_the_class_one_table_at_any_class():
     code = ("import sys\n"
-            "from malcev.freegroup import _table, build_hall_basis\n"
+            "from malcev.freegroup import build_hall_basis\n"
             "from malcev.tables import c1r1, c1r1_inverse\n"
             "b = build_hall_basis(40, 1)\n"
-            "print(_table('mult', b) is c1r1.mult,"
-            " _table('inverse', b) is c1r1_inverse.inverse,"
+            "print(b.mult is c1r1.mult,"
+            " b.inverse is c1r1_inverse.inverse,"
             " 'malcev.deepthought' in sys.modules)")
     assert run_python(code) == ["True", "True", "False"]
     basis = build_hall_basis(40, 1)
@@ -88,15 +87,14 @@ def test_rank_one_uses_the_class_one_table_at_any_class():
 @pytest.mark.parametrize("c,r", [(3, 2), (5, 3)])
 def test_inverse_makes_no_multiplication(c, r, monkeypatch):
     basis = build_hall_basis(c, r)
-    mult = freegroup._table("mult", basis)
+    mult = basis.mult
     calls = []
 
     def counted(u, v):
         calls.append(1)
         return mult(u, v)
 
-    monkeypatch.setitem(freegroup._TABLES, ("mult", basis.top_weight, r),
-                        counted)
+    monkeypatch.setitem(basis.__dict__, "mult", counted)
     rng = random.Random(c * 10 + r)
     for _ in range(5):
         u = tuple(rng.randint(-1 << 40, 1 << 40) for _ in range(basis.m))
@@ -111,16 +109,27 @@ def test_inverse_makes_no_multiplication(c, r, monkeypatch):
 
 
 def test_inverse_table_loads_on_the_first_inverse():
+    # Products, powers and torsion folds of elements make no inverse.  The
+    # torsion quotient is built raw: a checked one sifts its relators under
+    # conjugation, which inverts.
     code = ("import sys\n"
+            "import malcev as M\n"
             "from malcev import build_hall_basis, coords_inverse, coords_mult\n"
+            "from malcev.presentations import FullFormMatrix, QuotientPresentation\n"
             "b = build_hall_basis(5, 3)\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules if m.startswith('malcev.tables.'))\n"
             "coords_mult(b, (1,) * b.m, (2,) * b.m)\n"
+            "g = M.element(M.free_presentation(5, 3), range(b.m))\n"
+            "M.power(M.mult(g, g), 5)\n"
+            "central = [i for i in range(b.m) if b.weight(i + 1) == 5]\n"
+            "rows = tuple(tuple(2 * (j == i) for j in range(b.m)) for i in central)\n"
+            "torsion = QuotientPresentation(b, FullFormMatrix(rows))\n"
+            "print(M.element(torsion, (3,) * b.m).coords[central[0]])\n"
             "print(*loaded(), 'deepthought' if 'malcev.deepthought' in sys.modules else '-')\n"
             "coords_inverse(b, (1,) * b.m)\n"
             "print(*loaded(), 'deepthought' if 'malcev.deepthought' in sys.modules else '-')\n")
-    assert run_python(code) == ["malcev.tables.c5r3", "-",
+    assert run_python(code) == ["1", "malcev.tables.c5r3", "-",
                                 "malcev.tables.c5r3",
                                 "malcev.tables.c5r3_inverse", "-"]
 

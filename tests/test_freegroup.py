@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import malcev as M
 from conftest import (MAT_ID, mat_inv, mat_mul, mat_of_coords, mat_of_word,
                       mat_pow)
 from malcev.extgcd import RejectedInput
@@ -148,6 +149,8 @@ def test_letter_out_of_range_rejected():
 
 
 def test_wrong_length_vectors_rejected():
+    # Every boundary where coordinate vectors come in from outside.
+    free = M.free_presentation(2, 2)
     for u, v in (((1, 2), (1, 2, 3)), ((1, 2, 3, 4), (1, 2, 3))):
         with pytest.raises(RejectedInput):
             coords_mult(HEIS, u, v)
@@ -158,3 +161,11 @@ def test_wrong_length_vectors_rejected():
                 coords_pow(HEIS, u, e)
         with pytest.raises(RejectedInput):
             coords_inverse(HEIS, u)
+        with pytest.raises(RejectedInput):
+            M.element(free, u)
+        with pytest.raises(RejectedInput):
+            M.coordinate_matrix(free, [v, u])
+        with pytest.raises(RejectedInput):
+            M.CoordinateMatrix(free, (v, u))
+        with pytest.raises(RejectedInput):
+            M.make_quotient_presentation(HEIS, (u,))

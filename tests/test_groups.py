@@ -3,8 +3,8 @@ import random
 import pytest
 
 import malcev as M
-from conftest import FiniteGroup, random_finite_presentation
-from malcev.collect import collector_for_quotient
+from conftest import (FiniteGroup, collector_for_quotient,
+                      random_finite_presentation)
 from malcev.freegroup import coords_to_word
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -188,14 +189,13 @@ def test_from_finite_presentation_makes_few_polynomial_calls(monkeypatch):
     basis = M.build_hall_basis(5, 2)
     calls = []
     for kind in ("mult", "inverse"):
-        table = freegroup._table(kind, basis)
+        table = getattr(basis, kind)
 
         def counted(*vectors, table=table):
             calls.append(1)
             return table(*vectors)
 
-        monkeypatch.setitem(freegroup._TABLES,
-                            (kind, basis.top_weight, basis.r), counted)
+        monkeypatch.setitem(basis.__dict__, kind, counted)
     pres = M.from_finite_presentation(basis, [((1, 3),), ((2, 3),)])
     assert len(pres.relators.rows) == basis.m
     assert len(calls) < 4000
@@ -300,20 +300,51 @@ def test_reduce_coords_folds_with_one_multiply(monkeypatch):
     coords = (7, -8, 1 << 70, 5, -(1 << 64))
     quotients = []
     expected = reference_reduce(pres, coords, quotients)
+    folds = pres.folds  # the relator differences, before counting
+    mult = pres.basis.mult
     calls = []
 
-    def counted_mult(basis, u, v):
+    def counted_mult(u, v):
         calls.append(1)
-        return coords_mult(basis, u, v)
+        return mult(u, v)
 
     def no_pow(*args):
-        raise AssertionError("reduce_coords must not call coords_pow")
+        raise AssertionError("reduce_coords must not power")
 
-    monkeypatch.setattr(P, "coords_mult", counted_mult)
-    monkeypatch.setattr(P, "coords_pow", no_pow)
+    monkeypatch.setitem(pres.basis.__dict__, "mult", counted_mult)
+    for kind in ("pow", "inverse"):
+        monkeypatch.setitem(pres.basis.__dict__, kind, no_pow)
     assert M.reduce_coords(pres, coords) == expected
     assert len(calls) == len(quotients) >= 2
-    assert [col for col, _, _ in pres.folds] == sorted(pres.torsion)
+    assert [col for col, _, _ in folds] == sorted(pres.torsion)
+
+
+def test_hot_path_checks_no_lengths(monkeypatch):
+    # Vectors are checked where they come in from outside; products, powers,
+    # folds and sifts of checked vectors run without the check.
+    pres = M.from_finite_presentation(M.build_hall_basis(3, 2),
+                                      [((1, 3),), ((2, 3),)])
+    u, v = (1, 2, 0, 1, 2), (2, 2, 1, 0, 1)
+    big = (7, -8, 1 << 70, 5, -(1 << 64))
+
+    def run():
+        return ([pres.mult(u, v)] + [pres.pow(u, e) for e in (-1, 0, 1, 5)]
+                + [M.reduce_coords(pres, big), full_form_rows(pres, [u, v]),
+                   M.consistency_check(pres)])
+
+    expected = run()
+
+    def no_check(basis, *vectors):
+        raise AssertionError("length check on the hot path")
+
+    bound = [m for name, m in sys.modules.items()
+             if name.split(".")[0] == "malcev"
+             and getattr(m, "check_lengths", None) is freegroup.check_lengths]
+    assert len(bound) >= 4
+    for module in bound:
+        monkeypatch.setattr(module, "check_lengths", no_check)
+    assert run() == expected
+    assert expected[-1] is True
 
 
 def test_reduce_coords_without_torsion_returns_input():

@@ -5,7 +5,7 @@ import pytest
 import malcev as M
 from conftest import (FiniteGroup, normal_closure_rows,
                       random_finite_presentation)
-from malcev import collect
+from malcev import collect, subgroups
 from malcev.freegroup import SizeCapExceeded
 from malcev.presentations import check_echelon_conditions
 from malcev.subgroups import expand_expression, full_form_rows
@@ -90,6 +90,22 @@ def test_full_form_work_stays_small(c, r):
     out, _ = full_form_rows(ctx, rows)
     assert out == M.full_form(pres, M.coordinate_matrix(pres, rows))[0].rows
     assert len(out) == pres.m
+
+
+def test_untracked_sifts_build_no_derivations(monkeypatch):
+    # Untracked rows carry a placeholder derivation, and a row operation
+    # with a placeholder factor keeps the other derivation as it is.
+    pres = M.from_finite_presentation(M.build_hall_basis(3, 2),
+                                      [((1, 3),), ((2, 3),)])
+    g = M.element(pres, (1, 2, 0, 1, 2))
+    expected = M.centralizer(pres, g)
+
+    def no_expression(parts):
+        raise AssertionError("an untracked sift built a derivation")
+
+    monkeypatch.setattr(subgroups, "_expr_mul", no_expression)
+    assert M.consistency_check(pres)
+    assert M.centralizer(pres, g) == expected
 
 
 def test_conjugators_close_to_the_normal_closure():
