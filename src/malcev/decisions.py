@@ -5,7 +5,11 @@ Centralizers and conjugacy share one descent through G/Gamma_c (Macdonald,
 Myasnikov, Nikolaev & Vassileva): one kernel per class, whose kernel is the
 centralizer and whose preimage gives the conjugator.  The power problem is
 one descent over the first nonzero columns of g and h, which finds every
-solution k + nZ; the order of g is its period n."""
+solution k + nZ; the order of g is its period n.
+
+The descents and the kernel compute on reduced coordinate vectors with the
+presentation's `mult`/`pow`; only the public entries see elements.  Each
+witness is re-checked: preimage, centralizer generators, conjugator and k."""
 
 from __future__ import annotations
 
@@ -15,9 +19,10 @@ from functools import lru_cache
 
 from .extgcd import RejectedInput
 from .freegroup import InternalConsistencyError, build_hall_basis
-from .groups import GroupElement, element, identity, inverse, mult, power
+from .groups import GroupElement
 from .presentations import (QuotientPresentation, _membership_scan,
-                            first_nonzero, make_quotient_presentation)
+                            first_nonzero, make_quotient_presentation,
+                            reduce_coords)
 from .subgroups import ProductContext, full_form_rows
 
 
@@ -81,26 +86,35 @@ def kernel_and_preimage(spec: HomSpec, h: GroupElement | None = None
     with phi(g) = h.  Raises NotInImage if h is not an image."""
     if h is not None and h.presentation != spec.target:
         raise RejectedInput("h outside the target presentation")
-    ctx = ProductContext(spec.target, spec.source)
-    rows = [hi.coords + gi.coords
-            for gi, hi in zip(spec.generators, spec.images)]
-    form, _ = full_form_rows(ctx, rows)
-    split = spec.target.m
+    kernel, preimage = _kernel(spec.target, spec.source,
+                               [x.coords for x in spec.generators],
+                               [y.coords for y in spec.images],
+                               None if h is None else h.coords)
+    return ([GroupElement(spec.source, z) for z in kernel],
+            None if preimage is None else GroupElement(spec.source, preimage))
+
+
+def _kernel(target, source, gens, images, h=None):
+    """`kernel_and_preimage` on reduced coordinate vectors.  The preimage of
+    h is one product of graph rows (phi(x), x), re-checked to map to h."""
+    ctx = ProductContext(target, source)
+    form, _ = full_form_rows(ctx, [y + x for x, y in zip(gens, images)])
+    split = target.m
     r = sum(1 for row in form if any(row[:split]))
     if any(any(row[:split]) for row in form[r:]):
         raise InternalConsistencyError("kernel row with a nonzero image part")
-    kernel = [GroupElement(spec.source, row[split:]) for row in form[r:]]
-    preimage = None
-    if h is not None:
-        image_rows = [row[:split] for row in form[:r]]
-        beta = _membership_scan(spec.target, image_rows, h.coords)
-        if beta is None:
-            raise NotInImage("h is not in the image of the homomorphism")
-        preimage = identity(spec.source)
-        for row, b in zip(form[:r], beta):
-            preimage = mult(preimage,
-                            power(GroupElement(spec.source, row[split:]), b))
-    return kernel, preimage
+    kernel = [row[split:] for row in form[r:]]
+    if h is None:
+        return kernel, None
+    beta = _membership_scan(target, [row[:split] for row in form[:r]], h)
+    if beta is None:
+        raise NotInImage("h is not in the image of the homomorphism")
+    pair = ctx.identity
+    for row, b in zip(form[:r], beta):
+        pair = ctx.mult(pair, ctx.pow(row, b))
+    if pair[:split] != h:
+        raise InternalConsistencyError("preimage does not map to h")
+    return kernel, pair[split:]
 
 
 # ---------------------------------------------------------------------------
@@ -120,60 +134,40 @@ def quotient_mod_last(pres: QuotientPresentation) -> QuotientPresentation:
     return make_quotient_presentation(small, rows)
 
 
-def _project(pres_small: QuotientPresentation, g: GroupElement) -> GroupElement:
-    return element(pres_small, g.coords[:pres_small.m])
-
-
-def _lift(pres_big: QuotientPresentation, g: GroupElement) -> GroupElement:
-    pad = g.coords + (0,) * (pres_big.m - len(g.coords))
-    return element(pres_big, pad)
-
-
-def _last_term_transversal(pres: QuotientPresentation) -> list[GroupElement]:
-    """The weight-c basis letters, as elements."""
-    basis = pres.basis
-    out = []
-    for i in range(1, basis.m + 1):
-        if basis.weight(i) == basis.c:
-            unit = [0] * basis.m
-            unit[i - 1] = 1
-            out.append(element(pres, unit))
-    return out
-
-
-def _descend(pres: QuotientPresentation, g: GroupElement, h: GroupElement
-             ) -> tuple[list[GroupElement] | None, GroupElement | None]:
+def _descend(pres, g, h):
     """Generators of C_G(g) and some u with g = u^{-1} h u, or (None, None)
-    when g and h are not conjugate.
+    when g and h are not conjugate; all are reduced coordinate vectors.
 
     One descent through G/Gamma_c with one kernel per class: given C and v
     for the images of g and h in G/Gamma_c, u -> [g, u] is a homomorphism on
     the preimage of C (its image lies in the central Gamma_c).  Its kernel
     is C_G(g), and g^{-1} v^{-1} h v lies in its image exactly when g and h
-    are conjugate, with a preimage w giving u = v w^{-1}.
+    are conjugate, with a preimage w giving u = v w^{-1}.  A normal form of
+    G/Gamma_c is the prefix of one of G, and pads with zeros back into G.
     """
-    if pres.basis.c == 1:
+    basis = pres.basis
+    # The weight-c letters, reduced: a letter of relative order 1 is trivial.
+    top = [reduce_coords(pres, tuple(int(j == i) for j in range(basis.m)))
+           for i in range(basis.m) if basis.weight(i + 1) == basis.c]
+    if basis.c == 1:
         # Abelian: everything centralizes g, and only g is conjugate to g.
-        if g != h:
-            return None, None
-        return _last_term_transversal(pres), identity(pres)
+        return (top, pres.identity) if g == h else (None, None)
     small = quotient_mod_last(pres)
-    below, v = _descend(small, _project(small, g), _project(small, h))
+    below, v = _descend(small, g[:small.m], h[:small.m])
     if below is None:
         return None, None
-    v = _lift(pres, v)
-    cover = [_lift(pres, z) for z in below] + _last_term_transversal(pres)
-    g_inv = inverse(g)
-    spec = HomSpec(source=pres, target=pres, generators=tuple(cover),
-                   images=tuple(mult(mult(g_inv, inverse(u)), mult(g, u))
-                                for u in cover))  # the commutators [g, u]
-    target = mult(g_inv, mult(inverse(v), mult(h, v)))  # in Gamma_c
+    pad = (0,) * (basis.m - small.m)
+    v, cover = v + pad, [z + pad for z in below] + top
+    mult, pow_ = pres.mult, pres.pow
+    g_inv = pow_(g, -1)
+    commutators = [mult(mult(g_inv, pow_(u, -1)), mult(g, u)) for u in cover]
+    target = mult(g_inv, mult(pow_(v, -1), mult(h, v)))  # in Gamma_c
     try:
-        kernel, w = kernel_and_preimage(spec, target)
+        kernel, w = _kernel(pres, pres, cover, commutators, target)
     except NotInImage:
         return None, None
-    u = mult(v, inverse(w))
-    if mult(mult(inverse(u), h), u) != g:
+    u = mult(v, pow_(w, -1))
+    if mult(mult(pow_(u, -1), h), u) != g:
         raise InternalConsistencyError("conjugacy witness fails to conjugate")
     return kernel, u
 
@@ -183,7 +177,10 @@ def centralizer(pres: QuotientPresentation, g: GroupElement
     """Generating set of C_G(g)."""
     if g.presentation != pres:
         raise RejectedInput("element belongs to a different presentation")
-    return _descend(pres, g, g)[0]
+    gens = _descend(pres, g.coords, g.coords)[0]
+    if any(pres.mult(g.coords, z) != pres.mult(z, g.coords) for z in gens):
+        raise InternalConsistencyError("centralizer generator fails to commute")
+    return [GroupElement(pres, z) for z in gens]
 
 
 def conjugacy(pres: QuotientPresentation, g: GroupElement, h: GroupElement
@@ -191,7 +188,8 @@ def conjugacy(pres: QuotientPresentation, g: GroupElement, h: GroupElement
     """Witness u with g = u^{-1} h u, or the answer NotConjugate."""
     if g.presentation != pres or h.presentation != pres:
         raise RejectedInput("elements belong to a different presentation")
-    return ConjugacyAnswer(_descend(pres, g, h)[1])
+    u = _descend(pres, g.coords, h.coords)[1]
+    return ConjugacyAnswer(None if u is None else GroupElement(pres, u))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +227,7 @@ def power_problem(pres: QuotientPresentation, g: GroupElement,
     if merged is None:
         raise NoPower
     k = merged[0]
-    if power(g, k) != h:
+    if pres.pow(g.coords, k) != h.coords:
         raise InternalConsistencyError("power witness k has g^k != h")
     if (k - alpha) % beta:
         raise InternalConsistencyError("power witness k outside the progression")

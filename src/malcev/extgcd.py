@@ -29,16 +29,6 @@ def gcd_vector(a: list[int] | tuple[int, ...]) -> int:
     return g
 
 
-def _min_abs_residue(r: int, s: int) -> tuple[int, int]:
-    """Candidates r and r-s straddle zero; pick the one with smaller absolute
-    value, preferring the non-negative one on ties."""
-    if r < s - r:
-        return r, r - s
-    if s - r < r:
-        return r - s, r
-    return r, r - s
-
-
 def extgcd_pair_bounded(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with a*x + b*y = g = gcd(a, b) and
     |x|, |y| <= max(|a|, |b|, 1).
@@ -52,18 +42,12 @@ def extgcd_pair_bounded(a: int, b: int) -> tuple[int, int, int]:
     bound = max(abs(a), abs(b), 1)
     if b == 0:
         return g, 1 if a > 0 else -1, 0
-    if a == 0:
-        return g, 0, 1 if b > 0 else -1
-    # Solutions are x = x0 + t*(b/g); minimize |x| over that progression.
+    # x = (a/g)^-1 mod s, as the residue of least |x| (non-negative on ties);
+    # pow(., -1, 1) is 0, so s = 1, and with it a = 0, needs no branch.
     s = abs(b) // g
-    x0 = pow((a // g) % s, -1, s) if s > 1 else 0
-    r = x0 % s if s > 1 else 0
-    if s == 1:
-        x = 0
-    else:
-        x, alt = _min_abs_residue(r, s)
-        if abs(x) > bound:  # cannot happen; guard for the canonical claim
-            x = alt
+    x = pow(a // g, -1, s)
+    if 2 * x > s:
+        x -= s
     y = (g - a * x) // b
     if a * x + b * y != g or abs(x) > bound or abs(y) > bound:
         raise InternalConsistencyError(

@@ -38,10 +38,6 @@ class GroupElement:
 
 
 def normal_form(pres: QuotientPresentation, word: ExpWord) -> GroupElement:
-    for letter, _ in word:
-        if not 1 <= letter <= pres.m:
-            raise RejectedInput(
-                f"letter index {letter} out of range 1..{pres.m}")
     return GroupElement(pres, reduce_coords(pres, eval_free(pres.basis, word)))
 
 

@@ -7,6 +7,7 @@ from conftest import (FiniteGroup, hom_apply, hom_image_of_letters,
                       random_finite_presentation)
 from malcev import decisions
 from malcev.freegroup import InternalConsistencyError
+from malcev.parsing import parse_document
 
 
 HEIS = M.free_presentation(2, 2)
@@ -224,13 +225,13 @@ def test_class_three_descent_matches_brute_force():
 @pytest.mark.parametrize("c", [2, 3, 4])
 def test_descent_makes_one_kernel_per_class(monkeypatch, c):
     classes = []
-    preimage = decisions.kernel_and_preimage
+    kernel = decisions._kernel
 
-    def counted(spec, h=None):
-        classes.append(spec.source.basis.c)
-        return preimage(spec, h)
+    def counted(target, source, *args):
+        classes.append(source.basis.c)
+        return kernel(target, source, *args)
 
-    monkeypatch.setattr(decisions, "kernel_and_preimage", counted)
+    monkeypatch.setattr(decisions, "_kernel", counted)
     rng = random.Random(64 + c)
     pres = M.free_presentation(c, 2)
     g, u = (M.element(pres, tuple(rng.randint(-3, 3) for _ in range(pres.m)))
@@ -353,13 +354,13 @@ def test_merge_progressions_with_a_single_value():
 
 
 def test_corrupt_witnesses_raise(monkeypatch):
-    preimage = decisions.kernel_and_preimage
+    kernel = decisions._kernel
 
-    def shifted_preimage(spec, h=None):
-        kernel, w = preimage(spec, h)
-        return kernel, M.mult(w, M.element(HEIS, (0, 1, 0)))
+    def shifted_preimage(*args):
+        gens, w = kernel(*args)
+        return gens, HEIS.mult(w, (0, 1, 0))
 
-    monkeypatch.setattr(decisions, "kernel_and_preimage", shifted_preimage)
+    monkeypatch.setattr(decisions, "_kernel", shifted_preimage)
     with pytest.raises(InternalConsistencyError):
         M.conjugacy(HEIS, M.element(HEIS, (1, 0, 2)), M.element(HEIS, (1, 0, 0)))
 
@@ -379,6 +380,47 @@ def test_corrupt_witnesses_raise(monkeypatch):
     with pytest.raises(InternalConsistencyError, match="progression"):
         M.power_problem(pres, M.element(pres, (1,)), M.element(pres, (2,)),
                         progression=(1, 3))
+
+
+def test_corrupt_preimage_raises(monkeypatch):
+    # A preimage whose image half is not h is caught by the kernel itself.
+    scan = decisions._membership_scan
+    monkeypatch.setattr(decisions, "_membership_scan",
+                        lambda *a: [scan(*a)[0] + 1] + scan(*a)[1:])
+    gens = tuple(letter_elements(HEIS))
+    with pytest.raises(InternalConsistencyError, match="does not map to h"):
+        M.kernel_and_preimage(M.HomSpec(HEIS, HEIS, gens, gens),
+                              M.element(HEIS, (2, -1, 3)))
+
+
+def test_corrupt_centralizer_raises(monkeypatch):
+    # The one kernel of the descent at class 2 gains (0, 1, 0), which does
+    # not commute with g = (1, 0, 0).
+    kernel = decisions._kernel
+
+    def extra_generator(*args):
+        gens, w = kernel(*args)
+        return gens + [(0, 1, 0)], w
+
+    monkeypatch.setattr(decisions, "_kernel", extra_generator)
+    with pytest.raises(InternalConsistencyError, match="commute"):
+        M.centralizer(HEIS, M.element(HEIS, (1, 0, 0)))
+
+
+@pytest.mark.parametrize("c, rows, expected", [
+    (1, ["1 0"], ["0 0", "0 1"]),
+    (2, ["1 0 0", "0 0 1"], ["0 1 0"]),
+    (3, ["1 0 0 0 0", "0 0 1 0 0", "0 0 0 1 0", "0 0 0 0 1"],
+     ["0 1 0 0 0"]),
+])
+def test_centralizer_with_trivial_weight_c_letters(c, rows, expected):
+    # Relators with pivot 1 at weight-c columns: the descent reduces the
+    # weight-c letters, so a trivial one enters its cover as the identity.
+    text = f"group c={c} r=2\n" + "".join(f"row {r}\n" for r in rows)
+    block = parse_document(text + "word a2\n").groups[0]
+    g = M.normal_form(block.presentation, block.words[0])
+    gens = M.centralizer(block.presentation, g)
+    assert [" ".join(map(str, z.coords)) for z in gens] == expected
 
 
 def test_decision_inputs_must_share_presentation():
