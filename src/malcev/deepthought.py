@@ -13,15 +13,18 @@ that of u), and emitted as straight-line Python source, `def mult(u, v)` or
 
 `freegroup` imports the checked-in source for c <= 5, r <= 3 (generated by
 `tools/gen_tables.py`) and compiles `table_source(basis, kind)` on the first
-use of a kind on any other basis.  `import malcev` does not load this module.
+use of a kind on any other basis.  The two kinds of one basis share its
+letter series and the series of u, built once on the first derivation.
+`import malcev` does not load this module.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .freegroup import HallBasis
-from .series import SeriesBasis, series_inverse, series_mult
+from .series import Series, SeriesBasis, series_inverse, series_mult
 
 
 class Poly:
@@ -107,14 +110,25 @@ class Poly:
         return Poly(self.terms, self.den * d), 0
 
 
+@lru_cache(maxsize=None)
+def _generic_series(basis: HallBasis) -> tuple[SeriesBasis, Series, int]:
+    """The basis's `SeriesBasis`, the series of u with the coordinates
+    x_0..x_{m-1} as indeterminates, and the exponent width used: built once
+    per basis, for whichever of its kinds is derived first, and shared, so
+    read only."""
+    width = basis.c.bit_length()
+    data = SeriesBasis(basis)
+    u = data.word_series(tuple((i + 1, Poly.var(i, width))
+                               for i in range(basis.m)))
+    return data, u, width
+
+
 def derive(basis: HallBasis, kind: str) -> tuple[tuple[Poly, ...], int]:
     """Coordinates of u·v (kind "mult") or of u^-1 (kind "inverse") as
     polynomials in x_0..x_{m-1}, the coordinates of u, and for "mult" in
     x_m..x_{2m-1}, those of v; with the exponent width used."""
     m, c = basis.m, basis.c
-    width = c.bit_length()
-    data = SeriesBasis(basis)
-    u = data.word_series(tuple((i + 1, Poly.var(i, width)) for i in range(m)))
+    data, u, width = _generic_series(basis)
     if kind == "inverse":
         return data.series_to_coords(series_inverse(c, u)), width
     # The series of v is that of u with every x_j renamed to x_{m+j}.

@@ -7,13 +7,16 @@ the basis owns them:
 
 * `HallBasis.mult(u, v)` and `HallBasis.inverse(u)` are one call each of the
   polynomials of the coordinates of u·v and of u**-1;
-* `HallBasis.pow(u, e)` is `inverse` for e = -1 and returns u or the
-  identity for e in {0, 1}.  For any other e it interpolates in e from
-  u**0 .. u**w, with w - 1 multiplications whatever |e|, where w is the
-  weight of the basis's heaviest letter: c, or 1 at rank 1.  Its two
-  halves are public, so a caller that powers one element often (a relator
-  row in `presentations.reduce_coords`) keeps `power_differences` and pays
-  only `power_from_differences` per power;
+* `HallBasis.pow(u, e)` returns u or the identity for e in {0, 1}, and
+  e·u when `HallBasis.commuting(u)`: letters whose weights sum past the
+  class commute, so such a power is a scaling, with no multiplication.
+  Otherwise it is `inverse` for e = -1, and for any other e it
+  interpolates in e from u**0 .. u**w, with w - 1 multiplications
+  whatever |e|, where w is the weight of the basis's heaviest letter: c,
+  or 1 at rank 1.  Its two halves are public, so a caller that powers one
+  element often (a relator row that does not commute, in
+  `presentations.reduce_coords`) keeps `power_differences` and pays only
+  `power_from_differences` per power;
 * `eval_free` folds `mult` over the letter powers of a word.
 
 These trust their vectors' lengths.  The public `coords_mult`,
@@ -92,10 +95,27 @@ class HallBasis:
         """The inverse polynomials: `inverse(u)` is the vector of u**-1."""
         return _polynomials(self, "inverse")
 
+    def commuting(self, u) -> bool:
+        """True when every two letters of u's support commute because
+        [Γ_i, Γ_j] <= Γ_{i+j}: u has at most one nonzero coordinate, or the
+        weights of its two lightest nonzero letters, its first two since
+        the basis is weight-ordered, sum past `top_weight`.  Then
+        u**e = e·u for every integer e."""
+        first = None
+        for i, x in enumerate(u):
+            if x:
+                if first is not None:
+                    return (self.weight(first + 1) + self.weight(i + 1)
+                            > self.top_weight)
+                first = i
+        return True
+
     def pow(self, u, e: int) -> tuple[int, ...]:
         """u**e for any integer e, as `coords_pow` but unchecked."""
         if e == 0 or e == 1:
             return tuple(u) if e else (0,) * self.m
+        if self.commuting(u):
+            return tuple(e * x for x in u)
         if e == -1:
             return self.inverse(u)
         return power_from_differences(power_differences(self, u), e)
@@ -221,8 +241,9 @@ def power_from_differences(diffs, e: int) -> tuple[int, ...]:
 
 
 def coords_pow(basis: HallBasis, u, e: int) -> tuple[int, ...]:
-    """u**e for any integer e: the inverse polynomials for e = -1, Newton
-    interpolation from u**0 .. u**w otherwise, w the top weight."""
+    """u**e for any integer e: e·u when u's letters commute by weight, else
+    the inverse polynomials for e = -1 and Newton interpolation from
+    u**0 .. u**w otherwise, w the top weight."""
     check_lengths(basis, u)
     return basis.pow(u, e)
 

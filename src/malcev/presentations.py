@@ -144,13 +144,17 @@ class QuotientPresentation:
                 for i, p in enumerate(self.relators.pivots)}
 
     @cached_property
-    def folds(self) -> tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]:
-        """(column, relative order, power differences of the relator row)
-        for each torsion column, in increasing column order."""
+    def folds(self) -> tuple[tuple[int, int, tuple[int, ...],
+                                    tuple[tuple[int, ...], ...] | None], ...]:
+        """(column, relative order, relator row, power differences of the
+        row) for each torsion column, in increasing column order.  The
+        differences are None for a row whose letters commute by weight
+        (`HallBasis.commuting`), which `reduce_coords` folds by subtraction."""
+        basis = self.basis
         return tuple(sorted(
-            (p, self.relators.pivot_value(i),
-             power_differences(self.basis, self.relators.rows[i]))
-            for i, p in enumerate(self.relators.pivots)))
+            (p, row[p - 1], row,
+             None if basis.commuting(row) else power_differences(basis, row))
+            for p, row in zip(self.relators.pivots, self.relators.rows)))
 
     def describe(self) -> str:
         c, r = self.basis.c, self.basis.r
@@ -165,24 +169,35 @@ def reduce_coords(pres: QuotientPresentation, coords) -> tuple[int, ...]:
 
     Within the subgroup generated by the letters from column i on, the i-th
     coordinate is additive, so excess pivot powers fold into the suffix
-    through the relator row of that column.  The relator's power comes from
-    the differences the presentation stores (`QuotientPresentation.folds`),
-    so each fold is one multiplication.
+    through the relator row of that column: the suffix becomes
+    row**-q · suffix.  A row that does not commute by weight folds with one
+    multiplication, by the power differences the presentation stores
+    (`QuotientPresentation.folds`).  A row a_i**e · t that commutes folds
+    with none: every letter of t commutes with a_i and with every suffix
+    letter, which weighs at least as much as a_i, so the fold subtracts
+    q times the row from the suffix.
     """
     folds = pres.folds
     if not folds:
         return tuple(coords)
     mult = pres.basis.mult
     y = list(coords)
-    for col, e, diffs in folds:
+    for col, e, row, diffs in folds:
         q, rem = divmod(y[col - 1], e)
-        if q:
-            suffix = tuple([0] * (col - 1) + y[col - 1:])
-            folded = mult(power_from_differences(diffs, -q), suffix)
-            if any(folded[:col - 1]) or folded[col - 1] != rem:
+        if not q:
+            continue
+        if diffs is None:
+            y[col - 1:] = [a - q * b for a, b in zip(y[col - 1:], row[col - 1:])]
+            if y[col - 1] != rem:
                 raise InternalConsistencyError(
-                    f"torsion fold of column {col} left the suffix")
-            y[col - 1:] = folded[col - 1:]
+                    f"torsion fold of column {col} left a wrong remainder")
+            continue
+        suffix = tuple([0] * (col - 1) + y[col - 1:])
+        folded = mult(power_from_differences(diffs, -q), suffix)
+        if any(folded[:col - 1]) or folded[col - 1] != rem:
+            raise InternalConsistencyError(
+                f"torsion fold of column {col} left the suffix")
+        y[col - 1:] = folded[col - 1:]
     return tuple(y)
 
 

@@ -134,6 +134,24 @@ def test_inverse_table_loads_on_the_first_inverse():
                                 "malcev.tables.c5r3_inverse", "-"]
 
 
+def test_unshipped_inverse_derives_no_series_again():
+    # At (3,4), which ships no tables: products and powers derive only the
+    # product polynomials, and the first inverse reuses the basis's series.
+    code = ("import malcev.deepthought as D\n"
+            "from malcev import build_hall_basis, coords_inverse, coords_mult, coords_pow\n"
+            "kinds, built = [], []\n"
+            "derive, series_basis = D.derive, D.SeriesBasis\n"
+            "D.derive = lambda b, kind: kinds.append(kind) or derive(b, kind)\n"
+            "D.SeriesBasis = lambda b: built.append(b) or series_basis(b)\n"
+            "b = build_hall_basis(3, 4)\n"
+            "u = tuple(range(1, b.m + 1))\n"
+            "coords_pow(b, coords_mult(b, u, u), 5)\n"
+            "print(*kinds, len(built))\n"
+            "coords_inverse(b, u)\n"
+            "print(*kinds, len(built))\n")
+    assert run_python(code) == ["mult", "1", "mult", "inverse", "1"]
+
+
 EXPONENTS = (-1, 0, 1, 1 << 64, -(1 << 64))
 
 

@@ -122,6 +122,36 @@ def test_power_matches_oracle_class3():
         assert acc == direct
 
 
+@pytest.mark.parametrize("c,r", [(3, 2), (5, 3)])
+def test_commuting_power_makes_no_multiplication(c, r, monkeypatch):
+    basis = build_hall_basis(c, r)
+    calls = []
+    for kind in ("mult", "inverse"):
+        f = getattr(basis, kind)
+        monkeypatch.setitem(basis.__dict__, kind,
+                            lambda *a, f=f, kind=kind: calls.append(kind) or f(*a))
+    w = basis.top_weight
+    top = [i for i in range(basis.m) if basis.weight(i + 1) == w]
+
+    def vector(entries):
+        return tuple(entries.get(i, 0) for i in range(basis.m))
+
+    # one letter; a generator with the heaviest letters (1 + c > c); two
+    # heaviest letters
+    commuting = [vector({0: 3}), vector({1: -2, top[0]: 5, top[-1]: 1}),
+                 vector({top[0]: 4, top[1]: -9})]
+    for u in commuting:
+        for e in (-1, 2, -(1 << 40)):
+            assert basis.pow(u, e) == tuple(e * x for x in u)
+    assert calls == []
+    u = vector({0: 1, 1: 1})  # two generators: 1 + 1 <= c
+    basis.pow(u, 5)
+    assert calls == ["mult"] * (w - 1)
+    calls.clear()
+    basis.pow(u, -1)
+    assert calls == ["inverse"]
+
+
 def test_structure_relations_heisenberg():
     sr = structure_relations(HEIS)
     assert sr.alpha[(1, 2)] == (0, 0, 1)

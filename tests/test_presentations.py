@@ -9,7 +9,8 @@ from conftest import (collector_consistent, normal_closure_rows,
                       random_finite_presentation)
 from malcev import freegroup
 from malcev.freegroup import (InternalConsistencyError, coords_mult,
-                              coords_pow, eval_free, power_differences)
+                              eval_free, power_differences,
+                              power_from_differences)
 from malcev.presentations import FullFormViolation, check_echelon_conditions
 from malcev.subgroups import full_form_rows
 
@@ -262,16 +263,18 @@ FINITE_QUOTIENTS = (
 
 
 def reference_reduce(pres, coords, quotients):
-    """The torsion fold with each relator power recomputed by `coords_pow`;
-    appends every nonzero quotient q to `quotients`."""
+    """The torsion fold with each relator power recomputed by the Newton
+    path, whether or not the row commutes; appends (column, q) for every
+    nonzero quotient q to `quotients`."""
     basis = pres.basis
     y = list(coords)
     for col in sorted(pres.torsion):
         q, _ = divmod(y[col - 1], pres.torsion[col])
         if q:
-            quotients.append(q)
+            quotients.append((col, q))
             suffix = tuple([0] * (col - 1) + y[col - 1:])
-            relator_pow = coords_pow(basis, pres.torsion_rows[col], -q)
+            diffs = power_differences(basis, pres.torsion_rows[col])
+            relator_pow = power_from_differences(diffs, -q)
             y[col - 1:] = coords_mult(basis, relator_pow, suffix)[col - 1:]
     return tuple(y)
 
@@ -291,32 +294,52 @@ def test_reduce_coords_matches_reference_fold():
             assert reduced == reference_reduce(pres, coords, quotients)
             for col, e in pres.torsion.items():
                 assert 0 <= reduced[col - 1] < e
-        assert {q > 0 for q in quotients} == {True, False}
+        assert {q > 0 for _, q in quotients} == {True, False}
+
+
+# F(3,2)/<a1^4, a2^2 a1^2>: its relator row (2, 2, 0, 0, 0) at column 1 does
+# not commute by weight (1 + 1 <= 3); its rows at columns 2-5 do.
+MIXED = ((3, 2), [((1, 4),), ((2, 2), (1, 2))])
 
 
 def test_reduce_coords_folds_with_one_multiply(monkeypatch):
-    pres = M.from_finite_presentation(M.build_hall_basis(3, 2),
-                                      [((1, 3),), ((2, 3),)])
-    coords = (7, -8, 1 << 70, 5, -(1 << 64))
-    quotients = []
-    expected = reference_reduce(pres, coords, quotients)
-    folds = pres.folds  # the relator differences, before counting
-    mult = pres.basis.mult
-    calls = []
+    # A fold by a row that does not commute is one multiply by its stored
+    # power; a fold by a row that commutes is a subtraction, with none.
+    cubes = M.from_finite_presentation(M.build_hall_basis(3, 2),
+                                       [((1, 3),), ((2, 3),)])
+    mixed = M.from_finite_presentation(M.build_hall_basis(*MIXED[0]), MIXED[1])
+    rng = random.Random(45)
+    vectors = [(7, -8, 1 << 70, 5, -(1 << 64))]
+    vectors += [tuple(rng.randint(-1 << 40, 1 << 40) for _ in range(5))
+                for _ in range(10)]
+    for pres, noncommuting in ((cubes, set()), (mixed, {1})):
+        basis = pres.basis
+        folds = pres.folds  # the relator differences, before counting
+        assert [(col, e, row) for col, e, row, _ in folds] == [
+            (p, pres.torsion[p], pres.torsion_rows[p]) for p in sorted(pres.torsion)]
+        for col, _, row, diffs in folds:
+            assert (diffs is None) == (col not in noncommuting)
+            assert diffs is None or diffs == power_differences(basis, row)
+        quotients = []
+        expected = [reference_reduce(pres, y, quotients) for y in vectors]
+        mult = basis.mult
+        calls = []
 
-    def counted_mult(u, v):
-        calls.append(1)
-        return mult(u, v)
+        def counted_mult(u, v):
+            calls.append(1)
+            return mult(u, v)
 
-    def no_pow(*args):
-        raise AssertionError("reduce_coords must not power")
+        def no_pow(*args):
+            raise AssertionError("reduce_coords must not power")
 
-    monkeypatch.setitem(pres.basis.__dict__, "mult", counted_mult)
-    for kind in ("pow", "inverse"):
-        monkeypatch.setitem(pres.basis.__dict__, kind, no_pow)
-    assert M.reduce_coords(pres, coords) == expected
-    assert len(calls) == len(quotients) >= 2
-    assert [col for col, _, _ in folds] == sorted(pres.torsion)
+        with monkeypatch.context() as patch:
+            patch.setitem(basis.__dict__, "mult", counted_mult)
+            for kind in ("pow", "inverse"):
+                patch.setitem(basis.__dict__, kind, no_pow)
+            assert [M.reduce_coords(pres, y) for y in vectors] == expected
+        assert len(calls) == sum(col in noncommuting for col, _ in quotients)
+        assert bool(calls) == bool(noncommuting)
+        assert len({col for col, _ in quotients}) >= 2
 
 
 def test_hot_path_checks_no_lengths(monkeypatch):
@@ -354,16 +377,69 @@ def test_reduce_coords_without_torsion_returns_input():
 
 
 @pytest.mark.parametrize("index,corrupt_row", [
-    (0, (3, 0, 0)),  # wrong pivot: the folded column is not the remainder
-    (1, (1, 0, 2)),  # support left of the column: the fold leaves the suffix
+    # rows that do not commute, folded by their corrupted differences
+    (0, (3, 2, 0, 0, 0)),  # wrong pivot: the folded column is not the remainder
+    (1, (1, 4, 0, 0, 0)),  # support left of the column: the fold leaves the suffix
+    # rows that commute, folded by subtraction
+    (2, (0, 0, 3, 0, 1)),  # wrong pivot: the folded column is not the remainder
+    (3, (0, 0, 0, 2, 1)),  # the same at a pivot of weight 3
 ])
 def test_corrupt_fold_raises(monkeypatch, index, corrupt_row):
-    pres = M.make_quotient_presentation(HEIS_BASIS, ((2, 0, 0), (0, 0, 2)))
+    pres = M.from_finite_presentation(M.build_hall_basis(*MIXED[0]), MIXED[1])
+    basis = pres.basis
     folds = list(pres.folds)
-    col, e, _ = folds[index]
-    folds[index] = (col, e, power_differences(HEIS_BASIS, corrupt_row))
+    col, e, _, _ = folds[index]
+    folds[index] = (col, e, corrupt_row, None if basis.commuting(corrupt_row)
+                    else power_differences(basis, corrupt_row))
+    assert (folds[index][3] is None) == (index >= 2)
     monkeypatch.setitem(pres.__dict__, "folds", tuple(folds))
-    coords = [0, 0, 0]
+    coords = [0] * pres.m
     coords[col - 1] = 5
     with pytest.raises(InternalConsistencyError):
         M.reduce_coords(pres, coords)
+
+
+# Every shipped shape, (6, 2), whose polynomials are derived on first use,
+# and rank 1 at class 4, whose one letter commutes with itself.
+COMMUTING_BASES = [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (5, 2),
+                   (4, 3), (5, 3), (6, 2), (4, 1)]
+
+
+def sparse_vector(rng, basis):
+    """1-3 nonzero entries, each on a letter of a random weight, so that
+    supports that commute by weight and supports that do not both occur."""
+    top = basis.top_weight
+    by_weight = [[i for i in range(basis.m) if basis.letters[i].weight == w]
+                 for w in range(1, top + 1)]
+    u = [0] * basis.m
+    for _ in range(rng.randint(1, 3)):
+        u[rng.choice(by_weight[rng.randint(1, top) - 1])] = (
+            rng.choice((-1, 1)) * rng.randint(1, 1 << 20))
+    return tuple(u)
+
+
+@pytest.mark.parametrize("c,r", COMMUTING_BASES)
+def test_commuting_powers_and_folds_match_the_newton_path(c, r):
+    basis = M.build_hall_basis(c, r)
+    rng = random.Random(100 * c + r)
+    kinds = set()
+    for _ in range(100):
+        u = sparse_vector(rng, basis)
+        weights = [basis.weight(i + 1) for i, x in enumerate(u) if x]
+        commuting = all(a + b > basis.top_weight
+                        for i, a in enumerate(weights) for b in weights[i + 1:])
+        assert basis.commuting(u) == commuting
+        kinds.add(commuting)
+        diffs = power_differences(basis, u)
+        for e in (-7, -2, -1, 2, 3, 1 << 40):
+            assert basis.pow(u, e) == power_from_differences(diffs, e)
+        # u, with a positive pivot, as the one relator row of a fold
+        col = P.first_nonzero(u)
+        row = tuple(abs(x) if j == col - 1 else x for j, x in enumerate(u))
+        pres = M.QuotientPresentation(basis, M.FullFormMatrix((row,)))
+        suffix = tuple(0 if j < col - 1 else rng.randint(-1 << 50, 1 << 50)
+                       for j in range(basis.m))
+        q = suffix[col - 1] // row[col - 1]
+        newton = power_from_differences(power_differences(basis, row), -q)
+        assert M.reduce_coords(pres, suffix) == basis.mult(newton, suffix)
+    assert kinds == ({True} if basis.top_weight == 1 else {True, False})

@@ -8,9 +8,12 @@ It answers, in this process:
 * the cli_cold documents `perfbench/clidocs.cli_documents(seed, batch)` for
   seeds 1-3 and batches 0-3, each through `malcev.cli.run`: the exit code,
   stdout and stderr;
-* the finite_decisions plans `perfbench/workloads.finite_plan(seed, 3)` for
-  seeds 7-10, each query through `perfbench/workloads.queries`: its answer,
-  or the type and text of the exception it raised.
+* the finite_decisions plans `perfbench/workloads.finite_plan(seed, 3)` and
+  the deep_arith plans `perfbench/workloads.deep_plan(seed, 2)` for seeds
+  7-10, each query through `perfbench/workloads.queries`: its answer, or
+  the type and text of the exception it raised.  The deep_arith plans
+  power, multiply and invert in the free groups of class and rank (3,3)
+  (4,2) (5,2) (5,3).
 
 It prints the number of answers and the SHA-1 over all of them.  It only
 reads perfbench/.
@@ -48,9 +51,9 @@ def cli_answers():
                 yield [doc.name, code, out.getvalue(), err.getvalue()]
 
 
-def plan_answers():
+def plan_answers(make_plan, rounds):
     for seed in (7, 8, 9, 10):
-        plan = workloads.finite_plan(seed, 3)
+        plan = make_plan(seed, rounds)
         for step in plan.steps:
             pres = plan.presentations[step.pres]
             decoded = [M.element(pres, c) for c in step.elements]
@@ -67,7 +70,8 @@ def plan_answers():
 def main() -> None:
     digest = hashlib.sha1()
     count = 0
-    for answer in (*cli_answers(), *plan_answers()):
+    for answer in (*cli_answers(), *plan_answers(workloads.finite_plan, 3),
+                   *plan_answers(workloads.deep_plan, 2)):
         digest.update(json.dumps(answer).encode() + b"\n")
         count += 1
     print(f"{count} answers sha1 {digest.hexdigest()}")
