@@ -5,9 +5,7 @@ groups by full-form relator matrices."""
 from .extgcd import (BoundedCombinationTrace, RejectedInput, extgcd_bounded,
                      extgcd_pair_bounded, reduce_coefficients)
 from .freegroup import (BasicCommutator, ExpWord, HallBasis, SizeCapExceeded,
-                        build_hall_basis, coords_inverse, coords_mult,
-                        coords_pow, coords_to_word, eval_free, identity_coords,
-                        structure_relations)
+                        build_hall_basis, coords_to_word, eval_free)
 from .presentations import (FullFormMatrix, NilpotentPresentation,
                             QuotientPresentation, consistency_check,
                             direct_product, free_presentation,

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .extgcd import RejectedInput
-from .freegroup import InternalConsistencyError, build_hall_basis
+from .extgcd import InternalConsistencyError, RejectedInput
+from .freegroup import build_hall_basis
 from .groups import GroupElement
 from .presentations import (QuotientPresentation, _membership_scan,
                             first_nonzero, make_quotient_presentation,

@@ -19,8 +19,10 @@ the basis owns them:
   `power_from_differences` per power;
 * `eval_free` folds `mult` over the letter powers of a word.
 
-These trust their vectors' lengths.  The public `coords_mult`,
-`coords_inverse` and `coords_pow` check them first (`check_lengths`).
+These trust their vectors' lengths.  Vectors from outside enter group
+arithmetic only through `groups.element`, `subgroups.CoordinateMatrix` and
+`presentations.make_quotient_presentation`, which check them first
+(`check_lengths`); a free group is `presentations.free_presentation`.
 
 The polynomials depend on the class only through that weight, so every
 rank-1 basis, whatever its class, uses the class-1 tables.  The polynomials
@@ -39,7 +41,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .extgcd import InternalConsistencyError, RejectedInput
+from .extgcd import RejectedInput
 
 
 class SizeCapExceeded(ValueError):
@@ -111,7 +113,7 @@ class HallBasis:
         return True
 
     def pow(self, u, e: int) -> tuple[int, ...]:
-        """u**e for any integer e, as `coords_pow` but unchecked."""
+        """u**e for any integer e; trusts the length of u."""
         if e == 0 or e == 1:
             return tuple(u) if e else (0,) * self.m
         if self.commuting(u):
@@ -152,8 +154,7 @@ def build_hall_basis(c: int, r: int) -> HallBasis:
 
 
 # ---------------------------------------------------------------------------
-# The polynomials, and the public coordinate operations: each checks the
-# vectors it is given, then calls the basis's polynomials.
+# The polynomials, the length check at the public entries, powers and words.
 
 SHIPPED_MAX = (5, 3)  # tables ship for c <= 5, r <= 3; at rank 1 only c = 1
 
@@ -200,11 +201,6 @@ def eval_free(basis: HallBasis, word: ExpWord) -> tuple[int, ...]:
     return out
 
 
-def coords_mult(basis: HallBasis, u, v) -> tuple[int, ...]:
-    check_lengths(basis, u, v)
-    return basis.mult(u, v)
-
-
 def power_differences(basis: HallBasis, u) -> tuple[tuple[int, ...], ...]:
     """Forward differences at 0, of orders 1 .. w, of u**0 .. u**w, where w
     is the basis's top weight.
@@ -238,53 +234,6 @@ def power_from_differences(diffs, e: int) -> tuple[int, ...]:
             break
         out = [o + binom * x for o, x in zip(out, diff)]
     return tuple(out)
-
-
-def coords_pow(basis: HallBasis, u, e: int) -> tuple[int, ...]:
-    """u**e for any integer e: e·u when u's letters commute by weight, else
-    the inverse polynomials for e = -1 and Newton interpolation from
-    u**0 .. u**w otherwise, w the top weight."""
-    check_lengths(basis, u)
-    return basis.pow(u, e)
-
-
-def coords_inverse(basis: HallBasis, u) -> tuple[int, ...]:
-    check_lengths(basis, u)
-    return basis.inverse(u)
-
-
-def identity_coords(basis: HallBasis) -> tuple[int, ...]:
-    return (0,) * basis.m
-
-
-@dataclass(frozen=True)
-class StructureRelations:
-    """Normal-form tails of the two letter-exchange relations.
-
-    For j > i (1-based): swapping a_j past a_i gives
-        a_j a_i      = a_i a_j      * tail(alpha[(i, j)])
-        a_j^-1 a_i   = a_i a_j^-1   * tail(beta[(i, j)])
-    with each tail an exponent vector supported on letters > j.
-    """
-    alpha: dict[tuple[int, int], tuple[int, ...]]
-    beta: dict[tuple[int, int], tuple[int, ...]]
-
-
-@lru_cache(maxsize=None)
-def structure_relations(basis: HallBasis) -> StructureRelations:
-    alpha: dict[tuple[int, int], tuple[int, ...]] = {}
-    beta: dict[tuple[int, int], tuple[int, ...]] = {}
-    for j in range(2, basis.m + 1):
-        for i in range(1, j):
-            for sign, store in ((1, alpha), (-1, beta)):
-                lhs = eval_free(basis, ((j, sign), (i, 1)))
-                head = eval_free(basis, ((i, 1), (j, sign)))
-                tail = basis.mult(basis.inverse(head), lhs)
-                if any(tail[:j]):
-                    raise InternalConsistencyError(
-                        "exchange tail not supported on higher letters")
-                store[(i, j)] = tail
-    return StructureRelations(alpha=alpha, beta=beta)
 
 
 def coords_to_word(coords) -> ExpWord:

@@ -21,15 +21,6 @@ class GroupElement:
     presentation: QuotientPresentation
     coords: tuple[int, ...]
 
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return mult(self, other)
-
-    def inverse(self) -> "GroupElement":
-        return inverse(self)
-
-    def __pow__(self, e: int) -> "GroupElement":
-        return power(self, e)
-
     def is_identity(self) -> bool:
         return not any(self.coords)
 

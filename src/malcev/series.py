@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .freegroup import ExpWord, HallBasis, InternalConsistencyError
+from .extgcd import InternalConsistencyError
+from .freegroup import ExpWord, HallBasis
 
 # A series maps monomials (tuples of 0-based generator indices, length <= c)
 # to nonzero coefficients.

@@ -86,9 +86,11 @@ def _expr_mul(parts):
     return ("m", parts)
 
 
-def expand_expression(expr, cap: int = DEFAULT_WORD_CAP) -> ExpWord:
+def expand_expression(expr) -> ExpWord:
     """Flatten an expression tree to a word over the original generators
-    (1-based symbol indices), merging adjacent powers of one symbol."""
+    (1-based symbol indices), merging adjacent powers of one symbol.  Raises
+    SizeCapExceeded past DEFAULT_WORD_CAP letters, read at call time."""
+    cap = DEFAULT_WORD_CAP
     word: list = []
     emitted = 0
     # Entries are (subtree, inverted, repetitions).  An explicit stack, since
@@ -124,12 +126,6 @@ def expand_expression(expr, cap: int = DEFAULT_WORD_CAP) -> ExpWord:
         else:
             word.append((sym, x))
     return tuple(word)
-
-
-@dataclass(frozen=True)
-class TrackedExpressions:
-    """Derivations of the full-form rows over the original generators."""
-    expressions: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +324,16 @@ def apply_row_operation(matrix: CoordinateMatrix, op) -> CoordinateMatrix:
 
 
 def full_form(pres: QuotientPresentation, matrix: CoordinateMatrix,
-              track: bool = False) -> tuple[FullFormMatrix, TrackedExpressions | None]:
+              track: bool = False) -> tuple[FullFormMatrix, tuple | None]:
     """Full form of the subgroup the matrix rows generate.  With `track`,
-    the derivation of every full-form row over the original rows of a
-    tracked matrix, or over the current rows of an untracked one."""
+    the tuple of derivations of the full-form rows over the original rows of
+    a tracked matrix, or over the current rows of an untracked one (None
+    without `track`)."""
     rows = [reduce_coords(pres, r) for r in matrix.rows]
     exprs = (matrix.expressions or tuple(map(_expr_gen, range(len(rows))))
              if track else None)
     out, exprs = full_form_rows(pres, rows, exprs)
-    return FullFormMatrix(out), (TrackedExpressions(exprs) if track else None)
+    return FullFormMatrix(out), exprs
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +355,14 @@ def membership(pres: QuotientPresentation, form: FullFormMatrix,
     return MembershipWitness(tuple(gamma))
 
 
-def express_in_original_generators(tracked: TrackedExpressions,
-                                   witness: MembershipWitness,
-                                   cap: int = DEFAULT_WORD_CAP) -> ExpWord:
-    """Word over the original generators evaluating to the witnessed element."""
+def express_in_original_generators(tracked: tuple | None,
+                                   witness: MembershipWitness) -> ExpWord:
+    """Word over the original generators evaluating to the witnessed
+    element, from the derivations `full_form(..., track=True)` returns."""
     if tracked is None:
         raise RejectedInput("full form was computed without tracking")
-    parts = [_expr_pow(ex, g)
-             for ex, g in zip(tracked.expressions, witness.gamma) if g]
-    return expand_expression(_expr_mul(tuple(parts)), cap=cap)
+    parts = [_expr_pow(ex, g) for ex, g in zip(tracked, witness.gamma) if g]
+    return expand_expression(_expr_mul(tuple(parts)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from functools import lru_cache
 
 import malcev as M
 from malcev.collect import Collector, invert_word
-from malcev.freegroup import (coords_inverse, coords_mult, coords_to_word,
-                              eval_free, structure_relations)
+from malcev.extgcd import InternalConsistencyError
+from malcev.freegroup import HallBasis, coords_to_word, eval_free
 from malcev.presentations import _associative
 from malcev.subgroups import full_form_rows
 
@@ -84,10 +86,10 @@ class FiniteGroup:
         self.order = len(self.elements)
 
     def mult(self, u, v):
-        return M.reduce_coords(self.pres, coords_mult(self.pres.basis, u, v))
+        return M.reduce_coords(self.pres, self.pres.basis.mult(u, v))
 
     def inv(self, u):
-        return M.reduce_coords(self.pres, coords_inverse(self.pres.basis, u))
+        return M.reduce_coords(self.pres, self.pres.basis.inverse(u))
 
     def subgroup_closure(self, gens):
         gens = [M.reduce_coords(self.pres, g) for g in gens]
@@ -137,12 +139,41 @@ def normal_closure_rows(basis, rows):
         ext = list(rows)
         for row in rows:
             for a in letters:
-                ext.append(coords_mult(
-                    basis, coords_mult(basis, coords_inverse(basis, a), row), a))
+                ext.append(basis.mult(basis.mult(basis.inverse(a), row), a))
         new = full_form_rows(free, ext)[0]
         if new == rows:
             return new
         rows = new
+
+
+@dataclass(frozen=True)
+class StructureRelations:
+    """Normal-form tails of the two letter-exchange relations.
+
+    For j > i (1-based): swapping a_j past a_i gives
+        a_j a_i      = a_i a_j      * tail(alpha[(i, j)])
+        a_j^-1 a_i   = a_i a_j^-1   * tail(beta[(i, j)])
+    with each tail an exponent vector supported on letters > j.
+    """
+    alpha: dict[tuple[int, int], tuple[int, ...]]
+    beta: dict[tuple[int, int], tuple[int, ...]]
+
+
+@lru_cache(maxsize=None)
+def structure_relations(basis: HallBasis) -> StructureRelations:
+    alpha: dict[tuple[int, int], tuple[int, ...]] = {}
+    beta: dict[tuple[int, int], tuple[int, ...]] = {}
+    for j in range(2, basis.m + 1):
+        for i in range(1, j):
+            for sign, store in ((1, alpha), (-1, beta)):
+                lhs = eval_free(basis, ((j, sign), (i, 1)))
+                head = eval_free(basis, ((i, 1), (j, sign)))
+                tail = basis.mult(basis.inverse(head), lhs)
+                if any(tail[:j]):
+                    raise InternalConsistencyError(
+                        "exchange tail not supported on higher letters")
+                store[(i, j)] = tail
+    return StructureRelations(alpha=alpha, beta=beta)
 
 
 def collector_for_quotient(pres):

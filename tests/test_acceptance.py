@@ -127,11 +127,11 @@ def test_04_free_arithmetic_matrix_oracle(capsys):
             u = M.eval_free(HEIS.basis, word)
             assert mat_of_coords(u) == mat_of_word(word)
             v = tuple(rng.randint(-9, 9) for _ in range(3))
-            prod = M.coords_mult(HEIS.basis, u, v)
+            prod = HEIS.basis.mult(u, v)
             assert mat_of_coords(prod) == mat_mul(mat_of_coords(u),
                                                   mat_of_coords(v))
             e = rng.randint(-20, 20)
-            assert mat_of_coords(M.coords_pow(HEIS.basis, u, e)) == mat_pow(
+            assert mat_of_coords(HEIS.basis.pow(u, e)) == mat_pow(
                 mat_of_coords(u), e)
         start = time.monotonic()
         big = 1 << 60

@@ -6,7 +6,7 @@ import malcev as M
 from conftest import (FiniteGroup, hom_apply, hom_image_of_letters,
                       random_finite_presentation)
 from malcev import decisions
-from malcev.freegroup import InternalConsistencyError
+from malcev.extgcd import InternalConsistencyError
 from malcev.parsing import parse_document
 
 

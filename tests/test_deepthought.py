@@ -11,8 +11,7 @@ import sys
 import pytest
 
 from malcev.deepthought import table_source
-from malcev.freegroup import (SHIPPED_MAX, build_hall_basis, coords_inverse,
-                              coords_mult, coords_pow, coords_to_word,
+from malcev.freegroup import (SHIPPED_MAX, build_hall_basis, coords_to_word,
                               eval_free, power_differences,
                               power_from_differences, table_module)
 from malcev.series import SeriesBasis, series_mult, series_power
@@ -79,9 +78,9 @@ def test_rank_one_uses_the_class_one_table_at_any_class():
             " 'malcev.deepthought' in sys.modules)")
     assert run_python(code) == ["True", "True", "False"]
     basis = build_hall_basis(40, 1)
-    assert coords_pow(basis, (3,), -(1 << 70)) == (-3 << 70,)
-    assert coords_pow(basis, (3,), -1) == (-3,)
-    assert coords_mult(basis, (5,), (-7,)) == (-2,)
+    assert basis.pow((3,), -(1 << 70)) == (-3 << 70,)
+    assert basis.pow((3,), -1) == (-3,)
+    assert basis.mult((5,), (-7,)) == (-2,)
 
 
 @pytest.mark.parametrize("c,r", [(3, 2), (5, 3)])
@@ -98,13 +97,13 @@ def test_inverse_makes_no_multiplication(c, r, monkeypatch):
     rng = random.Random(c * 10 + r)
     for _ in range(5):
         u = tuple(rng.randint(-1 << 40, 1 << 40) for _ in range(basis.m))
-        inv = coords_inverse(basis, u)
-        assert coords_pow(basis, u, -1) == inv
+        inv = basis.inverse(u)
+        assert basis.pow(u, -1) == inv
         assert not calls
         # the Newton sum at e = -1, which makes c - 1 multiplies
         assert power_from_differences(power_differences(basis, u), -1) == inv
         assert len(calls) == c - 1
-        assert coords_mult(basis, u, inv) == (0,) * basis.m
+        assert basis.mult(u, inv) == (0,) * basis.m
         calls.clear()
 
 
@@ -114,12 +113,12 @@ def test_inverse_table_loads_on_the_first_inverse():
     # conjugation, which inverts.
     code = ("import sys\n"
             "import malcev as M\n"
-            "from malcev import build_hall_basis, coords_inverse, coords_mult\n"
+            "from malcev import build_hall_basis\n"
             "from malcev.presentations import FullFormMatrix, QuotientPresentation\n"
             "b = build_hall_basis(5, 3)\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules if m.startswith('malcev.tables.'))\n"
-            "coords_mult(b, (1,) * b.m, (2,) * b.m)\n"
+            "b.mult((1,) * b.m, (2,) * b.m)\n"
             "g = M.element(M.free_presentation(5, 3), range(b.m))\n"
             "M.power(M.mult(g, g), 5)\n"
             "central = [i for i in range(b.m) if b.weight(i + 1) == 5]\n"
@@ -127,7 +126,7 @@ def test_inverse_table_loads_on_the_first_inverse():
             "torsion = QuotientPresentation(b, FullFormMatrix(rows))\n"
             "print(M.element(torsion, (3,) * b.m).coords[central[0]])\n"
             "print(*loaded(), 'deepthought' if 'malcev.deepthought' in sys.modules else '-')\n"
-            "coords_inverse(b, (1,) * b.m)\n"
+            "b.inverse((1,) * b.m)\n"
             "print(*loaded(), 'deepthought' if 'malcev.deepthought' in sys.modules else '-')\n")
     assert run_python(code) == ["1", "malcev.tables.c5r3", "-",
                                 "malcev.tables.c5r3",
@@ -138,16 +137,16 @@ def test_unshipped_inverse_derives_no_series_again():
     # At (3,4), which ships no tables: products and powers derive only the
     # product polynomials, and the first inverse reuses the basis's series.
     code = ("import malcev.deepthought as D\n"
-            "from malcev import build_hall_basis, coords_inverse, coords_mult, coords_pow\n"
+            "from malcev import build_hall_basis\n"
             "kinds, built = [], []\n"
             "derive, series_basis = D.derive, D.SeriesBasis\n"
             "D.derive = lambda b, kind: kinds.append(kind) or derive(b, kind)\n"
             "D.SeriesBasis = lambda b: built.append(b) or series_basis(b)\n"
             "b = build_hall_basis(3, 4)\n"
             "u = tuple(range(1, b.m + 1))\n"
-            "coords_pow(b, coords_mult(b, u, u), 5)\n"
+            "b.pow(b.mult(u, u), 5)\n"
             "print(*kinds, len(built))\n"
-            "coords_inverse(b, u)\n"
+            "b.inverse(u)\n"
             "print(*kinds, len(built))\n")
     assert run_python(code) == ["mult", "1", "mult", "inverse", "1"]
 
@@ -167,15 +166,15 @@ def test_engine_matches_series_oracle(c, r):
 
     for _ in range(4):
         u, v = coords(), coords()
-        assert coords_mult(basis, u, v) == series_coords_mult(basis, u, v)
+        assert basis.mult(u, v) == series_coords_mult(basis, u, v)
         e = rng.choice(EXPONENTS[3:])
-        assert coords_pow(basis, u, e) == series_coords_pow(basis, u, e)
+        assert basis.pow(u, e) == series_coords_pow(basis, u, e)
         word = tuple((rng.randint(1, basis.m), rng.choice(EXPONENTS))
                      for _ in range(6))
         assert eval_free(basis, word) == series_eval(basis, word)
     u = coords()
     for e in EXPONENTS[:3]:
-        assert coords_pow(basis, u, e) == series_coords_pow(basis, u, e)
+        assert basis.pow(u, e) == series_coords_pow(basis, u, e)
 
 
 def test_import_loads_no_table_or_derivation():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malcev.extgcd import (RejectedInput, extgcd_bounded, extgcd_pair_bounded,
-                           gcd_vector, reduce_coefficients)
+from malcev.extgcd import (InternalConsistencyError, RejectedInput,
+                           extgcd_bounded, extgcd_pair_bounded, gcd_vector,
+                           reduce_coefficients)
 
 
 def oracle_pair(a, b):
@@ -126,7 +127,6 @@ def test_reduce_coefficients_contract():
 
 def test_corrupt_combination_raises(monkeypatch):
     import malcev.extgcd as E
-    from malcev.freegroup import InternalConsistencyError
 
     def corrupt(a, b):
         g, x, y = extgcd_pair_bounded(a, b)

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 import malcev as M
 from conftest import (MAT_ID, mat_inv, mat_mul, mat_of_coords, mat_of_word,
-                      mat_pow)
+                      mat_pow, structure_relations)
 from malcev.extgcd import RejectedInput
 from malcev.freegroup import (SizeCapExceeded, build_hall_basis,
-                              coords_inverse, coords_mult, coords_pow,
-                              coords_to_word, eval_free, identity_coords,
-                              structure_relations)
+                              coords_to_word, eval_free)
 
 
 @pytest.mark.parametrize("c,r,m", [
@@ -43,14 +41,21 @@ def test_invalid_parameters_rejected():
 
 
 HEIS = build_hall_basis(2, 2)
+FREE = M.free_presentation(2, 2)
+
+
+def free(coords):
+    return M.element(FREE, coords)
 
 
 def test_eval_free_fixtures():
     assert eval_free(HEIS, ((2, 1), (1, 1))) == (1, 1, 1)
     assert eval_free(HEIS, ()) == (0, 0, 0)
-    assert coords_mult(HEIS, (1, 1, 0), (1, 1, 0)) == (2, 2, 1)
-    assert coords_pow(HEIS, (1, 1, 0), 4) == (4, 4, 6)
-    assert coords_inverse(HEIS, (1, 1, 0)) == (-1, -1, 1)
+    g = free((1, 1, 0))
+    assert M.mult(g, g).coords == (2, 2, 1)
+    assert M.power(g, 4).coords == (4, 4, 6)
+    assert M.inverse(g).coords == (-1, -1, 1)
+    assert M.identity(FREE).coords == (0, 0, 0)
 
 
 def test_unitriangular_oracle_random_words():
@@ -90,22 +95,21 @@ coords_strategy = st.tuples(st.integers(-9, 9), st.integers(-9, 9),
 @given(coords_strategy, coords_strategy, coords_strategy)
 @settings(max_examples=200)
 def test_mult_associative(u, v, w):
-    left = coords_mult(HEIS, coords_mult(HEIS, u, v), w)
-    right = coords_mult(HEIS, u, coords_mult(HEIS, v, w))
-    assert left == right
+    u, v, w = free(u), free(v), free(w)
+    assert M.mult(M.mult(u, v), w) == M.mult(u, M.mult(v, w))
 
 
 @given(coords_strategy)
 @settings(max_examples=100)
 def test_inverse_cancels(u):
-    assert coords_mult(HEIS, u, coords_inverse(HEIS, u)) == (0, 0, 0)
+    assert M.mult(free(u), M.inverse(free(u))) == M.identity(FREE)
 
 
 @given(coords_strategy, st.integers(-40, 40), st.integers(-40, 40))
 @settings(max_examples=100)
 def test_powers_add(u, a, b):
-    prod = coords_mult(HEIS, coords_pow(HEIS, u, a), coords_pow(HEIS, u, b))
-    assert prod == coords_pow(HEIS, u, a + b)
+    u = free(u)
+    assert M.mult(M.power(u, a), M.power(u, b)) == M.power(u, a + b)
 
 
 def test_power_matches_oracle_class3():
@@ -114,11 +118,11 @@ def test_power_matches_oracle_class3():
     for _ in range(30):
         u = tuple(rng.randint(-4, 4) for _ in range(b.m))
         e = rng.randint(-6, 6)
-        direct = coords_pow(b, u, e)
-        acc = identity_coords(b)
-        step = u if e >= 0 else coords_inverse(b, u)
+        direct = b.pow(u, e)
+        acc = (0,) * b.m
+        step = u if e >= 0 else b.inverse(u)
         for _ in range(abs(e)):
-            acc = coords_mult(b, acc, step)
+            acc = b.mult(acc, step)
         assert acc == direct
 
 
@@ -179,23 +183,21 @@ def test_letter_out_of_range_rejected():
 
 
 def test_wrong_length_vectors_rejected():
-    # Every boundary where coordinate vectors come in from outside.
-    free = M.free_presentation(2, 2)
+    # Every boundary where coordinate vectors come in from outside: a
+    # product or power of a free-group element starts at `element`.
     for u, v in (((1, 2), (1, 2, 3)), ((1, 2, 3, 4), (1, 2, 3))):
         with pytest.raises(RejectedInput):
-            coords_mult(HEIS, u, v)
+            M.mult(free(u), free(v))
         with pytest.raises(RejectedInput):
-            coords_mult(HEIS, v, u)
-        for e in (-1, 0, 1, 2):
+            M.mult(free(v), free(u))
+        for e in (-1, 0, 1, 5):
             with pytest.raises(RejectedInput):
-                coords_pow(HEIS, u, e)
+                M.power(free(u), e)
         with pytest.raises(RejectedInput):
-            coords_inverse(HEIS, u)
+            M.inverse(free(u))
         with pytest.raises(RejectedInput):
-            M.element(free, u)
+            M.coordinate_matrix(FREE, [v, u])
         with pytest.raises(RejectedInput):
-            M.coordinate_matrix(free, [v, u])
-        with pytest.raises(RejectedInput):
-            M.CoordinateMatrix(free, (v, u))
+            M.CoordinateMatrix(FREE, (v, u))
         with pytest.raises(RejectedInput):
             M.make_quotient_presentation(HEIS, (u,))

@@ -8,8 +8,8 @@ import malcev.presentations as P
 from conftest import (collector_consistent, normal_closure_rows,
                       random_finite_presentation)
 from malcev import freegroup
-from malcev.freegroup import (InternalConsistencyError, coords_mult,
-                              eval_free, power_differences,
+from malcev.extgcd import InternalConsistencyError
+from malcev.freegroup import (eval_free, power_differences,
                               power_from_differences)
 from malcev.presentations import FullFormViolation, check_echelon_conditions
 from malcev.subgroups import full_form_rows
@@ -275,7 +275,7 @@ def reference_reduce(pres, coords, quotients):
             suffix = tuple([0] * (col - 1) + y[col - 1:])
             diffs = power_differences(basis, pres.torsion_rows[col])
             relator_pow = power_from_differences(diffs, -q)
-            y[col - 1:] = coords_mult(basis, relator_pow, suffix)[col - 1:]
+            y[col - 1:] = basis.mult(relator_pow, suffix)[col - 1:]
     return tuple(y)
 
 

@@ -154,11 +154,12 @@ def test_conjugators_close_under_both_directions():
     assert grown >= 4
 
 
-def test_row_operations_preserve_full_form():
+def test_row_operations_preserve_full_form(monkeypatch):
     rng = random.Random(21)
     pick = random.Random(22)
     ops_seen = set()
     expressed = 0
+    monkeypatch.setattr(subgroups, "DEFAULT_WORD_CAP", 1 << 14)
     for trial in range(40):
         pres = (random_finite_presentation(rng, rng.choice([1, 2]), 2)
                 if rng.random() < 0.5 else M.free_presentation(
@@ -197,7 +198,7 @@ def test_row_operations_preserve_full_form():
                                       pick.randint(-3, 3)))
             try:
                 word = M.express_in_original_generators(
-                    tracked, M.membership(pres, result, h), cap=1 << 14)
+                    tracked, M.membership(pres, result, h))
             except SizeCapExceeded:
                 continue  # too long to evaluate letter by letter
             expressed += 1
@@ -299,12 +300,13 @@ def test_membership_gamma_ranges_at_torsion_pivots():
                 assert 0 <= gamma < e // row[piv]
 
 
-def test_expression_cap():
+def test_expression_cap(monkeypatch):
     form, tracked = ff(HEIS, [(2, 0, 0), (0, 1, 0)], track=True)
     w = M.membership(HEIS, form, M.element(HEIS, (0, 0, 2)))
     assert w is not None
+    monkeypatch.setattr(subgroups, "DEFAULT_WORD_CAP", 2)
     with pytest.raises(SizeCapExceeded):
-        M.express_in_original_generators(tracked, w, cap=2)
+        M.express_in_original_generators(tracked, w)
 
 
 def test_express_requires_tracking():
