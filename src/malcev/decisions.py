@@ -21,8 +21,8 @@ from .extgcd import InternalConsistencyError, RejectedInput
 from .freegroup import build_hall_basis
 from .groups import GroupElement
 from .presentations import (QuotientPresentation, _membership_scan,
-                            first_nonzero, make_quotient_presentation,
-                            reduce_coords)
+                            _power_product, first_nonzero,
+                            make_quotient_presentation, reduce_coords)
 from .subgroups import ProductContext, full_form_rows
 
 
@@ -109,9 +109,7 @@ def _kernel(target, source, gens, images, h=None):
     beta = _membership_scan(target, [row[:split] for row in form[:r]], h)
     if beta is None:
         raise NotInImage("h is not in the image of the homomorphism")
-    pair = ctx.identity
-    for row, b in zip(form[:r], beta):
-        pair = ctx.mult(pair, ctx.pow(row, b))
+    pair = _power_product(ctx, form[:r], beta)
     if pair[:split] != h:
         raise InternalConsistencyError("preimage does not map to h")
     return kernel, pair[split:]

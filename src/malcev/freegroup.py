@@ -98,17 +98,15 @@ class HallBasis:
         return _polynomials(self, "inverse")
 
     def commuting(self, u) -> bool:
-        """True when every two letters of u's support commute because
-        [Γ_i, Γ_j] <= Γ_{i+j}: u has at most one nonzero coordinate, or the
-        weights of its two lightest nonzero letters, its first two since
-        the basis is weight-ordered, sum past `top_weight`.  Then
-        u**e = e·u for every integer e."""
+        """True when every two letters of u's support commute by weight
+        (`commute_by_weight`): u has at most one nonzero coordinate, or its
+        two lightest nonzero letters, its first two since the basis is
+        weight-ordered, commute.  Then u**e = e·u for every integer e."""
         first = None
         for i, x in enumerate(u):
             if x:
                 if first is not None:
-                    return (self.weight(first + 1) + self.weight(i + 1)
-                            > self.top_weight)
+                    return commute_by_weight(self, first + 1, i + 1)
                 first = i
         return True
 
@@ -121,6 +119,16 @@ class HallBasis:
         if e == -1:
             return self.inverse(u)
         return power_from_differences(power_differences(self, u), e)
+
+
+def commute_by_weight(ctx, i: int, j: int) -> bool:
+    """True when any two elements whose first nonzero columns are the
+    1-based i and j commute because [Γ_a, Γ_b] <= Γ_{a+b}: they lie in
+    Γ_{weight(i)} and Γ_{weight(j)}, and those weights sum past `ctx.c`, a
+    bound on the nilpotency class.  A basis, a quotient presentation and a
+    product context (`subgroups.ProductContext`) each have `weight` and
+    `c`."""
+    return ctx.weight(i) + ctx.weight(j) > ctx.c
 
 
 def _hall_letters(c: int, r: int) -> list[BasicCommutator]:

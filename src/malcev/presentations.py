@@ -12,6 +12,7 @@ the normal closure of relators, in time polynomial in the entries' bit size.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,6 +58,16 @@ def _membership_scan(ctx, rows, h):
     if first_nonzero(cur):
         return None
     return gamma
+
+
+def _power_product(ctx, rows, exponents):
+    """g_1^{e_1} ... g_s^{e_s} for the rows g_i and the exponents e_i, the
+    element that a membership witness must give back."""
+    out = ctx.identity
+    for row, e in zip(rows, exponents):
+        if e:
+            out = ctx.mult(out, ctx.pow(row, e))
+    return out
 
 
 @dataclass(frozen=True)
@@ -113,7 +124,9 @@ class QuotientPresentation:
     """The group context: multiplication and powering of normal forms.
 
     A componentwise direct product (`subgroups.ProductContext`) offers the
-    same members: `m`, `torsion`, `identity`, `mult` and `pow`.
+    same members: `m`, `torsion`, `identity`, `mult`, `pow`, and the class
+    `c` with the column weights `weight` that `freegroup.commute_by_weight`
+    reads.
     """
     basis: HallBasis
     relators: FullFormMatrix
@@ -121,6 +134,17 @@ class QuotientPresentation:
     @property
     def m(self) -> int:
         return self.basis.m
+
+    @cached_property
+    def c(self) -> int:
+        """The class the weight test reads: the basis's top weight."""
+        return self.basis.top_weight
+
+    @cached_property
+    def weight(self) -> Callable[[int], int]:
+        """Weight of the letter of a 1-based column: the basis's `weight`
+        itself, so that the sift's weight test makes one call."""
+        return self.basis.weight
 
     @cached_property
     def identity(self) -> tuple[int, ...]:
@@ -144,15 +168,17 @@ class QuotientPresentation:
                 for i, p in enumerate(self.relators.pivots)}
 
     @cached_property
-    def folds(self) -> tuple[tuple[int, int, tuple[int, ...],
+    def folds(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...],
                                     tuple[tuple[int, ...], ...] | None], ...]:
-        """(column, relative order, relator row, power differences of the
-        row) for each torsion column, in increasing column order.  The
-        differences are None for a row whose letters commute by weight
-        (`HallBasis.commuting`), which `reduce_coords` folds by subtraction."""
+        """(column, relative order, support, power differences) for each
+        torsion column, in increasing column order.  The support is the
+        relator row's nonzero entries as (0-based index, value) pairs, its
+        pivot first.  The differences are those of the row, or None for a
+        row whose letters commute by weight (`HallBasis.commuting`), which
+        `reduce_coords` folds by subtracting its support."""
         basis = self.basis
         return tuple(sorted(
-            (p, row[p - 1], row,
+            (p, row[p - 1], tuple((j, v) for j, v in enumerate(row) if v),
              None if basis.commuting(row) else power_differences(basis, row))
             for p, row in zip(self.relators.pivots, self.relators.rows)))
 
@@ -175,25 +201,26 @@ def reduce_coords(pres: QuotientPresentation, coords) -> tuple[int, ...]:
     (`QuotientPresentation.folds`).  A row a_i**e · t that commutes folds
     with none: every letter of t commutes with a_i and with every suffix
     letter, which weighs at least as much as a_i, so the fold subtracts
-    q times the row from the suffix.
+    q times the row's nonzero entries from the suffix.  A column already in
+    [0, e) is left as it is.
     """
     folds = pres.folds
     if not folds:
         return tuple(coords)
-    mult = pres.basis.mult
     y = list(coords)
-    for col, e, row, diffs in folds:
-        q, rem = divmod(y[col - 1], e)
-        if not q:
+    for col, e, support, diffs in folds:
+        if 0 <= y[col - 1] < e:
             continue
+        q, rem = divmod(y[col - 1], e)
         if diffs is None:
-            y[col - 1:] = [a - q * b for a, b in zip(y[col - 1:], row[col - 1:])]
+            for j, v in support:
+                y[j] -= q * v
             if y[col - 1] != rem:
                 raise InternalConsistencyError(
                     f"torsion fold of column {col} left a wrong remainder")
             continue
         suffix = tuple([0] * (col - 1) + y[col - 1:])
-        folded = mult(power_from_differences(diffs, -q), suffix)
+        folded = pres.basis.mult(power_from_differences(diffs, -q), suffix)
         if any(folded[:col - 1]) or folded[col - 1] != rem:
             raise InternalConsistencyError(
                 f"torsion fold of column {col} left the suffix")

@@ -6,8 +6,9 @@ into a table with one row per pivot column, which is then closed under
 conjugation and relative-order powers.  Each row carries its derivation.
 
 The reduction is written against a minimal polycyclic context (length of the
-coordinate vector, torsion columns with relative orders, and exact group
-multiplication/powering on reduced vectors).  Besides a quotient presentation
+coordinate vector, torsion columns with relative orders, exact group
+multiplication/powering on reduced vectors, and a class with column weights
+that bound where rows commute).  Besides a quotient presentation
 itself, a componentwise direct product H x G is such a context, with the
 H-coordinates preceding the G-coordinates; the kernel computation relies on
 that ordering.
@@ -20,12 +21,13 @@ from dataclasses import dataclass
 
 from .extgcd import (InternalConsistencyError, RejectedInput,
                      extgcd_pair_bounded)
-from .freegroup import ExpWord, SizeCapExceeded, check_lengths
+from .freegroup import (ExpWord, SizeCapExceeded, check_lengths,
+                        commute_by_weight)
 from .groups import GroupElement
 from .presentations import (FullFormMatrix, NilpotentPresentation,
                             QuotientPresentation, _membership_scan,
-                            check_echelon_conditions, first_nonzero,
-                            reduce_coords)
+                            _power_product, check_echelon_conditions,
+                            first_nonzero, reduce_coords)
 
 DEFAULT_WORD_CAP = 1 << 20
 
@@ -37,7 +39,9 @@ class ProductContext:
     """H x G with concatenated coordinates, H first.
 
     Multiplication is componentwise, so the factors may have unrelated
-    classes and ranks.
+    classes and ranks.  The class is the larger of the two.  A G column
+    keeps its weight in G, but an H column weighs 1: a row whose first
+    nonzero column is in H has an arbitrary G part.
     """
 
     def __init__(self, p_h: QuotientPresentation, p_g: QuotientPresentation):
@@ -45,10 +49,14 @@ class ProductContext:
         self.g = p_g
         self.split = p_h.m
         self.m = p_h.m + p_g.m
+        self.c = max(p_h.c, p_g.c)
         self.torsion = dict(p_h.torsion)
         self.torsion.update({self.split + col: e
                              for col, e in p_g.torsion.items()})
         self.identity = (0,) * self.m
+
+    def weight(self, col: int) -> int:
+        return 1 if col <= self.split else self.g.weight(col - self.split)
 
     def mult(self, u, v):
         s = self.split
@@ -167,13 +175,25 @@ def full_form_rows(ctx, rows, exprs=None, conjugators=()):
     T = <h_{i+1}, ...> and y = h_i, and for the whole table T and y = x.
     With the generators of the group as conjugators, the result is the
     full form of the normal closure.
+
+    The closure skips what commutes by weight (`commute_by_weight`).  A row
+    whose pivot has weight w lies in Γ_w, and [Γ_i, Γ_j] <= Γ_{i+j}, which
+    is trivial past the class c.  So h_i^-1 h_j h_i = h_j when the weights
+    of pivots i and j sum past c, and x^-1 h x = h when those of x's pivot
+    and h's pivot do; an identity conjugator is skipped too.  Sifting a
+    table row changes nothing, so the output is the same.  In a product
+    context an H column weighs 1, since its row's G part is arbitrary.  The
+    relative-order power of each torsion row is never skipped: it is not a
+    commutator.
     """
     tracked = exprs is not None
     if tracked:
         syms = map(_expr_gen, itertools.count(len(rows)))  # after the rows
     else:  # untracked rows carry the placeholder and build no trees
         exprs = syms = itertools.repeat(_EXPR_ONE)
-    conj = [(_power(ctx, x, -1), x) for x in zip(map(tuple, conjugators), syms)]
+    conj = [(_power(ctx, x, -1), x) for x in zip(map(tuple, conjugators), syms)
+            if any(x[0])]
+    conj_pivots = [first_nonzero(x[0]) for _, x in conj]
     table: dict = {}  # pivot column -> (row, derivation)
 
     def place(piv, row):
@@ -220,9 +240,12 @@ def full_form_rows(ctx, rows, exprs=None, conjugators=()):
     while True:
         pairs = itertools.combinations_with_replacement(sorted(table), 2)
         pairs = [(p, q) for p, q in pairs
-                 if (table[p][0], table[q][0]) not in done]
+                 if (p in ctx.torsion if p == q
+                     else not commute_by_weight(ctx, p, q))
+                 and (table[p][0], table[q][0]) not in done]
         conjugates = [(k, p) for k in range(len(conj)) for p in sorted(table)
-                      if (k, table[p][0]) not in done]
+                      if not commute_by_weight(ctx, conj_pivots[k], p)
+                      and (k, table[p][0]) not in done]
         if not pairs and not conjugates:
             break
         for k, p in conjugates:
@@ -235,7 +258,7 @@ def full_form_rows(ctx, rows, exprs=None, conjugators=()):
             if p < q:
                 sift(_times(ctx, _times(ctx, _power(ctx, hp, -1), hq, 1),
                             hp, 1))
-            elif p in ctx.torsion:
+            else:
                 sift(_power(ctx, hp, ctx.torsion[p] // hp[0][p - 1]))
 
     # Reduce above the pivots: each row again at the later pivot columns.
@@ -346,12 +369,15 @@ class MembershipWitness:
 
 def membership(pres: QuotientPresentation, form: FullFormMatrix,
                h: GroupElement) -> MembershipWitness | None:
-    """Witness exponents over the full-form rows, or None for non-members."""
+    """Witness exponents over the full-form rows, or None for non-members.
+    The witness is re-checked: the rows to its powers multiply to h."""
     if h.presentation != pres:
         raise RejectedInput("element belongs to a different presentation")
     gamma = _membership_scan(pres, form.rows, h.coords)
     if gamma is None:
         return None
+    if _power_product(pres, form.rows, gamma) != h.coords:
+        raise InternalConsistencyError("membership witness does not give h")
     return MembershipWitness(tuple(gamma))
 
 

@@ -302,24 +302,36 @@ def test_reduce_coords_matches_reference_fold():
 MIXED = ((3, 2), [((1, 4),), ((2, 2), (1, 2))])
 
 
+def support(row):
+    return tuple((j, v) for j, v in enumerate(row) if v)
+
+
 def test_reduce_coords_folds_with_one_multiply(monkeypatch):
     # A fold by a row that does not commute is one multiply by its stored
-    # power; a fold by a row that commutes is a subtraction, with none.
+    # power; a fold by a row that commutes is a subtraction of its nonzero
+    # entries, with none.  The squares and MIXED have the row (0, 0, 2, 0, 1),
+    # which commutes and has a nonzero entry after its pivot.
     cubes = M.from_finite_presentation(M.build_hall_basis(3, 2),
                                        [((1, 3),), ((2, 3),)])
+    squares = M.from_finite_presentation(M.build_hall_basis(3, 2),
+                                         [((1, 2),), ((2, 2),)])
     mixed = M.from_finite_presentation(M.build_hall_basis(*MIXED[0]), MIXED[1])
+    assert squares.torsion_rows[3] == mixed.torsion_rows[3] == (0, 0, 2, 0, 1)
     rng = random.Random(45)
     vectors = [(7, -8, 1 << 70, 5, -(1 << 64))]
     vectors += [tuple(rng.randint(-1 << 40, 1 << 40) for _ in range(5))
                 for _ in range(10)]
-    for pres, noncommuting in ((cubes, set()), (mixed, {1})):
+    for pres, noncommuting in ((cubes, set()), (squares, set()),
+                               (mixed, {1})):
         basis = pres.basis
         folds = pres.folds  # the relator differences, before counting
-        assert [(col, e, row) for col, e, row, _ in folds] == [
-            (p, pres.torsion[p], pres.torsion_rows[p]) for p in sorted(pres.torsion)]
-        for col, _, row, diffs in folds:
+        assert [(col, e, sup) for col, e, sup, _ in folds] == [
+            (p, pres.torsion[p], support(pres.torsion_rows[p]))
+            for p in sorted(pres.torsion)]
+        for col, _, _, diffs in folds:
             assert (diffs is None) == (col not in noncommuting)
-            assert diffs is None or diffs == power_differences(basis, row)
+            assert diffs is None or diffs == power_differences(
+                basis, pres.torsion_rows[col])
         quotients = []
         expected = [reference_reduce(pres, y, quotients) for y in vectors]
         mult = basis.mult
@@ -339,7 +351,7 @@ def test_reduce_coords_folds_with_one_multiply(monkeypatch):
             assert [M.reduce_coords(pres, y) for y in vectors] == expected
         assert len(calls) == sum(col in noncommuting for col, _ in quotients)
         assert bool(calls) == bool(noncommuting)
-        assert len({col for col, _ in quotients}) >= 2
+        assert {col for col, _ in quotients} == set(pres.torsion)
 
 
 def test_hot_path_checks_no_lengths(monkeypatch):
@@ -383,13 +395,15 @@ def test_reduce_coords_without_torsion_returns_input():
     # rows that commute, folded by subtraction
     (2, (0, 0, 3, 0, 1)),  # wrong pivot: the folded column is not the remainder
     (3, (0, 0, 0, 2, 1)),  # the same at a pivot of weight 3
+    (2, (0, 0, 0, 0, 1)),  # pivot entry lost: only the tail is subtracted
 ])
 def test_corrupt_fold_raises(monkeypatch, index, corrupt_row):
     pres = M.from_finite_presentation(M.build_hall_basis(*MIXED[0]), MIXED[1])
     basis = pres.basis
     folds = list(pres.folds)
     col, e, _, _ = folds[index]
-    folds[index] = (col, e, corrupt_row, None if basis.commuting(corrupt_row)
+    folds[index] = (col, e, support(corrupt_row),
+                    None if basis.commuting(corrupt_row)
                     else power_differences(basis, corrupt_row))
     assert (folds[index][3] is None) == (index >= 2)
     monkeypatch.setitem(pres.__dict__, "folds", tuple(folds))

@@ -6,6 +6,7 @@ import malcev as M
 from conftest import (FiniteGroup, normal_closure_rows,
                       random_finite_presentation)
 from malcev import collect, subgroups
+from malcev.extgcd import InternalConsistencyError
 from malcev.freegroup import SizeCapExceeded
 from malcev.presentations import check_echelon_conditions
 from malcev.subgroups import expand_expression, full_form_rows
@@ -62,6 +63,7 @@ class CountingContext:
     def __init__(self, pres, budget):
         self.pres, self.budget, self.calls = pres, budget, 0
         self.m, self.torsion, self.identity = pres.m, pres.torsion, pres.identity
+        self.c, self.weight = pres.c, pres.weight
 
     def _count(self):
         self.calls += 1
@@ -80,8 +82,8 @@ class CountingContext:
 @pytest.mark.parametrize("c,r", [(3, 3), (5, 2)])
 def test_full_form_work_stays_small(c, r):
     # Three small rows generate a subgroup of finite index.  With one working
-    # row per pivot this takes about a thousand group operations; a working
-    # set that keeps every conjugate of every row grows past the budget.
+    # row per pivot this takes a few hundred group operations; a working set
+    # that keeps every conjugate of every row grows past the budget.
     pres = M.free_presentation(c, r)
     rng = random.Random(5)
     rows = [tuple(rng.randint(-9, 9) for _ in range(pres.m))
@@ -90,6 +92,35 @@ def test_full_form_work_stays_small(c, r):
     out, _ = full_form_rows(ctx, rows)
     assert out == M.full_form(pres, M.coordinate_matrix(pres, rows))[0].rows
     assert len(out) == pres.m
+
+
+def test_full_form_skips_pairs_that_commute_by_weight():
+    # At (5,3) only 117 of the 3,160 pairs of pivots have weights summing to
+    # at most the class.  Closing every pair of this input takes 26,299
+    # group operations; skipping the pairs that commute by weight, 11,084.
+    pres = M.free_presentation(5, 3)
+    rng = random.Random(7)
+    rows = [tuple(rng.randint(-9, 9) for _ in range(pres.m))
+            for _ in range(3)]
+    ctx = CountingContext(pres, 26_299 // 2)
+    out, _ = full_form_rows(ctx, rows)
+    assert len(out) == pres.m
+    form = M.FullFormMatrix(out)
+    for row in rows:
+        assert M.membership(pres, form, M.element(pres, row)) is not None
+
+
+def test_corrupt_membership_witness_raises(monkeypatch):
+    # h = (2, 1, 4) is g_1 g_2 g_3^2 over the rows g_i of the full form; a
+    # scan that returns another exponent is caught by multiplying back.
+    form, _ = ff(HEIS, [(2, 0, 0), (0, 1, 0)])
+    h = M.element(HEIS, (2, 1, 4))
+    assert M.membership(HEIS, form, h).gamma == (1, 1, 2)
+    scan = subgroups._membership_scan
+    monkeypatch.setattr(subgroups, "_membership_scan",
+                        lambda *a: [scan(*a)[0] + 1] + scan(*a)[1:])
+    with pytest.raises(InternalConsistencyError, match="does not give h"):
+        M.membership(HEIS, form, h)
 
 
 def test_untracked_sifts_build_no_derivations(monkeypatch):

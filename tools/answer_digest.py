@@ -1,7 +1,7 @@
 """Print one digest over the answers of the benchmark's seeded inputs, so two
 revisions of the library can be compared for identical answers.
 
-    python tools/answer_digest.py
+    python tools/answer_digest.py [--check]
 
 It answers, in this process:
 
@@ -15,12 +15,15 @@ It answers, in this process:
   power, multiply and invert in the free groups of class and rank (3,3)
   (4,2) (5,2) (5,3).
 
-It prints the number of answers and the SHA-1 over all of them.  It only
-reads perfbench/.
+It prints the number of answers and the SHA-1 over all of them.  With
+--check it also compares that line with the one pinned in
+tools/answer_digest.txt and exits 1 when they differ; a change that means to
+change answers updates the pin.  It only reads perfbench/.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -28,6 +31,7 @@ import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PIN = ROOT / "tools" / "answer_digest.txt"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
 
@@ -68,13 +72,21 @@ def plan_answers(make_plan, rounds):
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help=f"exit 1 unless the line equals {PIN.name}")
+    check = parser.parse_args().check
     digest = hashlib.sha1()
     count = 0
     for answer in (*cli_answers(), *plan_answers(workloads.finite_plan, 3),
                    *plan_answers(workloads.deep_plan, 2)):
         digest.update(json.dumps(answer).encode() + b"\n")
         count += 1
-    print(f"{count} answers sha1 {digest.hexdigest()}")
+    line = f"{count} answers sha1 {digest.hexdigest()}"
+    print(line)
+    if check and line != (pinned := PIN.read_text().strip()):
+        print(f"differs from {PIN.name}: {pinned}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":
