@@ -12,7 +12,6 @@ the normal closure of relators, in time polynomial in the entries' bit size.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -140,11 +139,9 @@ class QuotientPresentation:
         """The class the weight test reads: the basis's top weight."""
         return self.basis.top_weight
 
-    @cached_property
-    def weight(self) -> Callable[[int], int]:
-        """Weight of the letter of a 1-based column: the basis's `weight`
-        itself, so that the sift's weight test makes one call."""
-        return self.basis.weight
+    def weight(self, col: int) -> int:
+        """Weight of the letter of a 1-based column."""
+        return self.basis.weight(col)
 
     @cached_property
     def identity(self) -> tuple[int, ...]:
@@ -213,6 +210,9 @@ def reduce_coords(pres: QuotientPresentation, coords) -> tuple[int, ...]:
             continue
         q, rem = divmod(y[col - 1], e)
         if diffs is None:
+            if support[0][0] != col - 1:
+                raise InternalConsistencyError(
+                    f"torsion fold of column {col} would leave the suffix")
             for j, v in support:
                 y[j] -= q * v
             if y[col - 1] != rem:

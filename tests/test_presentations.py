@@ -396,6 +396,7 @@ def test_reduce_coords_without_torsion_returns_input():
     (2, (0, 0, 3, 0, 1)),  # wrong pivot: the folded column is not the remainder
     (3, (0, 0, 0, 2, 1)),  # the same at a pivot of weight 3
     (2, (0, 0, 0, 0, 1)),  # pivot entry lost: only the tail is subtracted
+    (3, (0, 0, 1, 1, 1)),  # support left of the column, pivot intact
 ])
 def test_corrupt_fold_raises(monkeypatch, index, corrupt_row):
     pres = M.from_finite_presentation(M.build_hall_basis(*MIXED[0]), MIXED[1])

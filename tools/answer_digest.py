@@ -1,7 +1,7 @@
 """Print one digest over the answers of the benchmark's seeded inputs, so two
 revisions of the library can be compared for identical answers.
 
-    python tools/answer_digest.py [--check]
+    python tools/answer_digest.py
 
 It answers, in this process:
 
@@ -15,15 +15,14 @@ It answers, in this process:
   power, multiply and invert in the free groups of class and rank (3,3)
   (4,2) (5,2) (5,3).
 
-It prints the number of answers and the SHA-1 over all of them.  With
---check it also compares that line with the one pinned in
-tools/answer_digest.txt and exits 1 when they differ; a change that means to
-change answers updates the pin.  It only reads perfbench/.
+It prints the number of answers and the SHA-1 over all of them, compares
+that line with the one pinned in tools/answer_digest.txt, and exits 1 when
+they differ; a change that means to change answers updates the pin.  It only
+reads perfbench/.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import io
 import json
@@ -72,10 +71,6 @@ def plan_answers(make_plan, rounds):
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true",
-                        help=f"exit 1 unless the line equals {PIN.name}")
-    check = parser.parse_args().check
     digest = hashlib.sha1()
     count = 0
     for answer in (*cli_answers(), *plan_answers(workloads.finite_plan, 3),
@@ -84,7 +79,7 @@ def main() -> None:
         count += 1
     line = f"{count} answers sha1 {digest.hexdigest()}"
     print(line)
-    if check and line != (pinned := PIN.read_text().strip()):
+    if line != (pinned := PIN.read_text().strip()):
         print(f"differs from {PIN.name}: {pinned}", file=sys.stderr)
         sys.exit(1)
 
