@@ -8,10 +8,8 @@ from .freegroup import (BasicCommutator, ExpWord, HallBasis, SizeCapExceeded,
                         build_hall_basis, coords_to_word, eval_free)
 from .presentations import (FullFormMatrix, NilpotentPresentation,
                             QuotientPresentation, consistency_check,
-                            direct_product, free_presentation,
-                            from_finite_presentation,
-                            make_quotient_presentation,
-                            nilpotent_presentation_consistent)
+                            free_presentation, from_finite_presentation,
+                            make_quotient_presentation)
 from .groups import (GroupElement, element, identity, inverse, mult,
                      normal_form, power, reduce_coords, word_problem)
 from .subgroups import (CoordinateMatrix, MembershipWitness,

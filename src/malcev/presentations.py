@@ -8,6 +8,9 @@ relative orders.  A relator matrix is valid, and the quotient presentation
 consistent, exactly when the matrix is the full form of a normal subgroup.
 One sift closed under conjugation by the generators decides that and builds
 the normal closure of relators, in time polynomial in the entries' bit size.
+
+`NilpotentPresentation` is the subgroup presentation that
+`subgroups.subgroup_presentation` returns after multiplying each relation back.
 """
 
 from __future__ import annotations
@@ -15,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .collect import collector_for_nilpotent
 from .extgcd import InternalConsistencyError, RejectedInput
 from .freegroup import (ExpWord, HallBasis, build_hall_basis, check_lengths,
-                        coords_to_word, eval_free, power_differences,
-                        power_from_differences)
+                        eval_free, power_differences, power_from_differences)
 
 
 class FullFormViolation(RejectedInput):
@@ -269,27 +270,13 @@ def consistency_check(pres: QuotientPresentation) -> bool:
     `make_quotient_presentation` checks.  For a matrix in full form that is
     when normal forms define an associative multiplication and every relator
     row collapses to the identity.  A matrix outside full form, such as one
-    with a negative pivot, is never consistent, even where the collector
+    with a negative pivot, is never consistent, even where collection
     accepts its rewriting system with another transversal."""
     try:
         _check_normal_full_form(pres.basis, pres.relators.rows)
     except RejectedInput:
         return False
     return True
-
-
-def _associative(col, s: int) -> bool:
-    """(g_i g_j) g_k == g_i (g_j g_k) under the collector for every triple.
-
-    Each pair product g_i g_j is collected once and reused, as a word, on
-    both sides: s**2 pair collections instead of s**3.
-    """
-    gens = range(1, s + 1)
-    pairs = {(i, j): coords_to_word(col.collect(((i, 1), (j, 1))))
-             for i in gens for j in gens}
-    return all(col.collect(pairs[i, j] + ((k, 1),))
-               == col.collect(((i, 1),) + pairs[j, k])
-               for i in gens for j in gens for k in gens)
 
 
 # ---------------------------------------------------------------------------
@@ -307,57 +294,6 @@ def from_finite_presentation(basis: HallBasis, relators: list[ExpWord]) -> Quoti
                     "relators must use weight-1 letters a1..a%d" % basis.r)
     rows = _normal_closure(basis, [eval_free(basis, w) for w in relators])
     return QuotientPresentation(basis, FullFormMatrix(rows))
-
-
-def embed_letter_map(small: HallBasis, big: HallBasis, offset: int) -> list[int]:
-    """1-based letter indices in `big` of the images of the letters of `small`
-    under the embedding sending generator i to generator offset + i."""
-    by_shape = {(bc.weight, bc.left, bc.right): k + 1
-                for k, bc in enumerate(big.letters)}
-    out: list[int] = []
-    for k, bc in enumerate(small.letters):
-        if bc.weight == 1:
-            out.append(offset + k + 1)
-        else:
-            left = out[bc.left - 1]
-            right = out[bc.right - 1]
-            img = by_shape.get((bc.weight, left, right))
-            if img is None:
-                raise InternalConsistencyError(
-                    "embedded commutator is not a basic commutator of the"
-                    " larger basis")
-            out.append(img)
-    return out
-
-
-def scatter_coords(coords, letter_map: list[int], big_m: int) -> tuple[int, ...]:
-    out = [0] * big_m
-    for v, target in zip(coords, letter_map):
-        out[target - 1] = v
-    return tuple(out)
-
-
-def direct_product(p_h: QuotientPresentation, p_g: QuotientPresentation) -> QuotientPresentation:
-    """Presentation of H x G inside the free nilpotent group of doubled rank:
-    H occupies generators 1..r, G occupies r+1..2r, and every basis letter in
-    neither image is killed by a pivot-1 relator row.  The relator matrix is
-    the full form of the normal closure of those rows."""
-    bh, bg = p_h.basis, p_g.basis
-    if (bh.c, bh.r) != (bg.c, bg.r):
-        raise RejectedInput("factors must share class and rank")
-    c, r = bh.c, bh.r
-    big = build_hall_basis(c, 2 * r)
-    map_h = embed_letter_map(bh, big, 0)
-    map_g = embed_letter_map(bg, big, r)
-    used = set(map_h) | set(map_g)
-    rows = [scatter_coords(row, map_h, big.m) for row in p_h.relators.rows]
-    rows += [scatter_coords(row, map_g, big.m) for row in p_g.relators.rows]
-    for k in range(1, big.m + 1):
-        if k not in used:
-            unit = [0] * big.m
-            unit[k - 1] = 1
-            rows.append(tuple(unit))
-    return QuotientPresentation(big, FullFormMatrix(_normal_closure(big, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +322,3 @@ class NilpotentPresentation:
         for (i, j) in sorted(self.beta):
             lines.append(f"conjinv {i} {j} " + " ".join(map(str, self.beta[(i, j)])))
         return "\n".join(lines)
-
-
-def nilpotent_presentation_consistent(npres: NilpotentPresentation) -> bool:
-    """Consistency of a subgroup presentation, decided by collection: every
-    power relation holds and collection is associative on the generators.
-
-    The answer is True or False only when collection decided it: a
-    collection that exceeds `collect.DEFAULT_STEP_CAP` raises
-    `CollectionLimit`, which propagates rather than reading as False."""
-    col = collector_for_nilpotent(npres)
-    zero = (0,) * npres.s
-    for i, e in enumerate(npres.orders, start=1):
-        if e is None:
-            continue
-        tail = npres.power_tails.get(i, zero)
-        lhs = col.collect(((i, e),))
-        if lhs != col.collect(coords_to_word(tail)):
-            return False
-    return _associative(col, npres.s)

@@ -367,18 +367,24 @@ class MembershipWitness:
     gamma: tuple[int, ...]
 
 
+def _checked_scan(ctx, rows, h):
+    """Exponents gamma with h = g_1^gamma_1 ... g_s^gamma_s over the rows,
+    or None when h is not in their subgroup; raises InternalConsistencyError
+    unless gamma multiplies back to h."""
+    gamma = _membership_scan(ctx, rows, h)
+    if gamma is not None and _power_product(ctx, rows, gamma) != h:
+        raise InternalConsistencyError("membership witness does not give h")
+    return gamma
+
+
 def membership(pres: QuotientPresentation, form: FullFormMatrix,
                h: GroupElement) -> MembershipWitness | None:
     """Witness exponents over the full-form rows, or None for non-members.
     The witness is re-checked: the rows to its powers multiply to h."""
     if h.presentation != pres:
         raise RejectedInput("element belongs to a different presentation")
-    gamma = _membership_scan(pres, form.rows, h.coords)
-    if gamma is None:
-        return None
-    if _power_product(pres, form.rows, gamma) != h.coords:
-        raise InternalConsistencyError("membership witness does not give h")
-    return MembershipWitness(tuple(gamma))
+    gamma = _checked_scan(pres, form.rows, h.coords)
+    return None if gamma is None else MembershipWitness(tuple(gamma))
 
 
 def express_in_original_generators(tracked: tuple | None,
@@ -396,13 +402,31 @@ def express_in_original_generators(tracked: tuple | None,
 
 def subgroup_presentation(pres: QuotientPresentation,
                           gens: CoordinateMatrix) -> NilpotentPresentation:
+    """Consistent polycyclic presentation of the subgroup H that the matrix
+    rows generate, on its full-form rows g_1, ..., g_s.  The relative order
+    e_i of g_i is the ambient one at its pivot over its pivot entry, or
+    infinite.  The relations are g_i^e_i = t, g_j g_i = g_i g_j t and
+    g_j^-1 g_i = g_i g_j^-1 t for i < j, each tail t over later generators.
+    `_checked_scan` multiplies each tail back and raises
+    InternalConsistencyError unless it gives the element, so the relations
+    hold in H.
+
+    Then the presentation is consistent (Sims, *Computation with Finitely
+    Presented Groups*, 1994, ch. 9).  `full_form_rows` checks conditions
+    (i)-(v), so the rows are an induced polycyclic sequence of H in echelon
+    form, and the presented group maps onto H.  Each of its elements
+    collects to a normal form g_1^x_1 ... g_s^x_s with 0 <= x_i < e_i.  Let
+    two normal forms first differ at x_i and cancel their common prefix: at
+    g_i's pivot the rest is x_i times the pivot entry, modulo e_i times it
+    where e_i is finite.  So distinct normal forms are distinct in H.
+    """
     form, _ = full_form(pres, gens)
     rows = form.rows
     s = len(rows)
 
     def against_suffix(j: int, target) -> tuple[int, ...]:
         """Tail vector of an element of <g_{j+1}, ..., g_s>."""
-        gamma = _membership_scan(pres, rows[j:], target)
+        gamma = _checked_scan(pres, rows[j:], target)
         if gamma is None:
             raise InternalConsistencyError(
                 "relation tail escapes the suffix subgroup")
@@ -413,12 +437,9 @@ def subgroup_presentation(pres: QuotientPresentation,
     for i, row in enumerate(rows, start=1):
         piv = first_nonzero(row)
         e = pres.torsion.get(piv)
-        if e is None:
-            orders.append(None)
-            continue
-        order = e // row[piv - 1]
-        orders.append(order)
-        power_tails[i] = against_suffix(i, pres.pow(row, order))
+        orders.append(None if e is None else e // row[piv - 1])
+        if e is not None:
+            power_tails[i] = against_suffix(i, pres.pow(row, orders[-1]))
 
     alpha: dict[tuple[int, int], tuple[int, ...]] = {}
     beta: dict[tuple[int, int], tuple[int, ...]] = {}

@@ -7,10 +7,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import malcev as M
-from malcev.collect import Collector, invert_word
 from malcev.extgcd import InternalConsistencyError
-from malcev.freegroup import HallBasis, coords_to_word, eval_free
-from malcev.presentations import _associative
+from malcev.freegroup import ExpWord, HallBasis, coords_to_word, eval_free
 from malcev.subgroups import full_form_rows
 
 # ---------------------------------------------------------------------------
@@ -174,6 +172,179 @@ def structure_relations(basis: HallBasis) -> StructureRelations:
                         "exchange tail not supported on higher letters")
                 store[(i, j)] = tail
     return StructureRelations(alpha=alpha, beta=beta)
+
+
+# ---------------------------------------------------------------------------
+# Collection from the left for polycyclic-style nilpotent presentations.
+#
+# The collector knows nothing of the library's arithmetic: it normalizes words
+# purely by rewriting with the exchange relations
+# (g_j^{±1} g_i -> g_i g_j^{±1} tail) and the power relations
+# (g_i^{e_i} -> tail), so it is an independent oracle.  The tests judge
+# subgroup presentations (`nilpotent_presentation_consistent`) and quotient
+# presentations (`collector_consistent`) with it.  Collection takes steps
+# linear in the exponents; every rewriting step is counted, and exceeding
+# DEFAULT_STEP_CAP, read at each step, raises CollectionLimit.
+
+
+class CollectionLimit(RuntimeError):
+    """The step budget was exhausted before the word was collected."""
+
+
+DEFAULT_STEP_CAP = 500_000
+
+
+def invert_word(word: ExpWord) -> ExpWord:
+    return tuple((g, -x) for g, x in reversed(word))
+
+
+class Collector:
+    def __init__(self, s: int,
+                 orders: dict[int, int],
+                 power_tails: dict[int, ExpWord],
+                 alpha: dict[tuple[int, int], ExpWord],
+                 beta: dict[tuple[int, int], ExpWord]):
+        self.s = s
+        self.orders = orders          # generator index -> relative order
+        self.power_tails = power_tails
+        self.alpha = alpha            # (i, j), i < j: conj tail of g_j by g_i
+        self.beta = beta              # same for g_j^{-1}
+        self._steps = 0
+        self._letter_memo: dict[tuple[int, int, int], tuple[ExpWord, ExpWord]] = {}
+
+    # -- bookkeeping --------------------------------------------------------
+
+    def _tick(self, n: int = 1) -> None:
+        self._steps += n
+        if self._steps > DEFAULT_STEP_CAP:
+            raise CollectionLimit(f"step budget {DEFAULT_STEP_CAP} exhausted")
+
+    # -- conjugation maps ---------------------------------------------------
+
+    def _conj_letter(self, i: int, g: int, sign: int) -> tuple[ExpWord, ExpWord]:
+        """Images of g^{+1} and g^{-1} under conjugation by g_i^{sign}."""
+        key = (i, g, sign)
+        memo = self._letter_memo.get(key)
+        if memo is not None:
+            return memo
+        t_a = self.alpha.get((i, g), ())
+        t_b = self.beta.get((i, g), ())
+        if sign == 1:
+            res = (((g, 1),) + t_a, ((g, -1),) + t_b)
+        else:
+            # The inverse map: g_i g g_i^{-1} = g * S with the defining map
+            # sending g * S back to g, so S is the inverse image of the
+            # inverted tail (a word over strictly larger generators).
+            res = (((g, 1),) + self._conj_word(invert_word(t_a), i, -1),
+                   ((g, -1),) + self._conj_word(invert_word(t_b), i, -1))
+        self._letter_memo[key] = res
+        return res
+
+    def _conj_once(self, word: list[tuple[int, int]], i: int,
+                   sign: int) -> list[tuple[int, int]]:
+        out: list[tuple[int, int]] = []
+        for g, x in word:
+            if x == 0:
+                continue
+            pos, neg = self._conj_letter(i, g, sign)
+            if len(pos) == 1 and len(neg) == 1:
+                out.append((g, x))  # commutes with g_i
+                continue
+            img = pos if x > 0 else neg
+            for _ in range(abs(x)):
+                self._tick(len(img))
+                out.extend(img)
+        return out
+
+    def _conj_word(self, word, i: int, power: int) -> tuple[tuple[int, int], ...]:
+        """Conjugate a word over generators > i by g_i^{power}."""
+        w = [f for f in word if f[1]]
+        if power == 0 or not w:
+            return tuple(w)
+        if all(len(self._conj_letter(i, g, 1)[0]) == 1
+               and len(self._conj_letter(i, g, 1)[1]) == 1 for g, _ in w):
+            return tuple(w)  # everything commutes with g_i
+        sign = 1 if power > 0 else -1
+        for _ in range(abs(power)):
+            self._tick()
+            w = self._conj_once(w, i, sign)
+        return tuple(w)
+
+    # -- collection ---------------------------------------------------------
+
+    def collect(self, word: ExpWord) -> tuple[int, ...]:
+        self._steps = 0
+        return tuple(self._collect(tuple(word), 1))
+
+    def _collect(self, word, i: int) -> list[int]:
+        if i > self.s:
+            if word:
+                raise InternalConsistencyError(
+                    "letters left over after the last generator")
+            return []
+        y = 0
+        rest: list[tuple[int, int]] = []
+        for g, x in word:
+            if x == 0:
+                continue
+            if not i <= g <= self.s:
+                raise InternalConsistencyError(
+                    f"letter {g} outside generators {i}..{self.s}")
+            if g == i:
+                rest = list(self._conj_word(rest, i, x))
+                y += x
+            else:
+                rest.append((g, x))
+        e = self.orders.get(i)
+        if e:
+            q, y = divmod(y, e)
+            if q:
+                tail = self.power_tails.get(i, ())
+                rep = tail if q > 0 else invert_word(tail)
+                self._tick(abs(q) * max(len(rep), 1))
+                rest = list(rep) * abs(q) + rest
+        return [y] + self._collect(rest, i + 1)
+
+
+def _associative(col, s: int) -> bool:
+    """(g_i g_j) g_k == g_i (g_j g_k) under the collector for every triple.
+
+    Each pair product g_i g_j is collected once and reused, as a word, on
+    both sides: s**2 pair collections instead of s**3.
+    """
+    gens = range(1, s + 1)
+    pairs = {(i, j): coords_to_word(col.collect(((i, 1), (j, 1))))
+             for i in gens for j in gens}
+    return all(col.collect(pairs[i, j] + ((k, 1),))
+               == col.collect(((i, 1),) + pairs[j, k])
+               for i in gens for j in gens for k in gens)
+
+
+def collector_for_nilpotent(npres) -> Collector:
+    """The collector of a subgroup presentation, from its relation tails."""
+    orders = {i: e for i, e in enumerate(npres.orders, start=1) if e is not None}
+    tails = {i: coords_to_word(v) for i, v in npres.power_tails.items()}
+    alpha = {k: coords_to_word(v) for k, v in npres.alpha.items()}
+    beta = {k: coords_to_word(v) for k, v in npres.beta.items()}
+    return Collector(npres.s, orders, tails, alpha, beta)
+
+
+def nilpotent_presentation_consistent(npres) -> bool:
+    """Consistency of a subgroup presentation, decided by collection: every
+    power relation holds and collection is associative on the generators.
+
+    The answer is True or False only when collection decided it: a
+    collection that exceeds DEFAULT_STEP_CAP raises CollectionLimit, which
+    propagates rather than reading as False."""
+    col = collector_for_nilpotent(npres)
+    zero = (0,) * npres.s
+    for i, e in enumerate(npres.orders, start=1):
+        if e is None:
+            continue
+        tail = npres.power_tails.get(i, zero)
+        if col.collect(((i, e),)) != col.collect(coords_to_word(tail)):
+            return False
+    return _associative(col, npres.s)
 
 
 def collector_for_quotient(pres):

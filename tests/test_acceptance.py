@@ -15,6 +15,7 @@ import time
 import malcev as M
 from conftest import (FiniteGroup, hom_apply, hom_image_of_letters,
                       mat_of_coords, mat_of_word, mat_mul, mat_pow,
+                      nilpotent_presentation_consistent,
                       random_finite_presentation)
 from malcev.cli import run as cli_run
 from malcev.extgcd import extgcd_bounded, extgcd_pair_bounded
@@ -235,7 +236,7 @@ def test_07_subgroup_presentations(capsys):
             form, _ = M.full_form(pres, mat)
             npres = M.subgroup_presentation(pres, mat)
             assert npres.s == len(form.rows)
-            assert M.nilpotent_presentation_consistent(npres)
+            assert nilpotent_presentation_consistent(npres)
             assert von_dyck_holds(pres, form.rows, npres)
     _report(capsys, "7 subgroup presentations are consistent and satisfied"
             " in the ambient group (100 subgroups)", body)

@@ -202,49 +202,6 @@ def test_from_finite_presentation_makes_few_polynomial_calls(monkeypatch):
     assert len(calls) < 4000
 
 
-def test_direct_product_projections_recover_factors():
-    h = M.make_quotient_presentation(HEIS_BASIS, ((2, 0, 0), (0, 0, 2)))
-    g = M.free_presentation(2, 2)
-    prod = M.direct_product(h, g)
-    assert prod.basis.r == 4 and prod.basis.c == 2
-    # every basis letter outside the two embedded copies is killed
-    from malcev.presentations import embed_letter_map
-    map_h = embed_letter_map(h.basis, prod.basis, 0)
-    map_g = embed_letter_map(g.basis, prod.basis, 2)
-    used = set(map_h) | set(map_g)
-    for col in range(1, prod.m + 1):
-        if col not in used:
-            assert prod.torsion.get(col) == 1
-    # embedded torsion survives with the factor's orders
-    for col, e in h.torsion.items():
-        assert prod.torsion.get(map_h[col - 1]) == e
-    assert not any(map_g[col - 1] in prod.torsion for col in range(1, 4)
-                   if g.torsion.get(col) is None)
-    # multiplication is componentwise on embedded elements
-    from malcev.presentations import scatter_coords
-    rng = random.Random(0)
-    for _ in range(20):
-        u = M.element(h, tuple(rng.randint(-3, 3) for _ in range(3)))
-        v = M.element(h, tuple(rng.randint(-3, 3) for _ in range(3)))
-        eu = M.element(prod, scatter_coords(u.coords, map_h, prod.m))
-        ev = M.element(prod, scatter_coords(v.coords, map_h, prod.m))
-        w = M.mult(eu, ev)
-        back = tuple(w.coords[t - 1] for t in map_h)
-        assert back == M.mult(u, v).coords
-        assert not any(w.coords[t - 1] for t in map_g)
-
-
-def test_direct_product_rejects_mismatched_parameters():
-    with pytest.raises(M.RejectedInput):
-        M.direct_product(M.free_presentation(2, 2), M.free_presentation(1, 2))
-
-
-def test_embedding_into_a_smaller_class_raises():
-    # [a2, a1] has no image among the letters of the class-1 basis.
-    with pytest.raises(InternalConsistencyError):
-        P.embed_letter_map(HEIS_BASIS, M.build_hall_basis(1, 4), 0)
-
-
 def test_describe_parses_back():
     from malcev.parsing import parse_document
     pres = M.make_quotient_presentation(HEIS_BASIS, ((2, 0, 0), (0, 0, 2)))

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+import conftest
 import malcev as M
-from conftest import (FiniteGroup, normal_closure_rows,
-                      random_finite_presentation)
-from malcev import collect, subgroups
+from conftest import (FiniteGroup, nilpotent_presentation_consistent,
+                      normal_closure_rows, random_finite_presentation)
+from malcev import subgroups
 from malcev.extgcd import InternalConsistencyError
 from malcev.freegroup import SizeCapExceeded
 from malcev.presentations import check_echelon_conditions
@@ -111,16 +112,24 @@ def test_full_form_skips_pairs_that_commute_by_weight():
 
 
 def test_corrupt_membership_witness_raises(monkeypatch):
-    # h = (2, 1, 4) is g_1 g_2 g_3^2 over the rows g_i of the full form; a
-    # scan that returns another exponent is caught by multiplying back.
-    form, _ = ff(HEIS, [(2, 0, 0), (0, 1, 0)])
+    # h = (2, 1, 4) is g_1 g_2 g_3^2 over the rows g_i of the full form, and
+    # [g_2, g_1] = g_3 is the first relation tail of the subgroup
+    # presentation; a scan that returns another exponent is caught by
+    # multiplying back.
+    gens = [(2, 0, 0), (0, 1, 0)]
+    form, _ = ff(HEIS, gens)
     h = M.element(HEIS, (2, 1, 4))
     assert M.membership(HEIS, form, h).gamma == (1, 1, 2)
     scan = subgroups._membership_scan
-    monkeypatch.setattr(subgroups, "_membership_scan",
-                        lambda *a: [scan(*a)[0] + 1] + scan(*a)[1:])
+
+    def corrupt(*args):
+        gamma = scan(*args)
+        return [gamma[0] + 1] + gamma[1:] if gamma else gamma
+    monkeypatch.setattr(subgroups, "_membership_scan", corrupt)
     with pytest.raises(InternalConsistencyError, match="does not give h"):
         M.membership(HEIS, form, h)
+    with pytest.raises(InternalConsistencyError, match="does not give h"):
+        M.subgroup_presentation(HEIS, M.coordinate_matrix(HEIS, gens))
 
 
 def test_untracked_sifts_build_no_derivations(monkeypatch):
@@ -386,7 +395,7 @@ def test_subgroup_presentation_heisenberg_fixture():
     assert npres.alpha[(1, 2)] == (0, 0, 1)  # [g2, g1] = g3 with g3 = a3^2
     form = full_form_rows(HEIS, [(2, 0, 0), (0, 1, 0)])[0]
     assert von_dyck_holds(HEIS, form, npres)
-    assert M.nilpotent_presentation_consistent(npres)
+    assert nilpotent_presentation_consistent(npres)
 
 
 def test_subgroup_presentation_whole_group_and_torsion():
@@ -404,16 +413,16 @@ def test_subgroup_presentation_whole_group_and_torsion():
         expected = None if e is None else e // row[piv]
         assert npres.orders[k - 1] == expected
     assert von_dyck_holds(pres, form.rows, npres)
-    assert M.nilpotent_presentation_consistent(npres)
+    assert nilpotent_presentation_consistent(npres)
 
 
 def test_subgroup_presentation_budget_raises_instead_of_false(monkeypatch):
     npres = M.subgroup_presentation(
         HEIS, M.coordinate_matrix(HEIS, [(2, 0, 0), (0, 1, 0)]))
-    assert M.nilpotent_presentation_consistent(npres)
-    monkeypatch.setattr(collect, "DEFAULT_STEP_CAP", 1)
-    with pytest.raises(collect.CollectionLimit):
-        M.nilpotent_presentation_consistent(npres)
+    assert nilpotent_presentation_consistent(npres)
+    monkeypatch.setattr(conftest, "DEFAULT_STEP_CAP", 1)
+    with pytest.raises(conftest.CollectionLimit):
+        nilpotent_presentation_consistent(npres)
 
 
 def test_subgroup_presentation_mixed_order_generator():
@@ -431,4 +440,4 @@ def test_subgroup_presentation_mixed_order_generator():
     form, _ = ff(pres, [(1, 1)])
     assert form.rows == ((1, 1), (0, 2))
     assert von_dyck_holds(pres, form.rows, npres)
-    assert M.nilpotent_presentation_consistent(npres)
+    assert nilpotent_presentation_consistent(npres)
