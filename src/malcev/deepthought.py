@@ -8,8 +8,10 @@ of u and v (P. Hall, *Nilpotent groups*, 1957; Leedham-Green & Soicher,
 running the Magnus-series engine of `series` once with the coordinates as
 indeterminates (`series_mult` of the series of u and v, `series_inverse` of
 that of u), and emitted as straight-line Python source, `def mult(u, v)` or
-`def inverse(u)`, each coordinate written as
-`(integer polynomial) // denominator`.
+`def inverse(u)`.  Each distinct monomial of degree >= 2 is one product, of
+a shorter monomial and one variable, held in a local `t<k>` when two or
+more terms or longer monomials read it; each coordinate is written as
+`(integer combination of monomials) // denominator`.
 
 `freegroup` imports the checked-in source for c <= 5, r <= 3 (generated by
 `tools/gen_tables.py`) and compiles `table_source(basis, kind)` on the first
@@ -138,29 +140,81 @@ def derive(basis: HallBasis, kind: str) -> tuple[tuple[Poly, ...], int]:
     return data.series_to_coords(series_mult(c, u, v)), width
 
 
-def _poly_source(p: Poly, names: list[str], width: int) -> str:
-    mask = (1 << width) - 1
-    terms = []
-    for key, v in p.terms.items():
-        exps = [(key >> (j * width)) & mask for j in range(len(names))]
-        factors = [name if e == 1 else f"{name}**{e}"
-                   for name, e in zip(names, exps) if e]
-        terms.append(((sum(exps), [-e for e in exps]), v, factors))
-    terms.sort(key=lambda t: t[0])
-    out = []
-    for _, coef, factors in terms:
-        body = "*".join(([str(abs(coef))] if abs(coef) != 1 else []) + factors)
-        if out:
-            out.append(("- " if coef < 0 else "+ ") + body)
-        else:
-            out.append(("-" if coef < 0 else "") + body)
-    expr = " ".join(out) if out else "0"
-    return f"({expr}) // {p.den}" if p.den != 1 else expr
+def _coordinate_sources(coords, names: list[str],
+                        width: int) -> tuple[list[str], list[str]]:
+    """Straight-line source of the coordinate polynomials: the assignments
+    of the shared monomials, and one expression per coordinate.
+
+    A monomial of degree >= 2 is built once, as the monomial without one
+    factor of its last variable (in the order of `names`) times that
+    variable.  One that two or more terms or longer monomials read is held
+    in a local `t<k>`, assigned before its first reader; one read once is
+    written inline.  Each coordinate lists its terms in the order of the
+    flat polynomial: by degree, then by exponent vector, largest first.
+    """
+    top = len(names) - 1
+
+    def split(key: int) -> tuple[int, int]:
+        # (prefix, j) with monomial = prefix * x_j; prefix 0 at degree 1
+        j = (key.bit_length() - 1) // width
+        return key - (1 << j * width), j
+
+    def flat_order(term):
+        # (degree, minus the exponent vector packed with x_0 highest), in
+        # time linear in the degree, not in the number of variables
+        key, degree, packed = term[0], 0, 0
+        while key:
+            key, j = split(key)
+            degree += 1
+            packed += 1 << (top - j) * width
+        return degree, -packed
+
+    ordered = [sorted(p.terms.items(), key=flat_order) for p in coords]
+    reads: dict = {}
+    for terms in ordered:
+        for key, _ in terms:
+            # a monomial's first reader builds it, which reads its prefix
+            while key:
+                reads[key] = reads.get(key, 0) + 1
+                if reads[key] > 1:
+                    break
+                key = split(key)[0]
+    local: dict = {}
+    assigns: list[str] = []
+
+    def source(key: int) -> str:
+        if key in local:
+            return local[key]
+        prefix, j = split(key)
+        if not prefix:
+            return names[j]
+        text = f"{source(prefix)}*{names[j]}"
+        if reads[key] == 1:
+            return text
+        local[key] = f"t{len(assigns)}"
+        assigns.append(f"{local[key]} = {text}")
+        return local[key]
+
+    exprs = []
+    for terms, p in zip(ordered, coords):
+        out = []
+        for key, coef in terms:
+            body = source(key)
+            if abs(coef) != 1:
+                body = f"{abs(coef)}*{body}"
+            if out:
+                out.append(("- " if coef < 0 else "+ ") + body)
+            else:
+                out.append(("-" if coef < 0 else "") + body)
+        expr = " ".join(out) if out else "0"
+        exprs.append(f"({expr}) // {p.den}" if p.den != 1 else expr)
+    return assigns, exprs
 
 
 def table_source(basis: HallBasis, kind: str) -> str:
     """Python source of a module defining `mult(u, v)` or `inverse(u)` for
-    the basis."""
+    the basis: the shared monomials as locals, then each coordinate as
+    `(integer combination of monomials) // denominator`."""
     coords, width = derive(basis, kind)
     m = basis.m
     args = ("u", "v") if kind == "mult" else ("u",)
@@ -179,8 +233,10 @@ def table_source(basis: HallBasis, kind: str) -> str:
     ]
     lines += [f"    {', '.join(names[k * m:(k + 1) * m])}{comma} = {a}"
               for k, a in enumerate(args)]
+    assigns, exprs = _coordinate_sources(coords, names, width)
+    lines += [f"    {a}" for a in assigns]
     lines.append("    return (")
-    lines += [f"        {_poly_source(p, names, width)}," for p in coords]
+    lines += [f"        {e}," for e in exprs]
     lines += ["    )", ""]
     return "\n".join(lines)
 

@@ -198,15 +198,15 @@ def eval_free(basis: HallBasis, word: ExpWord) -> tuple[int, ...]:
     """Coordinates of the element represented by a word with binary exponents."""
     mult = basis.mult
     m = basis.m
-    out = (0,) * m
+    out = None  # the product so far, None until the first nonzero power
     for letter, e in word:
         if not 1 <= letter <= m:
             raise RejectedInput(f"letter index {letter} out of range 1..{m}")
         if e:
             step = [0] * m
             step[letter - 1] = e
-            out = mult(out, step)
-    return out
+            out = tuple(step) if out is None else mult(out, step)
+    return (0,) * m if out is None else out
 
 
 def power_differences(basis: HallBasis, u) -> tuple[tuple[int, ...], ...]:

@@ -1,6 +1,7 @@
 """The multiplication and inverse polynomials against the Magnus-series
 engine they are derived from, which stays as the oracle."""
 
+import ast
 import functools
 import os
 import pathlib
@@ -10,7 +11,7 @@ import sys
 
 import pytest
 
-from malcev.deepthought import table_source
+from malcev.deepthought import derive, table_source
 from malcev.freegroup import (SHIPPED_MAX, build_hall_basis, coords_to_word,
                               eval_free, power_differences,
                               power_from_differences, table_module)
@@ -51,21 +52,102 @@ def series_coords_pow(basis, u, e):
         basis.c, data.word_series(coords_to_word(u)), e))
 
 
+# Every basis with shipped tables; a rank-1 basis above class 1 uses the
+# tables of its heaviest letter's weight.
+SHIPPED = [(c, r) for c in range(1, SHIPPED_MAX[0] + 1)
+           for r in range(1, SHIPPED_MAX[1] + 1)
+           if build_hall_basis(c, r).top_weight == c]
+
+
 def test_shipped_tables_match_a_fresh_derivation():
     shipped = sorted(p.name for p in TABLES.glob("c*r*.py"))
     expected = []
-    for c in range(1, SHIPPED_MAX[0] + 1):
-        for r in range(1, SHIPPED_MAX[1] + 1):
-            basis = build_hall_basis(c, r)
-            if basis.top_weight < c:
-                continue  # uses the table of its heaviest letter's weight
-            for kind in ("mult", "inverse"):
-                name = f"{table_module(kind, c, r)}.py"
-                expected.append(name)
-                text = (TABLES / name).read_text()
-                assert text == table_source(basis, kind), name
+    for c, r in SHIPPED:
+        basis = build_hall_basis(c, r)
+        for kind in ("mult", "inverse"):
+            name = f"{table_module(kind, c, r)}.py"
+            expected.append(name)
+            text = (TABLES / name).read_text()
+            assert text == table_source(basis, kind), name
     assert shipped == sorted(expected)
     assert len(shipped) == 22
+
+
+def poly_value(p, xs, width):
+    """Value of a derived `Poly` at the integers xs, summed monomial by
+    monomial; the sum must be a multiple of the denominator."""
+    total = 0
+    for key, coef in p.terms.items():
+        term = coef
+        while key:
+            j = (key.bit_length() - 1) // width
+            e = key >> (j * width)
+            term *= xs[j] ** e
+            key -= e << (j * width)
+        total += term
+    q, rem = divmod(total, p.den)
+    assert rem == 0
+    return q
+
+
+# (3,4) ships no tables: its polynomials are compiled on first use.
+@pytest.mark.parametrize("c,r", SHIPPED + [(3, 4)])
+def test_emitted_tables_match_the_derived_polynomials(c, r):
+    basis = build_hall_basis(c, r)
+    rng = random.Random(c * 10 + r)
+
+    def coords():
+        return tuple(rng.choice((-1, 1)) * rng.getrandbits(
+            rng.choice((1, 8, 64, 200))) for _ in range(basis.m))
+
+    vectors = [(0,) * basis.m] + [coords() for _ in range(5)]
+    pairs = [(u, v) for u in vectors[:3] for v in vectors[:3]]
+    pairs += zip(vectors[3:], vectors[2:])
+    for kind, fn, args in (("mult", basis.mult, pairs),
+                           ("inverse", basis.inverse, [(u,) for u in vectors])):
+        polys, width = derive(basis, kind)
+        for xs in args:
+            flat = [x for vec in xs for x in vec]
+            assert fn(*xs) == tuple(poly_value(p, flat, width)
+                                    for p in polys), (kind, xs)
+
+
+def monomial_locals(tree):
+    """Times each local `t<k>` is read, by name."""
+    reads = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id[0] == "t" \
+                and node.id[1:].isdigit():
+            count = isinstance(node.ctx, ast.Load)
+            reads[node.id] = reads.get(node.id, 0) + count
+    return reads
+
+
+def products(tree):
+    """Products of two non-constant factors, and powers."""
+    return sum(isinstance(node, ast.BinOp) and (
+        isinstance(node.op, ast.Pow) or isinstance(node.op, ast.Mult)
+        and not isinstance(node.left, ast.Constant)
+        and not isinstance(node.right, ast.Constant))
+        for node in ast.walk(tree))
+
+
+def test_emitted_tables_build_each_monomial_once():
+    trees = {p.stem: ast.parse(p.read_text()) for p in TABLES.glob("c*r*.py")}
+    basis = build_hall_basis(3, 4)
+    for kind in ("mult", "inverse"):
+        trees[table_module(kind, 3, 4)] = ast.parse(table_source(basis, kind))
+    for name, tree in trees.items():
+        reads = monomial_locals(tree)
+        # a monomial read once is written inline
+        assert all(n >= 2 for n in reads.values()), name
+        # no term or monomial shares a monomial in these tables
+        if name.startswith(("c1r", "c2r2", "c2r3")):
+            assert not reads, name
+    # 489 and 341 distinct monomials of degree >= 2; written flat, as a
+    # product for each term, they took 2,058 and 1,371 products.
+    assert products(trees["c5r3"]) <= 489
+    assert products(trees["c5r3_inverse"]) <= 341
 
 
 def test_rank_one_uses_the_class_one_table_at_any_class():

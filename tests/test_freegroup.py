@@ -178,8 +178,33 @@ def test_coords_to_word_roundtrip():
 
 
 def test_letter_out_of_range_rejected():
-    with pytest.raises(RejectedInput):
-        eval_free(HEIS, ((4, 1),))
+    # every letter is checked: under a zero exponent and before or after
+    # the first nonzero power
+    for word in (((4, 1),), ((4, 0),), ((0, 1), (1, 1)), ((1, 1), (0, 0)),
+                 ((1, 1), (2, 1), (4, 2))):
+        with pytest.raises(RejectedInput):
+            eval_free(HEIS, word)
+
+
+def test_eval_free_starts_at_the_first_power(monkeypatch):
+    # a word with k nonzero letter powers takes k - 1 multiplications
+    basis = build_hall_basis(3, 2)
+    mult = basis.mult
+    calls = []
+
+    def counted(u, v):
+        calls.append(1)
+        return mult(u, v)
+
+    monkeypatch.setitem(basis.__dict__, "mult", counted)
+    for word, coords, k in ((((2, 0),), (0,) * 5, 0),
+                            (((2, 0), (3, -4), (1, 0)), (0, 0, -4, 0, 0), 1),
+                            (((2, 1), (1, 1)), (1, 1, 1, 0, 0), 2),
+                            (((2, 1), (1, 0), (1, 1), (2, 1)),
+                             (1, 2, 1, 0, 1), 3)):
+        calls.clear()
+        assert eval_free(basis, word) == coords
+        assert len(calls) == max(k - 1, 0)
 
 
 def test_wrong_length_vectors_rejected():

@@ -3,9 +3,13 @@ src/malcev/tables/c<c>r<r>_inverse.py.
 
 For the free nilpotent group of class c and rank r (c <= 5, r <= 3), the
 first module defines `mult(u, v)` and the second `inverse(u)`, both derived
-by `malcev.deepthought.table_source`.  They are separate modules so that a
-process that only multiplies does not import, and with bytecode writing off
-compile, the inverse.  A basis whose heaviest letter is lighter than c
+by `malcev.deepthought.table_source`: straight-line code that forms each
+distinct monomial of degree >= 2 once, as a shorter monomial times one
+variable, keeps a monomial that is read more than once in a local `t<k>`,
+and writes each coordinate as `(integer combination of monomials) //
+denominator`.  They are separate modules so that a process that only
+multiplies does not import, and with bytecode writing off compile, the
+inverse.  A basis whose heaviest letter is lighter than c
 (rank 1 above class 1) gets no module: it uses the tables of that letter's
 weight.
 
