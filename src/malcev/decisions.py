@@ -20,10 +20,10 @@ from functools import lru_cache
 from .extgcd import InternalConsistencyError, RejectedInput
 from .freegroup import build_hall_basis
 from .groups import GroupElement
-from .presentations import (QuotientPresentation, _membership_scan,
-                            _power_product, first_nonzero,
+from .presentations import (QuotientPresentation, first_nonzero,
                             make_quotient_presentation, reduce_coords)
-from .subgroups import ProductContext, full_form_rows
+from .subgroups import (ProductContext, _checked_scan, _power_product,
+                        full_form_rows)
 
 
 class NotInImage(ValueError):
@@ -96,7 +96,8 @@ def kernel_and_preimage(spec: HomSpec, h: GroupElement | None = None
 
 def _kernel(target, source, gens, images, h=None):
     """`kernel_and_preimage` on reduced coordinate vectors.  The preimage of
-    h is one product of graph rows (phi(x), x), re-checked to map to h."""
+    h: the source halves of the graph rows (phi(x), x) to the exponents with
+    which their image halves multiply back to h."""
     ctx = ProductContext(target, source)
     form, _ = full_form_rows(ctx, [y + x for x, y in zip(gens, images)])
     split = target.m
@@ -106,13 +107,11 @@ def _kernel(target, source, gens, images, h=None):
     kernel = [row[split:] for row in form[r:]]
     if h is None:
         return kernel, None
-    beta = _membership_scan(target, [row[:split] for row in form[:r]], h)
+    beta = _checked_scan(target, [row[:split] for row in form[:r]], h)
     if beta is None:
         raise NotInImage("h is not in the image of the homomorphism")
-    pair = _power_product(ctx, form[:r], beta)
-    if pair[:split] != h:
-        raise InternalConsistencyError("preimage does not map to h")
-    return kernel, pair[split:]
+    return kernel, _power_product(source, [row[split:] for row in form[:r]],
+                                  beta)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +121,9 @@ def _kernel(target, source, gens, images, h=None):
 def quotient_mod_last(pres: QuotientPresentation) -> QuotientPresentation:
     """G / Gamma_c: drop the weight-c letters and truncate the relators."""
     basis = pres.basis
-    if basis.c < 2:
+    if pres.c < 2:
         raise RejectedInput("class must be at least 2")
-    small = build_hall_basis(basis.c - 1, basis.r)
+    small = build_hall_basis(pres.c - 1, basis.r)
     if basis.letters[:small.m] != small.letters:
         raise InternalConsistencyError("class c-1 basis is not a prefix")
     rows = [row[:small.m] for row in pres.relators.rows
@@ -146,8 +145,8 @@ def _descend(pres, g, h):
     basis = pres.basis
     # The weight-c letters, reduced: a letter of relative order 1 is trivial.
     top = [reduce_coords(pres, tuple(int(j == i) for j in range(basis.m)))
-           for i in range(basis.m) if basis.weight(i + 1) == basis.c]
-    if basis.c == 1:
+           for i in range(basis.m) if basis.weight(i + 1) == pres.c]
+    if pres.c == 1:
         # Abelian: everything centralizes g, and only g is conjugate to g.
         return (top, pres.identity) if g == h else (None, None)
     small = quotient_mod_last(pres)

@@ -6,12 +6,13 @@ rational coefficients, integer-valued on integer inputs, in the coordinates
 of u and v (P. Hall, *Nilpotent groups*, 1957; Leedham-Green & Soicher,
 "Symbolic collection using Deep Thought", 1998).  They are derived here by
 running the Magnus-series engine of `series` once with the coordinates as
-indeterminates (`series_mult` of the series of u and v, `series_inverse` of
-that of u), and emitted as straight-line Python source, `def mult(u, v)` or
-`def inverse(u)`.  Each distinct monomial of degree >= 2 is one product, of
-a shorter monomial and one variable, held in a local `t<k>` when two or
-more terms or longer monomials read it; each coordinate is written as
-`(integer combination of monomials) // denominator`.
+indeterminates (`series_mult` of the series of u and v, `series_power` of
+that of u to the -1), and emitted as straight-line Python source,
+`def mult(u, v)` or `def inverse(u)`.  Each distinct monomial of degree
+>= 2 is one product, of a shorter monomial and one variable, held in a
+local `t<k>` when two or more terms or longer monomials read it; each
+coordinate is written as `(integer combination of monomials) //
+denominator`.
 
 `freegroup` imports the checked-in source for c <= 5, r <= 3 (generated by
 `tools/gen_tables.py`) and compiles `table_source(basis, kind)` on the first
@@ -26,7 +27,7 @@ import math
 from functools import lru_cache
 
 from .freegroup import HallBasis
-from .series import Series, SeriesBasis, series_inverse, series_mult
+from .series import Series, SeriesBasis, series_mult, series_power
 
 
 class Poly:
@@ -132,7 +133,7 @@ def derive(basis: HallBasis, kind: str) -> tuple[tuple[Poly, ...], int]:
     m, c = basis.m, basis.c
     data, u, width = _generic_series(basis)
     if kind == "inverse":
-        return data.series_to_coords(series_inverse(c, u)), width
+        return data.series_to_coords(series_power(c, u, -1)), width
     # The series of v is that of u with every x_j renamed to x_{m+j}.
     shift = m * width
     v = {mon: Poly({k << shift: coef for k, coef in p.terms.items()}, p.den)

@@ -50,7 +50,7 @@ class SizeCapExceeded(ValueError):
 
 # Bases with more letters are refused.  A basis without shipped tables derives
 # its multiplication polynomials on its first operation, and that cost grows
-# quickly with the class: 0.6 s at (4, 4) with 90 letters, 5 s at (8, 2)
+# quickly with the class: 0.5 s at (4, 4) with 90 letters, 4 s at (8, 2)
 # with 71.
 DEFAULT_LETTER_CAP = 128
 

@@ -37,39 +37,6 @@ def first_nonzero(row) -> int:
     return 0
 
 
-def _membership_scan(ctx, rows, h):
-    """Exponents gamma with h = g_1^{gamma_1} ... g_s^{gamma_s}, or None."""
-    cur = tuple(h)
-    gamma = []
-    for row in rows:
-        piv = first_nonzero(row)
-        f = first_nonzero(cur)
-        if f == 0 or f > piv:
-            gamma.append(0)
-            continue
-        if f < piv:
-            return None
-        a = row[piv - 1]
-        if cur[f - 1] % a:
-            return None
-        q = cur[f - 1] // a
-        cur = ctx.mult(ctx.pow(row, -q), cur)
-        gamma.append(q)
-    if first_nonzero(cur):
-        return None
-    return gamma
-
-
-def _power_product(ctx, rows, exponents):
-    """g_1^{e_1} ... g_s^{e_s} for the rows g_i and the exponents e_i, the
-    element that a membership witness must give back."""
-    out = ctx.identity
-    for row, e in zip(rows, exponents):
-        if e:
-            out = ctx.mult(out, ctx.pow(row, e))
-    return out
-
-
 @dataclass(frozen=True)
 class FullFormMatrix:
     rows: tuple[tuple[int, ...], ...]

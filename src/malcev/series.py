@@ -6,6 +6,9 @@ of degree > c discarded (the classical Magnus embedding).  Coordinates are
 recovered from a series weight by weight: the degree-w part of an element of
 the w-th lower central term is a Lie element, and the degree-w parts of the
 weight-w basis letters span exactly those, with unique integer coefficients.
+Those coefficients are read off at a few pivot monomials through one
+precomputed inverse per weight, and peeled off by multiplying by the series
+of their inverse word; an inverse is `series_power` to the -1.
 
 The arithmetic here is generic over the coefficient ring: the exponents and
 coordinates may be integers or any exact type with `+`, `-`, `*`, `divmod`
@@ -49,25 +52,6 @@ def series_mult(c: int, f: Series, g: Series) -> Series:
     return out
 
 
-def series_inverse(c: int, f: Series) -> Series:
-    if f.get((), 0) != 1:
-        raise InternalConsistencyError("only series with constant term 1 invert")
-    n = {k: -v for k, v in f.items() if k}  # f = 1 + n, n nilpotent
-    out = series_one()
-    term = series_one()
-    for _ in range(c):
-        term = series_mult(c, term, n)
-        if not term:
-            break
-        for k, v in term.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-    return out
-
-
 def _falling_binom(e, k: int):
     """binomial(e, k), integer-valued for every integer e."""
     num = 1
@@ -103,6 +87,45 @@ def series_power(c: int, f: Series, e) -> Series:
     return out
 
 
+def _weight_solver(block: list[list[int]]
+                   ) -> tuple[list[int], list[tuple[list[int], int]]]:
+    """Pivot monomials and inverse rows of one weight block.
+
+    `block` is M^T, where M is the weight-w block of monomials by letters:
+    one row per letter, its coefficients on the degree-w monomials.  One
+    Gauss-Jordan pass over [M^T | I] takes M^T to its reduced echelon form
+    R and I to the E with E M^T = R.  The pivot columns P of R, the leftmost
+    independent monomials, make R[:, P] the identity, so M[P] E^T = I: the
+    rows of M[P]^-1 are the columns of E, returned as (integer row,
+    denominator).  The coordinates are unique, so any valid P gives them.
+    """
+    n = len(block)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(block)]
+    pivots: list[int] = []
+    for col in range(len(block[0])):
+        k = len(pivots)
+        piv = next((i for i in range(k, n) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[k], aug[piv] = aug[piv], aug[k]
+        pv = Fraction(aug[k][col])  # so that int entries divide exactly
+        aug[k] = [v / pv for v in aug[k]]
+        for i in range(n):
+            f = aug[i][col]
+            if i != k and f:
+                # M is sparse: skip the zeros of the pivot row
+                aug[i] = [a - f * b if b else a
+                          for a, b in zip(aug[i], aug[k])]
+        pivots.append(col)
+    if len(pivots) < n:
+        raise InternalConsistencyError("weight block is rank deficient")
+    inverse = []
+    for frow in zip(*(row[-n:] for row in aug)):
+        den = math.lcm(*(v.denominator for v in frow))
+        inverse.append(([int(v * den) for v in frow], den))
+    return pivots, inverse
+
+
 class SeriesBasis:
     """Letter series and weight-by-weight coordinate solvers of one basis."""
 
@@ -117,38 +140,24 @@ class SeriesBasis:
             else:
                 a = self.letter_series[bc.left - 1]
                 b = self.letter_series[bc.right - 1]
-                comm = series_mult(c, series_mult(c, series_inverse(c, a),
-                                                  series_inverse(c, b)),
+                comm = series_mult(c, series_mult(c, series_power(c, a, -1),
+                                                  series_power(c, b, -1)),
                                    series_mult(c, a, b))
                 self.letter_series.append(comm)
-        # For each weight w: the letters of that weight, a choice of pivot
-        # monomials and the inverse of the resulting square matrix, used to
-        # read coordinates off the degree-w part of a series.
+        # For each weight w: the letters of that weight, pivot monomials P
+        # and the rows of M[P]^-1, used to read coordinates off the degree-w
+        # part of a series.
         self.solvers: dict[int, tuple[list[int], list[tuple[int, ...]], list[tuple[list[int], int]]]] = {}
         for w in range(1, c + 1):
             idxs = [i + 1 for i in range(basis.m) if basis.weight(i + 1) == w]
             if not idxs:
                 continue
-            cols = []
-            monomials: dict[tuple[int, ...], int] = {}
-            for i in idxs:
-                col = {}
-                for mon, v in self.letter_series[i - 1].items():
-                    if len(mon) == w:
-                        col[mon] = v
-                        monomials.setdefault(mon, len(monomials))
-                cols.append(col)
-            mon_list = sorted(monomials)
-            rows = [[Fraction(col.get(mon, 0)) for col in cols] for mon in mon_list]
-            pivot_rows, inv = _invertible_square(rows)
-            # Store each inverse row over the integers with its denominator.
-            int_inv = []
-            for frow in inv:
-                den = 1
-                for v in frow:
-                    den = den * v.denominator // math.gcd(den, v.denominator)
-                int_inv.append(([int(v * den) for v in frow], den))
-            self.solvers[w] = (idxs, [mon_list[i] for i in pivot_rows], int_inv)
+            cols = [{mon: v for mon, v in self.letter_series[i - 1].items()
+                     if len(mon) == w} for i in idxs]
+            mons = sorted(set().union(*cols))
+            pivots, inverse = _weight_solver(
+                [[col.get(mon, 0) for mon in mons] for col in cols])
+            self.solvers[w] = (idxs, [mons[p] for p in pivots], inverse)
 
     def word_series(self, word: ExpWord) -> Series:
         """Series of a word given as (1-based letter, exponent) pairs."""
@@ -180,53 +189,13 @@ class SeriesBasis:
             for i, a in zip(idxs, alphas):
                 coords[i - 1] = a
             if any(alphas):
-                div = self.word_series(tuple(zip(idxs, alphas)))
-                residual = series_mult(c, series_inverse(c, div), residual)
+                # the inverse of the word prod x_i^alpha_i over the letters
+                peel = self.word_series(tuple(
+                    (i, -a) for i, a in reversed(list(zip(idxs, alphas)))))
+                residual = series_mult(c, peel, residual)
             if any(v for mon, v in residual.items() if len(mon) == w):
                 raise InternalConsistencyError(
                     f"degree-{w} terms not spanned by weight-{w} letters")
         if any(v for mon, v in residual.items() if mon):
             raise InternalConsistencyError("series is not a group element image")
         return tuple(coords)
-
-
-def _invertible_square(rows: list[list[Fraction]]) -> tuple[list[int], list[list[Fraction]]]:
-    """Select rows forming an invertible square matrix; return their indices
-    and the inverse of that matrix."""
-    ncols = len(rows[0])
-    chosen: list[int] = []
-    work: list[list[Fraction]] = []
-    pivots: list[int] = []
-    basis_rows: list[list[Fraction]] = []
-    for ri, row in enumerate(rows):
-        red = list(row)
-        for wrow, pc in zip(work, pivots):
-            factor = red[pc] / wrow[pc]
-            if factor:
-                red = [a - factor * b for a, b in zip(red, wrow)]
-        if any(red):
-            pivots.append(next(k for k, v in enumerate(red) if v))
-            work.append(red)
-            chosen.append(ri)
-            basis_rows.append(list(row))
-            if len(chosen) == ncols:
-                break
-    if len(chosen) != ncols:
-        raise InternalConsistencyError("weight block is rank deficient")
-    return chosen, _matrix_inverse(basis_rows)
-
-
-def _matrix_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]

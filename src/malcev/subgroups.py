@@ -25,8 +25,7 @@ from .freegroup import (ExpWord, SizeCapExceeded, check_lengths,
                         commute_by_weight)
 from .groups import GroupElement
 from .presentations import (FullFormMatrix, NilpotentPresentation,
-                            QuotientPresentation, _membership_scan,
-                            _power_product, check_echelon_conditions,
+                            QuotientPresentation, check_echelon_conditions,
                             first_nonzero, reduce_coords)
 
 DEFAULT_WORD_CAP = 1 << 20
@@ -365,6 +364,39 @@ def full_form(pres: QuotientPresentation, matrix: CoordinateMatrix,
 @dataclass(frozen=True)
 class MembershipWitness:
     gamma: tuple[int, ...]
+
+
+def _membership_scan(ctx, rows, h):
+    """Exponents gamma with h = g_1^{gamma_1} ... g_s^{gamma_s}, or None."""
+    cur = tuple(h)
+    gamma = []
+    for row in rows:
+        piv = first_nonzero(row)
+        f = first_nonzero(cur)
+        if f == 0 or f > piv:
+            gamma.append(0)
+            continue
+        if f < piv:
+            return None
+        a = row[piv - 1]
+        if cur[f - 1] % a:
+            return None
+        q = cur[f - 1] // a
+        cur = ctx.mult(ctx.pow(row, -q), cur)
+        gamma.append(q)
+    if first_nonzero(cur):
+        return None
+    return gamma
+
+
+def _power_product(ctx, rows, exponents):
+    """g_1^{e_1} ... g_s^{e_s} for the rows g_i and the exponents e_i, the
+    element that a membership witness must give back."""
+    out = ctx.identity
+    for row, e in zip(rows, exponents):
+        if e:
+            out = ctx.mult(out, ctx.pow(row, e))
+    return out
 
 
 def _checked_scan(ctx, rows, h):

@@ -5,7 +5,7 @@ import pytest
 import malcev as M
 from conftest import (FiniteGroup, hom_apply, hom_image_of_letters,
                       random_finite_presentation)
-from malcev import decisions
+from malcev import decisions, subgroups
 from malcev.extgcd import InternalConsistencyError
 from malcev.parsing import parse_document
 
@@ -423,12 +423,13 @@ def test_corrupt_witnesses_raise(monkeypatch):
 
 
 def test_corrupt_preimage_raises(monkeypatch):
-    # A preimage whose image half is not h is caught by the kernel itself.
-    scan = decisions._membership_scan
-    monkeypatch.setattr(decisions, "_membership_scan",
+    # A preimage whose image half is not h is caught by the membership
+    # check the kernel shares.
+    scan = subgroups._membership_scan
+    monkeypatch.setattr(subgroups, "_membership_scan",
                         lambda *a: [scan(*a)[0] + 1] + scan(*a)[1:])
     gens = tuple(letter_elements(HEIS))
-    with pytest.raises(InternalConsistencyError, match="does not map to h"):
+    with pytest.raises(InternalConsistencyError, match="does not give h"):
         M.kernel_and_preimage(M.HomSpec(HEIS, HEIS, gens, gens),
                               M.element(HEIS, (2, -1, 3)))
 

@@ -90,8 +90,9 @@ def poly_value(p, xs, width):
     return q
 
 
-# (3,4) ships no tables: its polynomials are compiled on first use.
-@pytest.mark.parametrize("c,r", SHIPPED + [(3, 4)])
+# (3,4) and (6,2) ship no tables: their polynomials are compiled on first
+# use, and (6,2) peels six weights off each series.
+@pytest.mark.parametrize("c,r", SHIPPED + [(3, 4), (6, 2)])
 def test_emitted_tables_match_the_derived_polynomials(c, r):
     basis = build_hall_basis(c, r)
     rng = random.Random(c * 10 + r)
@@ -236,8 +237,10 @@ def test_unshipped_inverse_derives_no_series_again():
 EXPONENTS = (-1, 0, 1, 1 << 64, -(1 << 64))
 
 
-# (3,3) (4,2) (5,2) (5,3) ship tables; (2,4) and (3,4) are derived on first use.
-@pytest.mark.parametrize("c,r", [(3, 3), (4, 2), (5, 2), (5, 3), (2, 4), (3, 4)])
+# (3,3) (4,2) (5,2) (5,3) ship tables; (2,4), (3,4) and (6,2) are derived
+# on first use.
+@pytest.mark.parametrize("c,r", [(3, 3), (4, 2), (5, 2), (5, 3), (2, 4), (3, 4),
+                                 (6, 2)])
 def test_engine_matches_series_oracle(c, r):
     basis = build_hall_basis(c, r)
     rng = random.Random(c * 10 + r)
