@@ -1,23 +1,26 @@
-"""Derivation of the multiplication and inverse polynomials of a free
-nilpotent group.
+"""Derivation of the multiplication, inverse and power polynomials of a
+free nilpotent group.
 
-The Mal'cev coordinates of u·v and of u^-1 are fixed polynomials with
-rational coefficients, integer-valued on integer inputs, in the coordinates
-of u and v (P. Hall, *Nilpotent groups*, 1957; Leedham-Green & Soicher,
-"Symbolic collection using Deep Thought", 1998).  They are derived here by
-running the Magnus-series engine of `series` once with the coordinates as
-indeterminates (`series_mult` of the series of u and v, `series_power` of
-that of u to the -1), and emitted as straight-line Python source,
-`def mult(u, v)` or `def inverse(u)`.  Each distinct monomial of degree
->= 2 is one product, of a shorter monomial and one variable, held in a
-local `t<k>` when two or more terms or longer monomials read it; each
-coordinate is written as `(integer combination of monomials) //
-denominator`.
+The Mal'cev coordinates of u·v, of u^-1 and of u^e are fixed polynomials
+with rational coefficients, integer-valued on integer inputs, in the
+coordinates of u and v and in e (P. Hall, *Nilpotent groups*, 1957;
+Leedham-Green & Soicher, "Symbolic collection using Deep Thought", 1998).
+They are derived here by running the Magnus-series engine of `series` once
+with the coordinates, and for a power the exponent, as indeterminates
+(`series_mult` of the series of u and v, `series_power` of that of u to
+the -1 or to e), and emitted as straight-line Python source,
+`def mult(u, v)`, `def inverse(u)` or `def pow(u, e)`.  Each distinct
+monomial of degree >= 2 in the coordinates is one product, of a shorter
+monomial and one variable, held in a local `t<k>` when two or more terms
+or longer monomials read it; each coordinate is written as `(integer
+combination of monomials) // denominator`, and a power's coordinate of
+weight w combines the monomials of e**w .. e**1 in Horner form in e,
+`((P_w*e + ... + P_1)*e) // denominator`.
 
 `freegroup` imports the checked-in source for c <= 5, r <= 3 (generated by
 `tools/gen_tables.py`) and compiles `table_source(basis, kind)` on the first
-use of a kind on any other basis.  The two kinds of one basis share its
-letter series and the series of u, built once on the first derivation.
+use of a kind on any other basis.  The kinds of one basis share its letter
+series and the series of u, built once on the first derivation.
 `import malcev` does not load this module.
 """
 
@@ -127,13 +130,18 @@ def _generic_series(basis: HallBasis) -> tuple[SeriesBasis, Series, int]:
 
 
 def derive(basis: HallBasis, kind: str) -> tuple[tuple[Poly, ...], int]:
-    """Coordinates of u·v (kind "mult") or of u^-1 (kind "inverse") as
-    polynomials in x_0..x_{m-1}, the coordinates of u, and for "mult" in
-    x_m..x_{2m-1}, those of v; with the exponent width used."""
+    """Coordinates of u·v (kind "mult"), of u^-1 ("inverse") or of u^e
+    ("pow") as polynomials in x_0..x_{m-1}, the coordinates of u, and in
+    x_m..x_{2m-1}, those of v, for "mult", or in x_m, the exponent e, for
+    "pow"; with the exponent width used."""
     m, c = basis.m, basis.c
     data, u, width = _generic_series(basis)
     if kind == "inverse":
         return data.series_to_coords(series_power(c, u, -1)), width
+    if kind == "pow":
+        # The binomials of `series_power` are polynomials in e as well.
+        return data.series_to_coords(
+            series_power(c, u, Poly.var(m, width))), width
     # The series of v is that of u with every x_j renamed to x_{m+j}.
     shift = m * width
     v = {mon: Poly({k << shift: coef for k, coef in p.terms.items()}, p.den)
@@ -141,16 +149,17 @@ def derive(basis: HallBasis, kind: str) -> tuple[tuple[Poly, ...], int]:
     return data.series_to_coords(series_mult(c, u, v)), width
 
 
-def _coordinate_sources(coords, names: list[str],
+def _coordinate_sources(polys: list[dict], names: list[str],
                         width: int) -> tuple[list[str], list[str]]:
-    """Straight-line source of the coordinate polynomials: the assignments
-    of the shared monomials, and one expression per coordinate.
+    """Straight-line source of integer polynomials, each given as its
+    `Poly.terms`: the assignments of the shared monomials, and one integer
+    combination of monomials per polynomial.
 
     A monomial of degree >= 2 is built once, as the monomial without one
     factor of its last variable (in the order of `names`) times that
     variable.  One that two or more terms or longer monomials read is held
     in a local `t<k>`, assigned before its first reader; one read once is
-    written inline.  Each coordinate lists its terms in the order of the
+    written inline.  Each polynomial lists its terms in the order of the
     flat polynomial: by degree, then by exponent vector, largest first.
     """
     top = len(names) - 1
@@ -170,7 +179,7 @@ def _coordinate_sources(coords, names: list[str],
             packed += 1 << (top - j) * width
         return degree, -packed
 
-    ordered = [sorted(p.terms.items(), key=flat_order) for p in coords]
+    ordered = [sorted(p.items(), key=flat_order) for p in polys]
     reads: dict = {}
     for terms in ordered:
         for key, _ in terms:
@@ -197,7 +206,7 @@ def _coordinate_sources(coords, names: list[str],
         return local[key]
 
     exprs = []
-    for terms, p in zip(ordered, coords):
+    for terms in ordered:
         out = []
         for key, coef in terms:
             body = source(key)
@@ -207,21 +216,51 @@ def _coordinate_sources(coords, names: list[str],
                 out.append(("- " if coef < 0 else "+ ") + body)
             else:
                 out.append(("-" if coef < 0 else "") + body)
-        expr = " ".join(out) if out else "0"
-        exprs.append(f"({expr}) // {p.den}" if p.den != 1 else expr)
+        exprs.append(" ".join(out) if out else "0")
     return assigns, exprs
 
 
+def _by_exponent(p: Poly, m: int, width: int) -> list[dict]:
+    """The terms of a polynomial in x_0..x_{m-1} and e = x_m, grouped by the
+    power of e: entry j holds those of e**j, with e divided out."""
+    low = (1 << m * width) - 1
+    parts: list[dict] = []
+    for key, coef in p.terms.items():
+        j = key >> m * width
+        parts.extend({} for _ in range(j + 1 - len(parts)))
+        parts[j][key & low] = coef
+    return parts
+
+
+def _horner(combos: list[str]) -> str:
+    """Source of the sum over j of combos[j]·e**j, in Horner form in e."""
+    out = ""
+    for combo in reversed(combos):
+        if out:
+            out += "*e"
+            if combo != "0":
+                out = f"({out} - {combo[1:]}" if combo[0] == "-" \
+                    else f"({out} + {combo}"
+                out += ")"
+        elif combo != "0":
+            out = f"({combo})" if " " in combo else combo
+    return out or "0"
+
+
 def table_source(basis: HallBasis, kind: str) -> str:
-    """Python source of a module defining `mult(u, v)` or `inverse(u)` for
-    the basis: the shared monomials as locals, then each coordinate as
-    `(integer combination of monomials) // denominator`."""
+    """Python source of a module defining `mult(u, v)`, `inverse(u)` or
+    `pow(u, e)` for the basis: the shared monomials as locals, then each
+    coordinate as `(integer combination of monomials) // denominator`; for
+    "pow", with the combinations of each power of e in Horner form,
+    `((P_k*e + ... + P_1)*e) // denominator`."""
     coords, width = derive(basis, kind)
     m = basis.m
-    args = ("u", "v") if kind == "mult" else ("u",)
-    names = [f"{a}{i}" for a in args for i in range(1, m + 1)]
+    vectors = ("u", "v") if kind == "mult" else ("u",)
+    args = vectors + ("e",) if kind == "pow" else vectors
+    names = [f"{a}{i}" for a in vectors for i in range(1, m + 1)]
     comma = "," if m == 1 else ""
-    title = "Multiplication" if kind == "mult" else "Inverse"
+    title = {"mult": "Multiplication", "inverse": "Inverse",
+             "pow": "Power"}[kind]
     lines = [
         f'"""{title} polynomials of the free nilpotent group of class '
         f'{basis.c} and rank {basis.r}.',
@@ -233,17 +272,31 @@ def table_source(basis: HallBasis, kind: str) -> str:
         f"def {kind}({', '.join(args)}):",
     ]
     lines += [f"    {', '.join(names[k * m:(k + 1) * m])}{comma} = {a}"
-              for k, a in enumerate(args)]
-    assigns, exprs = _coordinate_sources(coords, names, width)
+              for k, a in enumerate(vectors)]
+    if kind == "pow":
+        parts = [_by_exponent(p, m, width) for p in coords]
+        assigns, flat = _coordinate_sources(
+            [terms for coord in parts for terms in coord], names, width)
+        combos = iter(flat)
+        bodies = [_horner([next(combos) for _ in coord]) for coord in parts]
+    else:
+        assigns, bodies = _coordinate_sources([p.terms for p in coords],
+                                              names, width)
     lines += [f"    {a}" for a in assigns]
     lines.append("    return (")
-    lines += [f"        {e}," for e in exprs]
+    for body, p in zip(bodies, coords):
+        if p.den == 1:
+            lines.append(f"        {body},")
+        elif kind == "pow":
+            lines.append(f"        {body} // {p.den},")
+        else:
+            lines.append(f"        ({body}) // {p.den},")
     lines += ["    )", ""]
     return "\n".join(lines)
 
 
 def compile_table(basis: HallBasis, kind: str):
-    """Derive, compile and return the basis's `mult` or `inverse`."""
+    """Derive, compile and return the basis's `mult`, `inverse` or `pow`."""
     namespace: dict = {}
     exec(compile(table_source(basis, kind),
                  f"<{kind} c={basis.c} r={basis.r}>", "exec"), namespace)

@@ -1,22 +1,22 @@
 """Exact arithmetic in the free nilpotent group of class c and rank r.
 
 Elements are exponent vectors (Mal'cev coordinates) with respect to a fixed,
-weight-ordered Hall basis of basic commutators.  The coordinates of u·v are
-fixed integer-valued polynomials in the coordinates of u and v (P. Hall), and
-the basis owns them:
+weight-ordered Hall basis of basic commutators.  The coordinates of u·v and
+of u**e are fixed integer-valued polynomials in the coordinates of u and v
+and in e (P. Hall), and the basis owns them:
 
 * `HallBasis.mult(u, v)` and `HallBasis.inverse(u)` are one call each of the
   polynomials of the coordinates of u·v and of u**-1;
 * `HallBasis.pow(u, e)` returns u or the identity for e in {0, 1}, and
   e·u when `HallBasis.commuting(u)`: letters whose weights sum past the
   class commute, so such a power is a scaling, with no multiplication.
-  Otherwise it is `inverse` for e = -1, and for any other e it
-  interpolates in e from u**0 .. u**w, with w - 1 multiplications
-  whatever |e|, where w is the weight of the basis's heaviest letter: c,
-  or 1 at rank 1.  Its two halves are public, so a caller that powers one
-  element often (a relator row that does not commute, in
-  `presentations.reduce_coords`) keeps `power_differences` and pays only
-  `power_from_differences` per power;
+  Otherwise it is `inverse` for e = -1, and for any other e one call of
+  the power polynomials, written in Horner form in e, whatever |e|;
+* `power_differences` and `power_from_differences` interpolate u**e in e
+  from u**0 .. u**w, where w is the basis's top weight: a caller that
+  folds by one relator row many times (`presentations.reduce_coords`)
+  keeps the row's differences and pays only their Newton sum per power,
+  which is cheaper than a call of the power polynomials;
 * `eval_free` folds `mult` over the letter powers of a word.
 
 These trust their vectors' lengths.  Vectors from outside enter group
@@ -24,13 +24,14 @@ arithmetic only through `groups.element`, `subgroups.CoordinateMatrix` and
 `presentations.make_quotient_presentation`, which check them first
 (`check_lengths`); a free group is `presentations.free_presentation`.
 
-The polynomials depend on the class only through that weight, so every
+The polynomials depend on the class only through the top weight, so every
 rank-1 basis, whatever its class, uses the class-1 tables.  The polynomials
 for c <= 5, r <= 3 ship as generated modules in `malcev.tables`, one per
 basis and kind, each imported on the first use of its kind on its basis:
-a process that only multiplies never loads an inverse.  Any other basis
-derives each kind once per process with `malcev.deepthought`, which runs
-the Magnus-series engine of `malcev.series` over polynomial coefficients.
+a process that only multiplies never loads an inverse or a power.  Any
+other basis derives each kind once per process with `malcev.deepthought`,
+which runs the Magnus-series engine of `malcev.series` over polynomial
+coefficients.
 `build_hall_basis` returns one basis per (c, r), so the basis is the cache.
 """
 
@@ -51,7 +52,8 @@ class SizeCapExceeded(ValueError):
 # Bases with more letters are refused.  A basis without shipped tables derives
 # its multiplication polynomials on its first operation, and that cost grows
 # quickly with the class: 0.5 s at (4, 4) with 90 letters, 4 s at (8, 2)
-# with 71.
+# with 71.  Its first power that is not a scaling derives the power
+# polynomials: 0.3 s at (4, 4), 5.4 s at (8, 2).
 DEFAULT_LETTER_CAP = 128
 
 # An ExpWord is a sequence of (letter, exponent) pairs with 1-based letter
@@ -97,6 +99,12 @@ class HallBasis:
         """The inverse polynomials: `inverse(u)` is the vector of u**-1."""
         return _polynomials(self, "inverse")
 
+    @cached_property
+    def pow_polynomials(self) -> Callable:
+        """The power polynomials: `pow_polynomials(u, e)` is the vector of
+        u**e for every integer e."""
+        return _polynomials(self, "pow")
+
     def commuting(self, u) -> bool:
         """True when every two letters of u's support commute by weight
         (`commute_by_weight`): u has at most one nonzero coordinate, or its
@@ -111,14 +119,16 @@ class HallBasis:
         return True
 
     def pow(self, u, e: int) -> tuple[int, ...]:
-        """u**e for any integer e; trusts the length of u."""
+        """u**e for any integer e; trusts the length of u.  A power that is
+        not a shortcut (e in {-1, 0, 1}, or u commuting) is one call of the
+        power polynomials, whatever |e|."""
         if e == 0 or e == 1:
             return tuple(u) if e else (0,) * self.m
         if self.commuting(u):
             return tuple(e * x for x in u)
         if e == -1:
             return self.inverse(u)
-        return power_from_differences(power_differences(self, u), e)
+        return self.pow_polynomials(u, e)
 
 
 def commute_by_weight(ctx, i: int, j: int) -> bool:
@@ -168,14 +178,16 @@ SHIPPED_MAX = (5, 3)  # tables ship for c <= 5, r <= 3; at rank 1 only c = 1
 
 
 def table_module(kind: str, c: int, r: int) -> str:
-    """Name of the module in `malcev.tables` that holds the `mult` or the
-    `inverse` polynomials of class c and rank r.  Each kind has its own
-    module, so a process that never inverts never loads an inverse."""
+    """Name of the module in `malcev.tables` that holds the `mult`, the
+    `inverse` or the `pow` polynomials of class c and rank r.  Each kind has
+    its own module, so a process that never inverts never loads an
+    inverse."""
     return f"c{c}r{r}" if kind == "mult" else f"c{c}r{r}_{kind}"
 
 
 def _polynomials(basis: HallBasis, kind: str) -> Callable:
-    """The shipped `mult` or `inverse` of the basis, else a derived one."""
+    """The shipped `mult`, `inverse` or `pow` of the basis, else a derived
+    one."""
     c, r = basis.top_weight, basis.r
     if c <= SHIPPED_MAX[0] and r <= SHIPPED_MAX[1]:
         module = importlib.import_module(

@@ -167,15 +167,15 @@ def reduce_coords(pres: QuotientPresentation, coords) -> tuple[int, ...]:
     with none: every letter of t commutes with a_i and with every suffix
     letter, which weighs at least as much as a_i, so the fold subtracts
     q times the row's nonzero entries from the suffix.  A column already in
-    [0, e) is left as it is.
+    [0, e) is left as it is, and a vector with every torsion column in
+    range comes back as it is, a tuple not copied.
     """
-    folds = pres.folds
-    if not folds:
-        return tuple(coords)
-    y = list(coords)
-    for col, e, support, diffs in folds:
+    y = coords
+    for col, e, support, diffs in pres.folds:
         if 0 <= y[col - 1] < e:
             continue
+        if y is coords:  # the first fold that fires copies
+            y = list(coords)
         q, rem = divmod(y[col - 1], e)
         if diffs is None:
             if support[0][0] != col - 1:

@@ -13,7 +13,8 @@ of their inverse word; an inverse is `series_power` to the -1.
 The arithmetic here is generic over the coefficient ring: the exponents and
 coordinates may be integers or any exact type with `+`, `-`, `*`, `divmod`
 by an integer and truth testing.  `deepthought` runs it over polynomials to
-derive the multiplication polynomials that `freegroup` evaluates; the tests
+derive the multiplication, inverse and power polynomials that `freegroup`
+evaluates, with the exponent of a power one more indeterminate; the tests
 run it over integers as an independent oracle.  `import malcev` does not load
 this module.
 """
@@ -64,7 +65,8 @@ def _falling_binom(e, k: int):
 
 
 def series_power(c: int, f: Series, e) -> Series:
-    """f**e for a series with constant term 1, exact for any integer e."""
+    """f**e for a series with constant term 1, exact for any integer e, or
+    for an exponent that is a polynomial taking integer values."""
     if f.get((), 0) != 1:
         raise InternalConsistencyError("only series with constant term 1 power")
     u = {k: v for k, v in f.items() if k}

@@ -1,0 +1,11 @@
+"""Power polynomials of the free nilpotent group of class 1 and rank 1.
+
+Generated by tools/gen_tables.py from malcev.deepthought; do not edit.
+"""
+
+
+def pow(u, e):
+    u1, = u
+    return (
+        u1*e,
+    )

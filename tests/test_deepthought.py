@@ -1,5 +1,5 @@
-"""The multiplication and inverse polynomials against the Magnus-series
-engine they are derived from, which stays as the oracle."""
+"""The multiplication, inverse and power polynomials against the
+Magnus-series engine they are derived from, which stays as the oracle."""
 
 import ast
 import functools
@@ -59,18 +59,21 @@ SHIPPED = [(c, r) for c in range(1, SHIPPED_MAX[0] + 1)
            if build_hall_basis(c, r).top_weight == c]
 
 
+KINDS = ("mult", "inverse", "pow")
+
+
 def test_shipped_tables_match_a_fresh_derivation():
     shipped = sorted(p.name for p in TABLES.glob("c*r*.py"))
     expected = []
     for c, r in SHIPPED:
         basis = build_hall_basis(c, r)
-        for kind in ("mult", "inverse"):
+        for kind in KINDS:
             name = f"{table_module(kind, c, r)}.py"
             expected.append(name)
             text = (TABLES / name).read_text()
             assert text == table_source(basis, kind), name
     assert shipped == sorted(expected)
-    assert len(shipped) == 22
+    assert len(shipped) == 33
 
 
 def poly_value(p, xs, width):
@@ -104,13 +107,31 @@ def test_emitted_tables_match_the_derived_polynomials(c, r):
     vectors = [(0,) * basis.m] + [coords() for _ in range(5)]
     pairs = [(u, v) for u in vectors[:3] for v in vectors[:3]]
     pairs += zip(vectors[3:], vectors[2:])
+    powers = [(u, (e,)) for u in vectors[:3] for e in (0, 1, -1, 2)]
+    powers += [(u, (e,)) for u, e in zip(vectors[3:], (-(1 << 64) - 3, 7, 1 << 64))]
     for kind, fn, args in (("mult", basis.mult, pairs),
-                           ("inverse", basis.inverse, [(u,) for u in vectors])):
+                           ("inverse", basis.inverse, [(u,) for u in vectors]),
+                           ("pow", lambda u, e: basis.pow_polynomials(u, *e),
+                            powers)):
         polys, width = derive(basis, kind)
         for xs in args:
             flat = [x for vec in xs for x in vec]
             assert fn(*xs) == tuple(poly_value(p, flat, width)
                                     for p in polys), (kind, xs)
+
+
+# (3,4) and (6,2) compile their power polynomials on first use.
+@pytest.mark.parametrize("c,r", SHIPPED + [(3, 4), (6, 2)])
+def test_power_polynomials_match_the_newton_sum(c, r):
+    basis = build_hall_basis(c, r)
+    rng = random.Random(c * 10 + r + 1)
+    for _ in range(4):
+        u = tuple(rng.choice((-1, 1)) * rng.getrandbits(rng.choice((1, 32, 200)))
+                  for _ in range(basis.m))
+        diffs = power_differences(basis, u)
+        for e in (-(1 << 64) - 3, -7, -2, 2, 3, 1 << 64):
+            assert basis.pow_polynomials(u, e) == basis.pow(u, e) \
+                == power_from_differences(diffs, e), (u, e)
 
 
 def monomial_locals(tree):
@@ -136,19 +157,49 @@ def products(tree):
 def test_emitted_tables_build_each_monomial_once():
     trees = {p.stem: ast.parse(p.read_text()) for p in TABLES.glob("c*r*.py")}
     basis = build_hall_basis(3, 4)
-    for kind in ("mult", "inverse"):
+    for kind in KINDS:
         trees[table_module(kind, 3, 4)] = ast.parse(table_source(basis, kind))
     for name, tree in trees.items():
         reads = monomial_locals(tree)
         # a monomial read once is written inline
         assert all(n >= 2 for n in reads.values()), name
-        # no term or monomial shares a monomial in these tables
-        if name.startswith(("c1r", "c2r2", "c2r3")):
+        # no term or monomial shares a monomial in these tables; a class-2
+        # power reads u1*u2 at e**2 and at e
+        if name.startswith("c1r") or (name.startswith(("c2r2", "c2r3"))
+                                      and not name.endswith("_pow")):
             assert not reads, name
     # 489 and 341 distinct monomials of degree >= 2; written flat, as a
     # product for each term, they took 2,058 and 1,371 products.
     assert products(trees["c5r3"]) <= 489
     assert products(trees["c5r3_inverse"]) <= 341
+    # 276 products form the power's monomials in u, and 345 multiply by e
+    # (`test_power_tables_multiply_by_e_at_most_weight_times`).
+    assert products(trees["c5r3_pow"]) <= 276 + 345
+
+
+def e_products(tree):
+    """For each returned coordinate of a `pow` table, the number of times
+    it reads e, which in Horner form is the number of products by e."""
+    ret = next(n for n in ast.walk(tree) if isinstance(n, ast.Return))
+    return [sum(isinstance(n, ast.Name) and n.id == "e" for n in ast.walk(elt))
+            for elt in ret.value.elts]
+
+
+def test_power_tables_multiply_by_e_at_most_weight_times():
+    # A coordinate of weight w of u**e has degree <= w in e, and Horner form
+    # multiplies by e once per degree.
+    for c, r in SHIPPED + [(3, 4)]:
+        basis = build_hall_basis(c, r)
+        name = table_module("pow", c, r)
+        path = TABLES / f"{name}.py"
+        text = path.read_text() if path.exists() else table_source(basis, "pow")
+        counts = e_products(ast.parse(text))
+        assert len(counts) == basis.m, name
+        assert all(1 <= n <= basis.weight(i + 1)
+                   for i, n in enumerate(counts)), (name, counts)
+        # the heaviest coordinate reaches its degree
+        assert counts[-1] == basis.top_weight, name
+    assert sum(e_products(ast.parse((TABLES / "c5r3_pow.py").read_text()))) == 345
 
 
 def test_rank_one_uses_the_class_one_table_at_any_class():
@@ -191,7 +242,8 @@ def test_inverse_makes_no_multiplication(c, r, monkeypatch):
 
 
 def test_inverse_table_loads_on_the_first_inverse():
-    # Products, powers and torsion folds of elements make no inverse.  The
+    # Products and torsion folds of elements load neither an inverse nor a
+    # power; a power that does not commute loads the power table only.  The
     # torsion quotient is built raw: a checked one sifts its relators under
     # conjugation, which inverts.
     code = ("import sys\n"
@@ -203,22 +255,28 @@ def test_inverse_table_loads_on_the_first_inverse():
             "    return sorted(m for m in sys.modules if m.startswith('malcev.tables.'))\n"
             "b.mult((1,) * b.m, (2,) * b.m)\n"
             "g = M.element(M.free_presentation(5, 3), range(b.m))\n"
-            "M.power(M.mult(g, g), 5)\n"
+            "g = M.mult(g, g)\n"
             "central = [i for i in range(b.m) if b.weight(i + 1) == 5]\n"
             "rows = tuple(tuple(2 * (j == i) for j in range(b.m)) for i in central)\n"
             "torsion = QuotientPresentation(b, FullFormMatrix(rows))\n"
             "print(M.element(torsion, (3,) * b.m).coords[central[0]])\n"
             "print(*loaded(), 'deepthought' if 'malcev.deepthought' in sys.modules else '-')\n"
+            "M.power(g, 5)\n"
+            "print(*loaded(), 'deepthought' if 'malcev.deepthought' in sys.modules else '-')\n"
             "b.inverse((1,) * b.m)\n"
             "print(*loaded(), 'deepthought' if 'malcev.deepthought' in sys.modules else '-')\n")
     assert run_python(code) == ["1", "malcev.tables.c5r3", "-",
+                                "malcev.tables.c5r3", "malcev.tables.c5r3_pow",
+                                "-",
                                 "malcev.tables.c5r3",
-                                "malcev.tables.c5r3_inverse", "-"]
+                                "malcev.tables.c5r3_inverse",
+                                "malcev.tables.c5r3_pow", "-"]
 
 
 def test_unshipped_inverse_derives_no_series_again():
     # At (3,4), which ships no tables: products and powers derive only the
-    # product polynomials, and the first inverse reuses the basis's series.
+    # product and power polynomials, and the first inverse reuses the
+    # basis's series.
     code = ("import malcev.deepthought as D\n"
             "from malcev import build_hall_basis\n"
             "kinds, built = [], []\n"
@@ -231,7 +289,8 @@ def test_unshipped_inverse_derives_no_series_again():
             "print(*kinds, len(built))\n"
             "b.inverse(u)\n"
             "print(*kinds, len(built))\n")
-    assert run_python(code) == ["mult", "1", "mult", "inverse", "1"]
+    assert run_python(code) == ["mult", "pow", "1",
+                                "mult", "pow", "inverse", "1"]
 
 
 EXPONENTS = (-1, 0, 1, 1 << 64, -(1 << 64))

@@ -303,7 +303,7 @@ def test_reduce_coords_folds_with_one_multiply(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setitem(basis.__dict__, "mult", counted_mult)
-            for kind in ("pow", "inverse"):
+            for kind in ("pow", "pow_polynomials", "inverse"):
                 patch.setitem(basis.__dict__, kind, no_pow)
             assert [M.reduce_coords(pres, y) for y in vectors] == expected
         assert len(calls) == sum(col in noncommuting for col, _ in quotients)
@@ -343,6 +343,20 @@ def test_reduce_coords_without_torsion_returns_input():
     pres = M.free_presentation(2, 2)
     assert pres.folds == ()
     assert M.reduce_coords(pres, [4, -5, 1 << 80]) == (4, -5, 1 << 80)
+
+
+def test_reduce_coords_returns_a_reduced_tuple_itself():
+    # A vector whose torsion columns are all in range is not copied, with
+    # torsion or without; one that folds comes back as a new tuple.
+    free = (4, -5, 1 << 80)
+    assert M.reduce_coords(M.free_presentation(2, 2), free) is free
+    pres = M.from_finite_presentation(M.build_hall_basis(*MIXED[0]), MIXED[1])
+    assert len(pres.folds) == 5
+    reduced = tuple(e - 1 for _, e in sorted(pres.torsion.items()))
+    assert M.reduce_coords(pres, reduced) is reduced
+    unreduced = (0, 0, 0, 0, pres.torsion[5])
+    folded = M.reduce_coords(pres, unreduced)
+    assert folded == (0, 0, 0, 0, 0) and folded is not unreduced
 
 
 @pytest.mark.parametrize("index,corrupt_row", [
