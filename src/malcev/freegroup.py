@@ -11,12 +11,9 @@ and in e (P. Hall), and the basis owns them:
   e·u when `HallBasis.commuting(u)`: letters whose weights sum past the
   class commute, so such a power is a scaling, with no multiplication.
   Otherwise it is `inverse` for e = -1, and for any other e one call of
-  the power polynomials, written in Horner form in e, whatever |e|;
-* `power_differences` and `power_from_differences` interpolate u**e in e
-  from u**0 .. u**w, where w is the basis's top weight: a caller that
-  folds by one relator row many times (`presentations.reduce_coords`)
-  keeps the row's differences and pays only their Newton sum per power,
-  which is cheaper than a call of the power polynomials;
+  the power polynomials, written in Horner form in e, whatever |e|.
+  It is the library's one power: a torsion fold by a relator row that
+  does not commute (`presentations.reduce_coords`) calls it too;
 * `eval_free` folds `mult` over the letter powers of a word.
 
 These trust their vectors' lengths.  Vectors from outside enter group
@@ -172,7 +169,7 @@ def build_hall_basis(c: int, r: int) -> HallBasis:
 
 
 # ---------------------------------------------------------------------------
-# The polynomials, the length check at the public entries, powers and words.
+# The polynomials, the length check at the public entries and words.
 
 SHIPPED_MAX = (5, 3)  # tables ship for c <= 5, r <= 3; at rank 1 only c = 1
 
@@ -219,41 +216,6 @@ def eval_free(basis: HallBasis, word: ExpWord) -> tuple[int, ...]:
             step[letter - 1] = e
             out = tuple(step) if out is None else mult(out, step)
     return (0,) * m if out is None else out
-
-
-def power_differences(basis: HallBasis, u) -> tuple[tuple[int, ...], ...]:
-    """Forward differences at 0, of orders 1 .. w, of u**0 .. u**w, where w
-    is the basis's top weight.
-
-    A coordinate of weight w of u**e is a polynomial of degree <= w in e, so
-    these w vectors determine u**e for every integer e
-    (`power_from_differences`).  Costs w - 1 multiplications.
-    """
-    mult = basis.mult
-    w = basis.top_weight
-    powers = [(0,) * basis.m, tuple(u)]
-    for _ in range(w - 1):
-        powers.append(mult(powers[-1], u))
-    diffs = []
-    for _ in range(w):
-        powers = [tuple(b - a for a, b in zip(p, q))
-                  for p, q in zip(powers, powers[1:])]
-        diffs.append(powers[0])
-    return tuple(diffs)
-
-
-def power_from_differences(diffs, e: int) -> tuple[int, ...]:
-    """u**e as the Newton sum over d of binomial(e, d) * diffs[d - 1]."""
-    out = [0] * len(diffs[0])
-    binom = 1
-    for d, diff in enumerate(diffs, start=1):
-        # binomial(e, d) from binomial(e, d - 1); the division is exact for
-        # every integer e, negative ones included.
-        binom = binom * (e - d + 1) // d
-        if not binom:  # 0 <= e < d: every later binomial is 0 as well
-            break
-        out = [o + binom * x for o, x in zip(out, diff)]
-    return tuple(out)
 
 
 def coords_to_word(coords) -> ExpWord:

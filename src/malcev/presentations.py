@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .extgcd import InternalConsistencyError, RejectedInput
 from .freegroup import (ExpWord, HallBasis, build_hall_basis, check_lengths,
-                        eval_free, power_differences, power_from_differences)
+                        eval_free)
 
 
 class FullFormViolation(RejectedInput):
@@ -134,17 +134,18 @@ class QuotientPresentation:
 
     @cached_property
     def folds(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...],
-                                    tuple[tuple[int, ...], ...] | None], ...]:
-        """(column, relative order, support, power differences) for each
-        torsion column, in increasing column order.  The support is the
-        relator row's nonzero entries as (0-based index, value) pairs, its
-        pivot first.  The differences are those of the row, or None for a
-        row whose letters commute by weight (`HallBasis.commuting`), which
-        `reduce_coords` folds by subtracting its support."""
+                                    tuple[int, ...] | None], ...]:
+        """(column, relative order, support, row) for each torsion column,
+        in increasing column order.  The support is the relator row's
+        nonzero entries as (0-based index, value) pairs, its pivot first.
+        The row is the relator row itself, which `reduce_coords` powers, or
+        None for a row whose letters commute by weight
+        (`HallBasis.commuting`), which it folds by subtracting its
+        support."""
         basis = self.basis
         return tuple(sorted(
             (p, row[p - 1], tuple((j, v) for j, v in enumerate(row) if v),
-             None if basis.commuting(row) else power_differences(basis, row))
+             None if basis.commuting(row) else row)
             for p, row in zip(self.relators.pivots, self.relators.rows)))
 
     def describe(self) -> str:
@@ -162,8 +163,8 @@ def reduce_coords(pres: QuotientPresentation, coords) -> tuple[int, ...]:
     coordinate is additive, so excess pivot powers fold into the suffix
     through the relator row of that column: the suffix becomes
     row**-q · suffix.  A row that does not commute by weight folds with one
-    multiplication, by the power differences the presentation stores
-    (`QuotientPresentation.folds`).  A row a_i**e · t that commutes folds
+    power of the row, `HallBasis.pow` as every power in the library, and
+    one multiplication.  A row a_i**e · t that commutes folds
     with none: every letter of t commutes with a_i and with every suffix
     letter, which weighs at least as much as a_i, so the fold subtracts
     q times the row's nonzero entries from the suffix.  A column already in
@@ -171,13 +172,13 @@ def reduce_coords(pres: QuotientPresentation, coords) -> tuple[int, ...]:
     range comes back as it is, a tuple not copied.
     """
     y = coords
-    for col, e, support, diffs in pres.folds:
+    for col, e, support, row in pres.folds:
         if 0 <= y[col - 1] < e:
             continue
         if y is coords:  # the first fold that fires copies
             y = list(coords)
         q, rem = divmod(y[col - 1], e)
-        if diffs is None:
+        if row is None:
             if support[0][0] != col - 1:
                 raise InternalConsistencyError(
                     f"torsion fold of column {col} would leave the suffix")
@@ -188,7 +189,7 @@ def reduce_coords(pres: QuotientPresentation, coords) -> tuple[int, ...]:
                     f"torsion fold of column {col} left a wrong remainder")
             continue
         suffix = tuple([0] * (col - 1) + y[col - 1:])
-        folded = pres.basis.mult(power_from_differences(diffs, -q), suffix)
+        folded = pres.basis.mult(pres.basis.pow(row, -q), suffix)
         if any(folded[:col - 1]) or folded[col - 1] != rem:
             raise InternalConsistencyError(
                 f"torsion fold of column {col} left the suffix")

@@ -9,6 +9,7 @@ from functools import lru_cache
 import malcev as M
 from malcev.extgcd import InternalConsistencyError
 from malcev.freegroup import ExpWord, HallBasis, coords_to_word, eval_free
+from malcev.series import SeriesBasis, series_mult, series_power
 from malcev.subgroups import full_form_rows
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,34 @@ def mat_of_coords(coords):
         if e:
             out = mat_mul(out, mat_pow(MAT_LETTERS[g - 1], e))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The Magnus-series engine over integers, from which the compiled polynomials
+# are derived: an oracle for products, powers and words in a free group.
+
+
+@lru_cache(maxsize=None)
+def _series(basis):
+    return SeriesBasis(basis)
+
+
+def series_eval(basis, word):
+    data = _series(basis)
+    return data.series_to_coords(data.word_series(word))
+
+
+def series_coords_mult(basis, u, v):
+    data = _series(basis)
+    return data.series_to_coords(series_mult(
+        basis.c, data.word_series(coords_to_word(u)),
+        data.word_series(coords_to_word(v))))
+
+
+def series_coords_pow(basis, u, e):
+    data = _series(basis)
+    return data.series_to_coords(series_power(
+        basis.c, data.word_series(coords_to_word(u)), e))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,10 @@ import pytest
 import malcev as M
 import malcev.presentations as P
 from conftest import (collector_consistent, normal_closure_rows,
-                      random_finite_presentation)
+                      random_finite_presentation, series_coords_pow)
 from malcev import freegroup
 from malcev.extgcd import InternalConsistencyError
-from malcev.freegroup import (eval_free, power_differences,
-                              power_from_differences)
+from malcev.freegroup import eval_free
 from malcev.presentations import FullFormViolation, check_echelon_conditions
 from malcev.subgroups import full_form_rows
 
@@ -220,8 +219,8 @@ FINITE_QUOTIENTS = (
 
 
 def reference_reduce(pres, coords, quotients):
-    """The torsion fold with each relator power recomputed by the Newton
-    path, whether or not the row commutes; appends (column, q) for every
+    """The torsion fold with each relator power computed by the series
+    engine, whether or not the row commutes; appends (column, q) for every
     nonzero quotient q to `quotients`."""
     basis = pres.basis
     y = list(coords)
@@ -230,8 +229,7 @@ def reference_reduce(pres, coords, quotients):
         if q:
             quotients.append((col, q))
             suffix = tuple([0] * (col - 1) + y[col - 1:])
-            diffs = power_differences(basis, pres.torsion_rows[col])
-            relator_pow = power_from_differences(diffs, -q)
+            relator_pow = series_coords_pow(basis, pres.torsion_rows[col], -q)
             y[col - 1:] = basis.mult(relator_pow, suffix)[col - 1:]
     return tuple(y)
 
@@ -263,51 +261,65 @@ def support(row):
     return tuple((j, v) for j, v in enumerate(row) if v)
 
 
+# Rows of F(5,3)/<a1^4, a2^2 a1^2, a3^3> as {0-based index: value}: those at
+# columns 1 and 4 do not commute by weight, those at 2, 3 and 8 do.  A raw
+# presentation of these rows folds those columns as the quotient does,
+# without the 0.7 s sift that builds the quotient.
+F53_ROWS = ({0: 2, 1: 2}, {1: 4}, {2: 3}, {3: 2, 7: 1}, {7: 2, 20: 1})
+
+
 def test_reduce_coords_folds_with_one_multiply(monkeypatch):
-    # A fold by a row that does not commute is one multiply by its stored
-    # power; a fold by a row that commutes is a subtraction of its nonzero
-    # entries, with none.  The squares and MIXED have the row (0, 0, 2, 0, 1),
-    # which commutes and has a nonzero entry after its pivot.
+    # Building the folds multiplies nothing.  A fold by a row that does not
+    # commute is one power of the row, the inverse when q = 1 and none when
+    # q = -1, and one multiply; a fold by a row that commutes is a
+    # subtraction of its nonzero entries, with neither.  The squares and
+    # MIXED have the row (0, 0, 2, 0, 1), which commutes and has a nonzero
+    # entry after its pivot.
     cubes = M.from_finite_presentation(M.build_hall_basis(3, 2),
                                        [((1, 3),), ((2, 3),)])
     squares = M.from_finite_presentation(M.build_hall_basis(3, 2),
                                          [((1, 2),), ((2, 2),)])
     mixed = M.from_finite_presentation(M.build_hall_basis(*MIXED[0]), MIXED[1])
     assert squares.torsion_rows[3] == mixed.torsion_rows[3] == (0, 0, 2, 0, 1)
+    basis53 = M.build_hall_basis(5, 3)
+    f53 = M.QuotientPresentation(basis53, M.FullFormMatrix(tuple(
+        tuple(row.get(j, 0) for j in range(basis53.m)) for row in F53_ROWS)))
     rng = random.Random(45)
-    vectors = [(7, -8, 1 << 70, 5, -(1 << 64))]
-    vectors += [tuple(rng.randint(-1 << 40, 1 << 40) for _ in range(5))
-                for _ in range(10)]
+
+    def counted(fn, log):
+        return lambda *args: log.append(args) or fn(*args)
+
     for pres, noncommuting in ((cubes, set()), (squares, set()),
-                               (mixed, {1})):
+                               (mixed, {1}), (f53, {1, 4})):
         basis = pres.basis
-        folds = pres.folds  # the relator differences, before counting
+        zeros = (0,) * (pres.m - 5)
+        vectors = [(7, -8, 1 << 70, 5, -(1 << 64)) + zeros,
+                   (2, 0, 0, 0, 0) + zeros, (-1, 0, 0, 0, 0) + zeros]
+        vectors += [tuple(rng.randint(-1 << 40, 1 << 40) for _ in range(pres.m))
+                    for _ in range(10)]
+        quotients = []
+        expected = [reference_reduce(pres, y, quotients) for y in vectors]
+        fresh = M.QuotientPresentation(basis, pres.relators)  # folds unbuilt
+        calls = {"mult": [], "pow_polynomials": [], "inverse": []}
+        with monkeypatch.context() as patch:
+            for kind, log in calls.items():
+                patch.setitem(basis.__dict__, kind,
+                              counted(getattr(basis, kind), log))
+            folds = fresh.folds
+            assert not any(calls.values())
+            assert [M.reduce_coords(fresh, y) for y in vectors] == expected
         assert [(col, e, sup) for col, e, sup, _ in folds] == [
             (p, pres.torsion[p], support(pres.torsion_rows[p]))
             for p in sorted(pres.torsion)]
-        for col, _, _, diffs in folds:
-            assert (diffs is None) == (col not in noncommuting)
-            assert diffs is None or diffs == power_differences(
-                basis, pres.torsion_rows[col])
-        quotients = []
-        expected = [reference_reduce(pres, y, quotients) for y in vectors]
-        mult = basis.mult
-        calls = []
-
-        def counted_mult(u, v):
-            calls.append(1)
-            return mult(u, v)
-
-        def no_pow(*args):
-            raise AssertionError("reduce_coords must not power")
-
-        with monkeypatch.context() as patch:
-            patch.setitem(basis.__dict__, "mult", counted_mult)
-            for kind in ("pow", "pow_polynomials", "inverse"):
-                patch.setitem(basis.__dict__, kind, no_pow)
-            assert [M.reduce_coords(pres, y) for y in vectors] == expected
-        assert len(calls) == sum(col in noncommuting for col, _ in quotients)
-        assert bool(calls) == bool(noncommuting)
+        for col, _, _, row in folds:
+            assert row == (None if col not in noncommuting
+                           else pres.torsion_rows[col])
+        powered = [q for col, q in quotients if col in noncommuting]
+        assert len(calls["mult"]) == len(powered)
+        assert len(calls["inverse"]) == powered.count(1)
+        assert len(calls["pow_polynomials"]) == sum(
+            q not in (1, -1) for q in powered)
+        assert {1, -1} <= set(powered) if noncommuting else not powered
         assert {col for col, _ in quotients} == set(pres.torsion)
 
 
@@ -360,7 +372,7 @@ def test_reduce_coords_returns_a_reduced_tuple_itself():
 
 
 @pytest.mark.parametrize("index,corrupt_row", [
-    # rows that do not commute, folded by their corrupted differences
+    # rows that do not commute, folded by a power of the corrupted row
     (0, (3, 2, 0, 0, 0)),  # wrong pivot: the folded column is not the remainder
     (1, (1, 4, 0, 0, 0)),  # support left of the column: the fold leaves the suffix
     # rows that commute, folded by subtraction
@@ -375,8 +387,7 @@ def test_corrupt_fold_raises(monkeypatch, index, corrupt_row):
     folds = list(pres.folds)
     col, e, _, _ = folds[index]
     folds[index] = (col, e, support(corrupt_row),
-                    None if basis.commuting(corrupt_row)
-                    else power_differences(basis, corrupt_row))
+                    None if basis.commuting(corrupt_row) else corrupt_row)
     assert (folds[index][3] is None) == (index >= 2)
     monkeypatch.setitem(pres.__dict__, "folds", tuple(folds))
     coords = [0] * pres.m
@@ -406,6 +417,8 @@ def sparse_vector(rng, basis):
 
 @pytest.mark.parametrize("c,r", COMMUTING_BASES)
 def test_commuting_powers_and_folds_match_the_newton_path(c, r):
+    # The scaling and the subtraction of a row that commutes against the
+    # power polynomials, which make no such shortcut.
     basis = M.build_hall_basis(c, r)
     rng = random.Random(100 * c + r)
     kinds = set()
@@ -416,9 +429,8 @@ def test_commuting_powers_and_folds_match_the_newton_path(c, r):
                         for i, a in enumerate(weights) for b in weights[i + 1:])
         assert basis.commuting(u) == commuting
         kinds.add(commuting)
-        diffs = power_differences(basis, u)
         for e in (-7, -2, -1, 2, 3, 1 << 40):
-            assert basis.pow(u, e) == power_from_differences(diffs, e)
+            assert basis.pow(u, e) == basis.pow_polynomials(u, e)
         # u, with a positive pivot, as the one relator row of a fold
         col = P.first_nonzero(u)
         row = tuple(abs(x) if j == col - 1 else x for j, x in enumerate(u))
@@ -426,6 +438,6 @@ def test_commuting_powers_and_folds_match_the_newton_path(c, r):
         suffix = tuple(0 if j < col - 1 else rng.randint(-1 << 50, 1 << 50)
                        for j in range(basis.m))
         q = suffix[col - 1] // row[col - 1]
-        newton = power_from_differences(power_differences(basis, row), -q)
-        assert M.reduce_coords(pres, suffix) == basis.mult(newton, suffix)
+        power = basis.pow_polynomials(row, -q)
+        assert M.reduce_coords(pres, suffix) == basis.mult(power, suffix)
     assert kinds == ({True} if basis.top_weight == 1 else {True, False})
