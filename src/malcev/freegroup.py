@@ -14,7 +14,10 @@ and in e (P. Hall), and the basis owns them:
   the power polynomials, written in Horner form in e, whatever |e|.
   It is the library's one power: a torsion fold by a relator row that
   does not commute (`presentations.reduce_coords`) calls it too;
-* `eval_free` folds `mult` over the letter powers of a word.
+* `eval_free` builds the product of the letter powers of a word from
+  the left: a power that commutes by weight with the product's tail after
+  its letter adds its exponent to that coordinate, and any other power is
+  one call of `mult`.
 
 These trust their vectors' lengths.  Vectors from outside enter group
 arithmetic only through `groups.element`, `subgroups.CoordinateMatrix` and
@@ -102,17 +105,23 @@ class HallBasis:
         u**e for every integer e."""
         return _polynomials(self, "pow")
 
+    @cached_property
+    def commuting_from(self) -> tuple[int, ...]:
+        """For each 0-based position i, the first position after i from
+        which on every letter commutes with letter i by weight
+        (`commute_by_weight`), or m: a suffix, as weights never decrease."""
+        m = self.m
+        return tuple(next((j for j in range(i + 1, m)
+                           if commute_by_weight(self, i + 1, j + 1)), m)
+                     for i in range(m))
+
     def commuting(self, u) -> bool:
-        """True when every two letters of u's support commute by weight
-        (`commute_by_weight`): u has at most one nonzero coordinate, or its
-        two lightest nonzero letters, its first two since the basis is
-        weight-ordered, commute.  Then u**e = e·u for every integer e."""
-        first = None
+        """True when every two letters of u's support commute by weight:
+        after its first nonzero letter i, u is zero up to
+        `commuting_from[i]`.  Then u**e = e·u for every integer e."""
         for i, x in enumerate(u):
             if x:
-                if first is not None:
-                    return commute_by_weight(self, first + 1, i + 1)
-                first = i
+                return not any(u[i + 1:self.commuting_from[i]])
         return True
 
     def pow(self, u, e: int) -> tuple[int, ...]:
@@ -204,18 +213,26 @@ def check_lengths(basis: HallBasis, *vectors) -> None:
 
 
 def eval_free(basis: HallBasis, word: ExpWord) -> tuple[int, ...]:
-    """Coordinates of the element represented by a word with binary exponents."""
+    """Coordinates of the element represented by a word with binary exponents.
+
+    A letter power x_i**e that commutes by weight with the product's tail
+    after i (`HallBasis.commuting_from`) moves past it, so it adds e to
+    coordinate i; any other power is one call of `mult`."""
     mult = basis.mult
+    commuting_from = basis.commuting_from
     m = basis.m
-    out = None  # the product so far, None until the first nonzero power
+    out = [0] * m  # the product so far
     for letter, e in word:
         if not 1 <= letter <= m:
             raise RejectedInput(f"letter index {letter} out of range 1..{m}")
         if e:
-            step = [0] * m
-            step[letter - 1] = e
-            out = tuple(step) if out is None else mult(out, step)
-    return (0,) * m if out is None else out
+            if any(out[letter:commuting_from[letter - 1]]):
+                step = [0] * m
+                step[letter - 1] = e
+                out = list(mult(out, step))
+            else:
+                out[letter - 1] += e
+    return tuple(out)
 
 
 def coords_to_word(coords) -> ExpWord:

@@ -9,8 +9,8 @@ import malcev as M
 from conftest import (MAT_ID, mat_inv, mat_mul, mat_of_coords, mat_of_word,
                       mat_pow, structure_relations)
 from malcev.extgcd import RejectedInput
-from malcev.freegroup import (SizeCapExceeded, build_hall_basis,
-                              coords_to_word, eval_free)
+from malcev.freegroup import (SHIPPED_MAX, SizeCapExceeded, build_hall_basis,
+                              commute_by_weight, coords_to_word, eval_free)
 
 
 @pytest.mark.parametrize("c,r,m", [
@@ -178,33 +178,128 @@ def test_coords_to_word_roundtrip():
 
 
 def test_letter_out_of_range_rejected():
-    # every letter is checked: under a zero exponent and before or after
-    # the first nonzero power
+    # every letter is checked: under a zero exponent, before or after the
+    # first nonzero power, and after a power that was added
     for word in (((4, 1),), ((4, 0),), ((0, 1), (1, 1)), ((1, 1), (0, 0)),
-                 ((1, 1), (2, 1), (4, 2))):
+                 ((1, 1), (2, 1), (4, 2)), ((3, 1), (4, 0))):
         with pytest.raises(RejectedInput):
             eval_free(HEIS, word)
 
 
 def test_eval_free_starts_at_the_first_power(monkeypatch):
-    # a word with k nonzero letter powers takes k - 1 multiplications
-    basis = build_hall_basis(3, 2)
-    mult = basis.mult
+    # The first nonzero power starts the product and a power that commutes
+    # by weight with the product's tail after its letter is added, so only
+    # the other powers multiply.
     calls = []
 
-    def counted(u, v):
-        calls.append(1)
-        return mult(u, v)
+    def counted(basis):
+        mult = basis.mult
+        monkeypatch.setitem(basis.__dict__, "mult",
+                            lambda u, v: calls.append(1) or mult(u, v))
+        return basis
 
-    monkeypatch.setitem(basis.__dict__, "mult", counted)
+    basis = counted(build_hall_basis(3, 2))
     for word, coords, k in ((((2, 0),), (0,) * 5, 0),
-                            (((2, 0), (3, -4), (1, 0)), (0, 0, -4, 0, 0), 1),
-                            (((2, 1), (1, 1)), (1, 1, 1, 0, 0), 2),
+                            (((2, 0), (3, -4), (1, 0)), (0, 0, -4, 0, 0), 0),
+                            (((1, 1), (2, 1)), (1, 1, 0, 0, 0), 0),
+                            (((4, 1), (3, 1)), (0, 0, 1, 1, 0), 0),
+                            (((5, 2), (1, 3), (2, -1)), (3, -1, 0, 0, 2), 0),
+                            (((2, 1), (1, 1)), (1, 1, 1, 0, 0), 1),
+                            (((1, 1), (2, 1), (1, 1)), (2, 1, 1, 0, 0), 1),
                             (((2, 1), (1, 0), (1, 1), (2, 1)),
-                             (1, 2, 1, 0, 1), 3)):
+                             (1, 2, 1, 0, 1), 2),
+                            (((2, 1), (1, 1), (2, -1), (1, -1)),
+                             (0, 0, 1, -1, -1), 3)):
         calls.clear()
         assert eval_free(basis, word) == coords
-        assert len(calls) == max(k - 1, 0)
+        assert len(calls) == k
+    # at (5,3) every two letters of weight >= 3 commute (3 + 3 > 5): a word
+    # of them, in any order, is the sum of its powers
+    basis = counted(build_hall_basis(5, 3))
+    heavy = [i for i in range(1, basis.m + 1) if basis.weight(i) >= 3]
+    rng = random.Random(13)
+    calls.clear()
+    for _ in range(20):
+        word = tuple((rng.choice(heavy), rng.randint(-1 << 64, 1 << 64))
+                     for _ in range(12))
+        coords = [0] * basis.m
+        for letter, e in word:
+            coords[letter - 1] += e
+        assert eval_free(basis, word) == tuple(coords)
+    assert calls == []
+
+
+# Every basis with shipped tables; a rank-1 basis above class 1 uses the
+# tables of its heaviest letter's weight.
+SHIPPED = [(c, r) for c in range(1, SHIPPED_MAX[0] + 1)
+           for r in range(1, SHIPPED_MAX[1] + 1)
+           if build_hall_basis(c, r).top_weight == c]
+
+
+def random_letter(rng, basis):
+    """A letter of a uniformly random weight, so that the few light letters
+    of a large basis come up as often as the many heavy ones."""
+    w = rng.randint(1, basis.top_weight)
+    return rng.choice([i for i in range(1, basis.m + 1)
+                       if basis.weight(i) == w])
+
+
+@pytest.mark.parametrize("c,r", SHIPPED)
+def test_commuting_reads_commute_by_weight(c, r):
+    # The table holds, for each letter, where the later letters that
+    # commute with it by weight begin; `commuting` reading it agrees with
+    # `commute_by_weight` on the two lightest letters of the support.
+    basis = build_hall_basis(c, r)
+    m = basis.m
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            assert commute_by_weight(basis, i, j) == (
+                j > basis.commuting_from[i - 1])
+    rng = random.Random(10 * c + r)
+    kinds = set()
+    for _ in range(300):
+        u = [0] * m
+        for _ in range(rng.randint(0, 4)):
+            u[random_letter(rng, basis) - 1] = rng.choice((-1, 1, 1 << 40))
+        support = [i + 1 for i, x in enumerate(u) if x]
+        commuting = (len(support) < 2
+                     or commute_by_weight(basis, support[0], support[1]))
+        assert basis.commuting(u) == basis.commuting(tuple(u)) == commuting
+        kinds.add(commuting)
+    assert kinds == ({True} if c == 1 else {True, False})
+
+
+@pytest.mark.parametrize("c,r", [(1, 3), (2, 2), (3, 2), (3, 3), (4, 2),
+                                 (5, 2), (4, 3), (5, 3)])
+def test_eval_free_matches_a_left_fold_of_mult(c, r):
+    # Adding a power that commutes by weight with the product's tail gives
+    # the vector of the plain fold; a1·a2·a1, whose second a1 does not
+    # commute with a2, and a2·a1 must multiply (the sum is not the answer).
+    basis = build_hall_basis(c, r)
+    m = basis.m
+
+    def fold(word):
+        out = (0,) * m
+        for letter, e in word:
+            step = [0] * m
+            step[letter - 1] = e
+            out = basis.mult(out, step)
+        return out
+
+    rng = random.Random(100 * c + r)
+    words = [((1, 1), (2, 1), (1, 1)), ((2, 3), (1, -5))] if r > 1 else []
+    for _ in range(120):
+        words.append(tuple(
+            (random_letter(rng, basis),
+             rng.choice((0, 1, -1, rng.randint(-1 << 64, 1 << 64))))
+            for _ in range(rng.randint(0, 12))))
+    for word in words:
+        assert eval_free(basis, word) == fold(word)
+    if r > 1 and c > 1:
+        for word in words[:2]:
+            assert eval_free(basis, word) != tuple(
+                sum(e for letter, e in word if letter == i)
+                for i in range(1, m + 1))
 
 
 def test_wrong_length_vectors_rejected():
