@@ -5,10 +5,13 @@ The Mal'cev coordinates of u·v, of u^-1 and of u^e are fixed polynomials
 with rational coefficients, integer-valued on integer inputs, in the
 coordinates of u and v and in e (P. Hall, *Nilpotent groups*, 1957;
 Leedham-Green & Soicher, "Symbolic collection using Deep Thought", 1998).
-They are derived here by running the Magnus-series engine of `series` once
-with the coordinates, and for a power the exponent, as indeterminates
-(`series_mult` of the series of u and v, `series_power` of that of u to
-the -1 or to e), and emitted as straight-line Python source,
+The product is derived by running the Magnus-series engine of `series`
+once with the coordinates as indeterminates (`series_mult` of the series of
+u and v).  Coordinate q of u^e is a polynomial of degree <= weight(q) in e,
+so the inverse and the power follow from the product: the compiled `mult`,
+run on polynomials, gives u^2 .. u^w, and Newton's forward-difference
+formula sums C(e, j) times their j-th differences, with e = -1 or e one more
+indeterminate.  The polynomials are emitted as straight-line Python source,
 `def mult(u, v)`, `def inverse(u)` or `def pow(u, e)`.  Each distinct
 monomial of degree >= 2 in the coordinates is one product, of a shorter
 monomial and one variable, held in a local `t<k>` when two or more terms
@@ -19,18 +22,17 @@ weight w combines the monomials of e**w .. e**1 in Horner form in e,
 
 `freegroup` imports the checked-in source for c <= 5, r <= 3 (generated by
 `tools/gen_tables.py`) and compiles `table_source(basis, kind)` on the first
-use of a kind on any other basis.  The kinds of one basis share its letter
-series and the series of u, built once on the first derivation.
+use of a kind on any other basis; a first inverse or power derives the
+basis's `mult` first, if it has none yet.
 `import malcev` does not load this module.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .freegroup import HallBasis
-from .series import Series, SeriesBasis, series_mult, series_power
+from .series import SeriesBasis, series_mult
 
 
 class Poly:
@@ -111,22 +113,13 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, d: int) -> Poly:
+        """Exact division by a positive integer."""
+        return Poly(self.terms, self.den * d)
+
     def __divmod__(self, d: int) -> tuple[Poly, int]:
         """Exact division by a positive integer: the remainder is 0."""
-        return Poly(self.terms, self.den * d), 0
-
-
-@lru_cache(maxsize=None)
-def _generic_series(basis: HallBasis) -> tuple[SeriesBasis, Series, int]:
-    """The basis's `SeriesBasis`, the series of u with the coordinates
-    x_0..x_{m-1} as indeterminates, and the exponent width used: built once
-    per basis, for whichever of its kinds is derived first, and shared, so
-    read only."""
-    width = basis.c.bit_length()
-    data = SeriesBasis(basis)
-    u = data.word_series(tuple((i + 1, Poly.var(i, width))
-                               for i in range(basis.m)))
-    return data, u, width
+        return self // d, 0
 
 
 def derive(basis: HallBasis, kind: str) -> tuple[tuple[Poly, ...], int]:
@@ -135,18 +128,34 @@ def derive(basis: HallBasis, kind: str) -> tuple[tuple[Poly, ...], int]:
     x_m..x_{2m-1}, those of v, for "mult", or in x_m, the exponent e, for
     "pow"; with the exponent width used."""
     m, c = basis.m, basis.c
-    data, u, width = _generic_series(basis)
-    if kind == "inverse":
-        return data.series_to_coords(series_power(c, u, -1)), width
-    if kind == "pow":
-        # The binomials of `series_power` are polynomials in e as well.
-        return data.series_to_coords(
-            series_power(c, u, Poly.var(m, width))), width
-    # The series of v is that of u with every x_j renamed to x_{m+j}.
-    shift = m * width
-    v = {mon: Poly({k << shift: coef for k, coef in p.terms.items()}, p.den)
-         if isinstance(p, Poly) else p for mon, p in u.items()}
-    return data.series_to_coords(series_mult(c, u, v)), width
+    width = c.bit_length()
+    xs = [Poly.var(i, width) for i in range(m)]
+    if kind == "mult":
+        data = SeriesBasis(basis)
+        u = data.word_series(tuple(enumerate(xs, start=1)))
+        # The series of v is that of u with every x_j renamed to x_{m+j}.
+        shift = m * width
+        v = {mon: Poly({k << shift: coef for k, coef in p.terms.items()},
+                       p.den) if isinstance(p, Poly) else p
+             for mon, p in u.items()}
+        return data.series_to_coords(series_mult(c, u, v)), width
+    # Newton's formula over u^0..u^weight(q), exact as coordinate q of u^e
+    # has degree <= weight(q) in e: the sum of C(e, j) times the j-th
+    # forward difference.
+    powers = [[0] * m, xs]
+    for _ in range(basis.top_weight - 1):
+        powers.append(basis.mult(powers[-1], xs))
+    e = -1 if kind == "inverse" else Poly.var(m, width)
+    coords = []
+    for q in range(m):
+        column = [p[q] for p in powers[:basis.weight(q + 1) + 1]]
+        total, binom = 0, 1
+        for j in range(len(column)):
+            total = total + binom * column[0]
+            column = [y - x for x, y in zip(column, column[1:])]
+            binom = binom * (e - j) // (j + 1)
+        coords.append(total)
+    return tuple(coords), width
 
 
 def _coordinate_sources(polys: list[dict], names: list[str],

@@ -29,9 +29,9 @@ rank-1 basis, whatever its class, uses the class-1 tables.  The polynomials
 for c <= 5, r <= 3 ship as generated modules in `malcev.tables`, one per
 basis and kind, each imported on the first use of its kind on its basis:
 a process that only multiplies never loads an inverse or a power.  Any
-other basis derives each kind once per process with `malcev.deepthought`,
-which runs the Magnus-series engine of `malcev.series` over polynomial
-coefficients.
+other basis derives each kind once per process with `malcev.deepthought`:
+the product by the Magnus-series engine of `malcev.series` over polynomial
+coefficients, and the inverse and the power from the product.
 `build_hall_basis` returns one basis per (c, r), so the basis is the cache.
 """
 
@@ -53,7 +53,7 @@ class SizeCapExceeded(ValueError):
 # its multiplication polynomials on its first operation, and that cost grows
 # quickly with the class: 0.5 s at (4, 4) with 90 letters, 4 s at (8, 2)
 # with 71.  Its first power that is not a scaling derives the power
-# polynomials: 0.3 s at (4, 4), 5.4 s at (8, 2).
+# polynomials from those: 0.03 s at (4, 4), 0.7 s at (8, 2).
 DEFAULT_LETTER_CAP = 128
 
 # An ExpWord is a sequence of (letter, exponent) pairs with 1-based letter

@@ -13,10 +13,10 @@ of their inverse word; an inverse is `series_power` to the -1.
 The arithmetic here is generic over the coefficient ring: the exponents and
 coordinates may be integers or any exact type with `+`, `-`, `*`, `divmod`
 by an integer and truth testing.  `deepthought` runs it over polynomials to
-derive the multiplication, inverse and power polynomials that `freegroup`
-evaluates, with the exponent of a power one more indeterminate; the tests
-run it over integers as an independent oracle.  `import malcev` does not load
-this module.
+derive the multiplication polynomials only; the inverse and power
+polynomials follow from those.  The tests run it as an independent oracle,
+over integers and over polynomials.  `import malcev` does not load this
+module.
 """
 
 from __future__ import annotations

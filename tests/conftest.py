@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import malcev as M
+from malcev.deepthought import Poly
 from malcev.extgcd import InternalConsistencyError
 from malcev.freegroup import ExpWord, HallBasis, coords_to_word, eval_free
 from malcev.series import SeriesBasis, series_mult, series_power
@@ -93,6 +94,18 @@ def series_coords_pow(basis, u, e):
     data = _series(basis)
     return data.series_to_coords(series_power(
         basis.c, data.word_series(coords_to_word(u)), e))
+
+
+def series_derive(basis, kind):
+    """`malcev.deepthought.derive` of "inverse" or "pow" by the series
+    engine: the series of u with the coordinates as indeterminates, to the
+    -1 or to e = x_m, read back as coordinates."""
+    width = basis.c.bit_length()
+    data = _series(basis)
+    u = data.word_series(tuple((i + 1, Poly.var(i, width))
+                               for i in range(basis.m)))
+    e = -1 if kind == "inverse" else Poly.var(basis.m, width)
+    return data.series_to_coords(series_power(basis.c, u, e)), width
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The multiplication, inverse and power polynomials against the
-Magnus-series engine they are derived from, which stays as the oracle."""
+Magnus-series engine, which derives the product and stays as the oracle
+for the rest."""
 
 import ast
 import os
@@ -10,7 +11,8 @@ import sys
 
 import pytest
 
-from conftest import series_coords_mult, series_coords_pow, series_eval
+from conftest import (series_coords_mult, series_coords_pow, series_derive,
+                      series_eval)
 from malcev.deepthought import derive, table_source
 from malcev.freegroup import (SHIPPED_MAX, build_hall_basis, eval_free,
                               table_module)
@@ -251,23 +253,45 @@ def test_inverse_table_loads_on_the_first_inverse():
 
 
 def test_unshipped_inverse_derives_no_series_again():
-    # At (3,4), which ships no tables: products and powers derive only the
-    # product and power polynomials, and the first inverse reuses the
-    # basis's series.
-    code = ("import malcev.deepthought as D\n"
-            "from malcev import build_hall_basis\n"
-            "kinds, built = [], []\n"
-            "derive, series_basis = D.derive, D.SeriesBasis\n"
-            "D.derive = lambda b, kind: kinds.append(kind) or derive(b, kind)\n"
-            "D.SeriesBasis = lambda b: built.append(b) or series_basis(b)\n"
-            "b = build_hall_basis(3, 4)\n"
-            "u = tuple(range(1, b.m + 1))\n"
-            "b.pow(b.mult(u, u), 5)\n"
-            "print(*kinds, len(built))\n"
-            "b.inverse(u)\n"
-            "print(*kinds, len(built))\n")
-    assert run_python(code) == ["mult", "pow", "1",
-                                "mult", "pow", "inverse", "1"]
+    # At (3,4), which ships no tables, only the product runs the series
+    # engine: the first power and the first inverse evaluate its compiled
+    # `mult` on polynomials.  A process whose first operation is an inverse
+    # derives the product on the way.
+    setup = ("import malcev.deepthought as D\n"
+             "from malcev import build_hall_basis\n"
+             "kinds, calls = [], []\n"
+             "derive, series_mult = D.derive, D.series_mult\n"
+             "to_coords = D.SeriesBasis.series_to_coords\n"
+             "D.derive = lambda b, kind: kinds.append(kind) or derive(b, kind)\n"
+             "D.series_mult = lambda *a: calls.append(1) or series_mult(*a)\n"
+             "D.SeriesBasis.series_to_coords = "
+             "lambda s, f: calls.append(1) or to_coords(s, f)\n"
+             "def report():\n"
+             "    print(*kinds, len(calls))\n"
+             "    kinds.clear(), calls.clear()\n"
+             "b = build_hall_basis(3, 4)\n"
+             "u = tuple(range(1, b.m + 1))\n")
+    code = setup + ("v = b.mult(u, u)\n"
+                    "report()\n"
+                    "b.pow(v, 5)\n"
+                    "report()\n"
+                    "b.inverse(u)\n"
+                    "report()\n")
+    assert run_python(code) == ["mult", "2", "pow", "0", "inverse", "0"]
+    code = setup + ("b.inverse(u)\n"
+                    "report()\n")
+    assert run_python(code) == ["inverse", "mult", "2"]
+
+
+# (2,4), (3,4) and (6,2) ship no tables; the shipped ones equal their
+# derivation (`test_shipped_tables_match_a_fresh_derivation`).
+@pytest.mark.parametrize("c,r", [(2, 4), (3, 4), (6, 2)])
+@pytest.mark.parametrize("kind", ["inverse", "pow"])
+def test_newton_sums_match_the_series_derivation(c, r, kind):
+    basis = build_hall_basis(c, r)
+    polys, oracle = derive(basis, kind)[0], series_derive(basis, kind)[0]
+    assert [(p.terms, p.den) for p in polys] == \
+        [(p.terms, p.den) for p in oracle]
 
 
 EXPONENTS = (-1, 0, 1, 1 << 64, -(1 << 64))
