@@ -10,15 +10,18 @@ once with the coordinates as indeterminates (`series_mult` of the series of
 u and v).  Coordinate q of u^e is a polynomial of degree <= weight(q) in e,
 so the inverse and the power follow from the product: the compiled `mult`,
 run on polynomials, gives u^2 .. u^w, and Newton's forward-difference
-formula sums C(e, j) times their j-th differences, with e = -1 or e one more
-indeterminate.  The polynomials are emitted as straight-line Python source,
-`def mult(u, v)`, `def inverse(u)` or `def pow(u, e)`.  Each distinct
-monomial of degree >= 2 in the coordinates is one product, of a shorter
-monomial and one variable, held in a local `t<k>` when two or more terms
-or longer monomials read it; each coordinate is written as `(integer
-combination of monomials) // denominator`, and a power's coordinate of
-weight w combines the monomials of e**w .. e**1 in Horner form in e,
-`((P_w*e + ... + P_1)*e) // denominator`.
+formula gives u^e as the sum over j of C(e, j) times their j-th
+differences Δ^j (C(-1, j) = (-1)^j for the inverse).  The polynomials are
+emitted as straight-line Python source, `def mult(u, v)`, `def inverse(u)`
+or `def pow(u, e)`.  Each distinct monomial of degree >= 2 in the
+coordinates is one product, of a shorter monomial and one variable, held
+in a local `t<k>` when two or more terms or longer monomials read it; each
+coordinate is written as `(integer combination of monomials) //
+denominator`.  A power first computes the binomials b<j> = C(e, j) up to
+the top weight, `b2 = e*(e - 1)//2`, `b3 = b2*(e - 2)//3`, ..., and writes
+its coordinate of weight w in Newton form, `(Δ^1*e + Δ^2*b2 + ... +
+Δ^w*b<w>) // denominator`, each Δ^j one integer combination of monomials
+over the coordinate's common denominator.
 
 `freegroup` imports the checked-in source for c <= 5, r <= 3 (generated by
 `tools/gen_tables.py`) and compiles `table_source(basis, kind)` on the first
@@ -122,11 +125,12 @@ class Poly:
         return self // d, 0
 
 
-def derive(basis: HallBasis, kind: str) -> tuple[tuple[Poly, ...], int]:
-    """Coordinates of u·v (kind "mult"), of u^-1 ("inverse") or of u^e
-    ("pow") as polynomials in x_0..x_{m-1}, the coordinates of u, and in
-    x_m..x_{2m-1}, those of v, for "mult", or in x_m, the exponent e, for
-    "pow"; with the exponent width used."""
+def derive(basis: HallBasis, kind: str) -> tuple[tuple, int]:
+    """Coordinates of u·v (kind "mult") or of u^-1 ("inverse") as
+    polynomials in x_0..x_{m-1}, the coordinates of u, and for "mult" in
+    x_m..x_{2m-1}, those of v; for "pow", coordinate q of u^e as its
+    forward differences Δ^1_q .. Δ^w_q, w = weight(q), with u^e =
+    Σ_j C(e, j)·Δ^j_q; with the exponent width used."""
     m, c = basis.m, basis.c
     width = c.bit_length()
     xs = [Poly.var(i, width) for i in range(m)]
@@ -139,23 +143,23 @@ def derive(basis: HallBasis, kind: str) -> tuple[tuple[Poly, ...], int]:
                        p.den) if isinstance(p, Poly) else p
              for mon, p in u.items()}
         return data.series_to_coords(series_mult(c, u, v)), width
-    # Newton's formula over u^0..u^weight(q), exact as coordinate q of u^e
-    # has degree <= weight(q) in e: the sum of C(e, j) times the j-th
-    # forward difference.
+    # Newton's formula over u^0..u^weight(q) is exact, as coordinate q of
+    # u^e has degree <= weight(q) in e; u^0 is the identity, so Δ^0 is 0.
     powers = [[0] * m, xs]
     for _ in range(basis.top_weight - 1):
         powers.append(basis.mult(powers[-1], xs))
-    e = -1 if kind == "inverse" else Poly.var(m, width)
-    coords = []
+    diffs = []
     for q in range(m):
         column = [p[q] for p in powers[:basis.weight(q + 1) + 1]]
-        total, binom = 0, 1
-        for j in range(len(column)):
-            total = total + binom * column[0]
+        coord = []
+        while len(column) > 1:
             column = [y - x for x, y in zip(column, column[1:])]
-            binom = binom * (e - j) // (j + 1)
-        coords.append(total)
-    return tuple(coords), width
+            coord.append(column[0])
+        diffs.append(tuple(coord))
+    if kind == "pow":
+        return tuple(diffs), width
+    return tuple(sum((-1) ** j * d for j, d in enumerate(coord, 1))
+                 for coord in diffs), width
 
 
 def _coordinate_sources(polys: list[dict], names: list[str],
@@ -229,40 +233,22 @@ def _coordinate_sources(polys: list[dict], names: list[str],
     return assigns, exprs
 
 
-def _by_exponent(p: Poly, m: int, width: int) -> list[dict]:
-    """The terms of a polynomial in x_0..x_{m-1} and e = x_m, grouped by the
-    power of e: entry j holds those of e**j, with e divided out."""
-    low = (1 << m * width) - 1
-    parts: list[dict] = []
-    for key, coef in p.terms.items():
-        j = key >> m * width
-        parts.extend({} for _ in range(j + 1 - len(parts)))
-        parts[j][key & low] = coef
-    return parts
-
-
-def _horner(combos: list[str]) -> str:
-    """Source of the sum over j of combos[j]·e**j, in Horner form in e."""
-    out = ""
-    for combo in reversed(combos):
-        if out:
-            out += "*e"
-            if combo != "0":
-                out = f"({out} - {combo[1:]}" if combo[0] == "-" \
-                    else f"({out} + {combo}"
-                out += ")"
-        elif combo != "0":
-            out = f"({combo})" if " " in combo else combo
-    return out or "0"
+def _newton(combos: list[str], binoms: list[str]) -> str:
+    """Source of the sum over j of combos[j]·binoms[j], each nonzero term
+    one product by its binomial."""
+    terms = [f"({c})*{b}" if " " in c else f"{c}*{b}"
+             for c, b in zip(combos, binoms) if c != "0"]
+    return " + ".join(terms).replace("+ -", "- ")
 
 
 def table_source(basis: HallBasis, kind: str) -> str:
     """Python source of a module defining `mult(u, v)`, `inverse(u)` or
     `pow(u, e)` for the basis: the shared monomials as locals, then each
     coordinate as `(integer combination of monomials) // denominator`; for
-    "pow", with the combinations of each power of e in Horner form,
-    `((P_k*e + ... + P_1)*e) // denominator`."""
-    coords, width = derive(basis, kind)
+    "pow", the binomials `b<j> = C(e, j)` first, and each coordinate as
+    `(Δ^1*e + Δ^2*b2 + ... + Δ^w*b<w>) // denominator`, each Δ^j one
+    integer combination over the coordinate's common denominator."""
+    polys, width = derive(basis, kind)
     m = basis.m
     vectors = ("u", "v") if kind == "mult" else ("u",)
     args = vectors + ("e",) if kind == "pow" else vectors
@@ -283,23 +269,24 @@ def table_source(basis: HallBasis, kind: str) -> str:
     lines += [f"    {', '.join(names[k * m:(k + 1) * m])}{comma} = {a}"
               for k, a in enumerate(vectors)]
     if kind == "pow":
-        parts = [_by_exponent(p, m, width) for p in coords]
+        dens = [math.lcm(*(d.den for d in coord)) for coord in polys]
         assigns, flat = _coordinate_sources(
-            [terms for coord in parts for terms in coord], names, width)
+            [{k: v * (den // d.den) for k, v in d.terms.items()}
+             for coord, den in zip(polys, dens) for d in coord], names, width)
+        binoms = ["e"] + [f"b{j}" for j in range(2, basis.top_weight + 1)]
+        lines += [f"    {b} = {a}*(e - {j})//{j + 1}"
+                  for j, (a, b) in enumerate(zip(binoms, binoms[1:]), 1)]
         combos = iter(flat)
-        bodies = [_horner([next(combos) for _ in coord]) for coord in parts]
+        bodies = [_newton([next(combos) for _ in coord], binoms)
+                  for coord in polys]
     else:
-        assigns, bodies = _coordinate_sources([p.terms for p in coords],
+        dens = [p.den for p in polys]
+        assigns, bodies = _coordinate_sources([p.terms for p in polys],
                                               names, width)
     lines += [f"    {a}" for a in assigns]
     lines.append("    return (")
-    for body, p in zip(bodies, coords):
-        if p.den == 1:
-            lines.append(f"        {body},")
-        elif kind == "pow":
-            lines.append(f"        {body} // {p.den},")
-        else:
-            lines.append(f"        ({body}) // {p.den},")
+    lines += [f"        {body}," if den == 1 else f"        ({body}) // {den},"
+              for body, den in zip(bodies, dens)]
     lines += ["    )", ""]
     return "\n".join(lines)
 

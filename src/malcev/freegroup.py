@@ -11,7 +11,9 @@ and in e (P. Hall), and the basis owns them:
   e·u when `HallBasis.commuting(u)`: letters whose weights sum past the
   class commute, so such a power is a scaling, with no multiplication.
   Otherwise it is `inverse` for e = -1, and for any other e one call of
-  the power polynomials, written in Horner form in e, whatever |e|.
+  the power polynomials, whatever |e|: in Newton form, the sum over j of
+  C(e, j) times the j-th difference of u^0, u^1, ..., with the binomials
+  C(e, j) computed once per call.
   It is the library's one power: a torsion fold by a relator row that
   does not commute (`presentations.reduce_coords`) calls it too;
 * `eval_free` builds the product of the letter powers of a word from
@@ -51,9 +53,9 @@ class SizeCapExceeded(ValueError):
 
 # Bases with more letters are refused.  A basis without shipped tables derives
 # its multiplication polynomials on its first operation, and that cost grows
-# quickly with the class: 0.5 s at (4, 4) with 90 letters, 4 s at (8, 2)
+# quickly with the class: 0.5 s at (4, 4) with 90 letters, 3 s at (8, 2)
 # with 71.  Its first power that is not a scaling derives the power
-# polynomials from those: 0.03 s at (4, 4), 0.7 s at (8, 2).
+# polynomials from those: 0.03 s at (4, 4), 0.4 s at (8, 2).
 DEFAULT_LETTER_CAP = 128
 
 # An ExpWord is a sequence of (letter, exponent) pairs with 1-based letter

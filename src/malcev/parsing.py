@@ -50,11 +50,18 @@ _FACTOR = re.compile(r"a(\d+)(?:\^([+-]?\d+))?$")
 _GROUP = re.compile(r"group\s+c=([+-]?\d+)\s+r=([+-]?\d+)$")
 
 
+def _column(line: str, parts: list[str], i: int) -> int:
+    """1-based column of parts[i] in the line, where parts is a suffix of
+    `line.split()`."""
+    starts = [m.start() for m in re.finditer(r"\S+", line)]
+    return starts[len(starts) - len(parts) + i] + 1
+
+
 def _ints(parts: list[str], lineno: int, line: str) -> list[int]:
     out = []
-    for p in parts:
+    for i, p in enumerate(parts):
         if not _INT.match(p):
-            raise ParseError(lineno, line.index(p) + 1,
+            raise ParseError(lineno, _column(line, parts, i),
                              f"expected an integer, found {p!r}")
         out.append(int(p))
     return out
@@ -62,10 +69,10 @@ def _ints(parts: list[str], lineno: int, line: str) -> list[int]:
 
 def parse_word(parts: list[str], lineno: int, line: str) -> ExpWord:
     factors = []
-    for p in parts:
+    for i, p in enumerate(parts):
         m = _FACTOR.match(p)
         if not m:
-            raise ParseError(lineno, line.index(p) + 1,
+            raise ParseError(lineno, _column(line, parts, i),
                              f"expected a factor like a2^-3, found {p!r}")
         exp = int(m.group(2)) if m.group(2) is not None else 1
         factors.append((int(m.group(1)), exp))
@@ -114,7 +121,7 @@ def parse_document(text: str) -> Document:
             pending_header = (int(m.group(1)), int(m.group(2)), lineno)
             in_subgroup = False
         elif key == "row":
-            vals = tuple(_ints(parts[1:], lineno, line))
+            vals = tuple(_ints(parts[1:], lineno, raw))
             if pending_header is not None and not in_subgroup:
                 pending_rows.append(vals)
             else:
@@ -134,15 +141,15 @@ def parse_document(text: str) -> Document:
         elif key == "word":
             block = current()
             in_subgroup = False
-            block.words.append(parse_word(parts[1:], lineno, line))
+            block.words.append(parse_word(parts[1:], lineno, raw))
         elif key == "element":
             block = current()
             in_subgroup = False
-            block.elements.append(parse_word(parts[1:], lineno, line))
+            block.elements.append(parse_word(parts[1:], lineno, raw))
         elif key == "progression":
             block = current()
             in_subgroup = False
-            vals = _ints(parts[1:], lineno, line)
+            vals = _ints(parts[1:], lineno, raw)
             if len(vals) != 2:
                 raise ParseError(lineno, 1,
                                  "progression takes exactly two integers")

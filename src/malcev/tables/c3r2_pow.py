@@ -6,15 +6,15 @@ Generated by tools/gen_tables.py from malcev.deepthought; do not edit.
 
 def pow(u, e):
     u1, u2, u3, u4, u5 = u
+    b2 = e*(e - 1)//2
+    b3 = b2*(e - 2)//3
     t0 = u1*u2
-    t1 = u1*u3
-    t2 = u1*u1*u2
-    t3 = u2*u3
-    t4 = t0*u2
+    t1 = u1*u1*u2
+    t2 = t0*u2
     return (
         u1*e,
         u2*e,
-        (t0*e + 2*u3 - t0)*e // 2,
-        ((2*t2*e - 3*t0 + 6*t1 - 3*t2)*e + 12*u4 + 3*t0 - 6*t1 + t2)*e // 12,
-        ((4*t4*e - 3*t0 + 6*t3 - 3*t4)*e + 12*u5 + 3*t0 - 6*t3 - t4)*e // 12,
+        u3*e + t0*b2,
+        (2*u4*e + (-t0 + 2*u1*u3 + t1)*b2 + 2*t1*b3) // 2,
+        (2*u5*e + (-t0 + 2*u2*u3 + 3*t2)*b2 + 4*t2*b3) // 2,
     )

@@ -6,39 +6,33 @@ Generated by tools/gen_tables.py from malcev.deepthought; do not edit.
 
 def pow(u, e):
     u1, u2, u3, u4, u5, u6, u7, u8, u9, u10, u11, u12, u13, u14 = u
+    b2 = e*(e - 1)//2
+    b3 = b2*(e - 2)//3
     t0 = u1*u2
     t1 = u1*u3
     t2 = u2*u3
-    t3 = u1*u4
-    t4 = u1*u1
-    t5 = t4*u2
-    t6 = u2*u4
-    t7 = t0*u2
-    t8 = u1*u6
-    t9 = u3*u4
-    t10 = t0*u3
-    t11 = u1*u5
-    t12 = t4*u3
-    t13 = u2*u5
-    t14 = u3*u5
-    t15 = t1*u3
-    t16 = u2*u6
-    t17 = u2*u2*u3
-    t18 = u3*u6
-    t19 = t2*u3
+    t3 = u1*u1
+    t4 = t3*u2
+    t5 = t0*u2
+    t6 = u1*u6
+    t7 = t0*u3
+    t8 = t3*u3
+    t9 = t1*u3
+    t10 = u2*u2*u3
+    t11 = t2*u3
     return (
         u1*e,
         u2*e,
         u3*e,
-        (t0*e + 2*u4 - t0)*e // 2,
-        (t1*e + 2*u5 - t1)*e // 2,
-        (t2*e + 2*u6 - t2)*e // 2,
-        ((2*t5*e - 3*t0 + 6*t3 - 3*t5)*e + 12*u7 + 3*t0 - 6*t3 + t5)*e // 12,
-        ((4*t7*e - 3*t0 + 6*t6 - 3*t7)*e + 12*u8 + 3*t0 - 6*t6 - t7)*e // 12,
-        ((2*t10*e - 3*t8 + 3*t9)*e + 6*u9 + 3*t8 - 3*t9 - 2*t10)*e // 6,
-        ((2*t12*e - 3*t1 + 6*t11 - 3*t12)*e + 12*u10 + 3*t1 - 6*t11 + t12)*e // 12,
-        ((2*t10*e + 3*t8 + 3*t13 - 3*t10)*e + 6*u11 - 3*t8 - 3*t13 + t10)*e // 6,
-        ((4*t15*e - 3*t1 + 6*t14 - 3*t15)*e + 12*u12 + 3*t1 - 6*t14 - t15)*e // 12,
-        ((2*t17*e - 3*t2 + 6*t16 - 3*t17)*e + 12*u13 + 3*t2 - 6*t16 + t17)*e // 12,
-        ((4*t19*e - 3*t2 + 6*t18 - 3*t19)*e + 12*u14 + 3*t2 - 6*t18 - t19)*e // 12,
+        u4*e + t0*b2,
+        u5*e + t1*b2,
+        u6*e + t2*b2,
+        (2*u7*e + (-t0 + 2*u1*u4 + t4)*b2 + 2*t4*b3) // 2,
+        (2*u8*e + (-t0 + 2*u2*u4 + 3*t5)*b2 + 4*t5*b3) // 2,
+        u9*e + (-t6 + u3*u4 + 2*t7)*b2 + 2*t7*b3,
+        (2*u10*e + (-t1 + 2*u1*u5 + t8)*b2 + 2*t8*b3) // 2,
+        u11*e + (t6 + u2*u5 + t7)*b2 + 2*t7*b3,
+        (2*u12*e + (-t1 + 2*u3*u5 + 3*t9)*b2 + 4*t9*b3) // 2,
+        (2*u13*e + (-t2 + 2*u2*u6 + t10)*b2 + 2*t10*b3) // 2,
+        (2*u14*e + (-t2 + 2*u3*u6 + 3*t11)*b2 + 4*t11*b3) // 2,
     )

@@ -184,6 +184,13 @@ def test_parse_errors_name_line_and_column(tmp_path):
     status, out, err = invoke(["nf", f])
     assert status == 2 and out == ""
     assert "line 2" in err and "column 9" in err
+    # the column is the bad token's own, not the first place its text
+    # appears in the line
+    for line in ("row 1 0 o", "word a1 a"):
+        f = doc(tmp_path, HEIS_HEADER + line + "\n")
+        status, out, err = invoke(["nf", f])
+        assert (status, out) == (2, "")
+        assert "line 2, column 9:" in err, line
     f = doc(tmp_path, "group c=2 r=2\nfrobnicate\n")
     status, _, err = invoke(["nf", f])
     assert status == 2 and "line 2" in err

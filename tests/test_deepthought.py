@@ -3,6 +3,7 @@ Magnus-series engine, which derives the product and stays as the oracle
 for the rest."""
 
 import ast
+import collections
 import os
 import pathlib
 import random
@@ -13,7 +14,7 @@ import pytest
 
 from conftest import (series_coords_mult, series_coords_pow, series_derive,
                       series_eval)
-from malcev.deepthought import derive, table_source
+from malcev.deepthought import Poly, derive, table_source
 from malcev.freegroup import (SHIPPED_MAX, build_hall_basis, eval_free,
                               table_module)
 
@@ -70,6 +71,23 @@ def poly_value(p, xs, width):
     return q
 
 
+def binomials(e, n):
+    """C(e, 1) .. C(e, n), for an integer or a `Poly` e."""
+    out, b = [], 1
+    for j in range(n):
+        b = b * (e - j) // (j + 1)
+        out.append(b)
+    return out
+
+
+def newton_value(diffs, xs, width):
+    """Value of a derived power coordinate, its differences Δ^1 .. Δ^w, at
+    the coordinates and exponent xs: the sum of C(e, j)·Δ^j."""
+    *u, e = xs
+    return sum(b * poly_value(d, u, width)
+               for b, d in zip(binomials(e, len(diffs)), diffs))
+
+
 # (3,4) and (6,2) ship no tables: their polynomials are compiled on first
 # use, and (6,2) peels six weights off each series.
 @pytest.mark.parametrize("c,r", SHIPPED + [(3, 4), (6, 2)])
@@ -91,26 +109,32 @@ def test_emitted_tables_match_the_derived_polynomials(c, r):
                            ("pow", lambda u, e: basis.pow_polynomials(u, *e),
                             powers)):
         polys, width = derive(basis, kind)
+        value = newton_value if kind == "pow" else poly_value
         for xs in args:
             flat = [x for vec in xs for x in vec]
-            assert fn(*xs) == tuple(poly_value(p, flat, width)
+            assert fn(*xs) == tuple(value(p, flat, width)
                                     for p in polys), (kind, xs)
 
 
 # (3,4) and (6,2) compile their power polynomials on first use.  A series
 # power of these vectors costs 20-50 ms at (5,3) and (6,2), so there each
-# exponent meets the series with one of the four vectors, not all.
+# exponent meets the series with one of the four vectors, not all.  At -1,
+# 0 and 1 the polynomials, called without `HallBasis.pow`'s shortcuts, give
+# the inverse, the identity and u: C(e, j) is (-1)^j, 0 and 0 for j >= 2.
 @pytest.mark.parametrize("c,r", SHIPPED + [(3, 4), (6, 2)])
 def test_power_polynomials_match_the_newton_sum(c, r):
     basis = build_hall_basis(c, r)
     rng = random.Random(c * 10 + r + 1)
-    exponents = (-(1 << 64) - 3, -7, -2, 2, 3, 1 << 64)
+    exponents = (-(1 << 64) - 3, -7, -2, -1, 0, 1, 2, 3, 1 << 64)
     stride = 4 if (c, r) in ((5, 3), (6, 2)) else 1
     for k in range(4):
         u = tuple(rng.choice((-1, 1)) * rng.getrandbits(rng.choice((1, 32, 200)))
                   for _ in range(basis.m))
         for e in exponents:
             assert basis.pow_polynomials(u, e) == basis.pow(u, e), (u, e)
+        assert basis.pow_polynomials(u, -1) == basis.inverse(u)
+        assert basis.pow_polynomials(u, 0) == (0,) * basis.m
+        assert basis.pow_polynomials(u, 1) == u
         for e in exponents[k % stride::stride]:
             assert basis.pow(u, e) == series_coords_pow(basis, u, e), (u, e)
 
@@ -126,12 +150,19 @@ def monomial_locals(tree):
     return reads
 
 
+def constant(node):
+    """True for a literal, including a negative one such as -2, which the
+    parser reads as a minus applied to 2 and the compiler folds."""
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant)
+
+
 def products(tree):
     """Products of two non-constant factors, and powers."""
     return sum(isinstance(node, ast.BinOp) and (
         isinstance(node.op, ast.Pow) or isinstance(node.op, ast.Mult)
-        and not isinstance(node.left, ast.Constant)
-        and not isinstance(node.right, ast.Constant))
+        and not constant(node.left) and not constant(node.right))
         for node in ast.walk(tree))
 
 
@@ -144,43 +175,56 @@ def test_emitted_tables_build_each_monomial_once():
         reads = monomial_locals(tree)
         # a monomial read once is written inline
         assert all(n >= 2 for n in reads.values()), name
-        # no term or monomial shares a monomial in these tables; a class-2
-        # power reads u1*u2 at e**2 and at e
-        if name.startswith("c1r") or (name.startswith(("c2r2", "c2r3"))
-                                      and not name.endswith("_pow")):
+        # no term or monomial shares a monomial in these tables
+        if name.startswith(("c1r", "c2r2", "c2r3")):
             assert not reads, name
-    # 489 and 341 distinct monomials of degree >= 2; written flat, as a
-    # product for each term, they took 2,058 and 1,371 products.
+    # 489 and 276 products form the distinct monomials of degree >= 2;
+    # written flat, as a product for each term, they took 2,058 and 1,371
+    # products.
     assert products(trees["c5r3"]) <= 489
-    assert products(trees["c5r3_inverse"]) <= 341
-    # 276 products form the power's monomials in u, and 345 multiply by e
+    assert products(trees["c5r3_inverse"]) <= 276
+    # The power reads the inverse's monomials (both sum the differences
+    # of u^0 .. u^5): 276 products, then 4 form the binomials b2 .. b5 and
+    # 345 multiply a difference by its binomial
     # (`test_power_tables_multiply_by_e_at_most_weight_times`).
-    assert products(trees["c5r3_pow"]) <= 276 + 345
+    assert products(trees["c5r3_pow"]) <= 276 + 4 + 345
 
 
-def e_products(tree):
-    """For each returned coordinate of a `pow` table, the number of times
-    it reads e, which in Horner form is the number of products by e."""
+def binomial_reads(tree):
+    """For each returned coordinate of a `pow` table, how often it reads
+    each binomial `e`, `b2`, `b3`, ..."""
     ret = next(n for n in ast.walk(tree) if isinstance(n, ast.Return))
-    return [sum(isinstance(n, ast.Name) and n.id == "e" for n in ast.walk(elt))
-            for elt in ret.value.elts]
+    return [collections.Counter(
+        n.id for n in ast.walk(elt)
+        if isinstance(n, ast.Name) and (n.id == "e" or n.id[0] == "b"))
+        for elt in ret.value.elts]
 
 
 def test_power_tables_multiply_by_e_at_most_weight_times():
-    # A coordinate of weight w of u**e has degree <= w in e, and Horner form
-    # multiplies by e once per degree.
+    # A coordinate of weight w of u**e has degree <= w in e.  In Newton
+    # form it is the sum over j <= w of C(e, j)·Δ^j, so it multiplies once
+    # by each of at most w binomials e = C(e, 1), b2 = C(e, 2), ..., which
+    # are computed once per call.
     for c, r in SHIPPED + [(3, 4)]:
         basis = build_hall_basis(c, r)
         name = table_module("pow", c, r)
         path = TABLES / f"{name}.py"
-        text = path.read_text() if path.exists() else table_source(basis, "pow")
-        counts = e_products(ast.parse(text))
-        assert len(counts) == basis.m, name
-        assert all(1 <= n <= basis.weight(i + 1)
-                   for i, n in enumerate(counts)), (name, counts)
+        tree = ast.parse(path.read_text() if path.exists()
+                         else table_source(basis, "pow"))
+        binoms = ["e"] + [f"b{j}" for j in range(2, basis.top_weight + 1)]
+        assigned = [t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                    for t in n.targets
+                    if isinstance(t, ast.Name) and t.id[0] == "b"]
+        assert assigned == binoms[1:], name
+        reads = binomial_reads(tree)
+        assert len(reads) == basis.m, name
+        for i, seen in enumerate(reads):
+            assert seen and set(seen) <= set(binoms[:basis.weight(i + 1)]) \
+                and max(seen.values()) == 1, (name, i, seen)
         # the heaviest coordinate reaches its degree
-        assert counts[-1] == basis.top_weight, name
-    assert sum(e_products(ast.parse((TABLES / "c5r3_pow.py").read_text()))) == 345
+        assert set(reads[-1]) == set(binoms), name
+    reads = binomial_reads(ast.parse((TABLES / "c5r3_pow.py").read_text()))
+    assert sum(map(len, reads)) == 345
 
 
 def test_rank_one_uses_the_class_one_table_at_any_class():
@@ -289,7 +333,11 @@ def test_unshipped_inverse_derives_no_series_again():
 @pytest.mark.parametrize("kind", ["inverse", "pow"])
 def test_newton_sums_match_the_series_derivation(c, r, kind):
     basis = build_hall_basis(c, r)
-    polys, oracle = derive(basis, kind)[0], series_derive(basis, kind)[0]
+    (polys, width), oracle = derive(basis, kind), series_derive(basis, kind)[0]
+    if kind == "pow":
+        e = Poly.var(basis.m, width)
+        polys = [sum(b * d for b, d in zip(binomials(e, len(diffs)), diffs))
+                 for diffs in polys]
     assert [(p.terms, p.den) for p in polys] == \
         [(p.terms, p.den) for p in oracle]
 

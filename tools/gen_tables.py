@@ -7,8 +7,9 @@ derived by `malcev.deepthought.table_source`: straight-line code that forms
 each distinct monomial of degree >= 2 in the coordinates once, as a shorter
 monomial times one variable, keeps a monomial that is read more than once
 in a local `t<k>`, and writes each coordinate as `(integer combination of
-monomials) // denominator`; a power's coordinate combines the monomials of
-each power of e and is written in Horner form in e.  They are separate
+monomials) // denominator`; a power computes the binomials C(e, j) once
+and writes each coordinate in Newton form, one integer combination of
+monomials times each binomial, over one denominator.  They are separate
 modules so that a process that only multiplies does not import, and with
 bytecode writing off compile, the inverse or the power.  A basis whose
 heaviest letter is lighter than c (rank 1 above class 1) gets no module: it
