@@ -1,18 +1,18 @@
-"""Derivation of the multiplication, inverse and power polynomials of a
-free nilpotent group.
+"""Derivation of the multiplication and power polynomials of a free
+nilpotent group.
 
-The Mal'cev coordinates of u·v, of u^-1 and of u^e are fixed polynomials
-with rational coefficients, integer-valued on integer inputs, in the
+The Mal'cev coordinates of u·v and of u^e are fixed polynomials with
+rational coefficients, integer-valued on integer inputs, in the
 coordinates of u and v and in e (P. Hall, *Nilpotent groups*, 1957;
 Leedham-Green & Soicher, "Symbolic collection using Deep Thought", 1998).
 The product is derived by running the Magnus-series engine of `series`
 once with the coordinates as indeterminates (`series_mult` of the series of
 u and v).  Coordinate q of u^e is a polynomial of degree <= weight(q) in e,
-so the inverse and the power follow from the product: the compiled `mult`,
-run on polynomials, gives u^2 .. u^w, and Newton's forward-difference
-formula gives u^e as the sum over j of C(e, j) times their j-th
-differences Δ^j (C(-1, j) = (-1)^j for the inverse).  The polynomials are
-emitted as straight-line Python source, `def mult(u, v)`, `def inverse(u)`
+so the power follows from the product: the compiled `mult`, run on
+polynomials, gives u^2 .. u^w, and Newton's forward-difference formula
+gives u^e as the sum over j of C(e, j) times their j-th differences Δ^j.
+The inverse is the power at e = -1, where C(-1, j) = (-1)^j.  The
+polynomials are emitted as straight-line Python source, `def mult(u, v)`
 or `def pow(u, e)`.  Each distinct monomial of degree >= 2 in the
 coordinates is one product, of a shorter monomial and one variable, held
 in a local `t<k>` when two or more terms or longer monomials read it; each
@@ -25,8 +25,8 @@ over the coordinate's common denominator.
 
 `freegroup` imports the checked-in source for c <= 5, r <= 3 (generated by
 `tools/gen_tables.py`) and compiles `table_source(basis, kind)` on the first
-use of a kind on any other basis; a first inverse or power derives the
-basis's `mult` first, if it has none yet.
+use of a kind on any other basis; a first power derives the basis's `mult`
+first, if it has none yet.
 `import malcev` does not load this module.
 """
 
@@ -126,10 +126,10 @@ class Poly:
 
 
 def derive(basis: HallBasis, kind: str) -> tuple[tuple, int]:
-    """Coordinates of u·v (kind "mult") or of u^-1 ("inverse") as
-    polynomials in x_0..x_{m-1}, the coordinates of u, and for "mult" in
-    x_m..x_{2m-1}, those of v; for "pow", coordinate q of u^e as its
-    forward differences Δ^1_q .. Δ^w_q, w = weight(q), with u^e =
+    """For "mult", the coordinates of u·v as polynomials in x_0..x_{m-1},
+    the coordinates of u, and x_m..x_{2m-1}, those of v; for "pow",
+    coordinate q of u^e as its forward differences Δ^1_q .. Δ^w_q,
+    w = weight(q), polynomials in x_0..x_{m-1}, with u^e =
     Σ_j C(e, j)·Δ^j_q; with the exponent width used."""
     m, c = basis.m, basis.c
     width = c.bit_length()
@@ -143,6 +143,8 @@ def derive(basis: HallBasis, kind: str) -> tuple[tuple, int]:
                        p.den) if isinstance(p, Poly) else p
              for mon, p in u.items()}
         return data.series_to_coords(series_mult(c, u, v)), width
+    if kind != "pow":
+        raise ValueError(f"no polynomials of kind {kind!r}")
     # Newton's formula over u^0..u^weight(q) is exact, as coordinate q of
     # u^e has degree <= weight(q) in e; u^0 is the identity, so Δ^0 is 0.
     powers = [[0] * m, xs]
@@ -156,10 +158,7 @@ def derive(basis: HallBasis, kind: str) -> tuple[tuple, int]:
             column = [y - x for x, y in zip(column, column[1:])]
             coord.append(column[0])
         diffs.append(tuple(coord))
-    if kind == "pow":
-        return tuple(diffs), width
-    return tuple(sum((-1) ** j * d for j, d in enumerate(coord, 1))
-                 for coord in diffs), width
+    return tuple(diffs), width
 
 
 def _coordinate_sources(polys: list[dict], names: list[str],
@@ -242,20 +241,19 @@ def _newton(combos: list[str], binoms: list[str]) -> str:
 
 
 def table_source(basis: HallBasis, kind: str) -> str:
-    """Python source of a module defining `mult(u, v)`, `inverse(u)` or
-    `pow(u, e)` for the basis: the shared monomials as locals, then each
-    coordinate as `(integer combination of monomials) // denominator`; for
-    "pow", the binomials `b<j> = C(e, j)` first, and each coordinate as
+    """Python source of a module defining `mult(u, v)` or `pow(u, e)` for
+    the basis: the shared monomials as locals, then each coordinate as
+    `(integer combination of monomials) // denominator`; for "pow", the
+    binomials `b<j> = C(e, j)` first, and each coordinate as
     `(Δ^1*e + Δ^2*b2 + ... + Δ^w*b<w>) // denominator`, each Δ^j one
     integer combination over the coordinate's common denominator."""
     polys, width = derive(basis, kind)
     m = basis.m
     vectors = ("u", "v") if kind == "mult" else ("u",)
-    args = vectors + ("e",) if kind == "pow" else vectors
+    args = vectors if kind == "mult" else vectors + ("e",)
     names = [f"{a}{i}" for a in vectors for i in range(1, m + 1)]
     comma = "," if m == 1 else ""
-    title = {"mult": "Multiplication", "inverse": "Inverse",
-             "pow": "Power"}[kind]
+    title = "Multiplication" if kind == "mult" else "Power"
     lines = [
         f'"""{title} polynomials of the free nilpotent group of class '
         f'{basis.c} and rank {basis.r}.',
@@ -292,7 +290,7 @@ def table_source(basis: HallBasis, kind: str) -> str:
 
 
 def compile_table(basis: HallBasis, kind: str):
-    """Derive, compile and return the basis's `mult`, `inverse` or `pow`."""
+    """Derive, compile and return the basis's `mult` or `pow`."""
     namespace: dict = {}
     exec(compile(table_source(basis, kind),
                  f"<{kind} c={basis.c} r={basis.r}>", "exec"), namespace)

@@ -5,15 +5,15 @@ weight-ordered Hall basis of basic commutators.  The coordinates of u·v and
 of u**e are fixed integer-valued polynomials in the coordinates of u and v
 and in e (P. Hall), and the basis owns them:
 
-* `HallBasis.mult(u, v)` and `HallBasis.inverse(u)` are one call each of the
-  polynomials of the coordinates of u·v and of u**-1;
+* `HallBasis.mult(u, v)` is one call of the polynomials of the
+  coordinates of u·v;
 * `HallBasis.pow(u, e)` returns u or the identity for e in {0, 1}, and
   e·u when `HallBasis.commuting(u)`: letters whose weights sum past the
   class commute, so such a power is a scaling, with no multiplication.
-  Otherwise it is `inverse` for e = -1, and for any other e one call of
-  the power polynomials, whatever |e|: in Newton form, the sum over j of
-  C(e, j) times the j-th difference of u^0, u^1, ..., with the binomials
-  C(e, j) computed once per call.
+  Otherwise it is one call of the power polynomials, whatever |e|, the
+  inverse (e = -1) included: in Newton form, the sum over j of C(e, j)
+  times the j-th difference of u^0, u^1, ..., with the binomials C(e, j)
+  computed once per call.
   It is the library's one power: a torsion fold by a relator row that
   does not commute (`presentations.reduce_coords`) calls it too;
 * `eval_free` builds the product of the letter powers of a word from
@@ -30,10 +30,10 @@ The polynomials depend on the class only through the top weight, so every
 rank-1 basis, whatever its class, uses the class-1 tables.  The polynomials
 for c <= 5, r <= 3 ship as generated modules in `malcev.tables`, one per
 basis and kind, each imported on the first use of its kind on its basis:
-a process that only multiplies never loads an inverse or a power.  Any
-other basis derives each kind once per process with `malcev.deepthought`:
-the product by the Magnus-series engine of `malcev.series` over polynomial
-coefficients, and the inverse and the power from the product.
+a process that only multiplies never loads a power.  Any other basis
+derives each kind once per process with `malcev.deepthought`: the product
+by the Magnus-series engine of `malcev.series` over polynomial
+coefficients, and the power from the product.
 `build_hall_basis` returns one basis per (c, r), so the basis is the cache.
 """
 
@@ -51,10 +51,11 @@ class SizeCapExceeded(ValueError):
     """Basis would contain more letters than DEFAULT_LETTER_CAP allows."""
 
 
-# Bases with more letters are refused.  A basis without shipped tables derives
-# its multiplication polynomials on its first operation, and that cost grows
-# quickly with the class: 0.5 s at (4, 4) with 90 letters, 3 s at (8, 2)
-# with 71.  Its first power that is not a scaling derives the power
+# Bases with more letters are refused; a rank above the cap before any letter
+# is built.  A basis without shipped tables derives its multiplication
+# polynomials on its first operation, and that cost grows quickly with the
+# class: 0.5 s at (4, 4) with 90 letters, 3 s at (8, 2) with 71.  Its first
+# power that is not a scaling, an inverse included, derives the power
 # polynomials from those: 0.03 s at (4, 4), 0.4 s at (8, 2).
 DEFAULT_LETTER_CAP = 128
 
@@ -97,11 +98,6 @@ class HallBasis:
         return _polynomials(self, "mult")
 
     @cached_property
-    def inverse(self) -> Callable:
-        """The inverse polynomials: `inverse(u)` is the vector of u**-1."""
-        return _polynomials(self, "inverse")
-
-    @cached_property
     def pow_polynomials(self) -> Callable:
         """The power polynomials: `pow_polynomials(u, e)` is the vector of
         u**e for every integer e."""
@@ -128,14 +124,12 @@ class HallBasis:
 
     def pow(self, u, e: int) -> tuple[int, ...]:
         """u**e for any integer e; trusts the length of u.  A power that is
-        not a shortcut (e in {-1, 0, 1}, or u commuting) is one call of the
-        power polynomials, whatever |e|."""
+        not a shortcut (e in {0, 1}, or u commuting) is one call of the
+        power polynomials, whatever |e|, the inverse included."""
         if e == 0 or e == 1:
             return tuple(u) if e else (0,) * self.m
         if self.commuting(u):
             return tuple(e * x for x in u)
-        if e == -1:
-            return self.inverse(u)
         return self.pow_polynomials(u, e)
 
 
@@ -150,8 +144,16 @@ def commute_by_weight(ctx, i: int, j: int) -> bool:
 
 
 def _hall_letters(c: int, r: int) -> list[BasicCommutator]:
+    """The letters in weight order.  Rank 1 has none past weight 1, so its
+    cost does not depend on c."""
+    def too_many() -> SizeCapExceeded:
+        return SizeCapExceeded(f"basis for c={c}, r={r} has more than"
+                               f" {DEFAULT_LETTER_CAP} letters")
+
+    if r > DEFAULT_LETTER_CAP:
+        raise too_many()
     letters = [BasicCommutator(1, 0, 0) for _ in range(r)]
-    for w in range(2, c + 1):
+    for w in range(2, c + 1 if r > 1 else 1):
         fresh = []
         for u in range(1, len(letters) + 1):
             for v in range(1, u):
@@ -163,9 +165,7 @@ def _hall_letters(c: int, r: int) -> list[BasicCommutator]:
                     continue
                 fresh.append(BasicCommutator(w, u, v))
                 if len(letters) + len(fresh) > DEFAULT_LETTER_CAP:
-                    raise SizeCapExceeded(
-                        f"basis for c={c}, r={r} has more than"
-                        f" {DEFAULT_LETTER_CAP} letters")
+                    raise too_many()
         fresh.sort(key=lambda bc: (bc.left, bc.right))
         letters.extend(fresh)
     return letters
@@ -186,16 +186,14 @@ SHIPPED_MAX = (5, 3)  # tables ship for c <= 5, r <= 3; at rank 1 only c = 1
 
 
 def table_module(kind: str, c: int, r: int) -> str:
-    """Name of the module in `malcev.tables` that holds the `mult`, the
-    `inverse` or the `pow` polynomials of class c and rank r.  Each kind has
-    its own module, so a process that never inverts never loads an
-    inverse."""
+    """Name of the module in `malcev.tables` that holds the `mult` or the
+    `pow` polynomials of class c and rank r.  Each kind has its own module,
+    so a process that only multiplies never loads a power."""
     return f"c{c}r{r}" if kind == "mult" else f"c{c}r{r}_{kind}"
 
 
 def _polynomials(basis: HallBasis, kind: str) -> Callable:
-    """The shipped `mult`, `inverse` or `pow` of the basis, else a derived
-    one."""
+    """The shipped `mult` or `pow` of the basis, else a derived one."""
     c, r = basis.top_weight, basis.r
     if c <= SHIPPED_MAX[0] and r <= SHIPPED_MAX[1]:
         module = importlib.import_module(

@@ -1,3 +1,3 @@
-"""Generated polynomials, three modules per shipped basis: c<c>r<r> defines
-`mult`, c<c>r<r>_inverse defines `inverse` and c<c>r<r>_pow defines `pow`;
-see `malcev.deepthought` and `tools/gen_tables.py`."""
+"""Generated polynomials, two modules per shipped basis: c<c>r<r> defines
+`mult` and c<c>r<r>_pow defines `pow`, whose value at e = -1 is the
+inverse; see `malcev.deepthought` and `tools/gen_tables.py`."""

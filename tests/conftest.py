@@ -97,7 +97,7 @@ def series_coords_pow(basis, u, e):
 
 
 def series_derive(basis, kind):
-    """`malcev.deepthought.derive` of "inverse" or "pow" by the series
+    """The inverse ("inverse") or power ("pow") polynomials by the series
     engine: the series of u with the coordinates as indeterminates, to the
     -1 or to e = x_m, read back as coordinates."""
     width = basis.c.bit_length()
@@ -129,7 +129,7 @@ class FiniteGroup:
         return M.reduce_coords(self.pres, self.pres.basis.mult(u, v))
 
     def inv(self, u):
-        return M.reduce_coords(self.pres, self.pres.basis.inverse(u))
+        return M.reduce_coords(self.pres, self.pres.basis.pow(u, -1))
 
     def subgroup_closure(self, gens):
         gens = [M.reduce_coords(self.pres, g) for g in gens]
@@ -179,7 +179,7 @@ def normal_closure_rows(basis, rows):
         ext = list(rows)
         for row in rows:
             for a in letters:
-                ext.append(basis.mult(basis.mult(basis.inverse(a), row), a))
+                ext.append(basis.mult(basis.mult(basis.pow(a, -1), row), a))
         new = full_form_rows(free, ext)[0]
         if new == rows:
             return new
@@ -208,7 +208,7 @@ def structure_relations(basis: HallBasis) -> StructureRelations:
             for sign, store in ((1, alpha), (-1, beta)):
                 lhs = eval_free(basis, ((j, sign), (i, 1)))
                 head = eval_free(basis, ((i, 1), (j, sign)))
-                tail = basis.mult(basis.inverse(head), lhs)
+                tail = basis.mult(basis.pow(head, -1), lhs)
                 if any(tail[:j]):
                     raise InternalConsistencyError(
                         "exchange tail not supported on higher letters")

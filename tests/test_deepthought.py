@@ -1,6 +1,6 @@
-"""The multiplication, inverse and power polynomials against the
-Magnus-series engine, which derives the product and stays as the oracle
-for the rest."""
+"""The multiplication and power polynomials, whose value at e = -1 is the
+inverse, against the Magnus-series engine, which derives the product and
+stays as the oracle for the power."""
 
 import ast
 import collections
@@ -37,7 +37,7 @@ SHIPPED = [(c, r) for c in range(1, SHIPPED_MAX[0] + 1)
            if build_hall_basis(c, r).top_weight == c]
 
 
-KINDS = ("mult", "inverse", "pow")
+KINDS = ("mult", "pow")
 
 
 def test_shipped_tables_match_a_fresh_derivation():
@@ -51,7 +51,9 @@ def test_shipped_tables_match_a_fresh_derivation():
             text = (TABLES / name).read_text()
             assert text == table_source(basis, kind), name
     assert shipped == sorted(expected)
-    assert len(shipped) == 33
+    assert len(shipped) == 22
+    with pytest.raises(ValueError):
+        derive(build_hall_basis(2, 2), "inverse")
 
 
 def poly_value(p, xs, width):
@@ -105,7 +107,6 @@ def test_emitted_tables_match_the_derived_polynomials(c, r):
     powers = [(u, (e,)) for u in vectors[:3] for e in (0, 1, -1, 2)]
     powers += [(u, (e,)) for u, e in zip(vectors[3:], (-(1 << 64) - 3, 7, 1 << 64))]
     for kind, fn, args in (("mult", basis.mult, pairs),
-                           ("inverse", basis.inverse, [(u,) for u in vectors]),
                            ("pow", lambda u, e: basis.pow_polynomials(u, *e),
                             powers)):
         polys, width = derive(basis, kind)
@@ -120,7 +121,8 @@ def test_emitted_tables_match_the_derived_polynomials(c, r):
 # power of these vectors costs 20-50 ms at (5,3) and (6,2), so there each
 # exponent meets the series with one of the four vectors, not all.  At -1,
 # 0 and 1 the polynomials, called without `HallBasis.pow`'s shortcuts, give
-# the inverse, the identity and u: C(e, j) is (-1)^j, 0 and 0 for j >= 2.
+# the inverse, the identity and u: C(e, j) is (-1)^j, 0 and 0 for j >= 2;
+# the inverse meets the series with every vector.
 @pytest.mark.parametrize("c,r", SHIPPED + [(3, 4), (6, 2)])
 def test_power_polynomials_match_the_newton_sum(c, r):
     basis = build_hall_basis(c, r)
@@ -132,7 +134,7 @@ def test_power_polynomials_match_the_newton_sum(c, r):
                   for _ in range(basis.m))
         for e in exponents:
             assert basis.pow_polynomials(u, e) == basis.pow(u, e), (u, e)
-        assert basis.pow_polynomials(u, -1) == basis.inverse(u)
+        assert basis.pow_polynomials(u, -1) == series_coords_pow(basis, u, -1)
         assert basis.pow_polynomials(u, 0) == (0,) * basis.m
         assert basis.pow_polynomials(u, 1) == u
         for e in exponents[k % stride::stride]:
@@ -178,15 +180,12 @@ def test_emitted_tables_build_each_monomial_once():
         # no term or monomial shares a monomial in these tables
         if name.startswith(("c1r", "c2r2", "c2r3")):
             assert not reads, name
-    # 489 and 276 products form the distinct monomials of degree >= 2;
-    # written flat, as a product for each term, they took 2,058 and 1,371
-    # products.
+    # 489 products form the distinct monomials of degree >= 2; written
+    # flat, as a product for each term, they took 2,058 products.
     assert products(trees["c5r3"]) <= 489
-    assert products(trees["c5r3_inverse"]) <= 276
-    # The power reads the inverse's monomials (both sum the differences
-    # of u^0 .. u^5): 276 products, then 4 form the binomials b2 .. b5 and
-    # 345 multiply a difference by its binomial
-    # (`test_power_tables_multiply_by_e_at_most_weight_times`).
+    # The differences of u^0 .. u^5 read 276 products of monomials, then 4
+    # form the binomials b2 .. b5 and 345 multiply a difference by its
+    # binomial (`test_power_tables_multiply_by_e_at_most_weight_times`).
     assert products(trees["c5r3_pow"]) <= 276 + 4 + 345
 
 
@@ -230,10 +229,10 @@ def test_power_tables_multiply_by_e_at_most_weight_times():
 def test_rank_one_uses_the_class_one_table_at_any_class():
     code = ("import sys\n"
             "from malcev.freegroup import build_hall_basis\n"
-            "from malcev.tables import c1r1, c1r1_inverse\n"
+            "from malcev.tables import c1r1, c1r1_pow\n"
             "b = build_hall_basis(40, 1)\n"
             "print(b.mult is c1r1.mult,"
-            " b.inverse is c1r1_inverse.inverse,"
+            " b.pow_polynomials is c1r1_pow.pow,"
             " 'malcev.deepthought' in sys.modules)")
     assert run_python(code) == ["True", "True", "False"]
     basis = build_hall_basis(40, 1)
@@ -244,31 +243,30 @@ def test_rank_one_uses_the_class_one_table_at_any_class():
 
 @pytest.mark.parametrize("c,r", [(3, 2), (5, 3)])
 def test_inverse_makes_no_multiplication(c, r, monkeypatch):
+    # The inverse is one call of the power polynomials at e = -1.
     basis = build_hall_basis(c, r)
-    mult = basis.mult
     calls = []
-
-    def counted(u, v):
-        calls.append(1)
-        return mult(u, v)
-
-    monkeypatch.setitem(basis.__dict__, "mult", counted)
+    for kind in ("mult", "pow_polynomials"):
+        f = getattr(basis, kind)
+        monkeypatch.setitem(basis.__dict__, kind,
+                            lambda *a, f=f, kind=kind: calls.append(kind) or f(*a))
     rng = random.Random(c * 10 + r)
     for _ in range(5):
         u = tuple(rng.randint(-1 << 40, 1 << 40) for _ in range(basis.m))
-        inv = basis.inverse(u)
-        assert basis.pow(u, -1) == inv
-        assert not calls
+        inv = basis.pow(u, -1)
+        assert calls == ["pow_polynomials"]
         assert inv == series_coords_pow(basis, u, -1)
         assert basis.mult(u, inv) == (0,) * basis.m
         calls.clear()
 
 
 def test_inverse_table_loads_on_the_first_inverse():
-    # Products and torsion folds of elements load neither an inverse nor a
-    # power; a power that does not commute loads the power table only.  The
-    # torsion quotient is built raw: a checked one sifts its relators under
-    # conjugation, which inverts.
+    # Products and torsion folds of elements load no power; the first
+    # inverse that does not commute loads the power table, which then
+    # serves every power.  No inverse table exists.  The torsion quotient
+    # is built raw: a checked one sifts its relators under conjugation,
+    # which inverts.
+    assert not list(TABLES.glob("*_inverse.py"))
     code = ("import sys\n"
             "import malcev as M\n"
             "from malcev import build_hall_basis\n"
@@ -284,23 +282,22 @@ def test_inverse_table_loads_on_the_first_inverse():
             "torsion = QuotientPresentation(b, FullFormMatrix(rows))\n"
             "print(M.element(torsion, (3,) * b.m).coords[central[0]])\n"
             "print(*loaded(), 'deepthought' if 'malcev.deepthought' in sys.modules else '-')\n"
-            "M.power(g, 5)\n"
+            "M.inverse(g)\n"
             "print(*loaded(), 'deepthought' if 'malcev.deepthought' in sys.modules else '-')\n"
-            "b.inverse((1,) * b.m)\n"
+            "M.power(g, 5)\n"
             "print(*loaded(), 'deepthought' if 'malcev.deepthought' in sys.modules else '-')\n")
     assert run_python(code) == ["1", "malcev.tables.c5r3", "-",
                                 "malcev.tables.c5r3", "malcev.tables.c5r3_pow",
                                 "-",
-                                "malcev.tables.c5r3",
-                                "malcev.tables.c5r3_inverse",
-                                "malcev.tables.c5r3_pow", "-"]
+                                "malcev.tables.c5r3", "malcev.tables.c5r3_pow",
+                                "-"]
 
 
 def test_unshipped_inverse_derives_no_series_again():
     # At (3,4), which ships no tables, only the product runs the series
-    # engine: the first power and the first inverse evaluate its compiled
-    # `mult` on polynomials.  A process whose first operation is an inverse
-    # derives the product on the way.
+    # engine: the first power evaluates its compiled `mult` on polynomials,
+    # and an inverse is a power, so it derives nothing more.  A process
+    # whose first operation is an inverse derives the product on the way.
     setup = ("import malcev.deepthought as D\n"
              "from malcev import build_hall_basis\n"
              "kinds, calls = [], []\n"
@@ -319,25 +316,25 @@ def test_unshipped_inverse_derives_no_series_again():
                     "report()\n"
                     "b.pow(v, 5)\n"
                     "report()\n"
-                    "b.inverse(u)\n"
+                    "b.pow(u, -1)\n"
                     "report()\n")
-    assert run_python(code) == ["mult", "2", "pow", "0", "inverse", "0"]
-    code = setup + ("b.inverse(u)\n"
+    assert run_python(code) == ["mult", "2", "pow", "0", "0"]
+    code = setup + ("b.pow(u, -1)\n"
                     "report()\n")
-    assert run_python(code) == ["inverse", "mult", "2"]
+    assert run_python(code) == ["pow", "mult", "2"]
 
 
 # (2,4), (3,4) and (6,2) ship no tables; the shipped ones equal their
-# derivation (`test_shipped_tables_match_a_fresh_derivation`).
+# derivation (`test_shipped_tables_match_a_fresh_derivation`).  The Newton
+# sum of the differences at e = -1, the sum of (-1)^j·Δ^j, is the inverse.
 @pytest.mark.parametrize("c,r", [(2, 4), (3, 4), (6, 2)])
 @pytest.mark.parametrize("kind", ["inverse", "pow"])
 def test_newton_sums_match_the_series_derivation(c, r, kind):
     basis = build_hall_basis(c, r)
-    (polys, width), oracle = derive(basis, kind), series_derive(basis, kind)[0]
-    if kind == "pow":
-        e = Poly.var(basis.m, width)
-        polys = [sum(b * d for b, d in zip(binomials(e, len(diffs)), diffs))
-                 for diffs in polys]
+    (diffs, width), oracle = derive(basis, "pow"), series_derive(basis, kind)[0]
+    e = -1 if kind == "inverse" else Poly.var(basis.m, width)
+    polys = [sum(b * d for b, d in zip(binomials(e, len(coord)), coord))
+             for coord in diffs]
     assert [(p.terms, p.den) for p in polys] == \
         [(p.terms, p.den) for p in oracle]
 

@@ -183,12 +183,13 @@ def test_from_finite_presentation_matches_the_normal_closure_oracle(c, r):
 
 
 def test_from_finite_presentation_makes_few_polynomial_calls(monkeypatch):
-    # One sift closed under the generators takes about 1,600 calls of the
-    # compiled polynomials here; forming iterated commutators of the
-    # relators to depth c - 1 and sifting them took over 10,000.
+    # One sift closed under the generators takes 335 calls of the compiled
+    # polynomials here (328 products and 7 powers, 6 of them inverses);
+    # forming iterated commutators of the relators to depth c - 1 and
+    # sifting them took over 10,000.
     basis = M.build_hall_basis(5, 2)
     calls = []
-    for kind in ("mult", "inverse"):
+    for kind in ("mult", "pow_polynomials"):
         table = getattr(basis, kind)
 
         def counted(*vectors, table=table):
@@ -270,11 +271,11 @@ F53_ROWS = ({0: 2, 1: 2}, {1: 4}, {2: 3}, {3: 2, 7: 1}, {7: 2, 20: 1})
 
 def test_reduce_coords_folds_with_one_multiply(monkeypatch):
     # Building the folds multiplies nothing.  A fold by a row that does not
-    # commute is one power of the row, the inverse when q = 1 and none when
-    # q = -1, and one multiply; a fold by a row that commutes is a
-    # subtraction of its nonzero entries, with neither.  The squares and
-    # MIXED have the row (0, 0, 2, 0, 1), which commutes and has a nonzero
-    # entry after its pivot.
+    # commute is one power of the row, none when q = -1, and one multiply;
+    # a fold by a row that commutes is a subtraction of its nonzero
+    # entries, with neither.  The squares and MIXED have the row
+    # (0, 0, 2, 0, 1), which commutes and has a nonzero entry after its
+    # pivot.
     cubes = M.from_finite_presentation(M.build_hall_basis(3, 2),
                                        [((1, 3),), ((2, 3),)])
     squares = M.from_finite_presentation(M.build_hall_basis(3, 2),
@@ -300,7 +301,7 @@ def test_reduce_coords_folds_with_one_multiply(monkeypatch):
         quotients = []
         expected = [reference_reduce(pres, y, quotients) for y in vectors]
         fresh = M.QuotientPresentation(basis, pres.relators)  # folds unbuilt
-        calls = {"mult": [], "pow_polynomials": [], "inverse": []}
+        calls = {"mult": [], "pow_polynomials": []}
         with monkeypatch.context() as patch:
             for kind, log in calls.items():
                 patch.setitem(basis.__dict__, kind,
@@ -316,9 +317,7 @@ def test_reduce_coords_folds_with_one_multiply(monkeypatch):
                            else pres.torsion_rows[col])
         powered = [q for col, q in quotients if col in noncommuting]
         assert len(calls["mult"]) == len(powered)
-        assert len(calls["inverse"]) == powered.count(1)
-        assert len(calls["pow_polynomials"]) == sum(
-            q not in (1, -1) for q in powered)
+        assert len(calls["pow_polynomials"]) == sum(q != -1 for q in powered)
         assert {1, -1} <= set(powered) if noncommuting else not powered
         assert {col for col, _ in quotients} == set(pres.torsion)
 
@@ -416,7 +415,7 @@ def sparse_vector(rng, basis):
 
 
 @pytest.mark.parametrize("c,r", COMMUTING_BASES)
-def test_commuting_powers_and_folds_match_the_newton_path(c, r):
+def test_commuting_powers_and_folds_match_the_power_polynomials(c, r):
     # The scaling and the subtraction of a row that commutes against the
     # power polynomials, which make no such shortcut.
     basis = M.build_hall_basis(c, r)

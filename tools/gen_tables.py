@@ -1,19 +1,19 @@
-"""Write the shipped polynomial tables, src/malcev/tables/c<c>r<r>.py,
-src/malcev/tables/c<c>r<r>_inverse.py and src/malcev/tables/c<c>r<r>_pow.py.
+"""Write the shipped polynomial tables, src/malcev/tables/c<c>r<r>.py and
+src/malcev/tables/c<c>r<r>_pow.py.
 
 For the free nilpotent group of class c and rank r (c <= 5, r <= 3), the
-three modules define `mult(u, v)`, `inverse(u)` and `pow(u, e)`, each
-derived by `malcev.deepthought.table_source`: straight-line code that forms
-each distinct monomial of degree >= 2 in the coordinates once, as a shorter
+two modules define `mult(u, v)` and `pow(u, e)`, each derived by
+`malcev.deepthought.table_source`: straight-line code that forms each
+distinct monomial of degree >= 2 in the coordinates once, as a shorter
 monomial times one variable, keeps a monomial that is read more than once
 in a local `t<k>`, and writes each coordinate as `(integer combination of
 monomials) // denominator`; a power computes the binomials C(e, j) once
 and writes each coordinate in Newton form, one integer combination of
-monomials times each binomial, over one denominator.  They are separate
-modules so that a process that only multiplies does not import, and with
-bytecode writing off compile, the inverse or the power.  A basis whose
-heaviest letter is lighter than c (rank 1 above class 1) gets no module: it
-uses the tables of that letter's weight.
+monomials times each binomial, over one denominator.  The inverse is the
+power at e = -1.  They are separate modules so that a process that only
+multiplies does not import, and with bytecode writing off compile, the
+power.  A basis whose heaviest letter is lighter than c (rank 1 above
+class 1) gets no module: it uses the tables of that letter's weight.
 
     python tools/gen_tables.py
 
@@ -40,7 +40,7 @@ def main() -> None:
             basis = build_hall_basis(c, r)
             if basis.top_weight < c:
                 continue
-            for kind in ("mult", "inverse", "pow"):
+            for kind in ("mult", "pow"):
                 path = out / f"{table_module(kind, c, r)}.py"
                 path.write_text(table_source(basis, kind))
                 print(path.relative_to(ROOT))
