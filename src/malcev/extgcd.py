@@ -1,16 +1,19 @@
 """Extended gcd with explicitly bounded Bezout coefficients.
 
 The multi-argument version guarantees |x_i| <= (n+1) * A**2 where A is the
-largest absolute value of the gcd-divided inputs.  The coefficient reduction
-that establishes the bound is performed step by step and every intermediate
-quantity is recorded in a trace object so the combinatorial identities behind
-the bound can be checked from the outside.
+largest absolute value of the gcd-divided inputs (Myasnikov and Weiss).  It
+chains the bounded pair gcd through the prefix gcds d_i and then reduces the
+resulting coefficients.  That reduction, which `reduce_coefficients` also
+exposes, is one function: it records every intermediate quantity in a trace
+object, so the combinatorial identities behind the bound can be checked from
+the outside, and it checks the bound itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 
 class RejectedInput(ValueError):
@@ -19,14 +22,6 @@ class RejectedInput(ValueError):
 
 class InternalConsistencyError(AssertionError):
     """An invariant the algorithms guarantee failed; indicates a bug."""
-
-
-def gcd_vector(a: list[int] | tuple[int, ...]) -> int:
-    """gcd of arbitrarily many integers; 0 for the empty or all-zero vector."""
-    g = 0
-    for v in a:
-        g = math.gcd(g, v)
-    return g
 
 
 def extgcd_pair_bounded(a: int, b: int) -> tuple[int, int, int]:
@@ -60,7 +55,10 @@ class BoundedCombinationTrace:
     """Full intermediate state of one bounded extended-gcd computation.
 
     All vectors refer to the normalized inputs: signs folded in, zero entries
-    dropped and the gcd divided out.
+    dropped and the gcd divided out.  At A = 1 every a_i is 1, so a
+    coefficient vector with no negative entry is a unit vector and is its
+    own reduction: the reduction tables, p_prime through y_pair, stay empty
+    and x_final == x_raw.
     """
 
     a: tuple[int, ...] = ()
@@ -83,60 +81,56 @@ class BoundedCombinationTrace:
     degenerate: bool = False
 
 
-def _prefix_sums(v: list[int]) -> list[int]:
-    out, acc = [], 0
-    for x in v:
-        acc += x
-        out.append(acc)
-    return out
-
-
-def _reduction_tables(a: list[int], x: list[int], A: int):
-    """Compute every intermediate table of the coefficient reduction."""
-    n = len(a)
+def _reduction(a: list[int], x: list[int], A: int, d=(),
+               yz=()) -> BoundedCombinationTrace:
+    """Trace of the reduction of x, with sum(x_i * a_i) == 1, all a_i > 0
+    and A == max(a), to x_final with |x_final_i| <= (n+1) * A**2.  Raises
+    InternalConsistencyError unless x_final is such a combination."""
     A2 = A * A
-    pos = [i for i in range(n) if x[i] > 0]
-    neg = [i for i in range(n) if x[i] < 0]
-    p_prime = [max(0, (x[i] * a[i]) // A2) for i in range(n)]
-    n_prime = [max(0, (-x[i] * a[i]) // A2) for i in range(n)]
-    P_prime = _prefix_sums(p_prime)
-    N_prime = _prefix_sums(n_prime)
-    D = N_prime[-1] - P_prime[-1]
-    p = list(p_prime)
-    n_adj = list(n_prime)
-    # Balance the totals: bump the first D members of the positive support
-    # (resp. -D of the negative support); the prefix-sum lemma guarantees
-    # enough members exist.
-    if D > 0:
-        for i in pos[:D]:
-            p[i] += 1
-    elif D < 0:
-        for i in neg[:-D]:
-            n_adj[i] += 1
-    P = _prefix_sums(p)
-    N = _prefix_sums(n_adj)
-    if P[-1] != N[-1]:
-        raise InternalConsistencyError("balanced prefix totals differ")
-    # Interval-overlap counts: index i in the positive support occupies the
-    # interval (P_{i-1}, P_i], index j in the negative support (N_{j-1}, N_j].
-    overlap: dict[tuple[int, int], int] = {}
-    y_pair: dict[tuple[int, int], int] = {}
-    for j in neg:
-        Nj0 = N[j - 1] if j > 0 else 0
-        Nj1 = N[j]
-        for i in pos:
-            Pi0 = P[i - 1] if i > 0 else 0
-            Pi1 = P[i]
-            ov = min(Pi1, Nj1) - max(Pi0, Nj0)
-            if ov > 0:
-                overlap[(j, i)] = ov
-                y_pair[(j, i)] = (ov * A2) // (a[i] * a[j])
+    t = BoundedCombinationTrace(a=tuple(a), A=A, d=tuple(d), yz=tuple(yz),
+                                x_raw=tuple(x))
     x_final = list(x)
-    for (j, i), y in y_pair.items():
-        x_final[i] -= y * a[j]
-        x_final[j] += y * a[i]
-    return (p_prime, n_prime, P_prime, N_prime, D, p, n_adj, P, N,
-            overlap, y_pair, x_final)
+    # At A = 1 every a_i is 1, so an x with no negative entry is a unit
+    # vector and its own reduction; the balancing below would need one.
+    if A > 1 or min(x) < 0:
+        pos = [i for i, v in enumerate(x) if v > 0]
+        neg = [i for i, v in enumerate(x) if v < 0]
+        t.p_prime = tuple(max(0, (v * ai) // A2) for v, ai in zip(x, a))
+        t.n_prime = tuple(max(0, (-v * ai) // A2) for v, ai in zip(x, a))
+        t.P_prime = tuple(accumulate(t.p_prime))
+        t.N_prime = tuple(accumulate(t.n_prime))
+        t.D = t.N_prime[-1] - t.P_prime[-1]
+        # Balance the totals: bump the first D members of the positive
+        # support (resp. -D of the negative support); the prefix-sum lemma
+        # guarantees enough members exist.
+        p, n = list(t.p_prime), list(t.n_prime)
+        if t.D > 0:
+            for i in pos[:t.D]:
+                p[i] += 1
+        else:
+            for j in neg[:-t.D]:
+                n[j] += 1
+        t.p, t.n = tuple(p), tuple(n)
+        t.P, t.N = tuple(accumulate(p)), tuple(accumulate(n))
+        if t.P[-1] != t.N[-1]:
+            raise InternalConsistencyError("balanced prefix totals differ")
+        # Interval-overlap counts: index i in the positive support occupies
+        # the interval (P_{i-1}, P_i], index j in the negative support
+        # (N_{j-1}, N_j].
+        for j in neg:
+            Nj0 = t.N[j - 1] if j > 0 else 0
+            for i in pos:
+                Pi0 = t.P[i - 1] if i > 0 else 0
+                ov = min(t.P[i], t.N[j]) - max(Pi0, Nj0)
+                if ov > 0:
+                    y = (ov * A2) // (a[i] * a[j])
+                    t.overlap[(j, i)] = ov
+                    t.y_pair[(j, i)] = y
+                    x_final[i] -= y * a[j]
+                    x_final[j] += y * a[i]
+    t.x_final = tuple(x_final)
+    _check_combination(x_final, a, 1, (len(a) + 1) * A2)
+    return t
 
 
 def reduce_coefficients(a: list[int], x: list[int], A: int) -> list[int]:
@@ -152,9 +146,7 @@ def reduce_coefficients(a: list[int], x: list[int], A: int) -> list[int]:
         raise RejectedInput("A must equal max(a)")
     if sum(xi * ai for xi, ai in zip(x, a)) != 1:
         raise RejectedInput("sum x_i * a_i must equal 1")
-    x_final = _reduction_tables(a, x, A)[-1]
-    _check_combination(x_final, a, 1, (len(a) + 1) * A * A)
-    return x_final
+    return list(_reduction(a, x, A).x_final)
 
 
 def extgcd_bounded(a: list[int] | tuple[int, ...]) -> tuple[int, list[int], BoundedCombinationTrace]:
@@ -162,56 +154,33 @@ def extgcd_bounded(a: list[int] | tuple[int, ...]) -> tuple[int, list[int], Boun
     |x_i| <= (n+1) * max(|a_i| / g, 1)**2.
     """
     a = list(a)
-    g = gcd_vector(a)
+    g = math.gcd(*a)
     if g == 0:
         return 0, [0] * len(a), BoundedCombinationTrace(degenerate=True)
 
     support = [i for i, v in enumerate(a) if v != 0]
     norm = [abs(a[i]) // g for i in support]
-    signs = [1 if a[i] > 0 else -1 for i in support]
-    n = len(norm)
-    A = max(norm)
-
     d = [0]
     yz: list[tuple[int, int]] = []
     for v in norm:
-        _, y, z = extgcd_pair_bounded(d[-1], v)
-        d.append(math.gcd(d[-1], v))
+        d_next, y, z = extgcd_pair_bounded(d[-1], v)
+        d.append(d_next)
         yz.append((y, z))
     if d[-1] != 1:
         raise InternalConsistencyError("normalized entries are not coprime")
 
-    x_raw = []
-    for i in range(n):
-        prod = yz[i][1]
-        for j in range(i + 1, n):
-            prod *= yz[j][0]
-        x_raw.append(prod)
+    # x_raw_i = z_i * y_{i+1} ... y_n, as one suffix product.
+    x_raw, suffix = [], 1
+    for y, z in reversed(yz):
+        x_raw.append(z * suffix)
+        suffix *= y
+    x_raw.reverse()
     _check_combination(x_raw, norm, 1)
 
-    if A == 1:
-        # All normalized entries are 1; x_raw is a unit vector and already
-        # meets the bound.  The reduction formulas (and the prefix-sum lemma
-        # behind them) assume A >= 2, so the reduction tables stay zero.
-        zeros = [0] * n
-        tables = (zeros,) * 4 + (0,) + (zeros,) * 4 + ({}, {}, x_raw)
-    else:
-        tables = _reduction_tables(norm, x_raw, A)
-    (p_prime, n_prime, P_prime, N_prime, D, p, n_adj, P, N,
-     overlap, y_pair, x_final) = tables
-    trace = BoundedCombinationTrace(
-        a=tuple(norm), A=A, d=tuple(d), yz=tuple(yz),
-        x_raw=tuple(x_raw),
-        p_prime=tuple(p_prime), n_prime=tuple(n_prime),
-        P_prime=tuple(P_prime), N_prime=tuple(N_prime), D=D,
-        p=tuple(p), n=tuple(n_adj), P=tuple(P), N=tuple(N),
-        overlap=overlap, y_pair=y_pair, x_final=tuple(x_final))
-
-    _check_combination(x_final, norm, 1, (n + 1) * A * A)
-
+    trace = _reduction(norm, x_raw, max(norm), d, yz)
     x = [0] * len(a)
-    for k, i in enumerate(support):
-        x[i] = signs[k] * x_final[k]
+    for i, v in zip(support, trace.x_final):
+        x[i] = v if a[i] > 0 else -v
     _check_combination(x, a, g)
     return g, x, trace
 

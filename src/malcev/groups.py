@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .extgcd import RejectedInput
-from .freegroup import ExpWord, check_lengths, coords_to_word, eval_free
+from .freegroup import ExpWord, check_lengths, eval_free
 from .presentations import QuotientPresentation, reduce_coords
 
 
@@ -23,9 +23,6 @@ class GroupElement:
 
     def is_identity(self) -> bool:
         return not any(self.coords)
-
-    def word(self) -> ExpWord:
-        return coords_to_word(self.coords)
 
 
 def normal_form(pres: QuotientPresentation, word: ExpWord) -> GroupElement:

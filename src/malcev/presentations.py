@@ -45,13 +45,6 @@ class FullFormMatrix:
     def pivots(self) -> tuple[int, ...]:
         return tuple(first_nonzero(r) for r in self.rows)
 
-    def pivot_value(self, i: int) -> int:
-        return self.rows[i][self.pivots[i] - 1]
-
-    @property
-    def s(self) -> int:
-        return len(self.rows)
-
 
 def check_echelon_conditions(rows, torsion: dict[int, int] | None = None) -> None:
     """Raise FullFormViolation unless conditions (i)-(v) hold.
@@ -124,8 +117,8 @@ class QuotientPresentation:
     @cached_property
     def torsion(self) -> dict[int, int]:
         """Torsion columns of the quotient with their relative orders."""
-        return {p: self.relators.pivot_value(i)
-                for i, p in enumerate(self.relators.pivots)}
+        return {p: row[p - 1]
+                for p, row in zip(self.relators.pivots, self.relators.rows)}
 
     @cached_property
     def torsion_rows(self) -> dict[int, tuple[int, ...]]:

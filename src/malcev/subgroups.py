@@ -351,6 +351,8 @@ def full_form(pres: QuotientPresentation, matrix: CoordinateMatrix,
     the tuple of derivations of the full-form rows over the original rows of
     a tracked matrix, or over the current rows of an untracked one (None
     without `track`)."""
+    if matrix.presentation != pres:
+        raise RejectedInput("matrix belongs to a different presentation")
     rows = [reduce_coords(pres, r) for r in matrix.rows]
     exprs = (matrix.expressions or tuple(map(_expr_gen, range(len(rows))))
              if track else None)

@@ -260,7 +260,7 @@ def test_inverse_makes_no_multiplication(c, r, monkeypatch):
         calls.clear()
 
 
-def test_inverse_table_loads_on_the_first_inverse():
+def test_first_inverse_loads_the_power_table():
     # Products and torsion folds of elements load no power; the first
     # inverse that does not commute loads the power table, which then
     # serves every power.  No inverse table exists.  The torsion quotient

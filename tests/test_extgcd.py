@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malcev.extgcd import (InternalConsistencyError, RejectedInput,
-                           extgcd_bounded, extgcd_pair_bounded, gcd_vector,
+                           extgcd_bounded, extgcd_pair_bounded,
                            reduce_coefficients)
 
 
@@ -52,7 +52,7 @@ def test_pair_gcd_identity_and_bound_large():
 @settings(max_examples=300)
 def test_vector_gcd_identity_and_bound(a):
     g, x, _ = extgcd_bounded(a)
-    assert g == gcd_vector(a)
+    assert g == math.gcd(*a)
     assert sum(xi * ai for xi, ai in zip(x, a)) == g
     if g:
         A = max(abs(v) // g for v in a)
@@ -82,14 +82,25 @@ def test_all_ones_and_zeros():
     assert trace.degenerate
     g, x, trace = extgcd_bounded([1, 1, 1, 1])
     assert g == 1 and sum(x) == 1
+    check_trace([1, 1, 1, 1])
+    check_trace([0, -3, 3, 0])
     g, x, _ = extgcd_bounded([0, -7, 0])
     assert g == 7 and x == [0, -1, 0]
 
 
 def check_trace(a):
     g, x, t = extgcd_bounded(a)
-    if g == 0 or t.A == 1:
+    if g == 0:
         return
+    assert all(t.d[i + 1] == math.gcd(t.d[i], v) for i, v in enumerate(t.a))
+    if t.A == 1:
+        # x_raw is a unit vector, its own reduction, so the tables stay empty
+        assert t.x_final == t.x_raw
+        assert t.D == 0 and not any((t.p_prime, t.n_prime, t.P_prime,
+                                     t.N_prime, t.p, t.n, t.P, t.N,
+                                     t.overlap, t.y_pair))
+        return
+    assert reduce_coefficients(list(t.a), list(t.x_raw), t.A) == list(t.x_final)
     n = len(t.a)
     pos = sum(1 for v in t.x_raw if v > 0)
     neg = sum(1 for v in t.x_raw if v < 0)
@@ -123,6 +134,14 @@ def test_reduce_coefficients_contract():
         reduce_coefficients([2, -3], [-1, -1], 3)  # negative entry
     with pytest.raises(RejectedInput):
         reduce_coefficients([2, 3], [-1, 1], 5)  # wrong A
+
+
+def test_reduce_coefficients_at_a_equal_one():
+    # Every a_i is 1: a coefficient vector with no negative entry is a unit
+    # vector and already reduced; one with a negative entry reduces to one.
+    assert reduce_coefficients([1], [1], 1) == [1]
+    assert reduce_coefficients([1, 1], [1, 0], 1) == [1, 0]
+    assert reduce_coefficients([1, 1], [5, -4], 1) == [0, 1]
 
 
 def test_corrupt_combination_raises(monkeypatch):

@@ -199,7 +199,7 @@ def test_from_finite_presentation_makes_few_polynomial_calls(monkeypatch):
         monkeypatch.setitem(basis.__dict__, kind, counted)
     pres = M.from_finite_presentation(basis, [((1, 3),), ((2, 3),)])
     assert len(pres.relators.rows) == basis.m
-    assert len(calls) < 4000
+    assert len(calls) <= 400
 
 
 def test_describe_parses_back():

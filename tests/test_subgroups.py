@@ -349,6 +349,19 @@ def test_expression_cap(monkeypatch):
         M.express_in_original_generators(tracked, w)
 
 
+def test_matrix_from_another_presentation_is_rejected():
+    # A (3,2) matrix in the free (2,2) group, and a free (2,2) matrix in a
+    # quotient of the same basis.
+    quotient = M.make_quotient_presentation(HEIS.basis, ((2, 0, 0), (0, 0, 2)))
+    for pres, other in ((HEIS, M.free_presentation(3, 2)), (quotient, HEIS)):
+        rows = [(1,) + (0,) * (other.m - 1), (0, 1) + (0,) * (other.m - 2)]
+        matrix = M.coordinate_matrix(other, rows)
+        with pytest.raises(M.RejectedInput, match="different presentation"):
+            M.full_form(pres, matrix)
+        with pytest.raises(M.RejectedInput, match="different presentation"):
+            M.subgroup_presentation(pres, matrix)
+
+
 def test_express_requires_tracking():
     with pytest.raises(M.RejectedInput):
         M.express_in_original_generators(None, M.MembershipWitness((0,)))
