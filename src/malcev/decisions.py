@@ -9,12 +9,14 @@ solution k + nZ; the order of g is its period n.
 
 The descents and the kernel compute on reduced coordinate vectors with the
 presentation's `mult`/`pow`; only the public entries see elements.  Each
-witness is re-checked: preimage, centralizer generators, conjugator and k."""
+witness is re-checked: preimage, centralizer generators, conjugator and k.
+
+No field of a `HomSpec` or a `ConjugacyAnswer` is assigned after
+construction: they are treated as immutable, which nothing enforces."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .extgcd import InternalConsistencyError, RejectedInput
@@ -34,28 +36,31 @@ class NoPower(Exception):
     """Marker: h is not a power of g (within the given progression)."""
 
 
-@dataclass(frozen=True)
 class HomSpec:
-    """phi: K -> H on K = <generators> <= G, assumed to be a homomorphism."""
-    source: QuotientPresentation
-    target: QuotientPresentation
-    generators: tuple[GroupElement, ...]
-    images: tuple[GroupElement, ...]
-
-    def __post_init__(self):
-        if len(self.generators) != len(self.images):
+    """phi: K -> H on K = <generators> <= G, sending each generator to its
+    image.  Whether that defines a homomorphism is checked by
+    `kernel_and_preimage`, not here."""
+    def __init__(self, source: QuotientPresentation,
+                 target: QuotientPresentation,
+                 generators: tuple[GroupElement, ...],
+                 images: tuple[GroupElement, ...]):
+        if len(generators) != len(images):
             raise RejectedInput("generator and image counts differ")
-        for g in self.generators:
-            if g.presentation != self.source:
+        for g in generators:
+            if g.presentation != source:
                 raise RejectedInput("generator outside the source presentation")
-        for h in self.images:
-            if h.presentation != self.target:
+        for h in images:
+            if h.presentation != target:
                 raise RejectedInput("image outside the target presentation")
+        self.source = source
+        self.target = target
+        self.generators = generators
+        self.images = images
 
 
-@dataclass(frozen=True)
 class ConjugacyAnswer:
-    witness: GroupElement | None  # None means not conjugate
+    def __init__(self, witness: GroupElement | None):
+        self.witness = witness  # None means not conjugate
 
     @property
     def conjugate(self) -> bool:
@@ -83,9 +88,18 @@ def element_order(g: GroupElement) -> int | None:
 def kernel_and_preimage(spec: HomSpec, h: GroupElement | None = None
                         ) -> tuple[list[GroupElement], GroupElement | None]:
     """Full-form generating set of ker(phi) and, when h is given, some g
-    with phi(g) = h.  Raises NotInImage if h is not an image."""
+    with phi(g) = h.  Raises NotInImage if h is not an image, and
+    RejectedInput if the images do not define a homomorphism: phi is
+    well-defined exactly when its graph L = <(g_i, phi(g_i))> <= G x H
+    meets 1 x H trivially, and with G first, 1 x H is the tail of the
+    series, so no row of L's full form may lead in an H column."""
     if h is not None and h.presentation != spec.target:
         raise RejectedInput("h outside the target presentation")
+    graph, _ = full_form_rows(ProductContext(spec.source, spec.target),
+                              [x.coords + y.coords for x, y
+                               in zip(spec.generators, spec.images)])
+    if any(first_nonzero(row) > spec.source.m for row in graph):
+        raise RejectedInput("the images do not define a homomorphism")
     kernel, preimage = _kernel(spec.target, spec.source,
                                [x.coords for x in spec.generators],
                                [y.coords for y in spec.images],

@@ -12,7 +12,6 @@ the outside, and it checks the bound itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 
@@ -50,7 +49,6 @@ def extgcd_pair_bounded(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-@dataclass
 class BoundedCombinationTrace:
     """Full intermediate state of one bounded extended-gcd computation.
 
@@ -61,24 +59,23 @@ class BoundedCombinationTrace:
     and x_final == x_raw.
     """
 
-    a: tuple[int, ...] = ()
-    A: int = 0
-    d: tuple[int, ...] = ()            # d_0 = 0, d_i = gcd(d_{i-1}, a_i)
-    yz: tuple[tuple[int, int], ...] = ()
-    x_raw: tuple[int, ...] = ()
-    p_prime: tuple[int, ...] = ()
-    n_prime: tuple[int, ...] = ()
-    P_prime: tuple[int, ...] = ()
-    N_prime: tuple[int, ...] = ()
-    D: int = 0
-    p: tuple[int, ...] = ()
-    n: tuple[int, ...] = ()
-    P: tuple[int, ...] = ()
-    N: tuple[int, ...] = ()
-    overlap: dict[tuple[int, int], int] = field(default_factory=dict)
-    y_pair: dict[tuple[int, int], int] = field(default_factory=dict)
-    x_final: tuple[int, ...] = ()
-    degenerate: bool = False
+    def __init__(self, a: tuple[int, ...] = (), A: int = 0,
+                 d: tuple[int, ...] = (),
+                 yz: tuple[tuple[int, int], ...] = (),
+                 x_raw: tuple[int, ...] = (), degenerate: bool = False):
+        self.a = a
+        self.A = A
+        self.d = d              # d_0 = 0, d_i = gcd(d_{i-1}, a_i)
+        self.yz = yz
+        self.x_raw = x_raw
+        # The reduction tables, which `_reduction` fills.
+        self.p_prime = self.n_prime = self.P_prime = self.N_prime = ()
+        self.D = 0
+        self.p = self.n = self.P = self.N = ()
+        self.overlap: dict[tuple[int, int], int] = {}
+        self.y_pair: dict[tuple[int, int], int] = {}
+        self.x_final: tuple[int, ...] = ()
+        self.degenerate = degenerate
 
 
 def _reduction(a: list[int], x: list[int], A: int, d=(),

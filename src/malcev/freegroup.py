@@ -35,13 +35,15 @@ derives each kind once per process with `malcev.deepthought`: the product
 by the Magnus-series engine of `malcev.series` over polynomial
 coefficients, and the power from the product.
 `build_hall_basis` returns one basis per (c, r), so the basis is the cache.
+
+Bases and letters compare by value.  No field is assigned after
+construction: they are treated as immutable, which nothing enforces.
 """
 
 from __future__ import annotations
 
 import importlib
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .extgcd import RejectedInput
@@ -64,18 +66,39 @@ DEFAULT_LETTER_CAP = 128
 ExpWord = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
 class BasicCommutator:
-    weight: int
-    left: int   # 1-based index of the left entry, 0 for generators
-    right: int  # 1-based index of the right entry, 0 for generators
+    """A letter of the basis; letters compare by value."""
+    __slots__ = ("weight", "left", "right")
+
+    def __init__(self, weight: int, left: int, right: int):
+        self.weight = weight
+        self.left = left    # 1-based index of the left entry, 0 for generators
+        self.right = right  # 1-based index of the right entry, 0 for generators
+
+    def __eq__(self, other):
+        if other.__class__ is not BasicCommutator:
+            return NotImplemented
+        return (self.weight, self.left, self.right) == (
+            other.weight, other.left, other.right)
 
 
-@dataclass(frozen=True)
 class HallBasis:
-    c: int
-    r: int
-    letters: tuple[BasicCommutator, ...]
+    """The basic commutators of class c and rank r, in weight order.  Bases
+    compare by value and hash by (c, r), which determine the letters."""
+
+    def __init__(self, c: int, r: int, letters: tuple[BasicCommutator, ...]):
+        self.c = c
+        self.r = r
+        self.letters = letters
+
+    def __eq__(self, other):
+        if other.__class__ is not HallBasis:
+            return NotImplemented
+        return (self.c, self.r, self.letters) == (
+            other.c, other.r, other.letters)
+
+    def __hash__(self):
+        return hash((self.c, self.r))
 
     @property
     def m(self) -> int:

@@ -2,24 +2,37 @@
 
 A normal form is an exponent vector whose entry at every torsion column lies
 in [0, e); `reduce_coords` computes it.
+
+Elements compare and hash by value.  No field is assigned after
+construction: they are treated as immutable, which nothing enforces.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .extgcd import RejectedInput
 from .freegroup import ExpWord, check_lengths, eval_free
 from .presentations import QuotientPresentation, reduce_coords
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """An element in normal form.  The raw constructor trusts its
     coordinates to have the right length and be in normal form; `element`
     and `normal_form` are the constructors that check and reduce."""
-    presentation: QuotientPresentation
-    coords: tuple[int, ...]
+    __slots__ = ("presentation", "coords")
+
+    def __init__(self, presentation: QuotientPresentation,
+                 coords: tuple[int, ...]):
+        self.presentation = presentation
+        self.coords = coords
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return (self.presentation, self.coords) == (
+            other.presentation, other.coords)
+
+    def __hash__(self):
+        return hash((self.presentation, self.coords))
 
     def is_identity(self) -> bool:
         return not any(self.coords)

@@ -17,7 +17,6 @@ decimal with an optional sign and unbounded magnitude.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .extgcd import RejectedInput
 from .freegroup import ExpWord, build_hall_basis
@@ -31,18 +30,18 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass
 class GroupBlock:
-    presentation: QuotientPresentation
-    subgroups: list[tuple[tuple[int, ...], ...]] = field(default_factory=list)
-    words: list[ExpWord] = field(default_factory=list)
-    elements: list[ExpWord] = field(default_factory=list)
-    progression: tuple[int, int] | None = None
+    def __init__(self, presentation: QuotientPresentation):
+        self.presentation = presentation
+        self.subgroups: list[tuple[tuple[int, ...], ...]] = []
+        self.words: list[ExpWord] = []
+        self.elements: list[ExpWord] = []
+        self.progression: tuple[int, int] | None = None
 
 
-@dataclass
 class Document:
-    groups: list[GroupBlock]
+    def __init__(self, groups: list[GroupBlock]):
+        self.groups = groups
 
 
 _INT = re.compile(r"[+-]?\d+$")

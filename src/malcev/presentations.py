@@ -11,11 +11,15 @@ the normal closure of relators, in time polynomial in the entries' bit size.
 
 `NilpotentPresentation` is the subgroup presentation that
 `subgroups.subgroup_presentation` returns after multiplying each relation back.
+
+Full-form matrices and quotient presentations compare and hash by value, so
+the new object each `free_presentation(c, r)` call builds equals the last.
+No field is assigned after construction: these objects are treated as
+immutable, which nothing enforces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .extgcd import InternalConsistencyError, RejectedInput
@@ -37,9 +41,17 @@ def first_nonzero(row) -> int:
     return 0
 
 
-@dataclass(frozen=True)
 class FullFormMatrix:
-    rows: tuple[tuple[int, ...], ...]
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        self.rows = rows
+
+    def __eq__(self, other):
+        if other.__class__ is not FullFormMatrix:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
@@ -79,7 +91,6 @@ def check_echelon_conditions(rows, torsion: dict[int, int] | None = None) -> Non
                     "v", f"pivot of row {i + 1} does not divide e_{pivots[i]} = {e}")
 
 
-@dataclass(frozen=True)
 class QuotientPresentation:
     """The group context: multiplication and powering of normal forms.
 
@@ -88,8 +99,18 @@ class QuotientPresentation:
     `c` with the column weights `weight` that `freegroup.commute_by_weight`
     reads.
     """
-    basis: HallBasis
-    relators: FullFormMatrix
+
+    def __init__(self, basis: HallBasis, relators: FullFormMatrix):
+        self.basis = basis
+        self.relators = relators
+
+    def __eq__(self, other):
+        if other.__class__ is not QuotientPresentation:
+            return NotImplemented
+        return (self.basis, self.relators) == (other.basis, other.relators)
+
+    def __hash__(self):
+        return hash((self.basis, self.relators))
 
     @property
     def m(self) -> int:
@@ -260,17 +281,19 @@ def from_finite_presentation(basis: HallBasis, relators: list[ExpWord]) -> Quoti
 # ---------------------------------------------------------------------------
 # Output presentations for subgroups (polycyclic-style, not quotient form).
 
-@dataclass(frozen=True)
 class NilpotentPresentation:
     """Consistent nilpotent presentation: generators g_1..g_s with relative
     orders and relation tails, every tail supported on strictly larger
     generator indices."""
-
-    s: int
-    orders: tuple[int | None, ...]                       # None = infinite
-    power_tails: dict[int, tuple[int, ...]]              # g_i^{e_i} = tail
-    alpha: dict[tuple[int, int], tuple[int, ...]]        # g_j g_i = g_i g_j tail
-    beta: dict[tuple[int, int], tuple[int, ...]]         # g_j^-1 g_i = g_i g_j^-1 tail
+    def __init__(self, s: int, orders: tuple[int | None, ...],
+                 power_tails: dict[int, tuple[int, ...]],
+                 alpha: dict[tuple[int, int], tuple[int, ...]],
+                 beta: dict[tuple[int, int], tuple[int, ...]]):
+        self.s = s
+        self.orders = orders              # None = infinite
+        self.power_tails = power_tails    # g_i^{e_i} = tail
+        self.alpha = alpha                # g_j g_i = g_i g_j tail
+        self.beta = beta                  # g_j^-1 g_i = g_i g_j^-1 tail
 
     def describe(self) -> str:
         lines = [f"generators {self.s}"]

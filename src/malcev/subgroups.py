@@ -12,12 +12,14 @@ that bound where rows commute).  Besides a quotient presentation
 itself, a componentwise direct product H x G is such a context, with the
 H-coordinates preceding the G-coordinates; the kernel computation relies on
 that ordering.
+
+No field of a coordinate matrix or a membership witness is assigned after
+construction: they are treated as immutable, which nothing enforces.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .extgcd import (InternalConsistencyError, RejectedInput,
                      extgcd_pair_bounded)
@@ -270,14 +272,14 @@ def full_form_rows(ctx, rows, exprs=None, conjugators=()):
 # ---------------------------------------------------------------------------
 # Public wrappers in terms of presentations.
 
-@dataclass(frozen=True)
 class CoordinateMatrix:
-    presentation: QuotientPresentation
-    rows: tuple[tuple[int, ...], ...]
-    expressions: tuple | None = None  # derivations over the original rows
-
-    def __post_init__(self):
-        check_lengths(self.presentation.basis, *self.rows)
+    def __init__(self, presentation: QuotientPresentation,
+                 rows: tuple[tuple[int, ...], ...],
+                 expressions: tuple | None = None):
+        check_lengths(presentation.basis, *rows)
+        self.presentation = presentation
+        self.rows = rows
+        self.expressions = expressions  # derivations over the original rows
 
 
 def coordinate_matrix(pres: QuotientPresentation, rows,
@@ -363,9 +365,9 @@ def full_form(pres: QuotientPresentation, matrix: CoordinateMatrix,
 # ---------------------------------------------------------------------------
 # Membership.
 
-@dataclass(frozen=True)
 class MembershipWitness:
-    gamma: tuple[int, ...]
+    def __init__(self, gamma: tuple[int, ...]):
+        self.gamma = gamma
 
 
 def _membership_scan(ctx, rows, h):

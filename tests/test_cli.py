@@ -108,6 +108,17 @@ def test_kernel_and_preimage(tmp_path):
     assert invoke(["preimage", f])[:2] == (1, "no\n")
 
 
+def test_map_that_is_not_a_homomorphism_is_rejected(tmp_path):
+    # a1 -> 1 and a1^2 -> 5 in Z: no homomorphism sends both.
+    not_hom = ("group c=2 r=2\nword a1^1\nword a1^2\n"
+               "group c=1 r=1\nword a1^1\nword a1^5\n")
+    for command, text in (("kernel", not_hom),
+                          ("preimage", not_hom + "element a1^1\n")):
+        status, out, err = invoke([command, doc(tmp_path, text)])
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_centralizer(tmp_path):
     f = doc(tmp_path, HEIS_HEADER + "word a1\n")
     status, out, _ = invoke(["centralizer", f])

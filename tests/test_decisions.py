@@ -147,6 +147,8 @@ def test_hom_spec_validation():
     other = M.free_presentation(1, 2)
     with pytest.raises(M.RejectedInput):
         M.HomSpec(HEIS, HEIS, (M.identity(other),), (M.identity(HEIS),))
+    with pytest.raises(M.RejectedInput):
+        M.HomSpec(HEIS, HEIS, (M.identity(HEIS),), (M.identity(other),))
 
 
 # ---------------------------------------------------------------------------

@@ -374,3 +374,10 @@ def test_import_loads_no_table_or_derivation():
     assert sorted(m for m in loaded if m.split(".")[0] == "malcev") == [
         "malcev", "malcev.decisions", "malcev.extgcd", "malcev.freegroup",
         "malcev.groups", "malcev.presentations", "malcev.subgroups"]
+    # Neither the library nor the CLI loads `dataclasses` or `inspect`, which
+    # cost a cold process about 20 ms.  What a bare interpreter already holds
+    # (through a site `.pth` file, say) is not counted against either.
+    bare = set(run_python("import sys; print(*sys.modules)"))
+    cli = run_python("import sys, malcev.cli; print(*sys.modules)")
+    for added in (set(loaded) - bare, set(cli) - bare):
+        assert not added & {"dataclasses", "inspect"}
