@@ -26,14 +26,14 @@ arithmetic only through `groups.element`, `subgroups.CoordinateMatrix` and
 `presentations.make_quotient_presentation`, which check them first
 (`check_lengths`); a free group is `presentations.free_presentation`.
 
-The polynomials depend on the class only through the top weight, so every
-rank-1 basis, whatever its class, uses the class-1 tables.  The polynomials
-for c <= 5, r <= 3 ship as generated modules in `malcev.tables`, one per
-basis and kind, each imported on the first use of its kind on its basis:
-a process that only multiplies never loads a power.  Any other basis
-derives each kind once per process with `malcev.deepthought`: the product
-by the Magnus-series engine of `malcev.series` over polynomial
-coefficients, and the power from the product.
+The polynomials ship as generated modules in `malcev.tables`, one per
+basis and kind, each imported on the first use of its kind on its basis: a
+process that only multiplies never loads a power.  They are constants of
+the basis, derived once, outside the library, by `tools/gen_tables.py`.
+The library accepts exactly the bases whose tables ship, those of
+`SHIPPED_RANKS`; `build_hall_basis` refuses any other before it builds a
+letter.  The polynomials depend on the class only through the top weight,
+so every rank-1 basis, whatever its class, uses the class-1 tables.
 `build_hall_basis` returns one basis per (c, r), so the basis is the cache.
 
 Bases and letters compare by value.  No field is assigned after
@@ -50,16 +50,16 @@ from .extgcd import RejectedInput
 
 
 class SizeCapExceeded(ValueError):
-    """Basis would contain more letters than DEFAULT_LETTER_CAP allows."""
+    """An expanded expression would be longer than `subgroups.DEFAULT_WORD_CAP`
+    letters (`subgroups.expand_expression`)."""
 
 
-# Bases with more letters are refused; a rank above the cap before any letter
-# is built.  A basis without shipped tables derives its multiplication
-# polynomials on its first operation, and that cost grows quickly with the
-# class: 0.5 s at (4, 4) with 90 letters, 3 s at (8, 2) with 71.  Its first
-# power that is not a scaling, an inverse included, derives the power
-# polynomials from those: 0.03 s at (4, 4), 0.4 s at (8, 2).
-DEFAULT_LETTER_CAP = 128
+# The bases whose polynomials ship in `malcev.tables`, as {class: largest
+# rank}: every basis of rank 2 to 9 with at most 128 letters, except (9, 2),
+# whose two tables would take 516 KB of source.  Rank 1 ships at class 1 and
+# serves every class.  It is closed under c -> c - 1, which
+# `decisions.quotient_mod_last` needs.
+SHIPPED_RANKS = {1: 9, 2: 9, 3: 6, 4: 4, 5: 3, 6: 2, 7: 2, 8: 2}
 
 # An ExpWord is a sequence of (letter, exponent) pairs with 1-based letter
 # indices and arbitrarily large integer exponents.
@@ -169,12 +169,6 @@ def commute_by_weight(ctx, i: int, j: int) -> bool:
 def _hall_letters(c: int, r: int) -> list[BasicCommutator]:
     """The letters in weight order.  Rank 1 has none past weight 1, so its
     cost does not depend on c."""
-    def too_many() -> SizeCapExceeded:
-        return SizeCapExceeded(f"basis for c={c}, r={r} has more than"
-                               f" {DEFAULT_LETTER_CAP} letters")
-
-    if r > DEFAULT_LETTER_CAP:
-        raise too_many()
     letters = [BasicCommutator(1, 0, 0) for _ in range(r)]
     for w in range(2, c + 1 if r > 1 else 1):
         fresh = []
@@ -187,8 +181,6 @@ def _hall_letters(c: int, r: int) -> list[BasicCommutator]:
                 if letters[u - 1].weight > 1 and letters[u - 1].right > v:
                     continue
                 fresh.append(BasicCommutator(w, u, v))
-                if len(letters) + len(fresh) > DEFAULT_LETTER_CAP:
-                    raise too_many()
         fresh.sort(key=lambda bc: (bc.left, bc.right))
         letters.extend(fresh)
     return letters
@@ -196,17 +188,19 @@ def _hall_letters(c: int, r: int) -> list[BasicCommutator]:
 
 @lru_cache(maxsize=None)
 def build_hall_basis(c: int, r: int) -> HallBasis:
-    """Weight-ordered basis of basic commutators for class c and rank r."""
+    """Weight-ordered basis of basic commutators for class c and rank r,
+    one of `SHIPPED_RANKS` or of rank 1."""
     if c < 1 or r < 1:
         raise RejectedInput("class and rank must be positive")
+    if r > 1 and r > SHIPPED_RANKS.get(c, 0):
+        raise RejectedInput(
+            f"no polynomial tables ship for class {c} and rank {r}: ranks 2-9"
+            " are supported up to 128 basis letters, except c=9 r=2")
     return HallBasis(c, r, tuple(_hall_letters(c, r)))
 
 
 # ---------------------------------------------------------------------------
 # The polynomials, the length check at the public entries and words.
-
-SHIPPED_MAX = (5, 3)  # tables ship for c <= 5, r <= 3; at rank 1 only c = 1
-
 
 def table_module(kind: str, c: int, r: int) -> str:
     """Name of the module in `malcev.tables` that holds the `mult` or the
@@ -216,14 +210,10 @@ def table_module(kind: str, c: int, r: int) -> str:
 
 
 def _polynomials(basis: HallBasis, kind: str) -> Callable:
-    """The shipped `mult` or `pow` of the basis, else a derived one."""
-    c, r = basis.top_weight, basis.r
-    if c <= SHIPPED_MAX[0] and r <= SHIPPED_MAX[1]:
-        module = importlib.import_module(
-            f"{__package__}.tables.{table_module(kind, c, r)}")
-        return getattr(module, kind)
-    return importlib.import_module(
-        f"{__package__}.deepthought").compile_table(basis, kind)
+    """The shipped `mult` or `pow` of the basis."""
+    name = table_module(kind, basis.top_weight, basis.r)
+    return getattr(importlib.import_module(f"{__package__}.tables.{name}"),
+                   kind)
 
 
 def check_lengths(basis: HallBasis, *vectors) -> None:

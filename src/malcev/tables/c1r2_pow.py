@@ -1,6 +1,6 @@
 """Power polynomials of the free nilpotent group of class 1 and rank 2.
 
-Generated by tools/gen_tables.py from malcev.deepthought; do not edit.
+Generated by tools/gen_tables.py from tools/deepthought.py; do not edit.
 """
 
 

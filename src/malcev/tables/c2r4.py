@@ -1,0 +1,21 @@
+"""Multiplication polynomials of the free nilpotent group of class 2 and rank 4.
+
+Generated by tools/gen_tables.py from tools/deepthought.py; do not edit.
+"""
+
+
+def mult(u, v):
+    u1, u2, u3, u4, u5, u6, u7, u8, u9, u10 = u
+    v1, v2, v3, v4, v5, v6, v7, v8, v9, v10 = v
+    return (
+        u1 + v1,
+        u2 + v2,
+        u3 + v3,
+        u4 + v4,
+        u5 + v5 + u2*v1,
+        u6 + v6 + u3*v1,
+        u7 + v7 + u3*v2,
+        u8 + v8 + u4*v1,
+        u9 + v9 + u4*v2,
+        u10 + v10 + u4*v3,
+    )

@@ -1,0 +1,26 @@
+"""Multiplication polynomials of the free nilpotent group of class 2 and rank 5.
+
+Generated by tools/gen_tables.py from tools/deepthought.py; do not edit.
+"""
+
+
+def mult(u, v):
+    u1, u2, u3, u4, u5, u6, u7, u8, u9, u10, u11, u12, u13, u14, u15 = u
+    v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 = v
+    return (
+        u1 + v1,
+        u2 + v2,
+        u3 + v3,
+        u4 + v4,
+        u5 + v5,
+        u6 + v6 + u2*v1,
+        u7 + v7 + u3*v1,
+        u8 + v8 + u3*v2,
+        u9 + v9 + u4*v1,
+        u10 + v10 + u4*v2,
+        u11 + v11 + u4*v3,
+        u12 + v12 + u5*v1,
+        u13 + v13 + u5*v2,
+        u14 + v14 + u5*v3,
+        u15 + v15 + u5*v4,
+    )

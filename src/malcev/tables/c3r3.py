@@ -1,6 +1,6 @@
 """Multiplication polynomials of the free nilpotent group of class 3 and rank 3.
 
-Generated by tools/gen_tables.py from malcev.deepthought; do not edit.
+Generated by tools/gen_tables.py from tools/deepthought.py; do not edit.
 """
 
 

@@ -3,15 +3,26 @@
 from __future__ import annotations
 
 import itertools
+import pathlib
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import malcev as M
-from malcev.deepthought import Poly
 from malcev.extgcd import InternalConsistencyError
-from malcev.freegroup import ExpWord, HallBasis, coords_to_word, eval_free
-from malcev.series import SeriesBasis, series_mult, series_power
+from malcev.freegroup import (SHIPPED_RANKS, ExpWord, HallBasis,
+                              coords_to_word, eval_free)
 from malcev.subgroups import full_form_rows
+
+# The derivation of the tables is a tool, not part of the library.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
+from deepthought import Poly  # noqa: E402
+from series import SeriesBasis, series_mult, series_power  # noqa: E402
+
+# Every basis with shipped tables; a rank-1 basis above class 1 uses the
+# tables of its heaviest letter's weight.
+SHIPPED = [(c, r) for c, top in SHIPPED_RANKS.items()
+           for r in range(1, top + 1) if r > 1 or c == 1]
 
 # ---------------------------------------------------------------------------
 # 3x3 unitriangular integer-matrix model of the free class-2 rank-2 group.
@@ -69,8 +80,9 @@ def mat_of_coords(coords):
 
 
 # ---------------------------------------------------------------------------
-# The Magnus-series engine over integers, from which the compiled polynomials
-# are derived: an oracle for products, powers and words in a free group.
+# The Magnus-series engine over integers, from which `tools/gen_tables.py`
+# derives the shipped polynomials: an oracle for products, powers and words
+# in a free group.
 
 
 @lru_cache(maxsize=None)

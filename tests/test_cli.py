@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -152,6 +153,20 @@ def test_rank_one_descends_at_its_class_whatever_the_header(tmp_path):
         for c in (1, 2000, 10**18):
             f = doc(tmp_path, f"group c={c} r=1\n" + body)
             assert invoke(argv + [f]) == (*answer, ""), (c, argv)
+
+
+def test_refused_bases_are_one_line_errors(tmp_path):
+    # The library answers exactly the bases whose tables ship: rank 2 to 9
+    # within 128 letters, except (9, 2), and rank 1 at any class.  (9, 2),
+    # (1, 10) and (2, 10) had been accepted, and derived their polynomials
+    # on first use; (9, 9) and (1, 129) were refused for their size.
+    for c, r in ((9, 2), (1, 10), (2, 10), (9, 9), (1, 129)):
+        f = doc(tmp_path, f"group c={c} r={r}\nword a1\n")
+        start = time.perf_counter()
+        status, out, err = invoke(["nf", f])
+        assert time.perf_counter() - start < 1, (c, r)
+        assert (status, out) == (2, ""), (c, r)
+        assert err.startswith("error:") and err.count("\n") == 1, (c, r)
 
 
 def test_power(tmp_path):

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import malcev as M
-from conftest import (MAT_ID, mat_inv, mat_mul, mat_of_coords, mat_of_word,
-                      mat_pow, series_coords_pow, structure_relations)
+from conftest import (MAT_ID, SHIPPED, mat_inv, mat_mul, mat_of_coords,
+                      mat_of_word, mat_pow, series_coords_pow,
+                      structure_relations)
 from malcev.extgcd import RejectedInput
-from malcev.freegroup import (DEFAULT_LETTER_CAP, SHIPPED_MAX,
-                              SizeCapExceeded, build_hall_basis,
+from malcev.freegroup import (SHIPPED_RANKS, build_hall_basis,
                               commute_by_weight, coords_to_word, eval_free)
 
 
@@ -35,13 +35,81 @@ def test_basis_letters_are_weight_ordered_and_valid():
 
 
 def test_invalid_parameters_rejected():
-    with pytest.raises(RejectedInput):
-        build_hall_basis(0, 2)
-    with pytest.raises(SizeCapExceeded):
-        build_hall_basis(9, 9)
-    # the generators alone exceed the cap
-    with pytest.raises(SizeCapExceeded):
-        build_hall_basis(1, DEFAULT_LETTER_CAP + 1)
+    # (9, 2) has 127 letters but ships no tables; (9, 9) and (1, 129) had
+    # more than 128 letters
+    for c, r in ((0, 2), (9, 2), (9, 9), (1, 129)):
+        with pytest.raises(RejectedInput):
+            build_hall_basis(c, r)
+
+
+def witt(n, r):
+    """Number of basic commutators of weight n in r generators:
+    (1/n)·Σ_{d | n} μ(d)·r^(n/d)."""
+    def mobius(d):
+        out, p = 1, 2
+        while d > 1:
+            if d % p == 0:
+                d //= p
+                if d % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return out
+
+    return sum(mobius(d) * r ** (n // d)
+               for d in range(1, n + 1) if n % d == 0) // n
+
+
+def test_the_grid_is_every_basis_of_rank_2_to_9_within_128_letters():
+    # The library accepts exactly the bases whose tables ship: every (c, r)
+    # of rank 2 to 9 with at most 128 letters, except (9, 2), and rank 1 at
+    # any class.  The grid is closed under c -> c - 1, which
+    # `quotient_mod_last` needs.
+    fits = {(c, r) for c in range(1, 12) for r in range(2, 10)
+            if sum(witt(w, r) for w in range(1, c + 1)) <= 128}
+    assert set(SHIPPED) == (fits - {(9, 2)}) | {(1, 1)}
+    assert len(SHIPPED) == 30
+    for c, top in SHIPPED_RANKS.items():
+        assert c == 1 or SHIPPED_RANKS[c - 1] >= top
+    for c in range(1, 12):
+        for r in range(1, 12):
+            if r == 1 or (c, r) in SHIPPED:
+                assert build_hall_basis(c, r).m == sum(
+                    witt(w, r) for w in range(1, c + 1 if r > 1 else 2))
+            else:
+                with pytest.raises(RejectedInput):
+                    build_hall_basis(c, r)
+
+
+# Each shipped class-c basis above class 1 and the class-(c - 1) one of its
+# rank: entries in [-50, 50] and of 64 bits.
+TRUNCATIONS = [(c, r) for c, r in SHIPPED if c > 1]
+
+
+@pytest.mark.parametrize("c,r", TRUNCATIONS)
+def test_lower_class_tables_are_truncations(c, r):
+    # The class-(c - 1) letters are a prefix of the class-c ones, and the
+    # coordinates of u·v and u^e of weight < c depend only on those of u
+    # and v of weight < c, so class c - 1's polynomials are the truncation
+    # of class c's.  This checks every pair of shipped tables against each
+    # other with no derivation.
+    big, small = build_hall_basis(c, r), build_hall_basis(c - 1, r)
+    k = small.m
+    assert big.letters[:k] == small.letters
+    rng = random.Random(100 * c + r)
+
+    def vector():
+        bits = rng.choice((0, 64))
+        return tuple(rng.randint(-50, 50) if not bits else
+                     rng.choice((-1, 1)) * rng.getrandbits(bits)
+                     for _ in range(big.m))
+
+    for _ in range(3):
+        u, v = vector(), vector()
+        assert big.mult(u, v)[:k] == small.mult(u[:k], v[:k]), (u, v)
+        for e in (-1, 2, 7, -(1 << 40)):
+            assert big.pow_polynomials(u, e)[:k] == \
+                small.pow_polynomials(u[:k], e), (u, e)
 
 
 HEIS = build_hall_basis(2, 2)
@@ -231,13 +299,6 @@ def test_eval_free_starts_at_the_first_power(monkeypatch):
             coords[letter - 1] += e
         assert eval_free(basis, word) == tuple(coords)
     assert calls == []
-
-
-# Every basis with shipped tables; a rank-1 basis above class 1 uses the
-# tables of its heaviest letter's weight.
-SHIPPED = [(c, r) for c in range(1, SHIPPED_MAX[0] + 1)
-           for r in range(1, SHIPPED_MAX[1] + 1)
-           if build_hall_basis(c, r).top_weight == c]
 
 
 def random_letter(rng, basis):

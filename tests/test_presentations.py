@@ -395,8 +395,8 @@ def test_corrupt_fold_raises(monkeypatch, index, corrupt_row):
         M.reduce_coords(pres, coords)
 
 
-# Every shipped shape, (6, 2), whose polynomials are derived on first use,
-# and rank 1 at class 4, whose one letter commutes with itself.
+# The bases of class <= 5 and rank 2 or 3, (6, 2), and rank 1 at class 4,
+# whose one letter commutes with itself.
 COMMUTING_BASES = [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (5, 2),
                    (4, 3), (5, 3), (6, 2), (4, 1)]
 

@@ -23,19 +23,20 @@ its coordinate of weight w in Newton form, `(Δ^1*e + Δ^2*b2 + ... +
 Δ^w*b<w>) // denominator`, each Δ^j one integer combination of monomials
 over the coordinate's common denominator.
 
-`freegroup` imports the checked-in source for c <= 5, r <= 3 (generated by
-`tools/gen_tables.py`) and compiles `table_source(basis, kind)` on the first
-use of a kind on any other basis; a first power derives the basis's `mult`
-first, if it has none yet.
-`import malcev` does not load this module.
+It is a tool, not part of the library: `tools/gen_tables.py` writes
+`table_source(basis, kind)` for every basis of `freegroup.SHIPPED_RANKS`,
+and `freegroup` imports those modules.  The power is derived from a `mult`
+compiled here from a fresh derivation, not from the shipped one, so a
+stale product table cannot leak into a regenerated power table.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
-from .freegroup import HallBasis
-from .series import SeriesBasis, series_mult
+from malcev.freegroup import HallBasis
+from series import SeriesBasis, series_mult
 
 
 class Poly:
@@ -147,9 +148,10 @@ def derive(basis: HallBasis, kind: str) -> tuple[tuple, int]:
         raise ValueError(f"no polynomials of kind {kind!r}")
     # Newton's formula over u^0..u^weight(q) is exact, as coordinate q of
     # u^e has degree <= weight(q) in e; u^0 is the identity, so Δ^0 is 0.
+    mult = compile_table(basis, "mult")
     powers = [[0] * m, xs]
     for _ in range(basis.top_weight - 1):
-        powers.append(basis.mult(powers[-1], xs))
+        powers.append(mult(powers[-1], xs))
     diffs = []
     for q in range(m):
         column = [p[q] for p in powers[:basis.weight(q + 1) + 1]]
@@ -240,6 +242,7 @@ def _newton(combos: list[str], binoms: list[str]) -> str:
     return " + ".join(terms).replace("+ -", "- ")
 
 
+@lru_cache(maxsize=None)
 def table_source(basis: HallBasis, kind: str) -> str:
     """Python source of a module defining `mult(u, v)` or `pow(u, e)` for
     the basis: the shared monomials as locals, then each coordinate as
@@ -258,7 +261,7 @@ def table_source(basis: HallBasis, kind: str) -> str:
         f'"""{title} polynomials of the free nilpotent group of class '
         f'{basis.c} and rank {basis.r}.',
         "",
-        "Generated by tools/gen_tables.py from malcev.deepthought; do not edit.",
+        "Generated by tools/gen_tables.py from tools/deepthought.py; do not edit.",
         '"""',
         "",
         "",
@@ -290,7 +293,8 @@ def table_source(basis: HallBasis, kind: str) -> str:
 
 
 def compile_table(basis: HallBasis, kind: str):
-    """Derive, compile and return the basis's `mult` or `pow`."""
+    """Derive, compile and return the basis's `mult` or `pow`; `derive`
+    forms the powers of the power derivation with the fresh `mult`."""
     namespace: dict = {}
     exec(compile(table_source(basis, kind),
                  f"<{kind} c={basis.c} r={basis.r}>", "exec"), namespace)

@@ -15,8 +15,8 @@ coordinates may be integers or any exact type with `+`, `-`, `*`, `divmod`
 by an integer and truth testing.  `deepthought` runs it over polynomials to
 derive the multiplication polynomials only; the inverse and power
 polynomials follow from those.  The tests run it as an independent oracle,
-over integers and over polynomials.  `import malcev` does not load this
-module.
+over integers and over polynomials.  It is a tool, not part of the library,
+which only imports the tables that `tools/gen_tables.py` writes.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .extgcd import InternalConsistencyError
-from .freegroup import ExpWord, HallBasis
+from malcev.extgcd import InternalConsistencyError
+from malcev.freegroup import ExpWord, HallBasis
 
 # A series maps monomials (tuples of 0-based generator indices, length <= c)
 # to nonzero coefficients.
