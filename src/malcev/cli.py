@@ -1,15 +1,18 @@
-"""Command-line front end.
+"""Command-line front end; `USAGE` gives the argv grammar.
 
 Each invocation reads one self-contained input file (or standard input) in
 the grammar of `parsing`, runs a single operation and prints a deterministic
 text answer.  Exit status: 0 for affirmative answers, 1 for negative decision
 answers (wp false, non-membership, NotConjugate, NoPower, NotInImage), 2 for
-malformed input.
+malformed input or arguments, with one `error:` line on `err`.  `-h` or
+`--help` anywhere in argv prints `USAGE` on `out` and exits 0.  argv is read
+by hand: building a library parser cost a cold run more than the group work
+of a small query.  No abbreviated option, `--` separator or per-command help
+page is accepted.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from . import decisions, groups, parsing, presentations, subgroups
@@ -21,12 +24,12 @@ class InputError(ValueError):
     pass
 
 
-def _read_document(args) -> parsing.Document:
-    if args.file == "-":
+def _read_document(path) -> parsing.Document:
+    if path == "-":
         text = sys.stdin.read()
     else:
         try:
-            with open(args.file, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise InputError(str(exc)) from exc
@@ -58,15 +61,15 @@ def _elements(block, count):
 # ---------------------------------------------------------------------------
 # Command implementations.  Each returns the exit status.
 
-def _cmd_nf(args, out) -> int:
-    block = _one_group(_read_document(args))
+def _cmd_nf(path, out) -> int:
+    block = _one_group(_read_document(path))
     (g,) = _elements(block, 1)
     print(parsing.format_vector(g.coords), file=out)
     return 0
 
 
-def _cmd_wp(args, out) -> int:
-    block = _one_group(_read_document(args))
+def _cmd_wp(path, out) -> int:
+    block = _one_group(_read_document(path))
     (g,) = _elements(block, 1)
     if g.is_identity():
         print("yes", file=out)
@@ -75,26 +78,26 @@ def _cmd_wp(args, out) -> int:
     return 1
 
 
-def _cmd_member(args, out) -> int:
-    block = _one_group(_read_document(args))
+def _cmd_member(path, out, track=False) -> int:
+    block = _one_group(_read_document(path))
     matrix = _one_subgroup(block)
     (g,) = _elements(block, 1)
     form, tracked = subgroups.full_form(block.presentation, matrix,
-                                        track=args.track)
+                                        track=track)
     witness = subgroups.membership(block.presentation, form, g)
     if witness is None:
         print("no", file=out)
         return 1
     print("yes", file=out)
     print("gamma", parsing.format_vector(witness.gamma), file=out)
-    if args.track:
+    if track:
         word = subgroups.express_in_original_generators(tracked, witness)
         print("word", parsing.format_word(word), file=out)
     return 0
 
 
-def _cmd_fullform(args, out) -> int:
-    block = _one_group(_read_document(args))
+def _cmd_fullform(path, out) -> int:
+    block = _one_group(_read_document(path))
     matrix = _one_subgroup(block)
     form, _ = subgroups.full_form(block.presentation, matrix)
     for row in form.rows:
@@ -102,16 +105,16 @@ def _cmd_fullform(args, out) -> int:
     return 0
 
 
-def _cmd_subpresent(args, out) -> int:
-    block = _one_group(_read_document(args))
+def _cmd_subpresent(path, out) -> int:
+    block = _one_group(_read_document(path))
     matrix = _one_subgroup(block)
     npres = subgroups.subgroup_presentation(block.presentation, matrix)
     print(npres.describe(), file=out)
     return 0
 
 
-def _cmd_quotpres(args, out) -> int:
-    block = _one_group(_read_document(args))
+def _cmd_quotpres(path, out) -> int:
+    block = _one_group(_read_document(path))
     if block.presentation.relators.rows:
         raise InputError("quotpres takes a bare group header; the word lines"
                          " are the relators")
@@ -134,16 +137,16 @@ def _hom_spec(doc) -> tuple[decisions.HomSpec, parsing.GroupBlock]:
                              generators=gens, images=imgs), tgt
 
 
-def _cmd_kernel(args, out) -> int:
-    spec, _ = _hom_spec(_read_document(args))
+def _cmd_kernel(path, out) -> int:
+    spec, _ = _hom_spec(_read_document(path))
     kernel, _ = decisions.kernel_and_preimage(spec)
     for g in kernel:
         print("row", parsing.format_vector(g.coords), file=out)
     return 0
 
 
-def _cmd_preimage(args, out) -> int:
-    spec, tgt = _hom_spec(_read_document(args))
+def _cmd_preimage(path, out) -> int:
+    spec, tgt = _hom_spec(_read_document(path))
     (hw,) = _need(tgt.elements, 1, "element line(s) in the target group")
     h = groups.normal_form(tgt.presentation, hw)
     try:
@@ -156,16 +159,16 @@ def _cmd_preimage(args, out) -> int:
     return 0
 
 
-def _cmd_centralizer(args, out) -> int:
-    block = _one_group(_read_document(args))
+def _cmd_centralizer(path, out) -> int:
+    block = _one_group(_read_document(path))
     (g,) = _elements(block, 1)
     for z in decisions.centralizer(block.presentation, g):
         print("row", parsing.format_vector(z.coords), file=out)
     return 0
 
 
-def _cmd_conj(args, out) -> int:
-    block = _one_group(_read_document(args))
+def _cmd_conj(path, out) -> int:
+    block = _one_group(_read_document(path))
     g, h = _elements(block, 2)
     answer = decisions.conjugacy(block.presentation, g, h)
     if not answer.conjugate:
@@ -177,8 +180,8 @@ def _cmd_conj(args, out) -> int:
     return 0
 
 
-def _cmd_power(args, out) -> int:
-    block = _one_group(_read_document(args))
+def _cmd_power(path, out) -> int:
+    block = _one_group(_read_document(path))
     g, h = _elements(block, 2)
     try:
         k = decisions.power_problem(block.presentation, g, h,
@@ -191,15 +194,15 @@ def _cmd_power(args, out) -> int:
     return 0
 
 
-def _cmd_extgcd(args, out) -> int:
-    g, x, _ = extgcd_bounded(args.numbers)
+def _cmd_extgcd(numbers, out) -> int:
+    g, x, _ = extgcd_bounded(numbers)
     print(g, file=out)
     print(parsing.format_vector(x), file=out)
     return 0
 
 
-def _cmd_torsionbound(args, out) -> int:
-    block = _one_group(_read_document(args))
+def _cmd_torsionbound(path, out) -> int:
+    block = _one_group(_read_document(path))
     print(decisions.torsion_bound(block.presentation), file=out)
     return 0
 
@@ -220,25 +223,50 @@ _FILE_COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="malcev",
-        description="Exact decision procedures for finitely generated"
-                    " nilpotent groups of fixed class and rank.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _FILE_COMMANDS.items():
-        p = sub.add_parser(name)
-        p.add_argument("file", nargs="?", default="-",
-                       help="input file in the document grammar; - for stdin")
-        if name == "member":
-            p.add_argument("--track", action="store_true",
-                           help="also express the member over the original"
-                                " generators")
-        p.set_defaults(fn=fn)
-    p = sub.add_parser("extgcd")
-    p.add_argument("numbers", nargs="+", type=int)
-    p.set_defaults(fn=_cmd_extgcd)
-    return parser
+_COMMANDS = [*_FILE_COMMANDS, "extgcd"]
+
+USAGE = f"""\
+usage: malcev <command> [file]
+       malcev member [--track] [file]
+       malcev extgcd <int> <int> ...
+
+commands: {" ".join(_COMMANDS[:7])}
+          {" ".join(_COMMANDS[7:])}
+
+Every command but extgcd reads one document from file, or from standard
+input when file is - or absent.  --track makes member also print the
+member as a word in the subgroup's rows.  Exit status: 0 yes, 1 no, 2 for
+malformed input, with one error: line on standard error."""
+
+
+def _read_argv(argv):
+    """The command to call on argv, its operand (a file name, or extgcd's
+    integers) and whether --track was given.  Raises InputError for any
+    argv outside `<command> [file]`, `member [--track] [file]` (the option
+    before or after the file) and `extgcd <int> <int> ...`."""
+    if not argv:
+        raise InputError("no command; malcev --help lists them")
+    name, *rest = argv
+    if name == "extgcd":
+        if not rest:
+            raise InputError("extgcd takes one or more integers")
+        try:
+            return _cmd_extgcd, [int(arg) for arg in rest], False
+        except ValueError as exc:
+            raise InputError(f"extgcd takes integers: {exc}") from None
+    if name not in _FILE_COMMANDS:
+        raise InputError(f"unknown command {name!r}; malcev --help lists"
+                         " them")
+    files = [arg for arg in rest if arg != "--track"]
+    track = len(files) < len(rest)
+    if track and name != "member":
+        raise InputError(f"--track is an option of member, not of {name}")
+    for arg in files:
+        if arg.startswith("-") and arg != "-":
+            raise InputError(f"unknown option {arg!r}")
+    if len(files) > 1:
+        raise InputError(f"{name} takes at most one file, got {len(files)}")
+    return _FILE_COMMANDS[name], files[0] if files else "-", track
 
 
 def run(argv, out=None, err=None) -> int:
@@ -249,11 +277,13 @@ def run(argv, out=None, err=None) -> int:
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return 2 if exc.code else 0
-        return args.fn(args, out)
+        if "-h" in argv or "--help" in argv:
+            print(USAGE, file=out)
+            return 0
+        command, operand, track = _read_argv(argv)
+        if track:
+            return command(operand, out, track=True)
+        return command(operand, out)
     except (InputError, parsing.ParseError, RejectedInput,
             SizeCapExceeded) as exc:
         print(f"error: {exc}", file=err)

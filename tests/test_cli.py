@@ -201,6 +201,80 @@ def test_module_entry_points():
         assert (proc.returncode, proc.stdout) == (0, expected)
 
 
+# ---------------------------------------------------------------------------
+# The argv grammar: `<command> [file]`, `member [--track] [file]` and
+# `extgcd <int> <int> ...`, read without argparse.
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["extgcd"],
+    ["extgcd", "1", "x"],
+    ["nf", "a.txt", "b.txt"],
+    ["nf", "--frobnicate"],
+    ["fullform", "--track"],
+    # an abbreviated option and the `--` separator are not accepted
+    ["member", "--tr"],
+    ["nf", "--", "a.txt"],
+])
+def test_usage_errors_are_one_line_on_err(argv, capsys):
+    status, out, err = invoke(argv)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["nf", "--help"], ["extgcd", "5", "-h"],
+    ["frobnicate", "-h"],
+])
+def test_help_prints_the_usage_on_out(argv, capsys):
+    assert invoke(argv) == (0, malcev.cli.USAGE + "\n", "")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_accepted_argv_forms_answer_as_before(tmp_path, monkeypatch):
+    # The answers argparse's reading of the same argv gave.
+    f = doc(tmp_path, HEIS_HEADER + "word a2 a1\n")
+    assert invoke(["nf", f]) == (0, "1 1 1\n", "")
+    for argv in (["nf", "-"], ["nf"]):
+        assert invoke(argv, HEIS_HEADER + "word a2 a1\n",
+                      monkeypatch) == (0, "1 1 1\n", "")
+    f = doc(tmp_path, MEMBER_DOC)
+    tracked = "yes\ngamma 1 1 1\nword a1^1 a2^1 a1^-1 a2^1 a1^1 a2^-1\n"
+    assert invoke(["member", "--track", f]) == (0, tracked, "")
+    assert invoke(["member", f, "--track"]) == (0, tracked, "")
+    assert invoke(["extgcd", "-6", "+10", "1_5"]) == (0, "1\n14 7 1\n", "")
+    assert invoke(["extgcd", "5"]) == (0, "5\n1\n", "")
+    n = "9" * 5000
+    assert answers(["extgcd", "-" + n, n], 0, f"{n}\n0 1\n")
+    assert answers(["extgcd", n, "3"], 0, "3\n0 1\n")
+
+
+def test_cold_run_loads_no_argument_parser():
+    # A cold query pays for every module it loads, and an argument parser
+    # (argparse, with `gettext` and, inside `run`, `locale`) cost more than
+    # the group work of a small query.  What a bare interpreter already
+    # holds is not counted.
+    code = ("import io, sys, malcev.cli\n"
+            "out = io.StringIO()\n"
+            f"sys.stdin = io.StringIO({HEIS_HEADER + 'word a2 a1'!r})\n"
+            "for argv in (['nf'], ['extgcd', '6', '10', '15'], ['nf', 'x', 'y'],"
+            " ['--help']):\n"
+            "    malcev.cli.run(argv, out, out)\n"
+            "print(*sys.modules)")
+    src = os.path.dirname(os.path.dirname(malcev.__file__))
+
+    def modules(code):
+        proc = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        return set(proc.stdout.split())
+
+    added = modules(code) - modules("import sys; print(*sys.modules)")
+    assert not added & {"argparse", "gettext", "locale"}, added
+
+
 def test_torsionbound(tmp_path):
     f = doc(tmp_path, "group c=1 r=2\nrow 2 0\nrow 0 3\n")
     assert invoke(["torsionbound", f])[:2] == (0, "6\n")
