@@ -1,9 +1,11 @@
 """Command-line front end; `USAGE` gives the argv grammar.
 
 Each invocation reads one self-contained input file (or standard input) in
-the grammar of `parsing`, runs a single operation and prints a deterministic
-text answer.  Exit status: 0 for affirmative answers, 1 for negative decision
-answers (wp false, non-membership, NotConjugate, NoPower, NotInImage), 2 for
+the grammar of `parsing` and runs a single operation, a function from the
+parsed document to its deterministic answer lines.  `run` alone writes them,
+after all are computed, so an error leaves `out` empty.  Exit status: 0 for
+affirmative answers, 1 for negative decision answers (wp false,
+non-membership, NotConjugate, NoPower, NotInImage), printed as `no`, 2 for
 malformed input or arguments, with one `error:` line on `err`.  `-h` or
 `--help` anywhere in argv prints `USAGE` on `out` and exits 0.  argv is read
 by hand: building a library parser cost a cold run more than the group work
@@ -59,69 +61,60 @@ def _elements(block, count):
 
 
 # ---------------------------------------------------------------------------
-# Command implementations.  Each returns the exit status.
+# Command implementations.  Each takes the parsed document (extgcd its
+# integers) and returns its answer lines, or None for a negative decision
+# answer; `run` prints them.
 
-def _cmd_nf(path, out) -> int:
-    block = _one_group(_read_document(path))
+def _cmd_nf(doc):
+    block = _one_group(doc)
     (g,) = _elements(block, 1)
-    print(parsing.format_vector(g.coords), file=out)
-    return 0
+    return [parsing.format_vector(g.coords)]
 
 
-def _cmd_wp(path, out) -> int:
-    block = _one_group(_read_document(path))
+def _cmd_wp(doc):
+    block = _one_group(doc)
     (g,) = _elements(block, 1)
-    if g.is_identity():
-        print("yes", file=out)
-        return 0
-    print("no", file=out)
-    return 1
+    return ["yes"] if g.is_identity() else None
 
 
-def _cmd_member(path, out, track=False) -> int:
-    block = _one_group(_read_document(path))
+def _cmd_member(doc, track=False):
+    block = _one_group(doc)
     matrix = _one_subgroup(block)
     (g,) = _elements(block, 1)
     form, tracked = subgroups.full_form(block.presentation, matrix,
                                         track=track)
     witness = subgroups.membership(block.presentation, form, g)
     if witness is None:
-        print("no", file=out)
-        return 1
-    print("yes", file=out)
-    print("gamma", parsing.format_vector(witness.gamma), file=out)
+        return None
+    lines = ["yes", "gamma " + parsing.format_vector(witness.gamma)]
     if track:
         word = subgroups.express_in_original_generators(tracked, witness)
-        print("word", parsing.format_word(word), file=out)
-    return 0
+        lines.append("word " + parsing.format_word(word))
+    return lines
 
 
-def _cmd_fullform(path, out) -> int:
-    block = _one_group(_read_document(path))
+def _cmd_fullform(doc):
+    block = _one_group(doc)
     matrix = _one_subgroup(block)
     form, _ = subgroups.full_form(block.presentation, matrix)
-    for row in form.rows:
-        print("row", parsing.format_vector(row), file=out)
-    return 0
+    return ["row " + parsing.format_vector(row) for row in form.rows]
 
 
-def _cmd_subpresent(path, out) -> int:
-    block = _one_group(_read_document(path))
+def _cmd_subpresent(doc):
+    block = _one_group(doc)
     matrix = _one_subgroup(block)
     npres = subgroups.subgroup_presentation(block.presentation, matrix)
-    print(npres.describe(), file=out)
-    return 0
+    return [npres.describe()]
 
 
-def _cmd_quotpres(path, out) -> int:
-    block = _one_group(_read_document(path))
+def _cmd_quotpres(doc):
+    block = _one_group(doc)
     if block.presentation.relators.rows:
         raise InputError("quotpres takes a bare group header; the word lines"
                          " are the relators")
     pres = presentations.from_finite_presentation(block.presentation.basis,
                                                   block.words)
-    print(pres.describe(), file=out)
-    return 0
+    return [pres.describe()]
 
 
 def _hom_spec(doc) -> tuple[decisions.HomSpec, parsing.GroupBlock]:
@@ -129,82 +122,65 @@ def _hom_spec(doc) -> tuple[decisions.HomSpec, parsing.GroupBlock]:
         raise InputError("expected two groups: source (with generator words)"
                          " then target (with image words)")
     src, tgt = doc.groups
-    if len(src.words) != len(tgt.words):
-        raise InputError("generator and image counts differ")
     gens = tuple(groups.normal_form(src.presentation, w) for w in src.words)
     imgs = tuple(groups.normal_form(tgt.presentation, w) for w in tgt.words)
     return decisions.HomSpec(source=src.presentation, target=tgt.presentation,
                              generators=gens, images=imgs), tgt
 
 
-def _cmd_kernel(path, out) -> int:
-    spec, _ = _hom_spec(_read_document(path))
+def _cmd_kernel(doc):
+    spec, _ = _hom_spec(doc)
     kernel, _ = decisions.kernel_and_preimage(spec)
-    for g in kernel:
-        print("row", parsing.format_vector(g.coords), file=out)
-    return 0
+    return ["row " + parsing.format_vector(g.coords) for g in kernel]
 
 
-def _cmd_preimage(path, out) -> int:
-    spec, tgt = _hom_spec(_read_document(path))
+def _cmd_preimage(doc):
+    spec, tgt = _hom_spec(doc)
     (hw,) = _need(tgt.elements, 1, "element line(s) in the target group")
     h = groups.normal_form(tgt.presentation, hw)
     try:
         _, pre = decisions.kernel_and_preimage(spec, h)
     except decisions.NotInImage:
-        print("no", file=out)
-        return 1
-    print("yes", file=out)
-    print("word", parsing.format_word(coords_to_word(pre.coords)), file=out)
-    return 0
+        return None
+    return ["yes", "word " + parsing.format_word(coords_to_word(pre.coords))]
 
 
-def _cmd_centralizer(path, out) -> int:
-    block = _one_group(_read_document(path))
+def _cmd_centralizer(doc):
+    block = _one_group(doc)
     (g,) = _elements(block, 1)
-    for z in decisions.centralizer(block.presentation, g):
-        print("row", parsing.format_vector(z.coords), file=out)
-    return 0
+    return ["row " + parsing.format_vector(z.coords)
+            for z in decisions.centralizer(block.presentation, g)]
 
 
-def _cmd_conj(path, out) -> int:
-    block = _one_group(_read_document(path))
+def _cmd_conj(doc):
+    block = _one_group(doc)
     g, h = _elements(block, 2)
     answer = decisions.conjugacy(block.presentation, g, h)
     if not answer.conjugate:
-        print("no", file=out)
-        return 1
-    print("yes", file=out)
-    print("witness", parsing.format_word(coords_to_word(answer.witness.coords)),
-          file=out)
-    return 0
+        return None
+    return ["yes", "witness "
+            + parsing.format_word(coords_to_word(answer.witness.coords))]
 
 
-def _cmd_power(path, out) -> int:
-    block = _one_group(_read_document(path))
+def _cmd_power(doc):
+    block = _one_group(doc)
     g, h = _elements(block, 2)
     try:
         k = decisions.power_problem(block.presentation, g, h,
                                     block.progression)
     except decisions.NoPower:
-        print("no", file=out)
-        return 1
-    print("yes", file=out)
-    print("k", k, file=out)
-    return 0
+        return None
+    return ["yes", f"k {k}"]
 
 
-def _cmd_extgcd(numbers, out) -> int:
+def _cmd_extgcd(numbers):
     g, x, _ = extgcd_bounded(numbers)
-    print(g, file=out)
-    print(parsing.format_vector(x), file=out)
-    return 0
+    return [str(g), parsing.format_vector(x)]
 
 
-def _cmd_torsionbound(path, out) -> int:
-    block = _one_group(_read_document(path))
-    print(decisions.torsion_bound(block.presentation), file=out)
-    return 0
+def _cmd_torsionbound(doc):
+    block = _one_group(doc)
+    return [str(decisions.torsion_bound(block.presentation))]
 
 
 _FILE_COMMANDS = {
@@ -281,15 +257,21 @@ def run(argv, out=None, err=None) -> int:
             print(USAGE, file=out)
             return 0
         command, operand, track = _read_argv(argv)
-        if track:
-            return command(operand, out, track=True)
-        return command(operand, out)
+        if command is not _cmd_extgcd:
+            operand = _read_document(operand)
+        lines = command(operand, track=True) if track else command(operand)
     except (InputError, parsing.ParseError, RejectedInput,
             SizeCapExceeded) as exc:
         print(f"error: {exc}", file=err)
         return 2
     finally:
         sys.set_int_max_str_digits(digits)
+    if lines is None:
+        print("no", file=out)
+        return 1
+    for line in lines:
+        print(line, file=out)
+    return 0
 
 
 def main() -> None:

@@ -90,15 +90,13 @@ def kernel_and_preimage(spec: HomSpec, h: GroupElement | None = None
     """Full-form generating set of ker(phi) and, when h is given, some g
     with phi(g) = h.  Raises NotInImage if h is not an image, and
     RejectedInput if the images do not define a homomorphism: phi is
-    well-defined exactly when its graph L = <(g_i, phi(g_i))> <= G x H
-    meets 1 x H trivially, and with G first, 1 x H is the tail of the
-    series, so no row of L's full form may lead in an H column."""
+    well-defined exactly when the reversed map, from the images to the
+    generators, has trivial kernel, the part in 1 x H of the graph
+    L = <(g_i, phi(g_i))> <= G x H."""
     if h is not None and h.presentation != spec.target:
         raise RejectedInput("h outside the target presentation")
-    graph, _ = full_form_rows(ProductContext(spec.source, spec.target),
-                              [x.coords + y.coords for x, y
-                               in zip(spec.generators, spec.images)])
-    if any(first_nonzero(row) > spec.source.m for row in graph):
+    if _kernel(spec.source, spec.target, [y.coords for y in spec.images],
+               [x.coords for x in spec.generators])[0]:
         raise RejectedInput("the images do not define a homomorphism")
     kernel, preimage = _kernel(spec.target, spec.source,
                                [x.coords for x in spec.generators],

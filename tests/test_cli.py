@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import malcev
+from malcev import subgroups
 from malcev.cli import run
 from malcev.parsing import parse_word
 
@@ -62,6 +63,16 @@ def test_member(tmp_path):
     assert lines[2].startswith("word a")
     f = doc(tmp_path, HEIS_HEADER + "subgroup\nrow 2 0 0\nword a1\n")
     assert invoke(["member", f])[:2] == (1, "no\n")
+
+
+def test_error_after_a_membership_answer_leaves_out_empty(tmp_path,
+                                                          monkeypatch):
+    # The word of --track is built after "yes" and gamma are known; when it
+    # exceeds the cap, the run is one error and prints no part of the answer.
+    monkeypatch.setattr(subgroups, "DEFAULT_WORD_CAP", 2)
+    status, out, err = invoke(["member", "--track", doc(tmp_path, MEMBER_DOC)])
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_fullform(tmp_path):
@@ -460,6 +471,7 @@ def test_fuzzed_documents_end_in_an_exit_status(fuzz_dir, text, numbers):
         status, out, err = invoke(argv)
         assert status in (0, 1, 2)
         if status == 2:
+            assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
         else:
             assert err == ""
