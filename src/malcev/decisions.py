@@ -3,7 +3,12 @@ witnesses, the power problem, and the torsion-order bound.
 
 Centralizers and conjugacy share one descent through G/Gamma_c (Macdonald,
 Myasnikov, Nikolaev & Vassileva): one kernel per class, whose kernel is the
-centralizer and whose preimage gives the conjugator.  The power problem is
+centralizer and whose preimage gives the conjugator.  The kernels depend on
+g alone, so `_tower` caches them, as tuples, keyed by (presentation, g) and
+for the lower classes by their images, in an `lru_cache` at its default
+bound of 128 entries: the c - 1 kernel computations are made once per
+distinct g while it stays cached.  The walk that finds the conjugator for
+each h, and every witness check, run on every call.  The power problem is
 one descent over the first nonzero columns of g and h, which finds every
 solution k + nZ; the order of g is its period n.
 
@@ -95,35 +100,42 @@ def kernel_and_preimage(spec: HomSpec, h: GroupElement | None = None
     L = <(g_i, phi(g_i))> <= G x H."""
     if h is not None and h.presentation != spec.target:
         raise RejectedInput("h outside the target presentation")
-    if _kernel(spec.source, spec.target, [y.coords for y in spec.images],
-               [x.coords for x in spec.generators])[0]:
+    gens = [x.coords for x in spec.generators]
+    images = [y.coords for y in spec.images]
+    if _graph(spec.source, spec.target, images, gens)[0]:
         raise RejectedInput("the images do not define a homomorphism")
-    kernel, preimage = _kernel(spec.target, spec.source,
-                               [x.coords for x in spec.generators],
-                               [y.coords for y in spec.images],
-                               None if h is None else h.coords)
+    kernel, *halves = _graph(spec.target, spec.source, gens, images)
+    preimage = None
+    if h is not None:
+        preimage = _preimage(spec.target, spec.source, *halves, h.coords)
+        if preimage is None:
+            raise NotInImage("h is not in the image of the homomorphism")
     return ([GroupElement(spec.source, z) for z in kernel],
             None if preimage is None else GroupElement(spec.source, preimage))
 
 
-def _kernel(target, source, gens, images, h=None):
-    """`kernel_and_preimage` on reduced coordinate vectors.  The preimage of
-    h: the source halves of the graph rows (phi(x), x) to the exponents with
-    which their image halves multiply back to h."""
+def _graph(target, source, gens, images):
+    """The full form of the graph <(phi(x), x)> in target x source, split
+    into the kernel of phi (the source halves of the rows with a trivial
+    image half) and the image and source halves of the other rows, on
+    reduced coordinate vectors, as three tuples."""
     ctx = ProductContext(target, source)
     form, _ = full_form_rows(ctx, [y + x for x, y in zip(gens, images)])
     split = target.m
     r = sum(1 for row in form if any(row[:split]))
     if any(any(row[:split]) for row in form[r:]):
         raise InternalConsistencyError("kernel row with a nonzero image part")
-    kernel = [row[split:] for row in form[r:]]
-    if h is None:
-        return kernel, None
-    beta = _checked_scan(target, [row[:split] for row in form[:r]], h)
-    if beta is None:
-        raise NotInImage("h is not in the image of the homomorphism")
-    return kernel, _power_product(source, [row[split:] for row in form[:r]],
-                                  beta)
+    return (tuple(row[split:] for row in form[r:]),
+            tuple(row[:split] for row in form[:r]),
+            tuple(row[split:] for row in form[:r]))
+
+
+def _preimage(target, source, images, sources, h):
+    """Some x with phi(x) = h from `_graph`'s image and source halves, or
+    None when h is not an image: the source halves to the exponents with
+    which the image halves multiply back to h."""
+    beta = _checked_scan(target, images, h)
+    return None if beta is None else _power_product(source, sources, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -143,42 +155,50 @@ def quotient_mod_last(pres: QuotientPresentation) -> QuotientPresentation:
     return make_quotient_presentation(small, rows)
 
 
-def _descend(pres, g, h):
-    """Generators of C_G(g) and some u with g = u^{-1} h u, or (None, None)
-    when g and h are not conjugate; all are reduced coordinate vectors.
-
-    One descent through G/Gamma_c with one kernel per class: given C and v
-    for the images of g and h in G/Gamma_c, u -> [g, u] is a homomorphism on
-    the preimage of C (its image lies in the central Gamma_c).  Its kernel
-    is C_G(g), and g^{-1} v^{-1} h v lies in its image exactly when g and h
-    are conjugate, with a preimage w giving u = v w^{-1}.  A normal form of
-    G/Gamma_c is the prefix of one of G, and pads with zeros back into G.
-    """
+@lru_cache
+def _tower(pres, g):
+    """`_graph` of u -> [g, u] on the preimage of C_{G/Gamma_c}(g), whose
+    image lies in the central Gamma_c: the generators of its kernel C_G(g),
+    and the image and source halves of the other graph rows.  That preimage
+    is the tower of g's image in G/Gamma_c, whose normal forms are prefixes
+    of G's, padded with zeros, and the weight-c letters."""
     basis = pres.basis
     # The weight-c letters, reduced: a letter of relative order 1 is trivial.
     top = [reduce_coords(pres, tuple(int(j == i) for j in range(basis.m)))
            for i in range(basis.m) if basis.weight(i + 1) == pres.c]
     if pres.c == 1:
-        # Abelian: everything centralizes g, and only g is conjugate to g.
-        return (top, pres.identity) if g == h else (None, None)
+        # Abelian: everything centralizes g.
+        return tuple(top), (), ()
     small = quotient_mod_last(pres)
-    below, v = _descend(small, g[:small.m], h[:small.m])
-    if below is None:
-        return None, None
     pad = (0,) * (basis.m - small.m)
-    v, cover = v + pad, [z + pad for z in below] + top
+    cover = [z + pad for z in _tower(small, g[:small.m])[0]] + top
     mult, pow_ = pres.mult, pres.pow
     g_inv = pow_(g, -1)
-    commutators = [mult(mult(g_inv, pow_(u, -1)), mult(g, u)) for u in cover]
-    target = mult(g_inv, mult(pow_(v, -1), mult(h, v)))  # in Gamma_c
-    try:
-        kernel, w = _kernel(pres, pres, cover, commutators, target)
-    except NotInImage:
-        return None, None
+    return _graph(pres, pres, cover,
+                  [mult(mult(g_inv, pow_(u, -1)), mult(g, u)) for u in cover])
+
+
+def _conjugator(pres, g, h):
+    """Some u with g = u^{-1} h u, or None: given v for the images of g and
+    h in G/Gamma_c, g^{-1} v^{-1} h v lies in Gamma_c, and it is [g, w] for
+    some w exactly when g and h are conjugate, with u = v w^{-1}."""
+    if pres.c == 1:
+        # Abelian: only g is conjugate to g.
+        return pres.identity if g == h else None
+    small = quotient_mod_last(pres)
+    v = _conjugator(small, g[:small.m], h[:small.m])
+    if v is None:
+        return None
+    v += (0,) * (pres.m - small.m)
+    mult, pow_ = pres.mult, pres.pow
+    target = mult(pow_(g, -1), mult(pow_(v, -1), mult(h, v)))
+    w = _preimage(pres, pres, *_tower(pres, g)[1:], target)
+    if w is None:
+        return None
     u = mult(v, pow_(w, -1))
     if mult(mult(pow_(u, -1), h), u) != g:
         raise InternalConsistencyError("conjugacy witness fails to conjugate")
-    return kernel, u
+    return u
 
 
 def centralizer(pres: QuotientPresentation, g: GroupElement
@@ -186,7 +206,7 @@ def centralizer(pres: QuotientPresentation, g: GroupElement
     """Generating set of C_G(g)."""
     if g.presentation != pres:
         raise RejectedInput("element belongs to a different presentation")
-    gens = _descend(pres, g.coords, g.coords)[0]
+    gens = _tower(pres, g.coords)[0]
     if any(pres.mult(g.coords, z) != pres.mult(z, g.coords) for z in gens):
         raise InternalConsistencyError("centralizer generator fails to commute")
     return [GroupElement(pres, z) for z in gens]
@@ -197,7 +217,7 @@ def conjugacy(pres: QuotientPresentation, g: GroupElement, h: GroupElement
     """Witness u with g = u^{-1} h u, or the answer NotConjugate."""
     if g.presentation != pres or h.presentation != pres:
         raise RejectedInput("elements belong to a different presentation")
-    u = _descend(pres, g.coords, h.coords)[1]
+    u = _conjugator(pres, g.coords, h.coords)
     return ConjugacyAnswer(None if u is None else GroupElement(pres, u))
 
 

@@ -8,7 +8,10 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
+import pytest
+
 import malcev as M
+from malcev import decisions
 from malcev.extgcd import InternalConsistencyError
 from malcev.freegroup import (SHIPPED_RANKS, ExpWord, HallBasis,
                               coords_to_word, eval_free)
@@ -23,6 +26,13 @@ from series import SeriesBasis, series_mult, series_power  # noqa: E402
 # tables of its heaviest letter's weight.
 SHIPPED = [(c, r) for c, top in SHIPPED_RANKS.items()
            for r in range(1, top + 1) if r > 1 or c == 1]
+
+
+@pytest.fixture(autouse=True)
+def empty_tower_cache():
+    """Each test starts with an empty cache of the descent's kernels, so no
+    test reads what another test left there."""
+    decisions._tower.cache_clear()
 
 # ---------------------------------------------------------------------------
 # 3x3 unitriangular integer-matrix model of the free class-2 rank-2 group.

@@ -267,13 +267,13 @@ def test_class_three_descent_matches_brute_force():
 @pytest.mark.parametrize("c", [2, 3, 4])
 def test_descent_makes_one_kernel_per_class(monkeypatch, c):
     classes = []
-    kernel = decisions._kernel
+    graph = decisions._graph
 
     def counted(target, source, *args):
         classes.append(source.basis.c)
-        return kernel(target, source, *args)
+        return graph(target, source, *args)
 
-    monkeypatch.setattr(decisions, "_kernel", counted)
+    monkeypatch.setattr(decisions, "_graph", counted)
     rng = random.Random(64 + c)
     pres = M.free_presentation(c, 2)
     g, u = (M.element(pres, tuple(rng.randint(-3, 3) for _ in range(pres.m)))
@@ -283,8 +283,95 @@ def test_descent_makes_one_kernel_per_class(monkeypatch, c):
     assert M.mult(M.mult(M.inverse(w), h), w) == g
     assert sorted(classes) == list(range(2, c + 1))
     classes.clear()
+    # With an empty cache the centralizer builds every class again.
+    decisions._tower.cache_clear()
     M.centralizer(pres, g)
     assert sorted(classes) == list(range(2, c + 1))
+
+
+@pytest.mark.parametrize("c", [3, 4])
+def test_conjugacy_and_centralizer_share_the_tower(monkeypatch, c):
+    # The kernels of the descent depend on g alone: after conjugacy(g, h1)
+    # has built one graph full form per class 2..c, conjugacy(g, h2) and
+    # centralizer(g) build none, and all three answer as they do from an
+    # empty cache.
+    built = []
+    full_form = decisions.full_form_rows
+
+    def counted(ctx, *args):
+        built.append(ctx.c)
+        return full_form(ctx, *args)
+
+    monkeypatch.setattr(decisions, "full_form_rows", counted)
+    rng = random.Random(80 + c)
+    pres = M.free_presentation(c, 2)
+    g, u1, u2 = (M.element(pres, tuple(rng.randint(-3, 3)
+                                       for _ in range(pres.m)))
+                 for _ in range(3))
+    h1, h2 = (M.mult(M.mult(u, g), M.inverse(u)) for u in (u1, u2))
+
+    def answers():
+        return (M.conjugacy(pres, g, h1).witness,
+                M.conjugacy(pres, g, h2).witness, M.centralizer(pres, g))
+
+    w1 = M.conjugacy(pres, g, h1).witness
+    assert sorted(built) == list(range(2, c + 1))
+    built.clear()
+    w2 = M.conjugacy(pres, g, h2).witness
+    gens = M.centralizer(pres, g)
+    assert built == []
+    decisions._tower.cache_clear()
+    assert answers() == (w1, w2, gens)
+    for w, h in ((w1, h1), (w2, h2)):
+        assert M.mult(M.mult(M.inverse(w), h), w) == g
+
+
+def test_witness_checks_run_on_cache_hits(monkeypatch):
+    # The tower of g = (1, 0, 2) is corrupted once, when it is built: its
+    # kernel gains (0, 1, 0), which does not commute with g, and its
+    # preimage rows are shifted by (0, 1, 0).  Both entries raise on the
+    # call that builds it and again on every call that finds it cached.
+    graph = decisions._graph
+
+    def corrupt(*args):
+        kernel, images, sources = graph(*args)
+        return (kernel + ((0, 1, 0),), images,
+                tuple(HEIS.mult(x, (0, 1, 0)) for x in sources))
+
+    monkeypatch.setattr(decisions, "_graph", corrupt)
+    g, h = M.element(HEIS, (1, 0, 2)), M.element(HEIS, (1, 0, 0))
+    with pytest.raises(InternalConsistencyError, match="commute"):
+        M.centralizer(HEIS, g)
+    monkeypatch.undo()
+    built = decisions._tower.cache_info().misses
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match="commute"):
+            M.centralizer(HEIS, g)
+        with pytest.raises(InternalConsistencyError, match="conjugate"):
+            M.conjugacy(HEIS, g, h)
+    info = decisions._tower.cache_info()
+    assert info.misses == built and info.hits >= 4
+
+
+def test_tower_cache_is_bounded_and_holds_tuples():
+    maxsize = decisions._tower.cache_info().maxsize
+    assert maxsize is not None
+    for i in range(maxsize + 8):
+        M.centralizer(HEIS, M.element(HEIS, (i, 1, 0)))
+    info = decisions._tower.cache_info()
+    assert info.misses > maxsize and info.currsize <= maxsize
+    g = M.element(HEIS, (1, 0, 2))
+    gens = M.centralizer(HEIS, g)
+    expected = list(gens)
+    for level in (decisions._tower(HEIS, g.coords),
+                  decisions._tower(decisions.quotient_mod_last(HEIS), (1, 0))):
+        assert type(level) is tuple
+        assert all(type(part) is tuple for part in level)
+        assert all(type(row) is tuple for part in level for row in part)
+    # The caller owns the list it is given.
+    gens.append(g)
+    gens[0] = g
+    assert M.centralizer(HEIS, g) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +483,12 @@ def test_merge_progressions_with_a_single_value():
 
 
 def test_corrupt_witnesses_raise(monkeypatch):
-    kernel = decisions._kernel
+    preimage = decisions._preimage
 
     def shifted_preimage(*args):
-        gens, w = kernel(*args)
-        return gens, HEIS.mult(w, (0, 1, 0))
+        return HEIS.mult(preimage(*args), (0, 1, 0))
 
-    monkeypatch.setattr(decisions, "_kernel", shifted_preimage)
+    monkeypatch.setattr(decisions, "_preimage", shifted_preimage)
     with pytest.raises(InternalConsistencyError):
         M.conjugacy(HEIS, M.element(HEIS, (1, 0, 2)), M.element(HEIS, (1, 0, 0)))
 
@@ -439,13 +525,13 @@ def test_corrupt_preimage_raises(monkeypatch):
 def test_corrupt_centralizer_raises(monkeypatch):
     # The one kernel of the descent at class 2 gains (0, 1, 0), which does
     # not commute with g = (1, 0, 0).
-    kernel = decisions._kernel
+    graph = decisions._graph
 
     def extra_generator(*args):
-        gens, w = kernel(*args)
-        return gens + [(0, 1, 0)], w
+        kernel, *halves = graph(*args)
+        return (kernel + ((0, 1, 0),), *halves)
 
-    monkeypatch.setattr(decisions, "_kernel", extra_generator)
+    monkeypatch.setattr(decisions, "_graph", extra_generator)
     with pytest.raises(InternalConsistencyError, match="commute"):
         M.centralizer(HEIS, M.element(HEIS, (1, 0, 0)))
 
