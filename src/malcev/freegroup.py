@@ -152,18 +152,26 @@ class HallBasis:
         if e == 0 or e == 1:
             return tuple(u) if e else (0,) * self.m
         if self.commuting(u):
-            return tuple(e * x for x in u)
+            return tuple([e * x for x in u])
         return self.pow_polynomials(u, e)
 
 
-def commute_by_weight(ctx, i: int, j: int) -> bool:
+def commute_by_weight(ctx, i: int, j: int, weights=None) -> bool:
     """True when any two elements whose first nonzero columns are the
     1-based i and j commute because [Γ_a, Γ_b] <= Γ_{a+b}: they lie in
     Γ_{weight(i)} and Γ_{weight(j)}, and those weights sum past `ctx.c`, a
     bound on the nilpotency class.  A basis, a quotient presentation and a
     product context (`subgroups.ProductContext`) each have `weight` and
-    `c`."""
-    return ctx.weight(i) + ctx.weight(j) > ctx.c
+    `c`.  A caller that tests many pairs passes `weights`, the
+    `column_weights(ctx)` it read once, instead."""
+    wi, wj = ((ctx.weight(i), ctx.weight(j)) if weights is None
+              else (weights[i], weights[j]))
+    return wi + wj > ctx.c
+
+
+def column_weights(ctx) -> list[int]:
+    """The weight of each 1-based column of ctx at its index, after a 0."""
+    return [0] + [ctx.weight(i) for i in range(1, ctx.m + 1)]
 
 
 def _hall_letters(c: int, r: int) -> list[BasicCommutator]:

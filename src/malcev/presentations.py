@@ -6,8 +6,10 @@ coordinate matrix of a subgroup; the pivot columns of the relator matrix are
 exactly the torsion letters of the quotient and the pivot entries their
 relative orders.  A relator matrix is valid, and the quotient presentation
 consistent, exactly when the matrix is the full form of a normal subgroup.
-One sift closed under conjugation by the generators decides that and builds
-the normal closure of relators, in time polynomial in the entries' bit size.
+One sift closed under conjugation by the generators builds the normal
+closure of relators.  Whether a matrix already is such a full form is
+decided without building it: each element that sift would close over must
+scan into the rows.  Both take time polynomial in the entries' bit size.
 
 `NilpotentPresentation` is the subgroup presentation that
 `subgroups.subgroup_presentation` returns after multiplying each relation back.
@@ -24,7 +26,7 @@ from functools import cached_property
 
 from .extgcd import InternalConsistencyError, RejectedInput
 from .freegroup import (ExpWord, HallBasis, build_hall_basis, check_lengths,
-                        eval_free)
+                        column_weights, commute_by_weight, eval_free)
 
 
 class FullFormViolation(RejectedInput):
@@ -227,13 +229,35 @@ def _normal_closure(basis: HallBasis, rows) -> tuple[tuple[int, ...], ...]:
 
 def _check_normal_full_form(basis: HallBasis, rows) -> None:
     """Raise FullFormViolation unless the rows are the full form of a
-    normal subgroup: conditions (i)-(iv) by name, then (vi) unless the sift
-    that closes them under conjugation by the generators gives them back,
-    since the full form is unique."""
+    normal subgroup: conditions (i)-(iv) by name, then (vi) unless each
+    element the normal-closure sift would close over, h_i^-1 h_j h_i for
+    rows i < j and x^-1 h x for each row h and generator x, less what
+    commutes by weight, scans into the rows (`subgroups._membership_scan`).
+
+    That is the sift's verdict without building the closure.  If all scan,
+    then from the last row up h_i normalizes <h_{i+1}, ...> by the maximal
+    condition, so the products h_1^e_1 ... h_s^e_s are the subgroup, the
+    echelon rows are its full form, and the generators normalize it.
+    Conversely every element of a normal subgroup scans into its full
+    form.  The first element that does not scan ends the check."""
     check_echelon_conditions(rows)  # ambient group is free: no condition (v)
-    if rows and _normal_closure(basis, rows) != rows:
-        raise FullFormViolation(
-            "vi", "the rows are not the full form of a normal subgroup")
+    from .subgroups import _membership_scan
+    wt = column_weights(basis)
+    pivots = [first_nonzero(h) for h in rows]
+    hs = list(zip(pivots, rows))
+    gens = [(k + 1, tuple(int(j == k) for j in range(basis.m)))
+            for k in range(basis.r)]
+    # Each generator conjugates every row, and row i the rows after it.
+    # The group is free, so the basis is the context: nothing folds.
+    for i, (p, x) in enumerate(gens + hs):
+        targets = [h for q, h in hs[max(0, i - len(gens) + 1):]
+                   if not commute_by_weight(basis, p, q, wt)]
+        x_inv = basis.pow(x, -1) if targets else None
+        for h in targets:
+            if _membership_scan(basis, rows, basis.mult(
+                    basis.mult(x_inv, h), x), pivots) is None:
+                raise FullFormViolation(
+                    "vi", "the rows are not the full form of a normal subgroup")
 
 
 def make_quotient_presentation(basis: HallBasis, rows) -> QuotientPresentation:

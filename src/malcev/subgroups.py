@@ -24,7 +24,7 @@ import itertools
 from .extgcd import (InternalConsistencyError, RejectedInput,
                      extgcd_pair_bounded)
 from .freegroup import (ExpWord, SizeCapExceeded, check_lengths,
-                        commute_by_weight)
+                        column_weights, commute_by_weight)
 from .groups import GroupElement
 from .presentations import (FullFormMatrix, NilpotentPresentation,
                             QuotientPresentation, check_echelon_conditions,
@@ -89,7 +89,7 @@ def _expr_pow(e, l: int):
 
 
 def _expr_mul(parts):
-    parts = tuple(p for p in parts if p != _EXPR_ONE)
+    parts = tuple([p for p in parts if p != _EXPR_ONE])
     if len(parts) == 1:
         return parts[0]
     return ("m", parts)
@@ -110,8 +110,8 @@ def expand_expression(expr) -> ExpWord:
         if times > 1:
             stack.append((e, flip, times - 1))
         if e[0] == "m":
-            stack.extend((p, flip, 1)
-                         for p in (e[1] if flip else reversed(e[1])))
+            stack.extend([(p, flip, 1)
+                          for p in (e[1] if flip else reversed(e[1]))])
             continue
         if e[0] == "g":
             sym, x = e[1] + 1, -1 if flip else 1
@@ -195,6 +195,7 @@ def full_form_rows(ctx, rows, exprs=None, conjugators=()):
     conj = [(_power(ctx, x, -1), x) for x in zip(map(tuple, conjugators), syms)
             if any(x[0])]
     conj_pivots = [first_nonzero(x[0]) for _, x in conj]
+    wt = column_weights(ctx)
     table: dict = {}  # pivot column -> (row, derivation)
 
     def place(piv, row):
@@ -239,13 +240,14 @@ def full_form_rows(ctx, rows, exprs=None, conjugators=()):
         sift(x)
     done: set = set()  # (h_i, h_j) rows and (k, h row) for conjugator k
     while True:
+        before = dict(table)
         pairs = itertools.combinations_with_replacement(sorted(table), 2)
         pairs = [(p, q) for p, q in pairs
                  if (p in ctx.torsion if p == q
-                     else not commute_by_weight(ctx, p, q))
+                     else not commute_by_weight(ctx, p, q, wt))
                  and (table[p][0], table[q][0]) not in done]
         conjugates = [(k, p) for k in range(len(conj)) for p in sorted(table)
-                      if not commute_by_weight(ctx, conj_pivots[k], p)
+                      if not commute_by_weight(ctx, conj_pivots[k], p, wt)
                       and (k, table[p][0]) not in done]
         if not pairs and not conjugates:
             break
@@ -261,6 +263,8 @@ def full_form_rows(ctx, rows, exprs=None, conjugators=()):
                             hp, 1))
             else:
                 sift(_power(ctx, hp, ctx.torsion[p] // hp[0][p - 1]))
+        if table == before:  # then the next pass finds everything done
+            break
 
     # Reduce above the pivots: each row again at the later pivot columns.
     work = [place(p, table[p]) for p in sorted(table)]
@@ -370,13 +374,13 @@ class MembershipWitness:
         self.gamma = gamma
 
 
-def _membership_scan(ctx, rows, h):
-    """Exponents gamma with h = g_1^{gamma_1} ... g_s^{gamma_s}, or None."""
+def _membership_scan(ctx, rows, h, pivots=None):
+    """Exponents gamma with h = g_1^{gamma_1} ... g_s^{gamma_s}, or None.
+    `pivots` are the pivot columns of the rows, where the caller has them."""
     cur = tuple(h)
+    f = first_nonzero(cur)
     gamma = []
-    for row in rows:
-        piv = first_nonzero(row)
-        f = first_nonzero(cur)
+    for row, piv in zip(rows, pivots or map(first_nonzero, rows)):
         if f == 0 or f > piv:
             gamma.append(0)
             continue
@@ -387,8 +391,9 @@ def _membership_scan(ctx, rows, h):
             return None
         q = cur[f - 1] // a
         cur = ctx.mult(ctx.pow(row, -q), cur)
+        f = first_nonzero(cur)
         gamma.append(q)
-    if first_nonzero(cur):
+    if f:
         return None
     return gamma
 
@@ -403,11 +408,11 @@ def _power_product(ctx, rows, exponents):
     return out
 
 
-def _checked_scan(ctx, rows, h):
+def _checked_scan(ctx, rows, h, pivots=None):
     """Exponents gamma with h = g_1^gamma_1 ... g_s^gamma_s over the rows,
     or None when h is not in their subgroup; raises InternalConsistencyError
     unless gamma multiplies back to h."""
-    gamma = _membership_scan(ctx, rows, h)
+    gamma = _membership_scan(ctx, rows, h, pivots)
     if gamma is not None and _power_product(ctx, rows, gamma) != h:
         raise InternalConsistencyError("membership witness does not give h")
     return gamma
@@ -419,7 +424,7 @@ def membership(pres: QuotientPresentation, form: FullFormMatrix,
     The witness is re-checked: the rows to its powers multiply to h."""
     if h.presentation != pres:
         raise RejectedInput("element belongs to a different presentation")
-    gamma = _checked_scan(pres, form.rows, h.coords)
+    gamma = _checked_scan(pres, form.rows, h.coords, form.pivots)
     return None if gamma is None else MembershipWitness(tuple(gamma))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import malcev as M
 import malcev.presentations as P
+import malcev.subgroups as S
 from conftest import (collector_consistent, normal_closure_rows,
                       random_finite_presentation, series_coords_pow)
 from malcev import freegroup
@@ -125,6 +126,74 @@ def test_consistency_check_agrees_with_the_collector():
         assert M.consistency_check(pres) == expected
         verdicts.append(expected)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def validates(basis, rows):
+    try:
+        P._check_normal_full_form(basis, rows)
+    except FullFormViolation:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("c,r", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
+def test_validation_agrees_with_the_closure_sift(c, r):
+    # Validation scans the elements the normal-closure sift closes over
+    # instead of building the closure.  Its verdict must be the sift's: the
+    # rows are accepted exactly when their normal closure gives them back.
+    # The inputs are full forms of random subgroups, mostly not normal, and
+    # normal closures of random rows, with and without one entry changed.
+    basis = M.build_hall_basis(c, r)
+    free = M.free_presentation(c, r)
+    rng = random.Random(100 * c + r)
+    verdicts = []
+    for _ in range(25):
+        rows = [tuple(rng.randint(-3, 3) for _ in range(basis.m))
+                for _ in range(rng.randint(1, 3))]
+        candidates = [full_form_rows(free, rows)[0],
+                      P._normal_closure(basis, rows)]
+        changed = [list(row) for row in candidates[1]]
+        i = rng.randrange(len(changed))
+        changed[i][rng.randrange(basis.m)] += rng.choice((-1, 1))
+        candidates.append(tuple(map(tuple, changed)))
+        for cand in candidates:
+            expected = (is_echelon(cand)
+                        and P._normal_closure(basis, cand) == cand)
+            assert validates(basis, cand) == expected, cand
+            verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_validation_builds_no_closure(monkeypatch):
+    # Each conjugate that does not commute by weight is scanned once, and
+    # the first that does not scan ends the check; no sift runs.
+    def no_sift(*args, **kwargs):
+        raise AssertionError("validation ran the closure sift")
+    monkeypatch.setattr(S, "full_form_rows", no_sift)
+    scans = []
+    scan = S._membership_scan
+
+    def counted(ctx, rows, h, pivots=None):
+        scans.append(h)
+        return scan(ctx, rows, h, pivots)
+    monkeypatch.setattr(S, "_membership_scan", counted)
+    # F(3,2) mod squares: rows with pivots of weight 1, 1, 2, 3, 3.  The
+    # two generators conjugate the three rows of weight at most 2, and the
+    # pairs of rows 1-2, 1-3 and 2-3 are closed over: 9 scans.
+    basis = M.build_hall_basis(3, 2)
+    rows = ((2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 2, 0, 1),
+            (0, 0, 0, 1, 1), (0, 0, 0, 0, 2))
+    assert M.consistency_check(M.QuotientPresentation(
+        basis, M.FullFormMatrix(rows)))
+    assert len(scans) == 9
+    # <a1^2 a3, a2> in F(2,2): a1 fixes a1^2 a3 but takes a2 to a2 a3,
+    # off the subgroup.  The check stops at that second scan, before the
+    # other generator and the pair.
+    scans.clear()
+    with pytest.raises(FullFormViolation) as exc:
+        M.make_quotient_presentation(HEIS_BASIS, ((2, 0, 1), (0, 1, 0)))
+    assert exc.value.condition == "vi"
+    assert len(scans) == 2
 
 
 def test_from_finite_presentation_fixture():
