@@ -3,14 +3,16 @@ witnesses, the power problem, and the torsion-order bound.
 
 Centralizers and conjugacy share one descent through G/Gamma_c (Macdonald,
 Myasnikov, Nikolaev & Vassileva): one kernel per class, whose kernel is the
-centralizer and whose preimage gives the conjugator.  The kernels depend on
-g alone, so `_tower` caches them, as tuples, keyed by (presentation, g) and
-for the lower classes by their images, in an `lru_cache` at its default
-bound of 128 entries: the c - 1 kernel computations are made once per
-distinct g while it stays cached.  The walk that finds the conjugator for
-each h, and every witness check, run on every call.  The power problem is
-one descent over the first nonzero columns of g and h, which finds every
-solution k + nZ; the order of g is its period n.
+centralizer and whose preimage gives the conjugator.  The kernels depend
+only on g's image modulo Gamma_c, since [gz, u] = [g, u] for z in the
+central Gamma_c, so `_tower` caches them, as tuples, keyed by the
+presentation and that image (and for the lower classes by theirs), in an
+`lru_cache` at its default bound of 128 entries: the c - 1 kernel
+computations are made once per coset g Gamma_c while it stays cached.  The
+walk that finds the conjugator for each h, and every witness check, run on
+every call with the caller's own g.  The power problem is one descent over
+the first nonzero columns of g and h, which finds every solution k + nZ;
+the order of g is its period n.
 
 The descents and the kernel compute on reduced coordinate vectors with the
 presentation's `mult`/`pow`; only the public entries see elements.  Each
@@ -155,13 +157,20 @@ def quotient_mod_last(pres: QuotientPresentation) -> QuotientPresentation:
     return make_quotient_presentation(small, rows)
 
 
+def _head(pres, g):
+    """g's image in G/Gamma_c: its coordinates before the weight-c letters."""
+    return g[:quotient_mod_last(pres).m] if pres.c > 1 else ()
+
+
 @lru_cache
-def _tower(pres, g):
+def _tower(pres, head):
     """`_graph` of u -> [g, u] on the preimage of C_{G/Gamma_c}(g), whose
     image lies in the central Gamma_c: the generators of its kernel C_G(g),
     and the image and source halves of the other graph rows.  That preimage
     is the tower of g's image in G/Gamma_c, whose normal forms are prefixes
-    of G's, padded with zeros, and the weight-c letters."""
+    of G's, padded with zeros, and the weight-c letters.  It is keyed by
+    g's image `head` in G/Gamma_c: for z in the central Gamma_c, [gz, u] =
+    [g, u], so g with its weight-c coordinates zeroed serves its coset."""
     basis = pres.basis
     # The weight-c letters, reduced: a letter of relative order 1 is trivial.
     top = [reduce_coords(pres, tuple(int(j == i) for j in range(basis.m)))
@@ -171,8 +180,9 @@ def _tower(pres, g):
         return tuple(top), (), ()
     small = quotient_mod_last(pres)
     pad = (0,) * (basis.m - small.m)
-    cover = [z + pad for z in _tower(small, g[:small.m])[0]] + top
+    cover = [z + pad for z in _tower(small, _head(small, head))[0]] + top
     mult, pow_ = pres.mult, pres.pow
+    g = head + pad
     g_inv = pow_(g, -1)
     return _graph(pres, pres, cover,
                   [mult(mult(g_inv, pow_(u, -1)), mult(g, u)) for u in cover])
@@ -192,7 +202,7 @@ def _conjugator(pres, g, h):
     v += (0,) * (pres.m - small.m)
     mult, pow_ = pres.mult, pres.pow
     target = mult(pow_(g, -1), mult(pow_(v, -1), mult(h, v)))
-    w = _preimage(pres, pres, *_tower(pres, g)[1:], target)
+    w = _preimage(pres, pres, *_tower(pres, g[:small.m])[1:], target)
     if w is None:
         return None
     u = mult(v, pow_(w, -1))
@@ -206,7 +216,7 @@ def centralizer(pres: QuotientPresentation, g: GroupElement
     """Generating set of C_G(g)."""
     if g.presentation != pres:
         raise RejectedInput("element belongs to a different presentation")
-    gens = _tower(pres, g.coords)[0]
+    gens = _tower(pres, _head(pres, g.coords))[0]
     if any(pres.mult(g.coords, z) != pres.mult(z, g.coords) for z in gens):
         raise InternalConsistencyError("centralizer generator fails to commute")
     return [GroupElement(pres, z) for z in gens]

@@ -184,8 +184,24 @@ def full_form_rows(ctx, rows, exprs=None, conjugators=()):
     and h's pivot do; an identity conjugator is skipped too.  Sifting a
     table row changes nothing, so the output is the same.  In a product
     context an H column weighs 1, since its row's G part is arbitrary.  The
-    relative-order power of each torsion row is never skipped: it is not a
-    commutator.
+    relative-order power of each torsion row is not skipped by weight: it
+    is not a commutator.
+
+    The closure also skips what would sift to the identity.  Let `full` be
+    the first column from which on every column has a table row that leads
+    with 1 or has relative order 1.  A reduced x whose pivot f is at or
+    after `full` is divided at f by the row there to its x_f-th power, which
+    clears f, since coordinate f is additive on the elements supported from
+    f on (half by half in a product context), and a reduced x is 0 at a
+    column of relative order 1; so x sifts to the identity and changes
+    nothing.  The relative-order power of h_p is supported after p.
+    x^-1 h_p x = h_p [h_p, x] and h_p^-1 h_q h_p = h_q [h_q, h_p] are h c,
+    with h the table row at their pivot and c supported after it, and the
+    sift divides them by h to h c h^-1, supported after it too.  So the
+    power and the conjugates of h_p are skipped when p + 1 >= `full`, and
+    the pair when q + 1 >= `full`.  A row that leads with 1 is never
+    replaced, so `full` never moves right and what is skipped once stays
+    skippable.
     """
     tracked = exprs is not None
     if tracked:
@@ -241,12 +257,19 @@ def full_form_rows(ctx, rows, exprs=None, conjugators=()):
     done: set = set()  # (h_i, h_j) rows and (k, h row) for conjugator k
     while True:
         before = dict(table)
-        pairs = itertools.combinations_with_replacement(sorted(table), 2)
+        full = ctx.m + 1  # every column from here on leads with 1 or is trivial
+        for p in range(ctx.m, 0, -1):
+            if ctx.torsion.get(p) != 1 and (p not in table
+                                            or table[p][0][p - 1] != 1):
+                break
+            full = p
+        live = [p for p in sorted(table) if p + 1 < full]
+        pairs = itertools.combinations_with_replacement(live, 2)
         pairs = [(p, q) for p, q in pairs
                  if (p in ctx.torsion if p == q
                      else not commute_by_weight(ctx, p, q, wt))
                  and (table[p][0], table[q][0]) not in done]
-        conjugates = [(k, p) for k in range(len(conj)) for p in sorted(table)
+        conjugates = [(k, p) for k in range(len(conj)) for p in live
                       if not commute_by_weight(ctx, conj_pivots[k], p, wt)
                       and (k, table[p][0]) not in done]
         if not pairs and not conjugates:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -353,9 +354,85 @@ def test_witness_checks_run_on_cache_hits(monkeypatch):
     assert info.misses == built and info.hits >= 4
 
 
+Z3_32 = M.from_finite_presentation(M.build_hall_basis(3, 2),
+                                  [((1, 3),), ((2, 3),)])
+
+
+@pytest.mark.parametrize("pres", [M.free_presentation(3, 2), Z3_32],
+                         ids=["free", "mod_cubes"])
+def test_coset_of_gamma_c_shares_one_tower(pres):
+    # g and gz, with z in Gamma_3 (the weight-3 letters, torsion modulo the
+    # cubes), share every cache entry, and answer as from an empty cache.
+    g, u, z = (M.element(pres, v) for v in
+               ((1, 2, 1, 2, 0), (2, 1, 0, 1, 1), (0, 0, 0, 1, 2)))
+    gz = M.mult(g, z)
+    assert gz.coords[:3] == g.coords[:3] and gz != g
+
+    def answers(x):
+        h = M.mult(M.mult(u, x), M.inverse(u))
+        return (M.centralizer(pres, x), M.conjugacy(pres, x, h).witness,
+                M.conjugacy(pres, x, M.mult(h, z)).witness,
+                M.conjugacy(pres, x, M.mult(x, u)).witness)
+
+    answers(g)
+    misses = decisions._tower.cache_info().misses
+    found = answers(gz)
+    assert decisions._tower.cache_info().misses == misses
+    decisions._tower.cache_clear()
+    assert answers(gz) == found
+    gens, witness = found[:2]
+    assert all(M.mult(gz, y) == M.mult(y, gz) for y in gens)
+    h = M.mult(M.mult(u, gz), M.inverse(u))
+    assert M.mult(M.mult(M.inverse(witness), h), witness) == gz
+
+
+def test_corrupt_tower_raises_for_the_whole_coset(monkeypatch):
+    # The tower of the coset of g = (1, 0, 2) is corrupted when it is
+    # built, as in test_witness_checks_run_on_cache_hits.  g and gz =
+    # (1, 0, 5) read that one entry, and each checks it against itself.
+    graph = decisions._graph
+
+    def corrupt(*args):
+        kernel, images, sources = graph(*args)
+        return (kernel + ((0, 1, 0),), images,
+                tuple(HEIS.mult(x, (0, 1, 0)) for x in sources))
+
+    monkeypatch.setattr(decisions, "_graph", corrupt)
+    h = M.element(HEIS, (1, 0, 0))
+    for coords in ((1, 0, 2), (1, 0, 5)):
+        g = M.element(HEIS, coords)
+        with pytest.raises(InternalConsistencyError, match="commute"):
+            M.centralizer(HEIS, g)
+        with pytest.raises(InternalConsistencyError, match="conjugate"):
+            M.conjugacy(HEIS, g, h)
+    assert decisions._tower.cache_info().misses == 2  # the coset and Z^2
+
+
+def test_centralizers_of_a_finite_group_build_one_graph_per_coset(
+        monkeypatch):
+    # The 243 elements of F(3,2)/<a1^3, a2^3> lie in 27 cosets of Gamma_3,
+    # whose images lie in 9 cosets of Gamma_2 in G/Gamma_3: 36 graphs.
+    graphs = []
+    graph = decisions._graph
+
+    def counted(*args):
+        graphs.append(args[0].c)
+        return graph(*args)
+
+    monkeypatch.setattr(decisions, "_graph", counted)
+    assert all(Z3_32.torsion.get(col) == 3 for col in range(1, Z3_32.m + 1))
+    for coords in itertools.product(range(3), repeat=Z3_32.m):
+        M.centralizer(Z3_32, M.element(Z3_32, coords))
+    assert sorted(graphs) == [2] * 9 + [3] * 27
+
+
 def test_tower_cache_is_bounded_and_holds_tuples():
     maxsize = decisions._tower.cache_info().maxsize
     assert maxsize is not None
+    # The elements (i, 1, 0) lie in distinct cosets of Gamma_2, so each
+    # needs an entry of its own and the cache evicts.
+    cosets = {decisions._head(HEIS, (i, 1, 0)) for i in range(maxsize + 8)}
+    assert len(cosets) == maxsize + 8
     for i in range(maxsize + 8):
         M.centralizer(HEIS, M.element(HEIS, (i, 1, 0)))
     info = decisions._tower.cache_info()
@@ -363,8 +440,8 @@ def test_tower_cache_is_bounded_and_holds_tuples():
     g = M.element(HEIS, (1, 0, 2))
     gens = M.centralizer(HEIS, g)
     expected = list(gens)
-    for level in (decisions._tower(HEIS, g.coords),
-                  decisions._tower(decisions.quotient_mod_last(HEIS), (1, 0))):
+    for level in (decisions._tower(HEIS, g.coords[:2]),
+                  decisions._tower(decisions.quotient_mod_last(HEIS), ())):
         assert type(level) is tuple
         assert all(type(part) is tuple for part in level)
         assert all(type(row) is tuple for part in level for row in part)

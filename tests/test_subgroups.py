@@ -9,7 +9,7 @@ from conftest import (FiniteGroup, nilpotent_presentation_consistent,
 from malcev import subgroups
 from malcev.extgcd import InternalConsistencyError
 from malcev.freegroup import SizeCapExceeded
-from malcev.presentations import check_echelon_conditions
+from malcev.presentations import check_echelon_conditions, first_nonzero
 from malcev.subgroups import expand_expression, full_form_rows
 
 
@@ -109,6 +109,74 @@ def test_full_form_skips_pairs_that_commute_by_weight():
     form = M.FullFormMatrix(out)
     for row in rows:
         assert M.membership(pres, form, M.element(pres, row)) is not None
+
+
+def _quotient(c, relators):
+    return M.from_finite_presentation(M.build_hall_basis(c, 2), relators)
+
+
+# The four finite quotients of the benchmark's finite_decisions workload.
+COMMUTATOR_SQUARED = ((2, -1), (1, -1), (2, 1), (1, 1)) * 2
+FINITE_QUOTIENTS = [
+    _quotient(2, [((1, 3),), ((2, 3),)]),
+    _quotient(2, [((1, 4),), ((2, 4),), COMMUTATOR_SQUARED]),
+    _quotient(3, [((1, 2),), ((2, 2),)]),
+    _quotient(3, [((1, 3),), ((2, 3),)]),
+]
+SKIP_CONTEXTS = [M.free_presentation(c, r) for c, r in ((2, 2), (3, 2), (3, 3))]
+SKIP_CONTEXTS += FINITE_QUOTIENTS
+SKIP_CONTEXTS.append(subgroups.ProductContext(FINITE_QUOTIENTS[3], HEIS))
+
+
+def first_full_column(ctx, form):
+    """The first column from which on every column has a row of the full
+    form that leads with 1, or has relative order 1 (m + 1 if none)."""
+    leads = {p: row[p - 1] for row in form
+             for p in [first_nonzero(row)]}
+    full = ctx.m + 1
+    while full > 1 and 1 in (ctx.torsion.get(full - 1), leads.get(full - 1)):
+        full -= 1
+    return full
+
+
+@pytest.mark.parametrize("ctx", SKIP_CONTEXTS,
+                         ids=lambda ctx: f"m{ctx.m}t{len(ctx.torsion)}")
+def test_elements_past_the_full_column_sift_away(ctx):
+    # The lemma of the closure's second skip: a reduced element whose pivot
+    # is at or after the first column from which on every row leads with 1
+    # scans into the full form, and sifting it changes nothing.
+    rng = random.Random(ctx.m * 31 + len(ctx.torsion))
+    units = [tuple(int(j == i) for j in range(ctx.m)) for i in range(ctx.m)]
+    tested = 0
+    for trial in range(12):
+        rows = [ctx.mult(ctx.identity,
+                         tuple(rng.randint(-4, 4) for _ in range(ctx.m)))
+                for _ in range(rng.randint(1, 3))]
+        # Every other subgroup is closed to a normal one, whose rows lead
+        # with 1 more often, by the letters as conjugators.
+        form, _ = full_form_rows(ctx, rows, conjugators=units[:trial % 2 * 3])
+        full = first_full_column(ctx, form)
+        for _ in range(4 if full <= ctx.m else 0):
+            x = ctx.mult(ctx.identity, (0,) * (full - 1) + tuple(
+                rng.randint(-5, 5) for _ in range(ctx.m - full + 1)))
+            assert not any(x[:full - 1])
+            assert subgroups._checked_scan(ctx, form, x) is not None
+            assert full_form_rows(ctx, [*form, x])[0] == form
+            tested += 1
+    assert tested >= 8
+
+
+def test_closure_skips_sifts_past_the_full_column():
+    # The normal closure of a1 in F(4,2)/<a1^2, a2^2>, tracked.  Sifting
+    # every relative-order power, pair and conjugate that the weights allow
+    # takes 54 group operations; skipping those whose pivot is past the
+    # first column from which on every row leads with 1, 31.
+    pres = _quotient(4, [((1, 2),), ((2, 2),)])
+    units = [tuple(int(j == i) for j in range(pres.m)) for i in range(2)]
+    ctx = CountingContext(pres, 40)
+    out, exprs = full_form_rows(ctx, units[:1], [("g", 0)], units)
+    assert out == full_form_rows(pres, units[:1], conjugators=units)[0]
+    assert len(exprs) == len(out)
 
 
 def test_corrupt_membership_witness_raises(monkeypatch):
