@@ -3,7 +3,7 @@ groups of fixed class and rank, presented as quotients of free nilpotent
 groups by full-form relator matrices."""
 
 from .extgcd import (BoundedCombinationTrace, RejectedInput, extgcd_bounded,
-                     extgcd_pair_bounded, reduce_coefficients)
+                     extgcd_pair_bounded)
 from .freegroup import (BasicCommutator, ExpWord, HallBasis, SizeCapExceeded,
                         build_hall_basis, coords_to_word, eval_free)
 from .presentations import (FullFormMatrix, NilpotentPresentation,
@@ -13,9 +13,8 @@ from .presentations import (FullFormMatrix, NilpotentPresentation,
 from .groups import (GroupElement, element, identity, inverse, mult,
                      normal_form, power, reduce_coords, word_problem)
 from .subgroups import (CoordinateMatrix, MembershipWitness,
-                        apply_row_operation, coordinate_matrix,
-                        express_in_original_generators, full_form, membership,
-                        subgroup_presentation)
+                        coordinate_matrix, express_in_original_generators,
+                        full_form, membership, subgroup_presentation)
 from .decisions import (ConjugacyAnswer, HomSpec, NoPower, NotInImage,
                         centralizer, conjugacy, element_order,
                         kernel_and_preimage, power_problem, torsion_bound)

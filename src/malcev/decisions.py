@@ -143,7 +143,7 @@ def _preimage(target, source, images, sources, h):
 # ---------------------------------------------------------------------------
 # Quotients by the last lower-central term.
 
-@lru_cache(maxsize=None)
+@lru_cache
 def quotient_mod_last(pres: QuotientPresentation) -> QuotientPresentation:
     """G / Gamma_c: drop the weight-c letters and truncate the relators."""
     basis = pres.basis
@@ -282,6 +282,13 @@ def _power_search(pres, gc, hc) -> tuple[int, int] | None:
     j to a + bZ with b = e / gcd(g_i, e), and g^(a + bj') = h exactly when
     (g^b)^j' = g^-a h, a pair with a later first column; at a torsion-free
     column it pins j itself.
+
+    So a None is itself a proof, by plain arithmetic, that h is no power of
+    g.  At the first nonzero column i of the last pair searched, either
+    j * g_i = h_i, modulo e at a torsion column, has no solution j (g = 1
+    and h != 1 is the case g_i = 0), or the torsion-free column pins
+    j = h_i / g_i and g^j != h.  Each pair searched is (g^b, g^-a h) for
+    the pair before it, so it has a solution exactly when that one does.
     """
     if not any(gc):
         return None if any(hc) else (0, 1)

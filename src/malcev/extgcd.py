@@ -3,10 +3,10 @@
 The multi-argument version guarantees |x_i| <= (n+1) * A**2 where A is the
 largest absolute value of the gcd-divided inputs (Myasnikov and Weiss).  It
 chains the bounded pair gcd through the prefix gcds d_i and then reduces the
-resulting coefficients.  That reduction, which `reduce_coefficients` also
-exposes, is one function: it records every intermediate quantity in a trace
-object, so the combinatorial identities behind the bound can be checked from
-the outside, and it checks the bound itself.
+resulting coefficients.  That reduction is one function: it records every
+intermediate quantity in a trace object, so the combinatorial identities
+behind the bound can be checked from the outside, and it checks the bound
+itself.
 """
 
 from __future__ import annotations
@@ -128,22 +128,6 @@ def _reduction(a: list[int], x: list[int], A: int, d=(),
     t.x_final = tuple(x_final)
     _check_combination(x_final, a, 1, (len(a) + 1) * A2)
     return t
-
-
-def reduce_coefficients(a: list[int], x: list[int], A: int) -> list[int]:
-    """Shrink Bezout coefficients to |x_i| <= (n+1)*A**2.
-
-    Requires sum(x_i * a_i) == 1, all a_i > 0 and A == max(a_i).
-    """
-    if not a or len(a) != len(x):
-        raise RejectedInput("a and x must be nonempty vectors of equal length")
-    if any(v <= 0 for v in a):
-        raise RejectedInput("all a_i must be positive")
-    if A != max(a):
-        raise RejectedInput("A must equal max(a)")
-    if sum(xi * ai for xi, ai in zip(x, a)) != 1:
-        raise RejectedInput("sum x_i * a_i must equal 1")
-    return list(_reduction(a, x, A).x_final)
 
 
 def extgcd_bounded(a: list[int] | tuple[int, ...]) -> tuple[int, list[int], BoundedCombinationTrace]:

@@ -144,11 +144,6 @@ class QuotientPresentation:
                 for p, row in zip(self.relators.pivots, self.relators.rows)}
 
     @cached_property
-    def torsion_rows(self) -> dict[int, tuple[int, ...]]:
-        return {p: self.relators.rows[i]
-                for i, p in enumerate(self.relators.pivots)}
-
-    @cached_property
     def folds(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...],
                                     tuple[int, ...] | None], ...]:
         """(column, relative order, support, row) for each torsion column,

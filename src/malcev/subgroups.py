@@ -1,4 +1,4 @@
-"""Row operations, matrix reduction to the unique subgroup full form,
+"""Reduction of a coordinate matrix to the unique subgroup full form,
 membership with witnesses, and subgroup presentations.
 
 The full form is an induced polycyclic sequence: the generators are sifted
@@ -103,7 +103,7 @@ def expand_expression(expr) -> ExpWord:
     word: list = []
     emitted = 0
     # Entries are (subtree, inverted, repetitions).  An explicit stack, since
-    # a long chain of row operations nests deeper than the recursion limit.
+    # a long chain of products nests deeper than the recursion limit.
     stack = [(expr, False, 1)]
     while stack:
         e, flip, times = stack.pop()
@@ -316,64 +316,6 @@ def coordinate_matrix(pres: QuotientPresentation, rows,
     return CoordinateMatrix(pres, rows, exprs)
 
 
-def apply_row_operation(matrix: CoordinateMatrix, op) -> CoordinateMatrix:
-    """One of the five subgroup-preserving row operations.
-
-    op is a tuple: ("swap", i, j); ("combine", i, j, l) replacing row i by
-    h_i h_j^l; ("add_trivial",); ("add_relator", col); ("remove", i) for a
-    trivial row; ("invert", i); ("append_product", ((i1, l1), ...)).
-    Row indices are 1-based.
-    """
-    pres = matrix.presentation
-    exprs = matrix.expressions  # None for an untracked matrix
-    rows = list(zip(matrix.rows, exprs or itertools.repeat(_EXPR_ONE)))
-
-    def check(i):
-        if not 1 <= i <= len(rows):
-            raise RejectedInput(f"row index {i} out of range")
-
-    kind = op[0]
-    if kind == "swap":
-        _, i, j = op
-        check(i), check(j)
-        rows[i - 1], rows[j - 1] = rows[j - 1], rows[i - 1]
-    elif kind == "combine":
-        _, i, j, l = op
-        check(i), check(j)
-        if i == j:
-            raise RejectedInput("combine requires distinct rows")
-        rows[i - 1] = _times(pres, rows[i - 1], rows[j - 1], l)
-    elif kind == "add_trivial":
-        rows.append((pres.identity, _EXPR_ONE))
-    elif kind == "add_relator":
-        _, col = op
-        if col not in pres.torsion:
-            raise RejectedInput(f"column {col} is not a torsion column")
-        rows.append((pres.torsion_rows[col], _EXPR_ONE))
-    elif kind == "remove":
-        _, i = op
-        check(i)
-        if any(reduce_coords(pres, rows[i - 1][0])):
-            raise RejectedInput("only trivial rows can be removed")
-        del rows[i - 1]
-    elif kind == "invert":
-        _, i = op
-        check(i)
-        rows[i - 1] = _power(pres, rows[i - 1], -1)
-    elif kind == "append_product":
-        _, factors = op
-        acc = (pres.identity, _EXPR_ONE)
-        for i, l in factors:
-            check(i)
-            acc = _times(pres, acc, rows[i - 1], l)
-        rows.append(acc)
-    else:
-        raise RejectedInput(f"unknown row operation {kind!r}")
-    return CoordinateMatrix(pres, tuple(r for r, _ in rows),
-                            None if exprs is None else
-                            tuple(e for _, e in rows))
-
-
 def full_form(pres: QuotientPresentation, matrix: CoordinateMatrix,
               track: bool = False) -> tuple[FullFormMatrix, tuple | None]:
     """Full form of the subgroup the matrix rows generate.  With `track`,
@@ -485,12 +427,12 @@ def subgroup_presentation(pres: QuotientPresentation,
     where e_i is finite.  So distinct normal forms are distinct in H.
     """
     form, _ = full_form(pres, gens)
-    rows = form.rows
+    rows, pivots = form.rows, form.pivots
     s = len(rows)
 
     def against_suffix(j: int, target) -> tuple[int, ...]:
         """Tail vector of an element of <g_{j+1}, ..., g_s>."""
-        gamma = _checked_scan(pres, rows[j:], target)
+        gamma = _checked_scan(pres, rows[j:], target, pivots[j:])
         if gamma is None:
             raise InternalConsistencyError(
                 "relation tail escapes the suffix subgroup")
@@ -498,8 +440,7 @@ def subgroup_presentation(pres: QuotientPresentation,
 
     orders: list[int | None] = []
     power_tails: dict[int, tuple[int, ...]] = {}
-    for i, row in enumerate(rows, start=1):
-        piv = first_nonzero(row)
+    for i, (row, piv) in enumerate(zip(rows, pivots), start=1):
         e = pres.torsion.get(piv)
         orders.append(None if e is None else e // row[piv - 1])
         if e is not None:

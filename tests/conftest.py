@@ -12,10 +12,10 @@ import pytest
 
 import malcev as M
 from malcev import decisions
-from malcev.extgcd import InternalConsistencyError
+from malcev.extgcd import InternalConsistencyError, RejectedInput, _reduction
 from malcev.freegroup import (SHIPPED_RANKS, ExpWord, HallBasis,
                               coords_to_word, eval_free)
-from malcev.subgroups import full_form_rows
+from malcev.subgroups import _EXPR_ONE, _power, _times, full_form_rows
 
 # The derivation of the tables is a tool, not part of the library.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
@@ -239,6 +239,88 @@ def structure_relations(basis: HallBasis) -> StructureRelations:
 
 
 # ---------------------------------------------------------------------------
+# The paper's row operations and its reduction of Bezout coefficients.  The
+# library builds subgroups only by the sift (`full_form_rows`); the full
+# form must not change under the row operations, and `reduce_coefficients`
+# checks the contract of the reduction inside `extgcd_bounded`.
+
+
+def apply_row_operation(matrix: M.CoordinateMatrix, op) -> M.CoordinateMatrix:
+    """One of the five subgroup-preserving row operations.
+
+    op is a tuple: ("swap", i, j); ("combine", i, j, l) replacing row i by
+    h_i h_j^l; ("add_trivial",); ("add_relator", col); ("remove", i) for a
+    trivial row; ("invert", i); ("append_product", ((i1, l1), ...)).
+    Row indices are 1-based.
+    """
+    pres = matrix.presentation
+    exprs = matrix.expressions  # None for an untracked matrix
+    rows = list(zip(matrix.rows, exprs or itertools.repeat(_EXPR_ONE)))
+
+    def check(i):
+        if not 1 <= i <= len(rows):
+            raise RejectedInput(f"row index {i} out of range")
+
+    kind = op[0]
+    if kind == "swap":
+        _, i, j = op
+        check(i), check(j)
+        rows[i - 1], rows[j - 1] = rows[j - 1], rows[i - 1]
+    elif kind == "combine":
+        _, i, j, l = op
+        check(i), check(j)
+        if i == j:
+            raise RejectedInput("combine requires distinct rows")
+        rows[i - 1] = _times(pres, rows[i - 1], rows[j - 1], l)
+    elif kind == "add_trivial":
+        rows.append((pres.identity, _EXPR_ONE))
+    elif kind == "add_relator":
+        _, col = op
+        if col not in pres.torsion:
+            raise RejectedInput(f"column {col} is not a torsion column")
+        relators = dict(zip(pres.relators.pivots, pres.relators.rows))
+        rows.append((relators[col], _EXPR_ONE))
+    elif kind == "remove":
+        _, i = op
+        check(i)
+        if any(M.reduce_coords(pres, rows[i - 1][0])):
+            raise RejectedInput("only trivial rows can be removed")
+        del rows[i - 1]
+    elif kind == "invert":
+        _, i = op
+        check(i)
+        rows[i - 1] = _power(pres, rows[i - 1], -1)
+    elif kind == "append_product":
+        _, factors = op
+        acc = (pres.identity, _EXPR_ONE)
+        for i, l in factors:
+            check(i)
+            acc = _times(pres, acc, rows[i - 1], l)
+        rows.append(acc)
+    else:
+        raise RejectedInput(f"unknown row operation {kind!r}")
+    return M.CoordinateMatrix(pres, tuple(r for r, _ in rows),
+                              None if exprs is None else
+                              tuple(e for _, e in rows))
+
+
+def reduce_coefficients(a: list[int], x: list[int], A: int) -> list[int]:
+    """Shrink Bezout coefficients to |x_i| <= (n+1)*A**2.
+
+    Requires sum(x_i * a_i) == 1, all a_i > 0 and A == max(a_i).
+    """
+    if not a or len(a) != len(x):
+        raise RejectedInput("a and x must be nonempty vectors of equal length")
+    if any(v <= 0 for v in a):
+        raise RejectedInput("all a_i must be positive")
+    if A != max(a):
+        raise RejectedInput("A must equal max(a)")
+    if sum(xi * ai for xi, ai in zip(x, a)) != 1:
+        raise RejectedInput("sum x_i * a_i must equal 1")
+    return list(_reduction(a, x, A).x_final)
+
+
+# ---------------------------------------------------------------------------
 # Collection from the left for polycyclic-style nilpotent presentations.
 #
 # The collector knows nothing of the library's arithmetic: it normalizes words
@@ -421,7 +503,7 @@ def collector_for_quotient(pres):
     beta = {k: coords_to_word(v) for k, v in sr.beta.items()}
     orders: dict[int, int] = {}
     tails: dict[int, tuple] = {}
-    for col, row in pres.torsion_rows.items():
+    for col, row in zip(pres.relators.pivots, pres.relators.rows):
         orders[col] = row[col - 1]
         suffix = tuple((j + 1, v) for j, v in enumerate(row) if v and j + 1 > col)
         tails[col] = invert_word(suffix)

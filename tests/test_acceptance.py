@@ -13,8 +13,9 @@ import random
 import time
 
 import malcev as M
-from conftest import (FiniteGroup, hom_apply, hom_image_of_letters,
-                      mat_of_coords, mat_of_word, mat_mul, mat_pow,
+from conftest import (FiniteGroup, apply_row_operation, hom_apply,
+                      hom_image_of_letters, mat_of_coords, mat_of_word,
+                      mat_mul, mat_pow,
                       nilpotent_presentation_consistent,
                       random_finite_presentation)
 from malcev.cli import run as cli_run
@@ -181,7 +182,7 @@ def test_05_full_form_uniqueness(capsys):
             mat = M.coordinate_matrix(pres, rows)
             reference, _ = M.full_form(pres, mat)
             for _ in range(20):
-                mat = M.apply_row_operation(
+                mat = apply_row_operation(
                     mat, _random_operation(rng, pres, len(mat.rows)))
             result, _ = M.full_form(pres, mat)
             assert result == reference

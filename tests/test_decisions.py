@@ -426,6 +426,17 @@ def test_centralizers_of_a_finite_group_build_one_graph_per_coset(
     assert sorted(graphs) == [2] * 9 + [3] * 27
 
 
+def test_quotient_mod_last_cache_is_bounded():
+    # A centralizer in each of 200 distinct quotients F(2,2)/<a1^e, a2^e>
+    # asks for 200 distinct G/Gamma_2; the cache keeps at most 128.
+    basis = M.build_hall_basis(2, 2)
+    for e in range(2, 202):
+        pres = M.from_finite_presentation(basis, [((1, e),), ((2, e),)])
+        M.centralizer(pres, M.element(pres, (1, 0, 0)))
+    info = decisions.quotient_mod_last.cache_info()
+    assert info.misses >= 200 and info.currsize <= 128
+
+
 def test_tower_cache_is_bounded_and_holds_tuples():
     maxsize = decisions._tower.cache_info().maxsize
     assert maxsize is not None

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reduce_coefficients
 from malcev.extgcd import (InternalConsistencyError, RejectedInput,
-                           extgcd_bounded, extgcd_pair_bounded,
-                           reduce_coefficients)
+                           extgcd_bounded, extgcd_pair_bounded)
 
 
 def oracle_pair(a, b):

@@ -293,13 +293,14 @@ def reference_reduce(pres, coords, quotients):
     engine, whether or not the row commutes; appends (column, q) for every
     nonzero quotient q to `quotients`."""
     basis = pres.basis
+    relators = dict(zip(pres.relators.pivots, pres.relators.rows))
     y = list(coords)
     for col in sorted(pres.torsion):
         q, _ = divmod(y[col - 1], pres.torsion[col])
         if q:
             quotients.append((col, q))
             suffix = tuple([0] * (col - 1) + y[col - 1:])
-            relator_pow = series_coords_pow(basis, pres.torsion_rows[col], -q)
+            relator_pow = series_coords_pow(basis, relators[col], -q)
             y[col - 1:] = basis.mult(relator_pow, suffix)[col - 1:]
     return tuple(y)
 
@@ -350,7 +351,9 @@ def test_reduce_coords_folds_with_one_multiply(monkeypatch):
     squares = M.from_finite_presentation(M.build_hall_basis(3, 2),
                                          [((1, 2),), ((2, 2),)])
     mixed = M.from_finite_presentation(M.build_hall_basis(*MIXED[0]), MIXED[1])
-    assert squares.torsion_rows[3] == mixed.torsion_rows[3] == (0, 0, 2, 0, 1)
+    assert (dict(zip(squares.relators.pivots, squares.relators.rows))[3]
+            == dict(zip(mixed.relators.pivots, mixed.relators.rows))[3]
+            == (0, 0, 2, 0, 1))
     basis53 = M.build_hall_basis(5, 3)
     f53 = M.QuotientPresentation(basis53, M.FullFormMatrix(tuple(
         tuple(row.get(j, 0) for j in range(basis53.m)) for row in F53_ROWS)))
@@ -378,12 +381,13 @@ def test_reduce_coords_folds_with_one_multiply(monkeypatch):
             folds = fresh.folds
             assert not any(calls.values())
             assert [M.reduce_coords(fresh, y) for y in vectors] == expected
+        relators = dict(zip(pres.relators.pivots, pres.relators.rows))
         assert [(col, e, sup) for col, e, sup, _ in folds] == [
-            (p, pres.torsion[p], support(pres.torsion_rows[p]))
+            (p, pres.torsion[p], support(relators[p]))
             for p in sorted(pres.torsion)]
         for col, _, _, row in folds:
             assert row == (None if col not in noncommuting
-                           else pres.torsion_rows[col])
+                           else relators[col])
         powered = [q for col, q in quotients if col in noncommuting]
         assert len(calls["mult"]) == len(powered)
         assert len(calls["pow_polynomials"]) == sum(q != -1 for q in powered)

@@ -1,5 +1,6 @@
 """The library's classes are plain classes: the ones that are values compare
-and hash by value, and each object owns its fields."""
+and hash by value, and each object owns its fields.  The package's public
+names are pinned."""
 
 import pytest
 
@@ -8,6 +9,25 @@ from malcev.decisions import quotient_mod_last
 
 # The Heisenberg group modulo a1^2 and its normal closure.
 SQUARES = ((2, 0, 0), (0, 0, 2))
+
+
+def test_public_names_are_pinned():
+    # A name that leaves or joins the public surface shows in this list.
+    assert sorted(M.__all__) == [
+        "BasicCommutator", "BoundedCombinationTrace", "ConjugacyAnswer",
+        "CoordinateMatrix", "ExpWord", "FullFormMatrix", "GroupElement",
+        "HallBasis", "HomSpec", "MembershipWitness", "NilpotentPresentation",
+        "NoPower", "NotInImage", "QuotientPresentation", "RejectedInput",
+        "SizeCapExceeded", "build_hall_basis", "centralizer", "conjugacy",
+        "consistency_check", "coordinate_matrix", "coords_to_word",
+        "decisions", "element", "element_order", "eval_free",
+        "express_in_original_generators", "extgcd", "extgcd_bounded",
+        "extgcd_pair_bounded", "free_presentation", "freegroup",
+        "from_finite_presentation", "full_form", "groups", "identity",
+        "inverse", "kernel_and_preimage", "make_quotient_presentation",
+        "membership", "mult", "normal_form", "power", "power_problem",
+        "presentations", "reduce_coords", "subgroup_presentation",
+        "subgroups", "torsion_bound", "word_problem"]
 
 
 def test_free_presentations_are_equal_values():
