@@ -2,6 +2,8 @@
 groups of fixed class and rank, presented as quotients of free nilpotent
 groups by full-form relator matrices."""
 
+from types import ModuleType as _Module
+
 from .extgcd import (BoundedCombinationTrace, RejectedInput, extgcd_bounded,
                      extgcd_pair_bounded)
 from .freegroup import (BasicCommutator, ExpWord, HallBasis, SizeCapExceeded,
@@ -19,4 +21,5 @@ from .decisions import (ConjugacyAnswer, HomSpec, NoPower, NotInImage,
                         centralizer, conjugacy, element_order,
                         kernel_and_preimage, power_problem, torsion_bound)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()  # the API, no submodule
+           if not name.startswith("_") and not isinstance(value, _Module)]

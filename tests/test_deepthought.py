@@ -16,6 +16,7 @@ import pytest
 from conftest import (SHIPPED, series_coords_mult, series_coords_pow,
                       series_derive, series_eval)
 from deepthought import Poly, derive, table_source
+from malcev import freegroup
 from malcev.freegroup import build_hall_basis, eval_free, table_module
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -289,8 +290,10 @@ def test_first_inverse_loads_the_power_table():
 
 
 def test_every_basis_loads_its_shipped_tables():
-    # The one way to the polynomials is an import of the basis's two
-    # modules in `malcev.tables`; the derivation is not in the library.
+    # The one way to the polynomials is the basis's two modules in
+    # `malcev.tables`, which the library loads from their files; imported
+    # first, as here, they are the modules it uses.  The derivation is not
+    # in the library.
     code = ("import importlib\n"
             "from malcev.freegroup import build_hall_basis\n"
             f"for c, r in {SHIPPED!r}:\n"
@@ -304,6 +307,32 @@ def test_every_basis_loads_its_shipped_tables():
             "    except ModuleNotFoundError:\n"
             "        print('missing')\n")
     assert run_python(code) == ["True"] * len(SHIPPED) + ["missing"] * 2
+
+
+def test_a_cold_load_skips_the_tables_package():
+    # Loading a table does not import the package, and an import
+    # afterwards returns the module the basis loaded.
+    code = ("import importlib, sys\n"
+            "from malcev.freegroup import build_hall_basis\n"
+            "mult = build_hall_basis(2, 2).mult\n"
+            "print('malcev.tables.c2r2' in sys.modules,"
+            " 'malcev.tables' in sys.modules)\n"
+            "print(importlib.import_module('malcev.tables.c2r2').mult is mult)\n")
+    assert run_python(code) == ["True", "False", "True"]
+
+
+def test_a_table_that_raises_is_not_kept(tmp_path, monkeypatch):
+    # A table that raises part way leaves no module behind, so the next
+    # use runs it again instead of reading what it had defined so far.
+    (tmp_path / "c2r2.py").write_text(
+        "def mult(u, v):\n    return u\n\nraise RuntimeError('half run')\n")
+    monkeypatch.setattr(freegroup, "_TABLES", str(tmp_path))
+    monkeypatch.delitem(sys.modules, "malcev.tables.c2r2", raising=False)
+    basis = build_hall_basis(2, 2)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="half run"):
+            freegroup._polynomials(basis, "mult")
+        assert "malcev.tables.c2r2" not in sys.modules
 
 
 # The power's Newton differences against the series engine's power with a
