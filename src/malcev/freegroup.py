@@ -252,7 +252,6 @@ def eval_free(basis: HallBasis, word: ExpWord) -> tuple[int, ...]:
     A letter power x_i**e that commutes by weight with the product's tail
     after i (`HallBasis.commuting_from`) moves past it, so it adds e to
     coordinate i; any other power is one call of `mult`."""
-    mult = basis.mult
     commuting_from = basis.commuting_from
     m = basis.m
     out = [0] * m  # the product so far
@@ -263,7 +262,7 @@ def eval_free(basis: HallBasis, word: ExpWord) -> tuple[int, ...]:
             if any(out[letter:commuting_from[letter - 1]]):
                 step = [0] * m
                 step[letter - 1] = e
-                out = list(mult(out, step))
+                out = list(basis.mult(out, step))
             else:
                 out[letter - 1] += e
     return tuple(out)
