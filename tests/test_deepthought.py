@@ -17,7 +17,8 @@ from conftest import (SHIPPED, series_coords_mult, series_coords_pow,
                       series_derive, series_eval)
 from deepthought import Poly, derive, table_source
 from malcev import freegroup
-from malcev.freegroup import build_hall_basis, eval_free, table_module
+from malcev.freegroup import (build_hall_basis, coords_to_word, eval_free,
+                              table_module)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 TABLES = SRC / "malcev" / "tables"
@@ -319,6 +320,49 @@ def test_a_cold_load_skips_the_tables_package():
             " 'malcev.tables' in sys.modules)\n"
             "print(importlib.import_module('malcev.tables.c2r2').mult is mult)\n")
     assert run_python(code) == ["True", "False", "True"]
+
+
+# The `malcev.tables` modules a fresh process has loaded, after its code.
+LOADED = ("print(sorted(m for m in __import__('sys').modules"
+          " if m.startswith('malcev.tables')))\n")
+
+
+def _cli(command, document):
+    """Code that runs `malcev <command>` on a document from standard input."""
+    return ("import io, sys\n"
+            "from malcev import cli\n"
+            f"sys.stdin = io.StringIO({document!r})\n"
+            f"print(cli.run([{command!r}], out=io.StringIO()))\n")
+
+
+def test_a_word_loads_the_product_only_when_a_power_fails_to_commute():
+    # A normal-form word adds each letter power to its coordinate, so it
+    # loads no table; a2 before a1 needs one product and loads exactly the
+    # product table.
+    code = ("from malcev.freegroup import build_hall_basis, eval_free\n"
+            "basis = build_hall_basis(5, 3)\n"
+            "word = ((1, 2), (2, -1), (3, 5), (4, 7), (20, 3))\n"
+            "print(eval_free(basis, word) == (2, -1, 5, 7) + (0,) * 15 + (3,)"
+            " + (0,) * (basis.m - 20))\n"
+            + LOADED +
+            "print(eval_free(basis, ((2, 1), (1, 1)))[:4] == (1, 1, 0, 1))\n"
+            + LOADED)
+    assert run_python(code) == ["True", "[]", "True",
+                                "['malcev.tables.c5r3']"]
+
+
+def test_cold_cli_runs_load_only_the_tables_they_use():
+    # `nf` of a normal-form word at (5,3) loads no table, and `power` of
+    # normal-form words at (4,2) loads only the power table.
+    assert run_python(_cli("nf", "group c=5 r=3\nword a1^2 a3^-4 a9^5\n")
+                      + LOADED) == ["0", "[]"]
+    basis = build_hall_basis(4, 2)
+    g = (1, 1) + (0,) * (basis.m - 2)
+    words = ["word " + " ".join(f"a{i}^{e}" for i, e in coords_to_word(v))
+             for v in (g, basis.pow(g, 3))]
+    document = "\n".join(["group c=4 r=2", *words, ""])
+    assert run_python(_cli("power", document) + LOADED) == [
+        "0", "['malcev.tables.c4r2_pow']"]
 
 
 def test_a_table_that_raises_is_not_kept(tmp_path, monkeypatch):
