@@ -238,12 +238,16 @@ def _polynomials(basis: HallBasis, kind: str) -> Callable:
 
 
 def check_lengths(basis: HallBasis, *vectors) -> None:
-    """Raise RejectedInput unless every vector has one entry per letter."""
+    """Raise RejectedInput unless every vector has one entry per letter and
+    each entry is an `int`: a float or a bool is not an exact coordinate."""
     m = basis.m
     for x in vectors:
         if len(x) != m:
             raise RejectedInput(
                 f"coordinate vector has {len(x)} entries, the basis has {m} letters")
+        for a in x:
+            if type(a) is not int:
+                raise RejectedInput(f"coordinate {a!r} is not an integer")
 
 
 def eval_free(basis: HallBasis, word: ExpWord) -> tuple[int, ...]:
@@ -256,6 +260,8 @@ def eval_free(basis: HallBasis, word: ExpWord) -> tuple[int, ...]:
     m = basis.m
     out = [0] * m  # the product so far
     for letter, e in word:
+        if type(letter) is not int or type(e) is not int:
+            raise RejectedInput(f"letter power {(letter, e)!r} is not a pair of integers")
         if not 1 <= letter <= m:
             raise RejectedInput(f"letter index {letter} out of range 1..{m}")
         if e:

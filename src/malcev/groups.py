@@ -74,5 +74,7 @@ def inverse(u: GroupElement) -> GroupElement:
 
 
 def power(u: GroupElement, e: int) -> GroupElement:
+    if type(e) is not int:
+        raise RejectedInput(f"exponent {e!r} is not an integer")
     pres = u.presentation
     return GroupElement(pres, pres.pow(u.coords, e))

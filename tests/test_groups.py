@@ -81,6 +81,25 @@ def test_element_validates_length_and_letters():
         M.normal_form(HEIS, ((9, 1),))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: M.element(HEIS, (0.5, 0, 0)),
+    lambda: M.element(HEIS, (2.0 ** 60, 1, 0)),
+    lambda: M.element(HEIS, (True, 0, 0)),
+    lambda: M.power(M.element(HEIS, (1, 1, 0)), 2.5),
+    lambda: M.power(M.element(HEIS, (1, 1, 0)), 2.0),
+    lambda: M.normal_form(HEIS, ((1, 0.5),)),
+    lambda: M.normal_form(HEIS, ((1.0, 1),)),
+    lambda: M.coordinate_matrix(HEIS, [(1, 0, 0.0)]),
+    lambda: M.make_quotient_presentation(HEIS.basis, [(3.0, 0, 0)]),
+], ids=["half", "float-2**60", "bool", "power-2.5", "power-2.0",
+        "word-exponent", "word-letter", "matrix", "relators"])
+def test_non_integer_input_is_rejected(call):
+    # Coordinates and exponents are exact integers; a float would give an
+    # inexact "element", such as (2.5, 2.5, 1.0) for (1, 1, 0) ** 2.5.
+    with pytest.raises(M.RejectedInput, match="integer"):
+        call()
+
+
 def test_power_huge_exponent_exact():
     g = M.element(HEIS, (1, 1, 0))
     k = 1 << 70
