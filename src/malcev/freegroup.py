@@ -19,7 +19,8 @@ and in e (P. Hall), and the basis owns them:
 * `eval_free` builds the product of the letter powers of a word from
   the left: a power that commutes by weight with the product's tail after
   its letter adds its exponent to that coordinate, and any other power is
-  one call of `mult`.
+  one call of `mult`.  So a word whose powers all commute, such as every
+  normal-form word (`coords_to_word`), never reads `mult`.
 
 These trust their vectors' lengths.  Vectors from outside enter group
 arithmetic only through `groups.element`, `subgroups.CoordinateMatrix` and
@@ -29,7 +30,10 @@ arithmetic only through `groups.element`, `subgroups.CoordinateMatrix` and
 The polynomials ship as generated modules in `malcev.tables`, one per
 basis and kind, each loaded from its file, not imported (`_polynomials`),
 on the first use of its kind on its basis: a process that only multiplies
-never loads a power.  They are constants of the basis, derived once,
+never loads a power, and one that evaluates only words whose letter powers
+commute, as a cold `nf` of a normal-form word does, never loads a product.
+At (5,3) the product table is 15.6 KB of source, most of a cold query's
+time when it is compiled.  They are constants of the basis, derived once,
 outside the library, by `tools/gen_tables.py`.  The library accepts
 exactly the bases whose tables ship, those of `SHIPPED_RANKS`;
 `build_hall_basis` refuses any other before it builds a letter.  The
@@ -255,13 +259,16 @@ def eval_free(basis: HallBasis, word: ExpWord) -> tuple[int, ...]:
 
     A letter power x_i**e that commutes by weight with the product's tail
     after i (`HallBasis.commuting_from`) moves past it, so it adds e to
-    coordinate i; any other power is one call of `mult`."""
+    coordinate i; any other power is one call of `mult`.  `basis.mult` is
+    read only there, so a word with no such power loads no product table.
+    Letters and exponents must be `int`s, each letter in 1..m."""
     commuting_from = basis.commuting_from
     m = basis.m
     out = [0] * m  # the product so far
     for letter, e in word:
         if type(letter) is not int or type(e) is not int:
-            raise RejectedInput(f"letter power {(letter, e)!r} is not a pair of integers")
+            raise RejectedInput(
+                f"letter power {(letter, e)!r} is not a pair of integers")
         if not 1 <= letter <= m:
             raise RejectedInput(f"letter index {letter} out of range 1..{m}")
         if e:
