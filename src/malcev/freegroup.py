@@ -27,19 +27,20 @@ arithmetic only through `groups.element`, `subgroups.CoordinateMatrix` and
 `presentations.make_quotient_presentation`, which check them first
 (`check_lengths`); a free group is `presentations.free_presentation`.
 
-The polynomials ship as generated modules in `malcev.tables`, one per
-basis and kind, each loaded from its file, not imported (`_polynomials`),
-on the first use of its kind on its basis: a process that only multiplies
-never loads a power, and one that evaluates only words whose letter powers
-commute, as a cold `nf` of a normal-form word does, never loads a product.
-At (5,3) the product table is 15.6 KB of source, most of a cold query's
-time when it is compiled.  They are constants of the basis, derived once,
-outside the library, by `tools/gen_tables.py`.  The library accepts
-exactly the bases whose tables ship, those of `SHIPPED_RANKS`;
-`build_hall_basis` refuses any other before it builds a letter.  The
-polynomials depend on the class only through the top weight, so every
-rank-1 basis, whatever its class, uses the class-1 tables.  The basis is
-the cache: `build_hall_basis` returns one basis per (c, r).
+A basis of top weight 1 (class 1, or rank 1 at any class) is abelian:
+its product is the coordinatewise sum and its power the multiple, built
+in (`_polynomials`).  Every other basis's polynomials ship as generated
+modules in `malcev.tables`, one per basis and kind, each loaded from its
+file, not imported, on the first use of its kind on its basis: a process
+that only multiplies never loads a power, and one that evaluates only
+words whose letter powers commute, as a cold `nf` of a normal-form word
+does, never loads a product.  At (5,3) the product table is 15.6 KB of
+source, most of a cold query's time when it is compiled.  They are
+constants of the basis, derived once, outside the library, by
+`tools/gen_tables.py`.  The library accepts exactly the bases of
+`SHIPPED_RANKS` and of rank 1; `build_hall_basis` refuses any other before
+it builds a letter.  The basis is the cache: `build_hall_basis` returns
+one basis per (c, r).
 
 Bases and letters compare by value.  No field is assigned after
 construction: they are treated as immutable, which nothing enforces.
@@ -52,6 +53,7 @@ import os
 import sys
 from collections.abc import Callable
 from functools import cached_property, lru_cache
+from operator import add
 
 from .extgcd import RejectedInput
 
@@ -61,11 +63,11 @@ class SizeCapExceeded(ValueError):
     letters (`subgroups.expand_expression`)."""
 
 
-# The bases whose polynomials ship in `malcev.tables`, as {class: largest
-# rank}: every basis of rank 2 to 9 with at most 128 letters, except (9, 2),
-# whose two tables would take 516 KB of source.  Rank 1 ships at class 1 and
-# serves every class.  It is closed under c -> c - 1, which
-# `decisions.quotient_mod_last` needs.
+# The bases the library accepts besides rank 1, as {class: largest rank}:
+# class 1 up to rank 9, whose arithmetic is built in, and every basis of
+# rank 2 to 9 with at most 128 letters, except (9, 2), whose two tables
+# would take 516 KB of source; those above class 1 ship in `malcev.tables`.
+# It is closed under c -> c - 1, which `decisions.quotient_mod_last` needs.
 SHIPPED_RANKS = {1: 9, 2: 9, 3: 6, 4: 4, 5: 3, 6: 2, 7: 2, 8: 2}
 _TABLES = os.path.join(os.path.dirname(__file__), "tables")  # their files
 
@@ -119,8 +121,8 @@ class HallBasis:
     @property
     def top_weight(self) -> int:
         """Weight of the heaviest letter: c for r >= 2, but 1 for r = 1,
-        whose group is Z at every class.  The multiplication polynomials
-        depend on the class only through it."""
+        whose group is Z at every class.  At 1 the group is abelian and
+        needs no table (`_polynomials`)."""
         return self.letters[-1].weight
 
     @cached_property
@@ -226,10 +228,16 @@ def table_module(kind: str, c: int, r: int) -> str:
 
 
 def _polynomials(basis: HallBasis, kind: str) -> Callable:
-    """The shipped `mult` or `pow` of the basis, run from its file in
-    `_TABLES`, not imported via the package (about 0.3 ms more when cold),
-    and kept, once it ran, as `sys.modules["malcev.tables.<name>"]`."""
-    table = table_module(kind, basis.top_weight, basis.r)
+    """The `mult` or `pow` of the basis: at top weight 1, where the group is
+    abelian, the sum or the multiple, and otherwise the shipped table, run
+    from its file in `_TABLES`, not imported via the package (about 0.3 ms
+    more when cold), and kept, once it ran, as
+    `sys.modules["malcev.tables.<name>"]`."""
+    if basis.top_weight == 1:
+        if kind == "mult":
+            return lambda u, v: tuple(map(add, u, v))
+        return lambda u, e: tuple([e * x for x in u])
+    table = table_module(kind, basis.c, basis.r)
     name = f"{__package__}.tables.{table}"
     module = sys.modules.get(name)
     if module is None:

@@ -1,7 +1,9 @@
 """Generated polynomials, two modules per basis of
-`malcev.freegroup.SHIPPED_RANKS`: c<c>r<r> defines `mult` and c<c>r<r>_pow
-defines `pow`, whose value at e = -1 is the inverse.  `tools/gen_tables.py`
-writes them; the library derives nothing at runtime.
+`malcev.freegroup.SHIPPED_RANKS` of top weight >= 2: c<c>r<r> defines `mult`
+and c<c>r<r>_pow defines `pow`, whose value at e = -1 is the inverse.  A
+basis of top weight 1 has none: the library adds and scales its coordinates
+itself.  `tools/gen_tables.py` writes them; the library derives nothing at
+runtime.
 
 The package exists for tools and tests, which import its modules.  The
 library does not import it: `freegroup._polynomials` loads each table from

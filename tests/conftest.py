@@ -22,10 +22,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools")
 from deepthought import Poly  # noqa: E402
 from series import SeriesBasis, series_mult, series_power  # noqa: E402
 
-# Every basis with shipped tables; a rank-1 basis above class 1 uses the
-# tables of its heaviest letter's weight.
-SHIPPED = [(c, r) for c, top in SHIPPED_RANKS.items()
-           for r in range(1, top + 1) if r > 1 or c == 1]
+# Every basis of `SHIPPED_RANKS`, and those with shipped tables: the ones of
+# top weight >= 2.  A basis of top weight 1 (class 1, or rank 1 at any
+# class) adds and scales with no table.
+ACCEPTED = [(c, r) for c, top in SHIPPED_RANKS.items()
+            for r in range(1, top + 1) if r > 1 or c == 1]
+SHIPPED = [(c, r) for c, r in ACCEPTED if c > 1]
 
 
 @pytest.fixture(autouse=True)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import malcev as M
-from conftest import (MAT_ID, SHIPPED, mat_inv, mat_mul, mat_of_coords,
+from conftest import (ACCEPTED, MAT_ID, SHIPPED, mat_inv, mat_mul, mat_of_coords,
                       mat_of_word, mat_pow, series_coords_pow,
                       structure_relations)
 from malcev.extgcd import RejectedInput
@@ -61,19 +61,19 @@ def witt(n, r):
 
 
 def test_the_grid_is_every_basis_of_rank_2_to_9_within_128_letters():
-    # The library accepts exactly the bases whose tables ship: every (c, r)
-    # of rank 2 to 9 with at most 128 letters, except (9, 2), and rank 1 at
-    # any class.  The grid is closed under c -> c - 1, which
+    # The library accepts every (c, r) of rank 2 to 9 with at most 128
+    # letters, except (9, 2), and rank 1 at any class; tables ship for those
+    # of top weight >= 2.  The grid is closed under c -> c - 1, which
     # `quotient_mod_last` needs.
     fits = {(c, r) for c in range(1, 12) for r in range(2, 10)
             if sum(witt(w, r) for w in range(1, c + 1)) <= 128}
-    assert set(SHIPPED) == (fits - {(9, 2)}) | {(1, 1)}
-    assert len(SHIPPED) == 30
+    assert set(ACCEPTED) == (fits - {(9, 2)}) | {(1, 1)}
+    assert len(ACCEPTED) == 30
     for c, top in SHIPPED_RANKS.items():
         assert c == 1 or SHIPPED_RANKS[c - 1] >= top
     for c in range(1, 12):
         for r in range(1, 12):
-            if r == 1 or (c, r) in SHIPPED:
+            if r == 1 or (c, r) in ACCEPTED:
                 assert build_hall_basis(c, r).m == sum(
                     witt(w, r) for w in range(1, c + 1 if r > 1 else 2))
             else:
@@ -81,18 +81,17 @@ def test_the_grid_is_every_basis_of_rank_2_to_9_within_128_letters():
                     build_hall_basis(c, r)
 
 
-# Each shipped class-c basis above class 1 and the class-(c - 1) one of its
-# rank: entries in [-50, 50] and of 64 bits.
-TRUNCATIONS = [(c, r) for c, r in SHIPPED if c > 1]
-
-
-@pytest.mark.parametrize("c,r", TRUNCATIONS)
+# Each class-c basis with shipped tables and the class-(c - 1) one of its
+# rank, whose arithmetic is built in at class 1: entries in [-50, 50] and of
+# 64 bits.
+@pytest.mark.parametrize("c,r", SHIPPED)
 def test_lower_class_tables_are_truncations(c, r):
     # The class-(c - 1) letters are a prefix of the class-c ones, and the
     # coordinates of u·v and u^e of weight < c depend only on those of u
     # and v of weight < c, so class c - 1's polynomials are the truncation
-    # of class c's.  This checks every pair of shipped tables against each
-    # other with no derivation.
+    # of class c's.  This checks every shipped table against the arithmetic
+    # a class below, a table or, at class 1, the built-in sum and multiple,
+    # with no derivation.
     big, small = build_hall_basis(c, r), build_hall_basis(c - 1, r)
     k = small.m
     assert big.letters[:k] == small.letters
@@ -309,7 +308,7 @@ def random_letter(rng, basis):
                        if basis.weight(i) == w])
 
 
-@pytest.mark.parametrize("c,r", SHIPPED)
+@pytest.mark.parametrize("c,r", ACCEPTED)
 def test_commuting_reads_commute_by_weight(c, r):
     # The table holds, for each letter, where the later letters that
     # commute with it by weight begin; `commuting` reading it agrees with

@@ -1,6 +1,8 @@
 """Write the shipped polynomial tables, src/malcev/tables/c<c>r<r>.py and
 src/malcev/tables/c<c>r<r>_pow.py, for every basis of
-`malcev.freegroup.SHIPPED_RANKS`: the library accepts exactly those bases.
+`malcev.freegroup.SHIPPED_RANKS` of top weight >= 2.  A basis of top weight
+1 (class 1, or rank 1 at any class) is abelian: the library adds and scales
+its coordinates itself, so it gets no module.
 
 For the free nilpotent group of class c and rank r, the two modules define
 `mult(u, v)` and `pow(u, e)`, each derived by `deepthought.table_source`
@@ -13,10 +15,8 @@ denominator`; a power computes the binomials C(e, j) once and writes each
 coordinate in Newton form, one integer combination of monomials times each
 binomial, over one denominator.  The inverse is the power at e = -1.  They
 are separate modules so that a process that only multiplies does not
-import, and with bytecode writing off compile, the power.  A basis whose
-heaviest letter is lighter than c (rank 1 above class 1) gets no module: it
-uses the tables of that letter's weight.  The whole grid takes about 11 s
-of CPU, most of it (8, 2).
+import, and with bytecode writing off compile, the power.  The whole grid
+takes about 11 s of CPU, most of it (8, 2).
 
     python tools/gen_tables.py
 
@@ -41,7 +41,7 @@ def main() -> None:
     for c, top in SHIPPED_RANKS.items():
         for r in range(1, top + 1):
             basis = build_hall_basis(c, r)
-            if basis.top_weight < c:
+            if basis.top_weight == 1:
                 continue
             for kind in ("mult", "pow"):
                 path = out / f"{table_module(kind, c, r)}.py"
