@@ -257,6 +257,9 @@ def power_problem(pres: QuotientPresentation, g: GroupElement,
     if g.presentation != pres or h.presentation != pres:
         raise RejectedInput("elements belong to a different presentation")
     alpha, beta = (0, 1) if progression is None else progression
+    if type(alpha) is not int or type(beta) is not int:
+        raise RejectedInput(
+            f"progression {progression!r} is not a pair of integers")
     if beta <= 0:
         raise RejectedInput(
             "progression step must be positive; omit the progression"

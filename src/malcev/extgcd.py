@@ -135,6 +135,9 @@ def extgcd_bounded(a: list[int] | tuple[int, ...]) -> tuple[int, list[int], Boun
     |x_i| <= (n+1) * max(|a_i| / g, 1)**2.
     """
     a = list(a)
+    for v in a:
+        if type(v) is not int:
+            raise RejectedInput(f"entry {v!r} is not an integer")
     g = math.gcd(*a)
     if g == 0:
         return 0, [0] * len(a), BoundedCombinationTrace(degenerate=True)

@@ -42,6 +42,23 @@ def test_invalid_parameters_rejected():
             build_hall_basis(c, r)
 
 
+@pytest.mark.parametrize("c,r", [(True, 2), (1, True), (2.0, 2), ("2", 2),
+                                 (2, 2.0)],
+                         ids=["bool-class", "bool-rank", "float-class",
+                              "str-class", "float-rank"])
+def test_class_and_rank_must_be_int(c, r):
+    # True equals 1 and hashes like it, so an untyped cache served it the
+    # basis of (1, 2), or cached a basis whose class read True.  A refused
+    # call caches nothing.
+    build_hall_basis(1, 2)
+    cached = build_hall_basis.cache_info().currsize
+    with pytest.raises(RejectedInput, match="integers"):
+        build_hall_basis(c, r)
+    assert build_hall_basis.cache_info().currsize == cached
+    assert type(build_hall_basis(1, 2).c) is int
+    assert M.free_presentation(1, 2).describe() == "group c=1 r=2"
+
+
 def witt(n, r):
     """Number of basic commutators of weight n in r generators:
     (1/n)·Σ_{d | n} μ(d)·r^(n/d)."""

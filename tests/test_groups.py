@@ -91,8 +91,15 @@ def test_element_validates_length_and_letters():
     lambda: M.normal_form(HEIS, ((1.0, 1),)),
     lambda: M.coordinate_matrix(HEIS, [(1, 0, 0.0)]),
     lambda: M.make_quotient_presentation(HEIS.basis, [(3.0, 0, 0)]),
+    lambda: M.power_problem(HEIS, *[M.element(HEIS, (2, 0, 0))] * 2, (0, 2.0)),
+    lambda: M.power_problem(HEIS, *[M.element(HEIS, (2, 0, 0))] * 2, (0.0, 2)),
+    lambda: M.power_problem(HEIS, *[M.element(HEIS, (2, 0, 0))] * 2, (0, True)),
+    lambda: M.extgcd_bounded([2.0, 4]),
+    lambda: M.extgcd_bounded([True, 2]),
 ], ids=["half", "float-2**60", "bool", "power-2.5", "power-2.0",
-        "word-exponent", "word-letter", "matrix", "relators"])
+        "word-exponent", "word-letter", "matrix", "relators",
+        "progression-step-2.0", "progression-offset-0.0",
+        "progression-step-bool", "extgcd-2.0", "extgcd-bool"])
 def test_non_integer_input_is_rejected(call):
     # Coordinates and exponents are exact integers; a float would give an
     # inexact "element", such as (2.5, 2.5, 1.0) for (1, 1, 0) ** 2.5.
