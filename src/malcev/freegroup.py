@@ -63,10 +63,10 @@ class SizeCapExceeded(ValueError):
     letters (`subgroups.expand_expression`)."""
 
 
-# The bases the library accepts besides rank 1, as {class: largest rank}:
-# class 1 up to rank 9, whose arithmetic is built in, and every basis of
-# rank 2 to 9 with at most 128 letters, except (9, 2), whose two tables
-# would take 516 KB of source; those above class 1 ship in `malcev.tables`.
+# The bases the library accepts, with rank 1 at every class, as {class:
+# largest rank}: every basis of rank 2 to 9 with at most 128 letters, except
+# (9, 2), whose two tables would take 516 KB of source.  Tables ship in
+# `malcev.tables` for those of top weight >= 2; the others add and scale.
 # It is closed under c -> c - 1, which `decisions.quotient_mod_last` needs.
 SHIPPED_RANKS = {1: 9, 2: 9, 3: 6, 4: 4, 5: 3, 6: 2, 7: 2, 8: 2}
 _TABLES = os.path.join(os.path.dirname(__file__), "tables")  # their files
@@ -204,16 +204,19 @@ def _hall_letters(c: int, r: int) -> list[BasicCommutator]:
     return letters
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_hall_basis(c: int, r: int) -> HallBasis:
     """Weight-ordered basis of basic commutators for class c and rank r,
-    one of `SHIPPED_RANKS` or of rank 1."""
+    one of `SHIPPED_RANKS` or of rank 1.  The cache is typed, so True is
+    refused here rather than served the basis cached for 1."""
+    if type(c) is not int or type(r) is not int:
+        raise RejectedInput(f"class {c!r} and rank {r!r} must be integers")
     if c < 1 or r < 1:
         raise RejectedInput("class and rank must be positive")
     if r > 1 and r > SHIPPED_RANKS.get(c, 0):
         raise RejectedInput(
-            f"no polynomial tables ship for class {c} and rank {r}: ranks 2-9"
-            " are supported up to 128 basis letters, except c=9 r=2")
+            f"class {c} and rank {r} are not supported: rank 1 is, and ranks"
+            " 2-9 up to 128 basis letters, except c=9 r=2")
     return HallBasis(c, r, tuple(_hall_letters(c, r)))
 
 

@@ -167,7 +167,7 @@ def test_rank_one_descends_at_its_class_whatever_the_header(tmp_path):
 
 
 def test_refused_bases_are_one_line_errors(tmp_path):
-    # The library answers exactly the bases whose tables ship: rank 2 to 9
+    # The library answers exactly the bases of `SHIPPED_RANKS`, rank 2 to 9
     # within 128 letters, except (9, 2), and rank 1 at any class.  (9, 2),
     # (1, 10) and (2, 10) had been accepted, and derived their polynomials
     # on first use; (9, 9) and (1, 129) were refused for their size.
