@@ -47,9 +47,9 @@ def test_invalid_parameters_rejected():
                          ids=["bool-class", "bool-rank", "float-class",
                               "str-class", "float-rank"])
 def test_class_and_rank_must_be_int(c, r):
-    # True equals 1 and hashes like it, so an untyped cache served it the
-    # basis of (1, 2), or cached a basis whose class read True.  A refused
-    # call caches nothing.
+    # True equals 1 and hashes like it, so it is refused even after (1, 2)
+    # is cached only because the cache is typed.  A refused call caches
+    # nothing, and the basis of (1, 2) keeps an int class.
     build_hall_basis(1, 2)
     cached = build_hall_basis.cache_info().currsize
     with pytest.raises(RejectedInput, match="integers"):
