@@ -1,15 +1,15 @@
 """Kernels and preimages of homomorphisms, centralizers, conjugacy with
 witnesses, the power problem, and the torsion-order bound.
 
-Centralizers and conjugacy share one descent through G/Gamma_c (Macdonald,
-Myasnikov, Nikolaev & Vassileva): one kernel per class, whose kernel is the
-centralizer and whose preimage gives the conjugator.  The kernels depend
-only on g's image modulo Gamma_c, since [gz, u] = [g, u] for z in the
-central Gamma_c, so `_tower` caches them, as tuples, keyed by the
-presentation and that image (and for the lower classes by theirs), in an
-`lru_cache` at its default bound of 128 entries: the c - 1 kernel
-computations are made once per coset g Gamma_c while it stays cached.  The
-walk that finds the conjugator for each h, and every witness check, run on
+Centralizers and conjugacy share one descent through the layers
+Γ_w/Γ_{w+1} of G (Macdonald, Myasnikov, Nikolaev & Vassileva).  At each
+layer u -> [g, u] is a homomorphism into an abelian group, so a step sifts
+an integer lattice, whose kernel gives the next tower and whose image the
+conjugator's next factor; the last step's tower is C_G(g).  A step reads g
+only up to its layer, so `_tower` caches it, as tuples, keyed by the
+presentation and those coordinates, in an `lru_cache` of 128 entries: the
+c - 1 steps are made once per coset g Γ_c while it stays cached.  The walk
+that finds the conjugator for each h, and every witness check, run on
 every call with the caller's own g.  The power problem is one descent over
 the first nonzero columns of g and h, which finds every solution k + nZ;
 the order of g is its period n.
@@ -27,10 +27,10 @@ import math
 from functools import lru_cache
 
 from .extgcd import InternalConsistencyError, RejectedInput
-from .freegroup import build_hall_basis
+from .freegroup import BasicCommutator, HallBasis
 from .groups import GroupElement
-from .presentations import (QuotientPresentation, first_nonzero,
-                            make_quotient_presentation, reduce_coords)
+from .presentations import (FullFormMatrix, QuotientPresentation,
+                            first_nonzero, reduce_coords)
 from .subgroups import (ProductContext, _checked_scan, _power_product,
                         full_form_rows)
 
@@ -106,14 +106,15 @@ def kernel_and_preimage(spec: HomSpec, h: GroupElement | None = None
     images = [y.coords for y in spec.images]
     if _graph(spec.source, spec.target, images, gens)[0]:
         raise RejectedInput("the images do not define a homomorphism")
-    kernel, *halves = _graph(spec.target, spec.source, gens, images)
+    kernel, images, sources = _graph(spec.target, spec.source, gens, images)
     preimage = None
-    if h is not None:
-        preimage = _preimage(spec.target, spec.source, *halves, h.coords)
-        if preimage is None:
+    if h is not None:  # the source halves to the powers that give h
+        beta = _checked_scan(spec.target, images, h.coords)
+        if beta is None:
             raise NotInImage("h is not in the image of the homomorphism")
-    return ([GroupElement(spec.source, z) for z in kernel],
-            None if preimage is None else GroupElement(spec.source, preimage))
+        preimage = _power_product(spec.source, sources, beta)
+        preimage = GroupElement(spec.source, preimage)
+    return [GroupElement(spec.source, z) for z in kernel], preimage
 
 
 def _graph(target, source, gens, images):
@@ -132,80 +133,77 @@ def _graph(target, source, gens, images):
             tuple(row[split:] for row in form[:r]))
 
 
-def _preimage(target, source, images, sources, h):
-    """Some x with phi(x) = h from `_graph`'s image and source halves, or
-    None when h is not an image: the source halves to the exponents with
-    which the image halves multiply back to h."""
-    beta = _checked_scan(target, images, h)
-    return None if beta is None else _power_product(source, sources, beta)
-
-
 # ---------------------------------------------------------------------------
-# Quotients by the last lower-central term.
+# The descent through the layers of G.
+
+def _abelian(n, rows=()):
+    """Z^n modulo full-form rows, of top weight 1: it adds and scales."""
+    basis = HallBasis(1, n, (BasicCommutator(1, 0, 0),) * n)
+    return QuotientPresentation(basis, FullFormMatrix(rows))
+
 
 @lru_cache
-def quotient_mod_last(pres: QuotientPresentation) -> QuotientPresentation:
-    """G / Gamma_c: drop the weight-c letters and truncate the relators."""
-    basis = pres.basis
-    if pres.c < 2:
-        raise RejectedInput("class must be at least 2")
-    small = build_hall_basis(pres.c - 1, basis.r)
-    if basis.letters[:small.m] != small.letters:
-        raise InternalConsistencyError("class c-1 basis is not a prefix")
-    rows = [row[:small.m] for row in pres.relators.rows
-            if first_nonzero(row) <= small.m]
-    return make_quotient_presentation(small, rows)
-
-
-def _head(pres, g):
-    """g's image in G/Gamma_c: its coordinates before the weight-c letters."""
-    return g[:quotient_mod_last(pres).m] if pres.c > 1 else ()
+def _layer(pres, w):
+    """The weight-w columns as a slice, where a reduced element of Γ_w
+    starts and reads its image in Γ_w/Γ_{w+1}; that layer, Z^n modulo the
+    relator rows that lead there; and the weight-w letters, reduced."""
+    cols = [i for i in range(pres.m) if pres.weight(i + 1) == w]
+    block = slice(cols[0], cols[-1] + 1)
+    rows = tuple(row[block] for row in pres.relators.rows
+                 if block.start < first_nonzero(row) <= block.stop)
+    return block, _abelian(len(cols), rows), tuple(
+        reduce_coords(pres, tuple(int(j == i) for j in range(pres.m)))
+        for i in cols)
 
 
 @lru_cache
 def _tower(pres, head):
-    """`_graph` of u -> [g, u] on the preimage of C_{G/Gamma_c}(g), whose
-    image lies in the central Gamma_c: the generators of its kernel C_G(g),
-    and the image and source halves of the other graph rows.  That preimage
-    is the tower of g's image in G/Gamma_c, whose normal forms are prefixes
-    of G's, padded with zeros, and the weight-c letters.  It is keyed by
-    g's image `head` in G/Gamma_c: for z in the central Gamma_c, [gz, u] =
-    [g, u], so g with its weight-c coordinates zeroed serves its coset."""
-    basis = pres.basis
-    # The weight-c letters, reduced: a letter of relative order 1 is trivial.
-    top = [reduce_coords(pres, tuple(int(j == i) for j in range(basis.m)))
-           for i in range(basis.m) if basis.weight(i + 1) == pres.c]
-    if pres.c == 1:
-        # Abelian: everything centralizes g.
-        return tuple(top), (), ()
-    small = quotient_mod_last(pres)
-    pad = (0,) * (basis.m - small.m)
-    cover = [z + pad for z in _tower(small, _head(small, head))[0]] + top
+    """For g's coordinates `head` through weight w < c, which fix [g, u]
+    modulo Γ_{w+2}: generators of T_{w+1} = {u : [g, u] in Γ_{w+2}}, in
+    full form if that is C_G(g), and the image and G halves of the other
+    rows of its graph.  The tower through weight w - 1, a polycyclic
+    sequence k_i of T_w modulo Γ_{w+1}, maps by u -> [g, u] modulo Γ_{w+2},
+    a homomorphism as [g, uv] = [g, v][g, u]^v, into the layer w + 1 with
+    kernel T_{w+1}.  `_graph` sifts e -> sum e_i [g, k_i] there times Z^s.
+    By induction down the sequence, the k^e = k_1^e_1 ... k_s^e_s of the
+    kernel rows e, again such a sequence, and the weight-(w+1) letters
+    generate T_{w+1}.  An empty `head` gives T_1 = G: its weight-1 letters."""
+    w = pres.weight(len(head)) if head else 0
+    block, layer, letters = _layer(pres, w + 1)
+    if not head:
+        return letters, (), ()
+    cover = _tower(pres, head[:_layer(pres, w)[0].start])[0]
     mult, pow_ = pres.mult, pres.pow
-    g = head + pad
-    g_inv = pow_(g, -1)
-    return _graph(pres, pres, cover,
-                  [mult(mult(g_inv, pow_(u, -1)), mult(g, u)) for u in cover])
+    g = head + (0,) * (pres.m - len(head))
+    g_inv, s = pow_(g, -1), len(cover)
+    units = [tuple(int(i == j) for j in range(s)) for i in range(s)]
+    phi = [mult(mult(g_inv, pow_(k, -1)), mult(g, k))[block] for k in cover]
+    kernel, images, exponents = _graph(layer, _abelian(s), units, phi)
+    gens, sources = (tuple(_power_product(pres, cover, e) for e in rows)
+                     for rows in (kernel, exponents))
+    if w + 1 == pres.c:
+        return full_form_rows(pres, gens + letters)[0], images, sources
+    return gens + letters, images, sources
 
 
 def _conjugator(pres, g, h):
-    """Some u with g = u^{-1} h u, or None: given v for the images of g and
-    h in G/Gamma_c, g^{-1} v^{-1} h v lies in Gamma_c, and it is [g, w] for
-    some w exactly when g and h are conjugate, with u = v w^{-1}."""
-    if pres.c == 1:
-        # Abelian: only g is conjugate to g.
-        return pres.identity if g == h else None
-    small = quotient_mod_last(pres)
-    v = _conjugator(small, g[:small.m], h[:small.m])
-    if v is None:
+    """Some u with g = u^{-1} h u, or None.  The images of g and h in G/Γ_2
+    must be equal.  Then for w = 1, ..., c - 1, given u with u^{-1} h u =
+    g t for t in Γ_{w+1}, some x has t = [g, x] modulo Γ_{w+2} exactly when
+    g and h are conjugate, and u x^{-1} serves modulo Γ_{w+2}."""
+    block = _layer(pres, 1)[0]
+    if g[block] != h[block]:
         return None
-    v += (0,) * (pres.m - small.m)
     mult, pow_ = pres.mult, pres.pow
-    target = mult(pow_(g, -1), mult(pow_(v, -1), mult(h, v)))
-    w = _preimage(pres, pres, *_tower(pres, g[:small.m])[1:], target)
-    if w is None:
-        return None
-    u = mult(v, pow_(w, -1))
+    g_inv, u = pow_(g, -1), pres.identity
+    for w in range(1, pres.c):
+        block, layer, _ = _layer(pres, w + 1)
+        _, images, sources = _tower(pres, g[:block.start])
+        t = mult(g_inv, mult(pow_(u, -1), mult(h, u)))
+        beta = _checked_scan(layer, images, t[block])
+        if beta is None:
+            return None
+        u = mult(u, pow_(_power_product(pres, sources, beta), -1))
     if mult(mult(pow_(u, -1), h), u) != g:
         raise InternalConsistencyError("conjugacy witness fails to conjugate")
     return u
@@ -216,7 +214,7 @@ def centralizer(pres: QuotientPresentation, g: GroupElement
     """Generating set of C_G(g)."""
     if g.presentation != pres:
         raise RejectedInput("element belongs to a different presentation")
-    gens = _tower(pres, _head(pres, g.coords))[0]
+    gens = _tower(pres, g.coords[:_layer(pres, pres.c)[0].start])[0]
     if any(pres.mult(g.coords, z) != pres.mult(z, g.coords) for z in gens):
         raise InternalConsistencyError("centralizer generator fails to commute")
     return [GroupElement(pres, z) for z in gens]
@@ -256,10 +254,11 @@ def power_problem(pres: QuotientPresentation, g: GroupElement,
     every solution k + nZ, which is merged with the progression once."""
     if g.presentation != pres or h.presentation != pres:
         raise RejectedInput("elements belong to a different presentation")
-    alpha, beta = (0, 1) if progression is None else progression
-    if type(alpha) is not int or type(beta) is not int:
+    pair = (0, 1) if progression is None else progression
+    if type(pair) not in (tuple, list) or list(map(type, pair)) != [int, int]:
         raise RejectedInput(
             f"progression {progression!r} is not a pair of integers")
+    alpha, beta = pair
     if beta <= 0:
         raise RejectedInput(
             "progression step must be positive; omit the progression"

@@ -67,7 +67,6 @@ class SizeCapExceeded(ValueError):
 # largest rank}: every basis of rank 2 to 9 with at most 128 letters, except
 # (9, 2), whose two tables would take 516 KB of source.  Tables ship in
 # `malcev.tables` for those of top weight >= 2; the others add and scale.
-# It is closed under c -> c - 1, which `decisions.quotient_mod_last` needs.
 SHIPPED_RANKS = {1: 9, 2: 9, 3: 6, 4: 4, 5: 3, 6: 2, 7: 2, 8: 2}
 _TABLES = os.path.join(os.path.dirname(__file__), "tables")  # their files
 

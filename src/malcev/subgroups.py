@@ -386,9 +386,11 @@ def _checked_scan(ctx, rows, h, pivots=None):
 def membership(pres: QuotientPresentation, form: FullFormMatrix,
                h: GroupElement) -> MembershipWitness | None:
     """Witness exponents over the full-form rows, or None for non-members.
+    The rows must be vectors of the basis, as `full_form` returns them.
     The witness is re-checked: the rows to its powers multiply to h."""
     if h.presentation != pres:
         raise RejectedInput("element belongs to a different presentation")
+    check_lengths(pres.basis, *form.rows)
     gamma = _checked_scan(pres, form.rows, h.coords, form.pivots)
     return None if gamma is None else MembershipWitness(tuple(gamma))
 

@@ -15,7 +15,9 @@ from malcev import decisions
 from malcev.extgcd import InternalConsistencyError, RejectedInput, _reduction
 from malcev.freegroup import (SHIPPED_RANKS, ExpWord, HallBasis,
                               coords_to_word, eval_free)
-from malcev.subgroups import _EXPR_ONE, _power, _times, full_form_rows
+from malcev.presentations import first_nonzero
+from malcev.subgroups import (_EXPR_ONE, ProductContext, _membership_scan,
+                              _power, _power_product, _times, full_form_rows)
 
 # The derivation of the tables is a tool, not part of the library.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
@@ -32,7 +34,7 @@ SHIPPED = [(c, r) for c, r in ACCEPTED if c > 1]
 
 @pytest.fixture(autouse=True)
 def empty_tower_cache():
-    """Each test starts with an empty cache of the descent's kernels, so no
+    """Each test starts with an empty cache of the descent's towers, so no
     test reads what another test left there."""
     decisions._tower.cache_clear()
 
@@ -238,6 +240,84 @@ def structure_relations(basis: HallBasis) -> StructureRelations:
                         "exchange tail not supported on higher letters")
                 store[(i, j)] = tail
     return StructureRelations(alpha=alpha, beta=beta)
+
+
+# ---------------------------------------------------------------------------
+# A second descent, through the quotients G/Γ_k, with one graph in G x G
+# per class and no layer of its own: an oracle for centralizers, whose full
+# form is unique, and for the verdicts of conjugacy.
+
+
+@lru_cache
+def quotient_mod_last(pres):
+    """G / Γ_c: drop the weight-c letters and truncate the relators."""
+    small = M.build_hall_basis(pres.c - 1, pres.basis.r)
+    if pres.basis.letters[:small.m] != small.letters:
+        raise InternalConsistencyError("class c-1 basis is not a prefix")
+    rows = [row[:small.m] for row in pres.relators.rows
+            if first_nonzero(row) <= small.m]
+    return M.make_quotient_presentation(small, rows)
+
+
+def _oracle_graph(target, source, gens, images):
+    """The kernel, image halves and source halves of the full form of the
+    graph <(phi(x), x)> in target x source."""
+    form = full_form_rows(ProductContext(target, source),
+                          [y + x for x, y in zip(gens, images)])[0]
+    split = target.m
+    r = sum(1 for row in form if any(row[:split]))
+    return ([row[split:] for row in form[r:]],
+            [row[:split] for row in form[:r]],
+            [row[split:] for row in form[:r]])
+
+
+@lru_cache
+def _oracle_tower(pres, head):
+    """The graph of u -> [g, u] on the preimage of C_{G/Γ_c}(g), for g's
+    image `head` in G/Γ_c."""
+    top = [M.reduce_coords(pres, tuple(int(j == i) for j in range(pres.m)))
+           for i in range(pres.m) if pres.weight(i + 1) == pres.c]
+    if pres.c == 1:
+        return top, [], []
+    small = quotient_mod_last(pres)
+    pad = (0,) * (pres.m - small.m)
+    cover = [z + pad for z in
+             _oracle_tower(small, head[:quotient_mod_last(small).m]
+                           if small.c > 1 else ())[0]] + top
+    g = head + pad
+    g_inv = pres.pow(g, -1)
+    return _oracle_graph(pres, pres, cover,
+                         [pres.mult(pres.mult(g_inv, pres.pow(u, -1)),
+                                    pres.mult(g, u)) for u in cover])
+
+
+def oracle_centralizer(pres, g):
+    """The generators of C_G(g), as coordinate tuples, that the descent
+    through G/Γ_c gives: its full form, or at class 1 every reduced
+    letter."""
+    head = g[:quotient_mod_last(pres).m] if pres.c > 1 else ()
+    return list(_oracle_tower(pres, head)[0])
+
+
+def oracle_conjugator(pres, g, h):
+    """Some u with g = u^-1 h u, or None, by the descent through G/Γ_c."""
+    if pres.c == 1:
+        return pres.identity if g == h else None
+    small = quotient_mod_last(pres)
+    v = oracle_conjugator(small, g[:small.m], h[:small.m])
+    if v is None:
+        return None
+    v += (0,) * (pres.m - small.m)
+    mult, pow_ = pres.mult, pres.pow
+    target = mult(pow_(g, -1), mult(pow_(v, -1), mult(h, v)))
+    _, images, sources = _oracle_tower(pres, g[:small.m])
+    beta = _membership_scan(pres, images, target)
+    if beta is None:
+        return None
+    u = mult(v, pow_(_power_product(pres, sources, beta), -1))
+    if mult(mult(pow_(u, -1), h), u) != g:
+        raise InternalConsistencyError("oracle conjugator fails to conjugate")
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
+import ast
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
 import malcev as M
 from conftest import (FiniteGroup, hom_apply, hom_image_of_letters,
+                      oracle_centralizer, oracle_conjugator,
                       random_finite_presentation)
 from malcev import decisions, subgroups
 from malcev.extgcd import InternalConsistencyError
@@ -178,10 +184,11 @@ def test_centralizer_matches_brute_force():
 
 
 def test_centralizer_kernels_skip_pairs_that_commute_by_weight(monkeypatch):
-    # The descent's kernels sift graph rows in ProductContext, whose H
-    # columns weigh 1 and whose G columns keep their weights; the closure
-    # skips the pairs that commute by weight.  Closing every pair takes 95
-    # operations on this input, skipping them 60.
+    # The descent sifts each layer's graph in the product of two contexts
+    # of top weight 1, the layer and Z^s, whose columns all weigh 1, so the
+    # closure skips every pair by weight and sifts only relative-order
+    # powers.  The graphs in G x G of the descent through G/Gamma_c took 60
+    # operations on this input with that skip and 95 without it.
     pres = M.from_finite_presentation(M.build_hall_basis(3, 2),
                                       [((1, 3),), ((2, 3),)])
     calls = []
@@ -267,11 +274,15 @@ def test_class_three_descent_matches_brute_force():
 
 @pytest.mark.parametrize("c", [2, 3, 4])
 def test_descent_makes_one_kernel_per_class(monkeypatch, c):
-    classes = []
+    # One graph per layer Gamma_w / Gamma_{w+1}, w = 2..c, each in the
+    # product of two contexts of top weight 1: the layer and Z^s.  At rank
+    # 2 the layers of weights 2, 3 and 4 have 1, 2 and 3 letters.
+    layers = []
     graph = decisions._graph
 
     def counted(target, source, *args):
-        classes.append(source.basis.c)
+        assert target.c == source.c == 1
+        layers.append(target.m)
         return graph(target, source, *args)
 
     monkeypatch.setattr(decisions, "_graph", counted)
@@ -282,20 +293,20 @@ def test_descent_makes_one_kernel_per_class(monkeypatch, c):
     h = M.mult(M.mult(u, g), M.inverse(u))
     w = M.conjugacy(pres, g, h).witness
     assert M.mult(M.mult(M.inverse(w), h), w) == g
-    assert sorted(classes) == list(range(2, c + 1))
-    classes.clear()
-    # With an empty cache the centralizer builds every class again.
+    assert sorted(layers) == list(range(1, c))
+    layers.clear()
+    # With an empty cache the centralizer builds every layer again.
     decisions._tower.cache_clear()
     M.centralizer(pres, g)
-    assert sorted(classes) == list(range(2, c + 1))
+    assert sorted(layers) == list(range(1, c))
 
 
 @pytest.mark.parametrize("c", [3, 4])
 def test_conjugacy_and_centralizer_share_the_tower(monkeypatch, c):
-    # The kernels of the descent depend on g alone: after conjugacy(g, h1)
-    # has built one graph full form per class 2..c, conjugacy(g, h2) and
-    # centralizer(g) build none, and all three answer as they do from an
-    # empty cache.
+    # The towers of the descent depend on g alone: after conjugacy(g, h1)
+    # has built one graph full form per layer 2..c, in contexts of class 1,
+    # and the full form of C_G(g) in G, conjugacy(g, h2) and centralizer(g)
+    # build none, and all three answer as they do from an empty cache.
     built = []
     full_form = decisions.full_form_rows
 
@@ -316,7 +327,7 @@ def test_conjugacy_and_centralizer_share_the_tower(monkeypatch, c):
                 M.conjugacy(pres, g, h2).witness, M.centralizer(pres, g))
 
     w1 = M.conjugacy(pres, g, h1).witness
-    assert sorted(built) == list(range(2, c + 1))
+    assert sorted(built) == [1] * (c - 1) + [c]
     built.clear()
     w2 = M.conjugacy(pres, g, h2).witness
     gens = M.centralizer(pres, g)
@@ -327,19 +338,26 @@ def test_conjugacy_and_centralizer_share_the_tower(monkeypatch, c):
         assert M.mult(M.mult(M.inverse(w), h), w) == g
 
 
+GRAPH = decisions._graph
+
+
+def corrupt_graph(target, source, *args):
+    """`decisions._graph` with the last unit vector of the exponent space
+    added to its kernel and to each exponent row.  On the tower of g = (1,
+    0, 2) in HEIS, whose cover is a1, a2, C_G(g) gains a2, which does not
+    commute with g, and the image row's a2^-1 becomes 1, so the
+    conjugator's step x = a2^2 becomes 1."""
+    kernel, images, exponents = GRAPH(target, source, *args)
+    unit = source.identity[:-1] + (1,)
+    return (kernel + (unit,), images,
+            tuple(source.mult(e, unit) for e in exponents))
+
+
 def test_witness_checks_run_on_cache_hits(monkeypatch):
-    # The tower of g = (1, 0, 2) is corrupted once, when it is built: its
-    # kernel gains (0, 1, 0), which does not commute with g, and its
-    # preimage rows are shifted by (0, 1, 0).  Both entries raise on the
-    # call that builds it and again on every call that finds it cached.
-    graph = decisions._graph
-
-    def corrupt(*args):
-        kernel, images, sources = graph(*args)
-        return (kernel + ((0, 1, 0),), images,
-                tuple(HEIS.mult(x, (0, 1, 0)) for x in sources))
-
-    monkeypatch.setattr(decisions, "_graph", corrupt)
+    # The tower of g = (1, 0, 2) is corrupted once, when it is built
+    # (`corrupt_graph`).  Both entries raise on the call that builds it
+    # and again on every call that finds it cached.
+    monkeypatch.setattr(decisions, "_graph", corrupt_graph)
     g, h = M.element(HEIS, (1, 0, 2)), M.element(HEIS, (1, 0, 0))
     with pytest.raises(InternalConsistencyError, match="commute"):
         M.centralizer(HEIS, g)
@@ -390,14 +408,7 @@ def test_corrupt_tower_raises_for_the_whole_coset(monkeypatch):
     # The tower of the coset of g = (1, 0, 2) is corrupted when it is
     # built, as in test_witness_checks_run_on_cache_hits.  g and gz =
     # (1, 0, 5) read that one entry, and each checks it against itself.
-    graph = decisions._graph
-
-    def corrupt(*args):
-        kernel, images, sources = graph(*args)
-        return (kernel + ((0, 1, 0),), images,
-                tuple(HEIS.mult(x, (0, 1, 0)) for x in sources))
-
-    monkeypatch.setattr(decisions, "_graph", corrupt)
+    monkeypatch.setattr(decisions, "_graph", corrupt_graph)
     h = M.element(HEIS, (1, 0, 0))
     for coords in ((1, 0, 2), (1, 0, 5)):
         g = M.element(HEIS, coords)
@@ -405,44 +416,49 @@ def test_corrupt_tower_raises_for_the_whole_coset(monkeypatch):
             M.centralizer(HEIS, g)
         with pytest.raises(InternalConsistencyError, match="conjugate"):
             M.conjugacy(HEIS, g, h)
-    assert decisions._tower.cache_info().misses == 2  # the coset and Z^2
+    # The coset's tower, and the weight-1 letters that it covers.
+    assert decisions._tower.cache_info().misses == 2
 
 
 def test_centralizers_of_a_finite_group_build_one_graph_per_coset(
         monkeypatch):
     # The 243 elements of F(3,2)/<a1^3, a2^3> lie in 27 cosets of Gamma_3,
-    # whose images lie in 9 cosets of Gamma_2 in G/Gamma_3: 36 graphs.
+    # where the layer of weight 3, with 2 letters, is read, and in 9 cosets
+    # of Gamma_2, where the layer of weight 2, with 1 letter, is: 36 graphs.
     graphs = []
     graph = decisions._graph
 
     def counted(*args):
-        graphs.append(args[0].c)
+        graphs.append(args[0].m)
         return graph(*args)
 
     monkeypatch.setattr(decisions, "_graph", counted)
     assert all(Z3_32.torsion.get(col) == 3 for col in range(1, Z3_32.m + 1))
     for coords in itertools.product(range(3), repeat=Z3_32.m):
         M.centralizer(Z3_32, M.element(Z3_32, coords))
-    assert sorted(graphs) == [2] * 9 + [3] * 27
+    assert sorted(graphs) == [1] * 9 + [2] * 27
 
 
-def test_quotient_mod_last_cache_is_bounded():
+def test_layer_cache_is_bounded():
     # A centralizer in each of 200 distinct quotients F(2,2)/<a1^e, a2^e>
-    # asks for 200 distinct G/Gamma_2; the cache keeps at most 128.
+    # asks for the layers of 200 distinct presentations; the cache keeps at
+    # most 128.
     basis = M.build_hall_basis(2, 2)
     for e in range(2, 202):
         pres = M.from_finite_presentation(basis, [((1, e),), ((2, e),)])
         M.centralizer(pres, M.element(pres, (1, 0, 0)))
-    info = decisions.quotient_mod_last.cache_info()
+    info = decisions._layer.cache_info()
     assert info.misses >= 200 and info.currsize <= 128
 
 
 def test_tower_cache_is_bounded_and_holds_tuples():
     maxsize = decisions._tower.cache_info().maxsize
     assert maxsize is not None
-    # The elements (i, 1, 0) lie in distinct cosets of Gamma_2, so each
-    # needs an entry of its own and the cache evicts.
-    cosets = {decisions._head(HEIS, (i, 1, 0)) for i in range(maxsize + 8)}
+    # The elements (i, 1, 0) lie in distinct cosets of Gamma_2, whose
+    # letters start at the layer of weight 2, so each needs an entry of its
+    # own and the cache evicts.
+    top = decisions._layer(HEIS, HEIS.c)[0].start
+    cosets = {(i, 1, 0)[:top] for i in range(maxsize + 8)}
     assert len(cosets) == maxsize + 8
     for i in range(maxsize + 8):
         M.centralizer(HEIS, M.element(HEIS, (i, 1, 0)))
@@ -452,7 +468,7 @@ def test_tower_cache_is_bounded_and_holds_tuples():
     gens = M.centralizer(HEIS, g)
     expected = list(gens)
     for level in (decisions._tower(HEIS, g.coords[:2]),
-                  decisions._tower(decisions.quotient_mod_last(HEIS), ())):
+                  decisions._tower(HEIS, ())):
         assert type(level) is tuple
         assert all(type(part) is tuple for part in level)
         assert all(type(row) is tuple for part in level for row in part)
@@ -460,6 +476,87 @@ def test_tower_cache_is_bounded_and_holds_tuples():
     gens.append(g)
     gens[0] = g
     assert M.centralizer(HEIS, g) == expected
+
+
+def torsion_quotients():
+    """The finite quotients whose relator rows do not commute by weight,
+    `TORSION_QUOTIENTS` of tools/answer_digest.py, whose module is not
+    imported, as it sets up paths for the benchmark: its constant
+    expression is evaluated alone."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools"
+    tree = ast.parse((path / "answer_digest.py").read_text())
+    node = next(node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", "") == "TORSION_QUOTIENTS")
+    value = eval(compile(ast.Expression(node), path.name, "eval"),
+                 {"__builtins__": {}})
+    return [M.from_finite_presentation(M.build_hall_basis(c, r), relators)
+            for (c, r), relators in value]
+
+
+def check_against_the_oracle(pres, rng, count, bound):
+    """Centralizers equal those of the descent through the quotients
+    G/Gamma_k (`conftest.oracle_centralizer`), conjugacy verdicts equal its
+    verdicts, and every witness conjugates h to g."""
+    for _ in range(count):
+        g, u = (M.element(pres, [rng.randint(-bound, bound)
+                                 for _ in range(pres.m)]) for _ in range(2))
+        assert ([z.coords for z in M.centralizer(pres, g)]
+                == oracle_centralizer(pres, g.coords))
+        h = M.mult(M.mult(u, g), M.inverse(u))
+        # The last letter is central; a1 changes the image in G/Gamma_2.
+        last = M.element(pres, (0,) * (pres.m - 1) + (1,))
+        a1 = M.element(pres, (1,) + (0,) * (pres.m - 1))
+        for x in (h, M.mult(h, last), M.mult(a1, g)):
+            w = M.conjugacy(pres, g, x).witness
+            oracle = oracle_conjugator(pres, g.coords, x.coords)
+            assert (w is None) == (oracle is None)
+            assert w is None or M.mult(M.mult(M.inverse(w), x), w) == g
+        assert M.conjugacy(pres, g, h).conjugate
+
+
+@pytest.mark.parametrize("c, r", [(2, 2), (3, 2), (3, 3), (4, 2), (5, 2),
+                                  (4, 3), (5, 3), (4, 4), (3, 6), (8, 2)])
+def test_descent_by_layers_equals_the_descent_through_quotients(c, r):
+    # The full form of C_G(g) is unique, so the two descents give the same
+    # rows.  The (8,2) oracle takes about a second per coset.
+    check_against_the_oracle(M.free_presentation(c, r), random.Random(c * r),
+                             1 if c == 8 else 3, 3)
+
+
+def test_descent_by_layers_equals_the_oracle_on_finite_quotients():
+    rng = random.Random(65)
+    for c, r in ((2, 2), (3, 2), (2, 3), (3, 3)):
+        pres = random_finite_presentation(rng, c, r, max_pivot=3)
+        check_against_the_oracle(pres, rng, 4, 6)
+    # 32-bit entries, which the quotients reduce, as in the digest.
+    for pres in torsion_quotients():
+        check_against_the_oracle(pres, rng, 2, 1 << 32)
+
+
+def test_four_centralizers_at_5_3_make_few_compiled_calls():
+    # Counted in a fresh process, so that every table call is seen: the
+    # descent through G/Gamma_c made 23,144 calls to the tables of (5,3) and
+    # of its quotients, and the descent by layers makes about 2,600, all in
+    # G, as its layers and Z^s add with no table.
+    code = ("import random\n"
+            "from malcev import freegroup\n"
+            "calls, polynomials = [], freegroup._polynomials\n"
+            "def counted(basis, kind):\n"
+            "    f = polynomials(basis, kind)\n"
+            "    return lambda *args: calls.append(1) or f(*args)\n"
+            "freegroup._polynomials = counted\n"
+            "import malcev as M\n"
+            "pres, rng = M.free_presentation(5, 3), random.Random(5)\n"
+            "for _ in range(4):\n"
+            "    g = [rng.randint(-3, 3) for _ in range(pres.m)]\n"
+            "    M.centralizer(pres, M.element(pres, g))\n"
+            "print(len(calls))\n")
+    src = pathlib.Path(M.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert int(out.stdout) <= 5000
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +658,14 @@ def test_power_problem_progressions_match_brute_force():
                 assert M.power_problem(HEIS, g, h, (alpha, beta)) == k
 
 
+@pytest.mark.parametrize("progression", [(1, 2, 3), (0,), 5],
+                         ids=["triple", "single", "int"])
+def test_progression_must_be_a_pair(progression):
+    g = M.element(HEIS, (1, 1, 0))
+    with pytest.raises(M.RejectedInput, match="pair of integers"):
+        M.power_problem(HEIS, g, g, progression)
+
+
 def test_merge_progressions_with_a_single_value():
     # Step 0 means the single value r1, as the power search reports for g
     # of infinite order.
@@ -571,12 +676,13 @@ def test_merge_progressions_with_a_single_value():
 
 
 def test_corrupt_witnesses_raise(monkeypatch):
-    preimage = decisions._preimage
+    # Each step's x, and each generator of the tower, is shifted by a2.
+    power_product = decisions._power_product
 
-    def shifted_preimage(*args):
-        return HEIS.mult(preimage(*args), (0, 1, 0))
+    def shifted(*args):
+        return HEIS.mult(power_product(*args), (0, 1, 0))
 
-    monkeypatch.setattr(decisions, "_preimage", shifted_preimage)
+    monkeypatch.setattr(decisions, "_power_product", shifted)
     with pytest.raises(InternalConsistencyError):
         M.conjugacy(HEIS, M.element(HEIS, (1, 0, 2)), M.element(HEIS, (1, 0, 0)))
 

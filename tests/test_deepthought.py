@@ -365,6 +365,17 @@ def test_a_word_loads_the_product_only_when_a_power_fails_to_commute():
                                 "['malcev.tables.c5r3']"]
 
 
+@pytest.mark.parametrize("command, document", [
+    ("centralizer", "group c=3 r=2\nword a1^2 a2\n"),
+    ("conj", "group c=3 r=2\nword a1^2 a2\nword a2 a1^2\n"),
+], ids=["centralizer", "conj"])
+def test_cold_descent_loads_only_the_tables_of_its_group(command, document):
+    # The descent runs in G and in its layers, which add with no table, so
+    # at (3,2) it loads no table of class 2.
+    assert run_python(_cli(command, document) + LOADED) == [
+        "0", "['malcev.tables.c3r2',", "'malcev.tables.c3r2_pow']"]
+
+
 def test_cold_cli_runs_load_only_the_tables_they_use():
     # `nf` of a normal-form word at (5,3) loads no table, and `power` of
     # normal-form words at (4,2) loads only the power table.

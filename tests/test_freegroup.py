@@ -80,8 +80,7 @@ def witt(n, r):
 def test_the_grid_is_every_basis_of_rank_2_to_9_within_128_letters():
     # The library accepts every (c, r) of rank 2 to 9 with at most 128
     # letters, except (9, 2), and rank 1 at any class; tables ship for those
-    # of top weight >= 2.  The grid is closed under c -> c - 1, which
-    # `quotient_mod_last` needs.
+    # of top weight >= 2.  The grid is closed under c -> c - 1.
     fits = {(c, r) for c in range(1, 12) for r in range(2, 10)
             if sum(witt(w, r) for w in range(1, c + 1)) <= 128}
     assert set(ACCEPTED) == (fits - {(9, 2)}) | {(1, 1)}

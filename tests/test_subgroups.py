@@ -409,6 +409,16 @@ def test_membership_gamma_ranges_at_torsion_pivots():
                 assert 0 <= gamma < e // row[piv]
 
 
+@pytest.mark.parametrize("rows", [((1, 0),), ((1, 0, 0, 0),),
+                                  ((1.0, 0, 0),)],
+                         ids=["short-row", "long-row", "float-entry"])
+def test_membership_rejects_a_form_that_is_not_of_the_basis(rows):
+    # A `FullFormMatrix` built by the caller, not by `full_form`: its rows
+    # are checked against the basis before the scan reads them.
+    with pytest.raises(M.RejectedInput):
+        M.membership(HEIS, M.FullFormMatrix(rows), M.element(HEIS, (1, 0, 0)))
+
+
 def test_expression_cap(monkeypatch):
     form, tracked = ff(HEIS, [(2, 0, 0), (0, 1, 0)], track=True)
     w = M.membership(HEIS, form, M.element(HEIS, (0, 0, 2)))

@@ -5,7 +5,7 @@ names are pinned."""
 import pytest
 
 import malcev as M
-from malcev.decisions import quotient_mod_last
+from malcev.decisions import _layer
 
 # The Heisenberg group modulo a1^2 and its normal closure.
 SQUARES = ((2, 0, 0), (0, 0, 2))
@@ -48,16 +48,16 @@ def test_free_presentations_are_equal_values():
     assert hash(form) == hash(M.FullFormMatrix(SQUARES))
 
 
-def test_quotient_mod_last_hits_its_cache_for_an_equal_presentation():
+def test_layer_hits_its_cache_for_an_equal_presentation():
     cubes = [((1, 3),), ((2, 3),)]
     basis = M.build_hall_basis(3, 2)
     p = M.from_finite_presentation(basis, cubes)
     q = M.from_finite_presentation(basis, cubes)
     assert p is not q and p == q
-    small = quotient_mod_last(p)
-    hits = quotient_mod_last.cache_info().hits
-    assert quotient_mod_last(q) is small
-    assert quotient_mod_last.cache_info().hits == hits + 1
+    layer = _layer(p, 2)
+    hits = _layer.cache_info().hits
+    assert _layer(q, 2) is layer
+    assert _layer.cache_info().hits == hits + 1
 
 
 def test_elements_of_equal_presentations_are_equal_and_multiply():
