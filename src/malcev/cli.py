@@ -235,6 +235,8 @@ def _read_argv(argv):
                          " them")
     files = [arg for arg in rest if arg != "--track"]
     track = len(files) < len(rest)
+    if len(rest) - len(files) > 1:
+        raise InputError("--track is given more than once")
     if track and name != "member":
         raise InputError(f"--track is an option of member, not of {name}")
     for arg in files:

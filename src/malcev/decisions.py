@@ -99,12 +99,16 @@ def kernel_and_preimage(spec: HomSpec, h: GroupElement | None = None
     RejectedInput if the images do not define a homomorphism: phi is
     well-defined exactly when the reversed map, from the images to the
     generators, has trivial kernel, the part in 1 x H of the graph
-    L = <(g_i, phi(g_i))> <= G x H."""
+    L = <(g_i, phi(g_i))> <= G x H.  The kernel's sift, in H x G, starts
+    from the rows of that check's full form, which generate L too: sifted
+    from the generators, the entries of a small map from F(5,3) grew past
+    64 bits."""
     if h is not None and h.presentation != spec.target:
         raise RejectedInput("h outside the target presentation")
     gens = [x.coords for x in spec.generators]
     images = [y.coords for y in spec.images]
-    if _graph(spec.source, spec.target, images, gens)[0]:
+    bad, gens, images = _graph(spec.source, spec.target, images, gens)
+    if bad:
         raise RejectedInput("the images do not define a homomorphism")
     kernel, images, sources = _graph(spec.target, spec.source, gens, images)
     preimage = None

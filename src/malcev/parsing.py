@@ -8,7 +8,7 @@ A document is a sequence of sections:
     subgroup                  starts a subgroup generator matrix
     word a<k>^<exp> ...       a word over the basis letters
     element a<k>^<exp> ...    a distinguished element (e.g. preimage target)
-    progression <a> <b>       arithmetic progression a + b*Z
+    progression <a> <b>       arithmetic progression a + b*Z, one per group
 
 Blank lines and lines starting with `#` are ignored.  All integers are
 decimal with an optional sign and unbounded magnitude.
@@ -152,6 +152,9 @@ def parse_document(text: str) -> Document:
             if len(vals) != 2:
                 raise ParseError(lineno, 1,
                                  "progression takes exactly two integers")
+            if block.progression is not None:
+                raise ParseError(lineno, 1,
+                                 "a second progression in the group")
             block.progression = (vals[0], vals[1])
         else:
             raise ParseError(lineno, 1, f"unknown section {key!r}")

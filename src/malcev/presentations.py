@@ -112,6 +112,11 @@ class QuotientPresentation:
         return (self.basis, self.relators) == (other.basis, other.relators)
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """Once: each `_tower` and `_layer` lookup hashes the presentation."""
         return hash((self.basis, self.relators))
 
     @property

@@ -227,6 +227,7 @@ def test_module_entry_points():
     # an abbreviated option and the `--` separator are not accepted
     ["member", "--tr"],
     ["nf", "--", "a.txt"],
+    ["member", "--track", "--track"],
 ])
 def test_usage_errors_are_one_line_on_err(argv, capsys):
     status, out, err = invoke(argv)
@@ -324,6 +325,12 @@ def test_input_errors(tmp_path):
     assert invoke(["conj", f])[0] == 2
     # unknown command
     assert invoke(["frobnicate"])[0] == 2
+    # a second progression would replace the first
+    f = doc(tmp_path, "group c=2 r=2\nword a1\nword a1^4\nprogression 1 2\n"
+            "progression 0 2\n")
+    status, out, err = invoke(["power", f])
+    assert (status, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("error: line 5")
 
 
 def test_stdin_input(monkeypatch):

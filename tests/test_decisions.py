@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import os
 import pathlib
 import random
@@ -14,6 +15,7 @@ from conftest import (FiniteGroup, hom_apply, hom_image_of_letters,
                       random_finite_presentation)
 from malcev import decisions, subgroups
 from malcev.extgcd import InternalConsistencyError
+from malcev.presentations import first_nonzero
 from malcev.parsing import parse_document
 
 
@@ -136,6 +138,33 @@ def test_random_homomorphisms_kernel_and_preimage():
         h = hom_apply(images, g.coords)
         _, pre = M.kernel_and_preimage(spec, h)
         assert hom_apply(images, pre.coords) == h
+
+
+def test_kernel_sift_starts_from_the_checks_rows(monkeypatch):
+    # F(5,3) -> F(2,2)/<a1^3, a2^3>.  Sifted from the generators in the
+    # target-first order, its graph's entries passed 64 bits and the call
+    # ran for minutes; from the homomorphism check's rows they stay small.
+    def bounded(poly):  # `mult(u, v)` or `pow_polynomials(u, e)`
+        def call(u, x):
+            entries = (*u, x) if isinstance(x, int) else (*u, *x)
+            if max(abs(e) for e in entries).bit_length() > 64:
+                raise AssertionError("an entry of more than 64 bits")
+            return poly(u, x)
+        return call
+
+    src = M.free_presentation(5, 3)
+    tgt = M.from_finite_presentation(M.build_hall_basis(2, 2),
+                                     [((1, 3),), ((2, 3),)])
+    for basis in (src.basis, tgt.basis):
+        for name in ("mult", "pow_polynomials"):
+            monkeypatch.setattr(basis, name, bounded(getattr(basis, name)))
+    w1 = [M.element(tgt, v) for v in ((1, 0, 0), (1, 0, 1), (1, 2, 0))]
+    spec = M.HomSpec(src, tgt, tuple(letter_elements(src)[:3]), tuple(w1))
+    rows = [z.coords for z in M.kernel_and_preimage(spec)[0]]
+    assert [first_nonzero(row) for row in rows] == list(range(1, 81))
+    assert math.prod(row[i] for i, row in enumerate(rows)) == 27
+    images = hom_image_of_letters(src.basis, w1)
+    assert all(hom_apply(images, row).is_identity() for row in rows)
 
 
 def test_inner_automorphism_has_trivial_kernel():

@@ -24,6 +24,18 @@ def test_make_quotient_presentation_valid():
     assert pres.m == 3
 
 
+def test_presentation_hashes_its_relators_once(monkeypatch):
+    # The descent's caches look a presentation up on every call.
+    calls, row_hash = [], M.FullFormMatrix.__hash__
+    monkeypatch.setattr(M.FullFormMatrix, "__hash__",
+                        lambda self: calls.append(1) or row_hash(self))
+    pres = M.QuotientPresentation(HEIS_BASIS, M.FullFormMatrix(((2, 0, 0),)))
+    assert hash(pres) == hash(pres)
+    assert len(calls) == 1
+    assert pres == M.QuotientPresentation(HEIS_BASIS,
+                                          M.FullFormMatrix(((2, 0, 0),)))
+
+
 @pytest.mark.parametrize("rows,condition", [
     (((0, 0, 0),), "i"),                    # zero row
     (((0, 1, 0), (1, 0, 0)), "ii"),         # pivots decrease
