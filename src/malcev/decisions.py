@@ -76,10 +76,7 @@ class ConjugacyAnswer:
 
 def torsion_bound(pres: QuotientPresentation) -> int:
     """M with x^M = 1 for every torsion element x."""
-    out = 1
-    for e in pres.torsion.values():
-        out *= e
-    return out
+    return math.prod(pres.torsion.values())
 
 
 def element_order(g: GroupElement) -> int | None:
@@ -151,7 +148,7 @@ def _layer(pres, w):
     """The weight-w columns as a slice, where a reduced element of Γ_w
     starts and reads its image in Γ_w/Γ_{w+1}; that layer, Z^n modulo the
     relator rows that lead there; and the weight-w letters, reduced."""
-    cols = [i for i in range(pres.m) if pres.weight(i + 1) == w]
+    cols = [i for i in range(pres.m) if pres.weights[i + 1] == w]
     block = slice(cols[0], cols[-1] + 1)
     rows = tuple(row[block] for row in pres.relators.rows
                  if block.start < first_nonzero(row) <= block.stop)
@@ -172,7 +169,7 @@ def _tower(pres, head):
     By induction down the sequence, the k^e = k_1^e_1 ... k_s^e_s of the
     kernel rows e, again such a sequence, and the weight-(w+1) letters
     generate T_{w+1}.  An empty `head` gives T_1 = G: its weight-1 letters."""
-    w = pres.weight(len(head)) if head else 0
+    w = pres.weights[len(head)]
     block, layer, letters = _layer(pres, w + 1)
     if not head:
         return letters, (), ()

@@ -113,9 +113,10 @@ class HallBasis:
     def m(self) -> int:
         return len(self.letters)
 
-    def weight(self, i: int) -> int:
-        """Weight of the 1-based letter i."""
-        return self.letters[i - 1].weight
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """The weight of each 1-based letter at its index, after a 0."""
+        return (0,) + tuple(bc.weight for bc in self.letters)
 
     @property
     def top_weight(self) -> int:
@@ -165,22 +166,14 @@ class HallBasis:
         return self.pow_polynomials(u, e)
 
 
-def commute_by_weight(ctx, i: int, j: int, weights=None) -> bool:
+def commute_by_weight(ctx, i: int, j: int) -> bool:
     """True when any two elements whose first nonzero columns are the
     1-based i and j commute because [Γ_a, Γ_b] <= Γ_{a+b}: they lie in
-    Γ_{weight(i)} and Γ_{weight(j)}, and those weights sum past `ctx.c`, a
-    bound on the nilpotency class.  A basis, a quotient presentation and a
-    product context (`subgroups.ProductContext`) each have `weight` and
-    `c`.  A caller that tests many pairs passes `weights`, the
-    `column_weights(ctx)` it read once, instead."""
-    wi, wj = ((ctx.weight(i), ctx.weight(j)) if weights is None
-              else (weights[i], weights[j]))
-    return wi + wj > ctx.c
-
-
-def column_weights(ctx) -> list[int]:
-    """The weight of each 1-based column of ctx at its index, after a 0."""
-    return [0] + [ctx.weight(i) for i in range(1, ctx.m + 1)]
+    Γ_{weights[i]} and Γ_{weights[j]}, and those weights sum past `ctx.c`,
+    a bound on the nilpotency class.  A basis, a quotient presentation and
+    a product context (`subgroups.ProductContext`) each have `weights`, the
+    weight of each 1-based column at its index after a 0, and `c`."""
+    return ctx.weights[i] + ctx.weights[j] > ctx.c
 
 
 def _hall_letters(c: int, r: int) -> list[BasicCommutator]:

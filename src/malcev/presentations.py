@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .extgcd import InternalConsistencyError, RejectedInput
 from .freegroup import (ExpWord, HallBasis, build_hall_basis, check_lengths,
-                        column_weights, commute_by_weight, eval_free)
+                        commute_by_weight, eval_free)
 
 
 class FullFormViolation(RejectedInput):
@@ -98,7 +98,7 @@ class QuotientPresentation:
 
     A componentwise direct product (`subgroups.ProductContext`) offers the
     same members: `m`, `torsion`, `identity`, `mult`, `pow`, and the class
-    `c` with the column weights `weight` that `freegroup.commute_by_weight`
+    `c` with the column weights `weights` that `freegroup.commute_by_weight`
     reads.
     """
 
@@ -128,9 +128,10 @@ class QuotientPresentation:
         """The class the weight test reads: the basis's top weight."""
         return self.basis.top_weight
 
-    def weight(self, col: int) -> int:
-        """Weight of the letter of a 1-based column."""
-        return self.basis.weight(col)
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """The basis's weights: each 1-based column's at its index."""
+        return self.basis.weights
 
     @cached_property
     def identity(self) -> tuple[int, ...]:
@@ -242,7 +243,6 @@ def _check_normal_full_form(basis: HallBasis, rows) -> None:
     form.  The first element that does not scan ends the check."""
     check_echelon_conditions(rows)  # ambient group is free: no condition (v)
     from .subgroups import _membership_scan
-    wt = column_weights(basis)
     pivots = [first_nonzero(h) for h in rows]
     hs = list(zip(pivots, rows))
     gens = [(k + 1, tuple(int(j == k) for j in range(basis.m)))
@@ -251,7 +251,7 @@ def _check_normal_full_form(basis: HallBasis, rows) -> None:
     # The group is free, so the basis is the context: nothing folds.
     for i, (p, x) in enumerate(gens + hs):
         targets = [h for q, h in hs[max(0, i - len(gens) + 1):]
-                   if not commute_by_weight(basis, p, q, wt)]
+                   if not commute_by_weight(basis, p, q)]
         x_inv = basis.pow(x, -1) if targets else None
         for h in targets:
             if _membership_scan(basis, rows, basis.mult(

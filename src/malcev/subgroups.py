@@ -7,11 +7,11 @@ conjugation and relative-order powers.  Each row carries its derivation.
 
 The reduction is written against a minimal polycyclic context (length of the
 coordinate vector, torsion columns with relative orders, exact group
-multiplication/powering on reduced vectors, and a class with column weights
-that bound where rows commute).  Besides a quotient presentation
-itself, a componentwise direct product H x G is such a context, with the
-H-coordinates preceding the G-coordinates; the kernel computation relies on
-that ordering.
+multiplication/powering on reduced vectors, and a class `c` with the column
+weights `weights` that bound where rows commute).  Besides a quotient
+presentation itself, a componentwise direct product H x G is such a
+context, with the H-coordinates preceding the G-coordinates; the kernel
+computation relies on that ordering.
 
 No field of a coordinate matrix or a membership witness is assigned after
 construction: they are treated as immutable, which nothing enforces.
@@ -24,7 +24,7 @@ import itertools
 from .extgcd import (InternalConsistencyError, RejectedInput,
                      extgcd_pair_bounded)
 from .freegroup import (ExpWord, SizeCapExceeded, check_lengths,
-                        column_weights, commute_by_weight)
+                        commute_by_weight)
 from .groups import GroupElement
 from .presentations import (FullFormMatrix, NilpotentPresentation,
                             QuotientPresentation, check_echelon_conditions,
@@ -55,9 +55,7 @@ class ProductContext:
         self.torsion.update({self.split + col: e
                              for col, e in p_g.torsion.items()})
         self.identity = (0,) * self.m
-
-    def weight(self, col: int) -> int:
-        return 1 if col <= self.split else self.g.weight(col - self.split)
+        self.weights = (0,) + (1,) * self.split + p_g.weights[1:]
 
     def mult(self, u, v):
         s = self.split
@@ -211,7 +209,6 @@ def full_form_rows(ctx, rows, exprs=None, conjugators=()):
     conj = [(_power(ctx, x, -1), x) for x in zip(map(tuple, conjugators), syms)
             if any(x[0])]
     conj_pivots = [first_nonzero(x[0]) for _, x in conj]
-    wt = column_weights(ctx)
     table: dict = {}  # pivot column -> (row, derivation)
 
     def place(piv, row):
@@ -267,10 +264,10 @@ def full_form_rows(ctx, rows, exprs=None, conjugators=()):
         pairs = itertools.combinations_with_replacement(live, 2)
         pairs = [(p, q) for p, q in pairs
                  if (p in ctx.torsion if p == q
-                     else not commute_by_weight(ctx, p, q, wt))
+                     else not commute_by_weight(ctx, p, q))
                  and (table[p][0], table[q][0]) not in done]
         conjugates = [(k, p) for k in range(len(conj)) for p in live
-                      if not commute_by_weight(ctx, conj_pivots[k], p, wt)
+                      if not commute_by_weight(ctx, conj_pivots[k], p)
                       and (k, table[p][0]) not in done]
         if not pairs and not conjugates:
             break

@@ -34,9 +34,11 @@ SHIPPED = [(c, r) for c, r in ACCEPTED if c > 1]
 
 @pytest.fixture(autouse=True)
 def empty_tower_cache():
-    """Each test starts with an empty cache of the descent's towers, so no
-    test reads what another test left there."""
+    """Each test starts with both of the descent's caches empty, its towers
+    (`decisions._tower`) and its layers (`decisions._layer`), so no test
+    reads what another test left there."""
     decisions._tower.cache_clear()
+    decisions._layer.cache_clear()
 
 # ---------------------------------------------------------------------------
 # 3x3 unitriangular integer-matrix model of the free class-2 rank-2 group.
@@ -276,7 +278,7 @@ def _oracle_tower(pres, head):
     """The graph of u -> [g, u] on the preimage of C_{G/Γ_c}(g), for g's
     image `head` in G/Γ_c."""
     top = [M.reduce_coords(pres, tuple(int(j == i) for j in range(pres.m)))
-           for i in range(pres.m) if pres.weight(i + 1) == pres.c]
+           for i in range(pres.m) if pres.weights[i + 1] == pres.c]
     if pres.c == 1:
         return top, [], []
     small = quotient_mod_last(pres)

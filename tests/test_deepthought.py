@@ -220,7 +220,7 @@ def test_power_tables_multiply_by_e_at_most_weight_times():
         reads = binomial_reads(tree)
         assert len(reads) == basis.m, name
         for i, seen in enumerate(reads):
-            assert seen and set(seen) <= set(binoms[:basis.weight(i + 1)]) \
+            assert seen and set(seen) <= set(binoms[:basis.weights[i + 1]]) \
                 and max(seen.values()) == 1, (name, i, seen)
         # the heaviest coordinate reaches its degree
         assert set(reads[-1]) == set(binoms), name
@@ -288,7 +288,7 @@ def test_first_inverse_loads_the_power_table():
             "b.mult((1,) * b.m, (2,) * b.m)\n"
             "g = M.element(M.free_presentation(5, 3), range(b.m))\n"
             "g = M.mult(g, g)\n"
-            "central = [i for i in range(b.m) if b.weight(i + 1) == 5]\n"
+            "central = [i for i in range(b.m) if b.weights[i + 1] == 5]\n"
             "rows = tuple(tuple(2 * (j == i) for j in range(b.m)) for i in central)\n"
             "torsion = QuotientPresentation(b, FullFormMatrix(rows))\n"
             "print(M.element(torsion, (3,) * b.m).coords[central[0]])\n"

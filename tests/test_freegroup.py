@@ -28,7 +28,7 @@ def test_basis_letters_are_weight_ordered_and_valid():
     for i, bc in enumerate(b.letters, start=1):
         if bc.weight > 1:
             assert bc.left > bc.right
-            assert b.weight(bc.left) + b.weight(bc.right) == bc.weight
+            assert b.weights[bc.left] + b.weights[bc.right] == bc.weight
             left = b.letters[bc.left - 1]
             if left.weight > 1:
                 assert left.right <= bc.right
@@ -222,7 +222,7 @@ def test_commuting_power_makes_no_multiplication(c, r, monkeypatch):
         monkeypatch.setitem(basis.__dict__, kind,
                             lambda *a, f=f, kind=kind: calls.append(kind) or f(*a))
     w = basis.top_weight
-    top = [i for i in range(basis.m) if basis.weight(i + 1) == w]
+    top = [i for i in range(basis.m) if basis.weights[i + 1] == w]
 
     def vector(entries):
         return tuple(entries.get(i, 0) for i in range(basis.m))
@@ -303,7 +303,7 @@ def test_eval_free_starts_at_the_first_power(monkeypatch):
     # at (5,3) every two letters of weight >= 3 commute (3 + 3 > 5): a word
     # of them, in any order, is the sum of its powers
     basis = counted(build_hall_basis(5, 3))
-    heavy = [i for i in range(1, basis.m + 1) if basis.weight(i) >= 3]
+    heavy = [i for i in range(1, basis.m + 1) if basis.weights[i] >= 3]
     rng = random.Random(13)
     calls.clear()
     for _ in range(20):
@@ -321,7 +321,7 @@ def random_letter(rng, basis):
     of a large basis come up as often as the many heavy ones."""
     w = rng.randint(1, basis.top_weight)
     return rng.choice([i for i in range(1, basis.m + 1)
-                       if basis.weight(i) == w])
+                       if basis.weights[i] == w])
 
 
 @pytest.mark.parametrize("c,r", ACCEPTED)

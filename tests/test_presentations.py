@@ -508,7 +508,7 @@ def test_commuting_powers_and_folds_match_the_power_polynomials(c, r):
     kinds = set()
     for _ in range(100):
         u = sparse_vector(rng, basis)
-        weights = [basis.weight(i + 1) for i, x in enumerate(u) if x]
+        weights = [basis.weights[i + 1] for i, x in enumerate(u) if x]
         commuting = all(a + b > basis.top_weight
                         for i, a in enumerate(weights) for b in weights[i + 1:])
         assert basis.commuting(u) == commuting

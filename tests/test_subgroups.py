@@ -7,9 +7,9 @@ import malcev as M
 from conftest import (FiniteGroup, apply_row_operation,
                       nilpotent_presentation_consistent, normal_closure_rows,
                       random_finite_presentation)
-from malcev import subgroups
+from malcev import decisions, subgroups
 from malcev.extgcd import InternalConsistencyError
-from malcev.freegroup import SizeCapExceeded
+from malcev.freegroup import SizeCapExceeded, commute_by_weight
 from malcev.presentations import check_echelon_conditions, first_nonzero
 from malcev.subgroups import expand_expression, full_form_rows
 
@@ -65,7 +65,7 @@ class CountingContext:
     def __init__(self, pres, budget):
         self.pres, self.budget, self.calls = pres, budget, 0
         self.m, self.torsion, self.identity = pres.m, pres.torsion, pres.identity
-        self.c, self.weight = pres.c, pres.weight
+        self.c, self.weights = pres.c, pres.weights
 
     def _count(self):
         self.calls += 1
@@ -165,6 +165,49 @@ def test_elements_past_the_full_column_sift_away(ctx):
             assert full_form_rows(ctx, [*form, x])[0] == form
             tested += 1
     assert tested >= 8
+
+
+# Every kind of context: free groups, quotients (one whose relator rows do
+# not commute), a layer of the descent, and products in both orders.
+WEIGHT_CONTEXTS = {
+    "F(3,2)": M.free_presentation(3, 2),
+    "F(4,2)": M.free_presentation(4, 2),
+    **{f"finite{i}": pres for i, pres in enumerate(FINITE_QUOTIENTS)},
+    "F(3,2)/<a1^4,a2^2a1^2>": _quotient(3, [((1, 4),), ((2, 2), (1, 2))]),
+}
+WEIGHT_CONTEXTS["layer2"] = decisions._layer(WEIGHT_CONTEXTS["finite3"], 2)[1]
+WEIGHT_CONTEXTS["HEISxfinite3"] = subgroups.ProductContext(
+    HEIS, FINITE_QUOTIENTS[3])
+WEIGHT_CONTEXTS["finite3xHEIS"] = subgroups.ProductContext(
+    FINITE_QUOTIENTS[3], HEIS)
+WEIGHT_CONTEXTS["HEISxHEIS"] = subgroups.ProductContext(HEIS, HEIS)
+
+
+@pytest.mark.parametrize("ctx", WEIGHT_CONTEXTS.values(),
+                         ids=WEIGHT_CONTEXTS.keys())
+def test_pairs_that_commute_by_weight_commute(ctx):
+    # Reduced elements whose pivots commute by weight commute.  A product
+    # context whose H columns kept their weights in H would fail this: a
+    # row that leads in H has an arbitrary G part.
+    assert len(ctx.weights) == ctx.m + 1 and ctx.weights[0] == 0
+    rng = random.Random(ctx.m)
+
+    def draw(p):
+        e = ctx.torsion.get(p)
+        head = rng.randint(1, e - 1) if e else rng.choice((-2, -1, 1, 3))
+        x = ctx.mult(ctx.identity, (0,) * (p - 1) + (head,) + tuple(
+            rng.randint(-9, 9) for _ in range(ctx.m - p)))
+        assert first_nonzero(x) == p
+        return x
+
+    live = [p for p in range(1, ctx.m + 1) if ctx.torsion.get(p) != 1]
+    pairs = [(p, q) for p in live for q in live
+             if commute_by_weight(ctx, p, q)]
+    assert pairs
+    for p, q in pairs:
+        for _ in range(3):
+            u, v = draw(p), draw(q)
+            assert ctx.mult(u, v) == ctx.mult(v, u)
 
 
 def test_closure_skips_sifts_past_the_full_column():

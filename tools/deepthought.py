@@ -154,7 +154,7 @@ def derive(basis: HallBasis, kind: str) -> tuple[tuple, int]:
         powers.append(mult(powers[-1], xs))
     diffs = []
     for q in range(m):
-        column = [p[q] for p in powers[:basis.weight(q + 1) + 1]]
+        column = [p[q] for p in powers[:basis.weights[q + 1] + 1]]
         coord = []
         while len(column) > 1:
             column = [y - x for x, y in zip(column, column[1:])]

@@ -151,7 +151,7 @@ class SeriesBasis:
         # part of a series.
         self.solvers: dict[int, tuple[list[int], list[tuple[int, ...]], list[tuple[list[int], int]]]] = {}
         for w in range(1, c + 1):
-            idxs = [i + 1 for i in range(basis.m) if basis.weight(i + 1) == w]
+            idxs = [i + 1 for i in range(basis.m) if basis.weights[i + 1] == w]
             if not idxs:
                 continue
             cols = [{mon: v for mon, v in self.letter_series[i - 1].items()
