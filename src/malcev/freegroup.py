@@ -99,6 +99,12 @@ class HallBasis:
         self.c = c
         self.r = r
         self.letters = letters
+        self.m = len(letters)
+        # The weight of each 1-based letter at its index, after a 0.
+        self.weights = (0,) + tuple(bc.weight for bc in letters)
+        # c for r >= 2, but 1 for r = 1, whose group is Z at every class.
+        # At 1 the group is abelian and needs no table (`_polynomials`).
+        self.top_weight = letters[-1].weight
 
     def __eq__(self, other):
         if other.__class__ is not HallBasis:
@@ -108,22 +114,6 @@ class HallBasis:
 
     def __hash__(self):
         return hash((self.c, self.r))
-
-    @property
-    def m(self) -> int:
-        return len(self.letters)
-
-    @cached_property
-    def weights(self) -> tuple[int, ...]:
-        """The weight of each 1-based letter at its index, after a 0."""
-        return (0,) + tuple(bc.weight for bc in self.letters)
-
-    @property
-    def top_weight(self) -> int:
-        """Weight of the heaviest letter: c for r >= 2, but 1 for r = 1,
-        whose group is Z at every class.  At 1 the group is abelian and
-        needs no table (`_polynomials`)."""
-        return self.letters[-1].weight
 
     @cached_property
     def mult(self) -> Callable:

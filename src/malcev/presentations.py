@@ -96,15 +96,25 @@ def check_echelon_conditions(rows, torsion: dict[int, int] | None = None) -> Non
 class QuotientPresentation:
     """The group context: multiplication and powering of normal forms.
 
-    A componentwise direct product (`subgroups.ProductContext`) offers the
-    same members: `m`, `torsion`, `identity`, `mult`, `pow`, and the class
-    `c` with the column weights `weights` that `freegroup.commute_by_weight`
-    reads.
+    Its data members are attributes, set once here: `m`, `torsion`,
+    `identity`, and the class `c` with the column weights `weights` that
+    `freegroup.commute_by_weight` reads.  A componentwise direct product
+    (`subgroups.ProductContext`) offers the same members, with the same
+    `mult` and `pow`.
     """
 
     def __init__(self, basis: HallBasis, relators: FullFormMatrix):
         self.basis = basis
         self.relators = relators
+        self.m = basis.m
+        self.c = basis.top_weight  # the class the weight test reads
+        self.weights = basis.weights
+        self.identity = (0,) * basis.m
+        # Torsion columns of the quotient with their relative orders.
+        self.torsion = {p: row[p - 1]
+                        for p, row in zip(relators.pivots, relators.rows)}
+        # Taken once: each `_tower` and `_layer` lookup hashes it.
+        self._hash = hash((basis, relators))
 
     def __eq__(self, other):
         if other.__class__ is not QuotientPresentation:
@@ -114,40 +124,11 @@ class QuotientPresentation:
     def __hash__(self):
         return self._hash
 
-    @cached_property
-    def _hash(self) -> int:
-        """Once: each `_tower` and `_layer` lookup hashes the presentation."""
-        return hash((self.basis, self.relators))
-
-    @property
-    def m(self) -> int:
-        return self.basis.m
-
-    @cached_property
-    def c(self) -> int:
-        """The class the weight test reads: the basis's top weight."""
-        return self.basis.top_weight
-
-    @cached_property
-    def weights(self) -> tuple[int, ...]:
-        """The basis's weights: each 1-based column's at its index."""
-        return self.basis.weights
-
-    @cached_property
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * self.m
-
     def mult(self, u, v) -> tuple[int, ...]:
         return reduce_coords(self, self.basis.mult(u, v))
 
     def pow(self, u, e: int) -> tuple[int, ...]:
         return reduce_coords(self, self.basis.pow(u, e))
-
-    @cached_property
-    def torsion(self) -> dict[int, int]:
-        """Torsion columns of the quotient with their relative orders."""
-        return {p: row[p - 1]
-                for p, row in zip(self.relators.pivots, self.relators.rows)}
 
     @cached_property
     def folds(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...],

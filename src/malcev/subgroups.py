@@ -5,13 +5,14 @@ The full form is an induced polycyclic sequence: the generators are sifted
 into a table with one row per pivot column, which is then closed under
 conjugation and relative-order powers.  Each row carries its derivation.
 
-The reduction is written against a minimal polycyclic context (length of the
-coordinate vector, torsion columns with relative orders, exact group
-multiplication/powering on reduced vectors, and a class `c` with the column
-weights `weights` that bound where rows commute).  Besides a quotient
-presentation itself, a componentwise direct product H x G is such a
-context, with the H-coordinates preceding the G-coordinates; the kernel
-computation relies on that ordering.
+The reduction is written against a minimal polycyclic context: exact group
+multiplication/powering on reduced vectors (`mult`, `pow`) and, as
+attributes set once at construction, the length `m` of the coordinate
+vector, the `identity`, the `torsion` columns with relative orders, and a
+class `c` with the column weights `weights` that bound where rows commute.
+Besides a quotient presentation itself, a componentwise direct product
+H x G is such a context, with the H-coordinates preceding the
+G-coordinates; the kernel computation relies on that ordering.
 
 No field of a coordinate matrix or a membership witness is assigned after
 construction: they are treated as immutable, which nothing enforces.
@@ -398,6 +399,8 @@ def express_in_original_generators(tracked: tuple | None,
     element, from the derivations `full_form(..., track=True)` returns."""
     if tracked is None:
         raise RejectedInput("full form was computed without tracking")
+    if len(tracked) != len(witness.gamma):
+        raise RejectedInput("witness is over another full form")
     parts = [_expr_pow(ex, g) for ex, g in zip(tracked, witness.gamma) if g]
     return expand_expression(_expr_mul(tuple(parts)))
 
@@ -412,9 +415,10 @@ def subgroup_presentation(pres: QuotientPresentation,
     e_i of g_i is the ambient one at its pivot over its pivot entry, or
     infinite.  The relations are g_i^e_i = t, g_j g_i = g_i g_j t and
     g_j^-1 g_i = g_i g_j^-1 t for i < j, each tail t over later generators.
-    `_checked_scan` multiplies each tail back and raises
-    InternalConsistencyError unless it gives the element, so the relations
-    hold in H.
+    A pair's tails are the commutators [x, g_i] = x^-1 g_i^-1 x g_i for
+    x = g_j and x = g_j^-1, three products on the inverses.  `_checked_scan`
+    multiplies each such tail back and raises InternalConsistencyError
+    unless it gives the element, so the relations hold in H.
 
     Then the presentation is consistent (Sims, *Computation with Finitely
     Presented Groups*, 1994, ch. 9).  `full_form_rows` checks conditions
@@ -424,6 +428,13 @@ def subgroup_presentation(pres: QuotientPresentation,
     two normal forms first differ at x_i and cancel their common prefix: at
     g_i's pivot the rest is x_i times the pivot entry, modulo e_i times it
     where e_i is finite.  So distinct normal forms are distinct in H.
+
+    A pair whose pivots commute by weight (`commute_by_weight`) gets zero
+    tails, written with no product and not multiplied back, as
+    `full_form_rows` skips its conjugate: g_i lies in Γ_a and g_j in Γ_b
+    for the weights a and b of their pivots, and [Γ_a, Γ_b] <= Γ_{a+b},
+    which is trivial when a + b is past the class c.  So g_j and g_j^-1
+    commute with g_i.
     """
     form, _ = full_form(pres, gens)
     rows, pivots = form.rows, form.pivots
@@ -447,11 +458,14 @@ def subgroup_presentation(pres: QuotientPresentation,
 
     alpha: dict[tuple[int, int], tuple[int, ...]] = {}
     beta: dict[tuple[int, int], tuple[int, ...]] = {}
-    inv = {i: pres.pow(rows[i], -1) for i in range(s)}
+    inv = [pres.pow(row, -1) for row in rows]
     for i, j in itertools.combinations(range(s), 2):
-        for gj, table in ((rows[j], alpha), (inv[j], beta)):
-            head = pres.mult(rows[i], gj)
-            tail = pres.mult(pres.pow(head, -1), pres.mult(gj, rows[i]))
+        if commute_by_weight(pres, pivots[i], pivots[j]):
+            alpha[(i + 1, j + 1)] = beta[(i + 1, j + 1)] = (0,) * s
+            continue
+        for x, x_inv, table in ((rows[j], inv[j], alpha),
+                                (inv[j], rows[j], beta)):
+            tail = pres.mult(pres.mult(x_inv, inv[i]), pres.mult(x, rows[i]))
             table[(i + 1, j + 1)] = against_suffix(j + 1, tail)
 
     return NilpotentPresentation(s=s, orders=tuple(orders),

@@ -34,11 +34,13 @@ SHIPPED = [(c, r) for c, r in ACCEPTED if c > 1]
 
 @pytest.fixture(autouse=True)
 def empty_tower_cache():
-    """Each test starts with both of the descent's caches empty, its towers
-    (`decisions._tower`) and its layers (`decisions._layer`), so no test
-    reads what another test left there."""
+    """Each test starts with the descent's three caches empty, its towers
+    (`decisions._tower`), its layers (`decisions._layer`) and its abelian
+    contexts (`decisions._abelian`), so no test reads what another test
+    left there."""
     decisions._tower.cache_clear()
     decisions._layer.cache_clear()
+    decisions._abelian.cache_clear()
 
 # ---------------------------------------------------------------------------
 # 3x3 unitriangular integer-matrix model of the free class-2 rank-2 group.
@@ -635,11 +637,6 @@ def random_finite_presentation(rng, c, r, max_pivot=4):
             extra.append(tuple(unit))
         rows = normal_closure_rows(basis, list(rows) + extra)
     return M.make_quotient_presentation(basis, rows)
-
-
-def random_reduced_element(rng, pres):
-    coords = tuple(rng.randint(-6, 6) for _ in range(pres.m))
-    return M.element(pres, coords)
 
 
 def hom_image_of_letters(source_basis, weight1_images):

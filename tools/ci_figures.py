@@ -5,11 +5,16 @@ c5r3 (which a cold `nf` at (5,3) loads only for a letter power that does not
 commute) and c5r3_pow, with peak RSS, and `import malcev.cli`, timed inside;
 cold CLI runs; the stdlib modules or tables these add (the CLI's read under
 `-v`, whose stderr lists the modules held at exit); the `_tower` cache and
-`_graph` counts of `workloads.finite_plan(1, 68)`.  Times are medians of 9.
+`_graph` counts of `workloads.finite_plan(1, 68)`; the compiled `mult` and
+`pow_polynomials` calls of `subgroup_presentation` at (5,3) on three rows
+drawn in [-9, 9] by `random.Random(7)`, counted in-process, so they do not
+drift with the host.  Times are medians of 9.
 """
 
+import collections
 import os
 import pathlib
+import random
 import statistics
 import subprocess
 import sys
@@ -84,6 +89,18 @@ def main():
             answers.append(query(answers))
     print("finite_plan(1, 68) in one process:",
           M.decisions._tower.cache_info(), len(graphs), "graphs")
+    pres, calls = M.free_presentation(5, 3), collections.Counter()
+    for kind in ("mult", "pow_polynomials"):
+        table = getattr(pres.basis, kind)
+        pres.basis.__dict__[kind] = (
+            lambda *args, kind=kind, table=table:
+            calls.update((kind,)) or table(*args))
+    rng = random.Random(7)
+    rows = [[rng.randint(-9, 9) for _ in range(pres.m)] for _ in range(3)]
+    M.subgroup_presentation(pres, M.coordinate_matrix(pres, rows))
+    print("subgroup_presentation at (5,3) seed 7 in one process:",
+          calls["mult"], "mult and", calls["pow_polynomials"],
+          "pow_polynomials calls")
 
 
 if __name__ == "__main__":
