@@ -96,11 +96,11 @@ def check_echelon_conditions(rows, torsion: dict[int, int] | None = None) -> Non
 class QuotientPresentation:
     """The group context: multiplication and powering of normal forms.
 
-    Its data members are attributes, set once here: `m`, `torsion`,
-    `identity`, and the class `c` with the column weights `weights` that
-    `freegroup.commute_by_weight` reads.  A componentwise direct product
-    (`subgroups.ProductContext`) offers the same members, with the same
-    `mult` and `pow`.
+    Its data members are attributes, set once here: `m`, `torsion`, and the
+    class `c` with the column weights `weights` that
+    `freegroup.commute_by_weight` reads, which a direct product
+    (`subgroups.ProductContext`) offers too, with the same `mult` and
+    `pow`; and `identity`, for `groups.identity` and the descents.
     """
 
     def __init__(self, basis: HallBasis, relators: FullFormMatrix):

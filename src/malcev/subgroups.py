@@ -8,8 +8,8 @@ conjugation and relative-order powers.  Each row carries its derivation.
 The reduction is written against a minimal polycyclic context: exact group
 multiplication/powering on reduced vectors (`mult`, `pow`) and, as
 attributes set once at construction, the length `m` of the coordinate
-vector, the `identity`, the `torsion` columns with relative orders, and a
-class `c` with the column weights `weights` that bound where rows commute.
+vector, the `torsion` columns with relative orders, and a class `c` with
+the column weights `weights` that bound where rows commute.
 Besides a quotient presentation itself, a componentwise direct product
 H x G is such a context, with the H-coordinates preceding the
 G-coordinates; the kernel computation relies on that ordering.
@@ -20,6 +20,7 @@ construction: they are treated as immutable, which nothing enforces.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .extgcd import (InternalConsistencyError, RejectedInput,
@@ -55,7 +56,6 @@ class ProductContext:
         self.torsion = dict(p_h.torsion)
         self.torsion.update({self.split + col: e
                              for col, e in p_g.torsion.items()})
-        self.identity = (0,) * self.m
         self.weights = (0,) + (1,) * self.split + p_g.weights[1:]
 
     def mult(self, u, v):
@@ -363,12 +363,9 @@ def _membership_scan(ctx, rows, h, pivots=None):
 
 def _power_product(ctx, rows, exponents):
     """g_1^{e_1} ... g_s^{e_s} for the rows g_i and the exponents e_i, the
-    element that a membership witness must give back."""
-    out = ctx.identity
-    for row, e in zip(rows, exponents):
-        if e:
-            out = ctx.mult(out, ctx.pow(row, e))
-    return out
+    element that a membership witness must give back; 0 if every e_i is."""
+    powers = [ctx.pow(row, e) for row, e in zip(rows, exponents) if e]
+    return functools.reduce(ctx.mult, powers) if powers else (0,) * ctx.m
 
 
 def _checked_scan(ctx, rows, h, pivots=None):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import pathlib
 import sys
@@ -41,6 +42,27 @@ def empty_tower_cache():
     decisions._tower.cache_clear()
     decisions._layer.cache_clear()
     decisions._abelian.cache_clear()
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """The meter of compiled calls: `table_calls(*bases)` wraps each basis's
+    `mult` and `pow_polynomials` tables for the test, once per basis, and
+    returns the test's one Counter of calls by kind, which the test may
+    clear.  Wrapping loads both tables."""
+    calls, metered = collections.Counter(), {}  # id -> basis, kept alive
+
+    def meter(*bases):
+        for basis in bases:
+            if id(basis) not in metered:
+                metered[id(basis)] = basis
+                for kind in ("mult", "pow_polynomials"):
+                    monkeypatch.setitem(
+                        basis.__dict__, kind,
+                        lambda *a, kind=kind, table=getattr(basis, kind):
+                        calls.update((kind,)) or table(*a))
+        return calls
+    return meter
 
 # ---------------------------------------------------------------------------
 # 3x3 unitriangular integer-matrix model of the free class-2 rank-2 group.

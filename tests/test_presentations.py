@@ -263,24 +263,16 @@ def test_from_finite_presentation_matches_the_normal_closure_oracle(c, r):
         assert collector_consistent(pres)
 
 
-def test_from_finite_presentation_makes_few_polynomial_calls(monkeypatch):
+def test_from_finite_presentation_makes_few_polynomial_calls(table_calls):
     # One sift closed under the generators takes 335 calls of the compiled
     # polynomials here (328 products and 7 powers, 6 of them inverses);
     # forming iterated commutators of the relators to depth c - 1 and
     # sifting them took over 10,000.
     basis = M.build_hall_basis(5, 2)
-    calls = []
-    for kind in ("mult", "pow_polynomials"):
-        table = getattr(basis, kind)
-
-        def counted(*vectors, table=table):
-            calls.append(1)
-            return table(*vectors)
-
-        monkeypatch.setitem(basis.__dict__, kind, counted)
+    calls = table_calls(basis)
     pres = M.from_finite_presentation(basis, [((1, 3),), ((2, 3),)])
     assert len(pres.relators.rows) == basis.m
-    assert len(calls) <= 400
+    assert calls.total() <= 400
 
 
 def test_describe_parses_back():
@@ -351,7 +343,7 @@ def support(row):
 F53_ROWS = ({0: 2, 1: 2}, {1: 4}, {2: 3}, {3: 2, 7: 1}, {7: 2, 20: 1})
 
 
-def test_reduce_coords_folds_with_one_multiply(monkeypatch):
+def test_reduce_coords_folds_with_one_multiply(table_calls):
     # Building the folds multiplies nothing.  A fold by a row that does not
     # commute is one power of the row, none when q = -1, and one multiply;
     # a fold by a row that commutes is a subtraction of its nonzero
@@ -370,10 +362,6 @@ def test_reduce_coords_folds_with_one_multiply(monkeypatch):
     f53 = M.QuotientPresentation(basis53, M.FullFormMatrix(tuple(
         tuple(row.get(j, 0) for j in range(basis53.m)) for row in F53_ROWS)))
     rng = random.Random(45)
-
-    def counted(fn, log):
-        return lambda *args: log.append(args) or fn(*args)
-
     for pres, noncommuting in ((cubes, set()), (squares, set()),
                                (mixed, {1}), (f53, {1, 4})):
         basis = pres.basis
@@ -385,14 +373,11 @@ def test_reduce_coords_folds_with_one_multiply(monkeypatch):
         quotients = []
         expected = [reference_reduce(pres, y, quotients) for y in vectors]
         fresh = M.QuotientPresentation(basis, pres.relators)  # folds unbuilt
-        calls = {"mult": [], "pow_polynomials": []}
-        with monkeypatch.context() as patch:
-            for kind, log in calls.items():
-                patch.setitem(basis.__dict__, kind,
-                              counted(getattr(basis, kind), log))
-            folds = fresh.folds
-            assert not any(calls.values())
-            assert [M.reduce_coords(fresh, y) for y in vectors] == expected
+        calls = table_calls(basis)
+        calls.clear()
+        folds = fresh.folds
+        assert not calls
+        assert [M.reduce_coords(fresh, y) for y in vectors] == expected
         relators = dict(zip(pres.relators.pivots, pres.relators.rows))
         assert [(col, e, sup) for col, e, sup, _ in folds] == [
             (p, pres.torsion[p], support(relators[p]))
@@ -401,8 +386,8 @@ def test_reduce_coords_folds_with_one_multiply(monkeypatch):
             assert row == (None if col not in noncommuting
                            else relators[col])
         powered = [q for col, q in quotients if col in noncommuting]
-        assert len(calls["mult"]) == len(powered)
-        assert len(calls["pow_polynomials"]) == sum(q != -1 for q in powered)
+        assert calls["mult"] == len(powered)
+        assert calls["pow_polynomials"] == sum(q != -1 for q in powered)
         assert {1, -1} <= set(powered) if noncommuting else not powered
         assert {col for col, _ in quotients} == set(pres.torsion)
 

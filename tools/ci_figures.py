@@ -5,10 +5,11 @@ c5r3 (which a cold `nf` at (5,3) loads only for a letter power that does not
 commute) and c5r3_pow, with peak RSS, and `import malcev.cli`, timed inside;
 cold CLI runs; the stdlib modules or tables these add (the CLI's read under
 `-v`, whose stderr lists the modules held at exit); the `_tower` cache and
-`_graph` counts of `workloads.finite_plan(1, 68)`; the compiled `mult` and
-`pow_polynomials` calls of `subgroup_presentation` at (5,3) on three rows
-drawn in [-9, 9] by `random.Random(7)`, counted in-process, so they do not
-drift with the host.  Times are medians of 9.
+`_graph` counts of `workloads.finite_plan(1, 68)`, and the compiled `mult`
+and `pow_polynomials` calls of its queries by query kind; the compiled calls
+of `subgroup_presentation` at (5,3) on three rows drawn in [-9, 9] by
+`random.Random(7)`.  The calls are counted in-process, so they do not drift
+with the host.  Times are medians of 9.
 """
 
 import collections
@@ -41,6 +42,15 @@ def fresh(*args):
         times.append(time.perf_counter() - start)
         outputs.append((run.stdout.splitlines(), run.stderr))
     return f"median {1000 * statistics.median(times):.1f} ms wall", outputs
+
+
+def meter(basis, tick):
+    """Call tick(kind) on each call of the basis's compiled `mult` and
+    `pow_polynomials` tables."""
+    for kind in ("mult", "pow_polynomials"):
+        table = getattr(basis, kind)
+        basis.__dict__[kind] = (lambda *args, kind=kind, table=table:
+                                tick(kind) or table(*args))
 
 
 def main():
@@ -82,6 +92,10 @@ def main():
     import malcev as M, workloads  # after the children: their RSS counts ours
     plan, graphs, graph = workloads.finite_plan(1, 68), [], M.decisions._graph
     M.decisions._graph = lambda *args: graphs.append(1) or graph(*args)
+    by_kind = collections.Counter()
+    for basis in {pres.basis for pres in plan.presentations}:
+        if basis.top_weight > 1:  # one of top weight 1 adds, with no table
+            meter(basis, lambda kind: by_kind.update((step.kind,)))
     for step in plan.steps:
         pres, answers = plan.presentations[step.pres], []
         for query in workloads.queries(M, pres, step.kind, [M.element(
@@ -89,12 +103,10 @@ def main():
             answers.append(query(answers))
     print("finite_plan(1, 68) in one process:",
           M.decisions._tower.cache_info(), len(graphs), "graphs")
+    print("finite_plan(1, 68) compiled calls by query kind in one process:",
+          ", ".join(f"{kind} {n}" for kind, n in sorted(by_kind.items())))
     pres, calls = M.free_presentation(5, 3), collections.Counter()
-    for kind in ("mult", "pow_polynomials"):
-        table = getattr(pres.basis, kind)
-        pres.basis.__dict__[kind] = (
-            lambda *args, kind=kind, table=table:
-            calls.update((kind,)) or table(*args))
+    meter(pres.basis, lambda kind: calls.update((kind,)))
     rng = random.Random(7)
     rows = [[rng.randint(-9, 9) for _ in range(pres.m)] for _ in range(3)]
     M.subgroup_presentation(pres, M.coordinate_matrix(pres, rows))
