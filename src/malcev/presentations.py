@@ -8,8 +8,10 @@ relative orders.  A relator matrix is valid, and the quotient presentation
 consistent, exactly when the matrix is the full form of a normal subgroup.
 One sift closed under conjugation by the generators builds the normal
 closure of relators.  Whether a matrix already is such a full form is
-decided without building it: each element that sift would close over must
-scan into the rows.  Both take time polynomial in the entries' bit size.
+decided without building it: the commutator of each row with each generator
+must scan into the rows after it, which, by induction from the last row up,
+makes every product of powers of the rows in order a normal subgroup.  Both
+take time polynomial in the entries' bit size.
 
 `NilpotentPresentation` is the subgroup presentation that
 `subgroups.subgroup_presentation` returns after multiplying each relation back.
@@ -60,8 +62,10 @@ class FullFormMatrix:
         return tuple(first_nonzero(r) for r in self.rows)
 
 
-def check_echelon_conditions(rows, torsion: dict[int, int] | None = None) -> None:
-    """Raise FullFormViolation unless conditions (i)-(v) hold.
+def check_echelon_conditions(rows, torsion: dict[int, int] | None = None
+                             ) -> list[int]:
+    """Raise FullFormViolation unless conditions (i)-(v) hold; return the
+    pivot columns.
 
     `torsion` maps ambient torsion columns to their relative orders and is
     used for the divisibility condition (v); pass None for a torsion-free
@@ -91,6 +95,7 @@ def check_echelon_conditions(rows, torsion: dict[int, int] | None = None) -> Non
             if e is not None and e % r[pivots[i] - 1]:
                 raise FullFormViolation(
                     "v", f"pivot of row {i + 1} does not divide e_{pivots[i]} = {e}")
+    return pivots
 
 
 class QuotientPresentation:
@@ -211,32 +216,44 @@ def _normal_closure(basis: HallBasis, rows) -> tuple[tuple[int, ...], ...]:
 
 def _check_normal_full_form(basis: HallBasis, rows) -> None:
     """Raise FullFormViolation unless the rows are the full form of a
-    normal subgroup: conditions (i)-(iv) by name, then (vi) unless each
-    element the normal-closure sift would close over, h_i^-1 h_j h_i for
-    rows i < j and x^-1 h x for each row h and generator x, less what
-    commutes by weight, scans into the rows (`subgroups._membership_scan`).
+    normal subgroup: conditions (i)-(iv) by name, then (vi) unless, for
+    each row h_j and generator x, the commutator [h_j, x] = h_j^-1 x^-1 h_j x
+    scans into the later rows h_{j+1}, ..., h_s
+    (`subgroups._membership_scan`).  Two skips are exact.  From the first
+    row that commutes with the generators by weight, whose weights are 1,
+    every row does, since the pivots increase and the weights never fall.
+    And a row that commutes (`HallBasis.commuting`) and leads at x's own
+    column has only letters that commute with x.
 
-    That is the sift's verdict without building the closure.  If all scan,
-    then from the last row up h_i normalizes <h_{i+1}, ...> by the maximal
-    condition, so the products h_1^e_1 ... h_s^e_s are the subgroup, the
-    echelon rows are its full form, and the generators normalize it.
-    Conversely every element of a normal subgroup scans into its full
-    form.  The first element that does not scan ends the check."""
-    check_echelon_conditions(rows)  # ambient group is free: no condition (v)
+    That is exact, by the induction of Sims (ch. 9) from the last row up.
+    Let P_j be the set of products h_j^e_j ... h_s^e_s, and let P_{j+1} be
+    a normal subgroup.  Then P_j = <h_j> P_{j+1} is a subgroup, and each
+    generator normalizes it: x^-1 h_j^e n x = (h_j [h_j, x])^e n^x lies in
+    h_j^e P_{j+1}.  By the maximal condition a subgroup that each
+    generator normalizes is normal, so P_1 is a normal subgroup and the
+    echelon rows are its full form.  Conversely, if the rows are the full
+    form of a normal subgroup N, then [h_j, x] lies in N and is zero
+    through column p_j, so it scans into the rows after j.  The scan of
+    x^-1 h_j x into all the rows divides by h_j once and then scans exactly
+    [h_j, x], so no conjugate h_i^-1 h_j h_i of two rows needs a scan.  The
+    first commutator that does not scan ends the check."""
+    # The ambient group is free: no condition (v), and nothing folds, so the
+    # basis is the context.
+    pivots = check_echelon_conditions(rows)
     from .subgroups import _membership_scan
-    pivots = [first_nonzero(h) for h in rows]
-    hs = list(zip(pivots, rows))
-    gens = [(k + 1, tuple(int(j == k) for j in range(basis.m)))
-            for k in range(basis.r)]
-    # Each generator conjugates every row, and row i the rows after it.
-    # The group is free, so the basis is the context: nothing folds.
-    for i, (p, x) in enumerate(gens + hs):
-        targets = [h for q, h in hs[max(0, i - len(gens) + 1):]
-                   if not commute_by_weight(basis, p, q)]
-        x_inv = basis.pow(x, -1) if targets else None
-        for h in targets:
-            if _membership_scan(basis, rows, basis.mult(
-                    basis.mult(x_inv, h), x), pivots) is None:
+    m = basis.m
+    gens = [(k, (0,) * (k - 1) + (1,) + (0,) * (m - k),
+             (0,) * (k - 1) + (-1,) + (0,) * (m - k))
+            for k in range(1, basis.r + 1)]
+    for j, (p, h) in enumerate(zip(pivots, rows)):
+        if commute_by_weight(basis, p, 1):  # and so do the rows after it
+            break
+        h_inv = basis.pow(h, -1)
+        own = p if p <= basis.r and basis.commuting(h) else 0
+        for k, x, x_inv in gens:
+            if k != own and _membership_scan(basis, rows[j + 1:], basis.mult(
+                    h_inv, basis.mult(basis.mult(x_inv, h), x)),
+                    pivots[j + 1:]) is None:
                 raise FullFormViolation(
                     "vi", "the rows are not the full form of a normal subgroup")
 

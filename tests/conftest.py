@@ -15,8 +15,9 @@ import malcev as M
 from malcev import decisions
 from malcev.extgcd import InternalConsistencyError, RejectedInput, _reduction
 from malcev.freegroup import (SHIPPED_RANKS, ExpWord, HallBasis,
-                              coords_to_word, eval_free)
-from malcev.presentations import first_nonzero
+                              commute_by_weight, coords_to_word, eval_free)
+from malcev.presentations import (FullFormViolation, check_echelon_conditions,
+                                  first_nonzero)
 from malcev.subgroups import (_EXPR_ONE, ProductContext, _membership_scan,
                               _power, _power_product, _times, full_form_rows)
 
@@ -236,6 +237,30 @@ def normal_closure_rows(basis, rows):
         if new == rows:
             return new
         rows = new
+
+
+def conjugates_scan(basis, rows):
+    """The relator check by conjugates, an oracle for the library's check by
+    commutators (`presentations._check_normal_full_form`): True iff the rows
+    satisfy conditions (i)-(iv) and each element the normal-closure sift
+    closes over, h_i^-1 h_j h_i for rows i < j and x^-1 h x for each row h
+    and generator x, less what commutes by weight, scans into all the
+    rows."""
+    try:
+        pivots = check_echelon_conditions(rows)
+    except FullFormViolation:
+        return False
+    hs = list(zip(pivots, rows))
+    gens = [(k + 1, tuple(int(j == k) for j in range(basis.m)))
+            for k in range(basis.r)]
+    for i, (p, x) in enumerate(gens + hs):
+        x_inv = basis.pow(x, -1)
+        for q, h in hs[max(0, i - len(gens) + 1):]:
+            if not commute_by_weight(basis, p, q) and _membership_scan(
+                    basis, rows, basis.mult(basis.mult(x_inv, h), x),
+                    pivots) is None:
+                return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ import pytest
 import malcev as M
 import malcev.presentations as P
 import malcev.subgroups as S
-from conftest import (collector_consistent, normal_closure_rows,
-                      random_finite_presentation, series_coords_pow)
+from conftest import (collector_consistent, conjugates_scan,
+                      normal_closure_rows, random_finite_presentation,
+                      series_coords_pow)
 from malcev import freegroup
 from malcev.extgcd import InternalConsistencyError
 from malcev.freegroup import eval_free
@@ -176,9 +177,40 @@ def test_validation_agrees_with_the_closure_sift(c, r):
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+@pytest.mark.parametrize("c,r", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2),
+                                 (5, 2)])
+def test_commutator_check_agrees_with_the_conjugate_check(c, r):
+    # The check by commutators with the generators must give the verdict of
+    # the check by every conjugate the closure sift closes over, which
+    # scans the pairs of rows too.  The inputs are full forms of random
+    # subgroups, mostly not normal, and normal closures of random rows as
+    # they are, with one row dropped and with one entry changed by 1.
+    basis = M.build_hall_basis(c, r)
+    free = M.free_presentation(c, r)
+    rng = random.Random(1000 * c + r)
+    verdicts = []
+    for _ in range(100):
+        rows = [tuple(rng.randint(-3, 3) for _ in range(basis.m))
+                for _ in range(rng.randint(1, 3))]
+        closure = P._normal_closure(basis, rows)
+        dropped = list(closure)
+        del dropped[rng.randrange(len(dropped))]
+        changed = [list(row) for row in closure]
+        changed[rng.randrange(len(changed))][rng.randrange(basis.m)] += (
+            rng.choice((-1, 1)))
+        for cand in (full_form_rows(free, rows)[0], closure, tuple(dropped),
+                     tuple(map(tuple, changed))):
+            expected = conjugates_scan(basis, cand)
+            assert M.consistency_check(M.QuotientPresentation(
+                basis, M.FullFormMatrix(cand))) == expected, cand
+            verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_validation_builds_no_closure(monkeypatch):
-    # Each conjugate that does not commute by weight is scanned once, and
-    # the first that does not scan ends the check; no sift runs.
+    # Each commutator of a row with a generator that the check cannot skip
+    # is scanned once, and the first that does not scan ends the check; no
+    # sift runs.
     def no_sift(*args, **kwargs):
         raise AssertionError("validation ran the closure sift")
     monkeypatch.setattr(S, "full_form_rows", no_sift)
@@ -190,22 +222,45 @@ def test_validation_builds_no_closure(monkeypatch):
         return scan(ctx, rows, h, pivots)
     monkeypatch.setattr(S, "_membership_scan", counted)
     # F(3,2) mod squares: rows with pivots of weight 1, 1, 2, 3, 3.  The
-    # two generators conjugate the three rows of weight at most 2, and the
-    # pairs of rows 1-2, 1-3 and 2-3 are closed over: 9 scans.
+    # rows of weight 3 commute with the generators by weight, and a1^2 and
+    # a2^2 with their own generator, so [a1^2, a2], [a2^2, a1],
+    # [a3^2 a5, a1] and [a3^2 a5, a2] remain: 4 scans.
     basis = M.build_hall_basis(3, 2)
     rows = ((2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 2, 0, 1),
             (0, 0, 0, 1, 1), (0, 0, 0, 0, 2))
     assert M.consistency_check(M.QuotientPresentation(
         basis, M.FullFormMatrix(rows)))
-    assert len(scans) == 9
-    # <a1^2 a3, a2> in F(2,2): a1 fixes a1^2 a3 but takes a2 to a2 a3,
-    # off the subgroup.  The check stops at that second scan, before the
-    # other generator and the pair.
+    assert len(scans) == 4
+    # <a1^2 a3, a2> in F(2,2): a1^2 a3 commutes with a1, and its
+    # commutator with a2 is a3^-2 (a3 = [a2, a1]), which does not scan into
+    # <a2>.  The check stops at that first scan.
     scans.clear()
     with pytest.raises(FullFormViolation) as exc:
         M.make_quotient_presentation(HEIS_BASIS, ((2, 0, 1), (0, 1, 0)))
     assert exc.value.condition == "vi"
-    assert len(scans) == 2
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("c,r,e,calls_bound", [(4, 2, 3, 40), (5, 3, 2, 700)])
+def test_validation_scans_once_per_row_and_generator(c, r, e, calls_bound,
+                                                     table_calls, monkeypatch):
+    # Rows of top weight commute with every generator by weight, so the
+    # check makes at most r scans for each other row: 10 on
+    # F(4,2)/<a1^3, a2^3> and 96 on F(5,3)/<a1^2, a2^2, a3^2>.  It makes 8
+    # and 93, in 37 and 664 compiled calls; the check by conjugates, which
+    # scanned pairs of rows too, made 17 and 213 scans in 80 and 1,560.
+    basis = M.build_hall_basis(c, r)
+    pres = M.from_finite_presentation(
+        basis, [((k, e),) for k in range(1, r + 1)])
+    scans = []
+    scan = S._membership_scan
+    monkeypatch.setattr(S, "_membership_scan",
+                        lambda *args: scans.append(1) or scan(*args))
+    calls = table_calls(basis)
+    assert M.consistency_check(pres)
+    low = sum(basis.weights[p] < c for p in pres.relators.pivots)
+    assert len(scans) <= r * low
+    assert calls.total() <= calls_bound
 
 
 def test_from_finite_presentation_fixture():

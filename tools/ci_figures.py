@@ -6,10 +6,12 @@ commute) and c5r3_pow, with peak RSS, and `import malcev.cli`, timed inside;
 cold CLI runs; the stdlib modules or tables these add (the CLI's read under
 `-v`, whose stderr lists the modules held at exit); the `_tower` cache and
 `_graph` counts of `workloads.finite_plan(1, 68)`, and the compiled `mult`
-and `pow_polynomials` calls of its queries by query kind; the compiled calls
-of `subgroup_presentation` at (5,3) on three rows drawn in [-9, 9] by
-`random.Random(7)`.  The calls are counted in-process, so they do not drift
-with the host.  Times are medians of 9.
+and `pow_polynomials` calls of its queries by query kind; the scans, the
+compiled calls and the time of one `consistency_check` on
+F(5,3)/<a1^2, a2^2, a3^2>; the compiled calls of `subgroup_presentation` at
+(5,3) on three rows drawn in [-9, 9] by `random.Random(7)`.  The calls and
+scans are counted in-process, so they do not drift with the host.  Times
+are medians of 9.
 """
 
 import collections
@@ -105,8 +107,24 @@ def main():
           M.decisions._tower.cache_info(), len(graphs), "graphs")
     print("finite_plan(1, 68) compiled calls by query kind in one process:",
           ", ".join(f"{kind} {n}" for kind, n in sorted(by_kind.items())))
-    pres, calls = M.free_presentation(5, 3), collections.Counter()
-    meter(pres.basis, lambda kind: calls.update((kind,)))
+    basis = M.build_hall_basis(5, 3)
+    pres = M.from_finite_presentation(basis, [((k, 2),) for k in (1, 2, 3)])
+    times = []
+    for _ in range(9):  # before the meter, which would add its own time
+        start = time.perf_counter()
+        M.consistency_check(pres)
+        times.append(time.perf_counter() - start)
+    calls, scans = collections.Counter(), []
+    scan = M.subgroups._membership_scan
+    meter(basis, lambda kind: calls.update((kind,)))
+    M.subgroups._membership_scan = lambda *args: scans.append(1) or scan(*args)
+    M.consistency_check(pres)
+    M.subgroups._membership_scan = scan
+    print("consistency_check of F(5,3)/<a1^2, a2^2, a3^2> in one process:",
+          len(scans), "scans,", calls.total(), "compiled calls, median"
+          f" {1000 * statistics.median(times):.1f} ms wall of 9")
+    pres = M.free_presentation(5, 3)
+    calls.clear()
     rng = random.Random(7)
     rows = [[rng.randint(-9, 9) for _ in range(pres.m)] for _ in range(3)]
     M.subgroup_presentation(pres, M.coordinate_matrix(pres, rows))
