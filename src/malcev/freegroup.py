@@ -34,8 +34,11 @@ modules in `malcev.tables`, one per basis and kind, each loaded from its
 file, not imported, on the first use of its kind on its basis: a process
 that only multiplies never loads a power, and one that evaluates only
 words whose letter powers commute, as a cold `nf` of a normal-form word
-does, never loads a product.  At (5,3) the product table is 15.6 KB of
-source, most of a cold query's time when it is compiled.  They are
+does, never loads a product.  A product table writes each coordinate in
+the binomial basis, as an integer combination of products of binomials
+C(x, k) of the coordinates, with no division; a power table writes it in
+Newton form.  At (5,3) the product table is 11.7 KB of source, most of a
+cold query's time when it is compiled.  They are
 constants of the basis, derived once, outside the library, by
 `tools/gen_tables.py`.  The library accepts exactly the bases of
 `SHIPPED_RANKS` and of rank 1; `build_hall_basis` refuses any other before

@@ -59,7 +59,9 @@ def word_problem(pres: QuotientPresentation, word: ExpWord) -> bool:
 
 
 def _same(u: GroupElement, v: GroupElement) -> QuotientPresentation:
-    if u.presentation != v.presentation:
+    # The same object, as almost always, needs no comparison by value.
+    if u.presentation is not v.presentation \
+            and u.presentation != v.presentation:
         raise RejectedInput("elements live in different presentations")
     return u.presentation
 

@@ -7,45 +7,45 @@ Generated by tools/gen_tables.py from tools/deepthought.py; do not edit.
 def mult(u, v):
     u1, u2, u3, u4, u5, u6, u7, u8, u9, u10, u11, u12, u13, u14, u15, u16, u17, u18, u19, u20, u21, u22, u23, u24, u25, u26, u27, u28, u29, u30, u31, u32 = u
     v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15, v16, v17, v18, v19, v20, v21, v22, v23, v24, v25, v26, v27, v28, v29, v30, v31, v32 = v
+    u2_2 = u2*(u2 - 1)//2
+    u2_3 = u2_2*(u2 - 2)//3
+    u3_2 = u3*(u3 - 1)//2
+    u3_3 = u3_2*(u3 - 2)//3
+    v1_2 = v1*(v1 - 1)//2
+    v1_3 = v1_2*(v1 - 2)//3
+    v2_2 = v2*(v2 - 1)//2
+    v2_3 = v2_2*(v2 - 2)//3
+    v3_2 = v3*(v3 - 1)//2
     t0 = u2*v1
     t1 = u3*v1
     t2 = u3*v2
-    t3 = u4*v1
-    t4 = t0*v1
-    t5 = u4*v2
-    t6 = u2*u2
-    t7 = t6*v1
-    t8 = t0*v2
-    t9 = u4*v3
-    t10 = u6*v1
-    t11 = u2*u3
-    t12 = t11*v1
-    t13 = t0*v3
-    t14 = u5*v1
-    t15 = t1*v1
-    t16 = u5*v2
-    t17 = t1*v2
-    t18 = u5*v3
-    t19 = u3*u3
-    t20 = t19*v1
-    t21 = t1*v3
-    t22 = u6*v2
-    t23 = t2*v2
-    t24 = u6*v3
-    t25 = t19*v2
-    t26 = t2*v3
-    t27 = u9*v1
-    t28 = u11*v1
-    t29 = u3*u4
-    t30 = t10*v1
-    t31 = u9*v2
-    t32 = u13*v1
-    t33 = t10*v2
-    t34 = u12*v2
-    t35 = u14*v1
-    t36 = t20*v2
-    t37 = t10*v3
-    t38 = t19*u3
+    t3 = u2*v1_2
+    t4 = u4*v1
+    t5 = u2_2*v1
+    t6 = u4*v2
+    t7 = t0*v2
+    t8 = u6*v1
+    t9 = u2*u3
+    t10 = t9*v1
+    t11 = u3*v1_2
+    t12 = u5*v1
+    t13 = u5*v2
+    t14 = t1*v2
+    t15 = u3_2*v1
+    t16 = u3*v2_2
+    t17 = u6*v2
+    t18 = u3_2*v2
+    t19 = u6*v1_2
+    t20 = u9*v1
+    t21 = u11*v1
+    t22 = u3*u4
+    t23 = u9*v2
+    t24 = u13*v1
+    t25 = t8*v2
+    t26 = u12*v2
+    t27 = u14*v1
+    t28 = t15*v2
+    t29 = t8*v3
     return (
         u1 + v1,
         u2 + v2,
@@ -53,30 +53,30 @@ def mult(u, v):
         u4 + v4 + t0,
         u5 + v5 + t1,
         u6 + v6 + t2,
-        (2*u7 + 2*v7 - t0 + 2*t3 + t4) // 2,
-        (2*u8 + 2*v8 - t0 + 2*t5 + t7 + 2*t8) // 2,
-        u9 + v9 + t9 - t10 + t12 + t13,
-        (2*u10 + 2*v10 - t1 + 2*t14 + t15) // 2,
-        u11 + v11 + t16 + t10 + t17,
-        (2*u12 + 2*v12 - t1 + 2*t18 + t20 + 2*t21) // 2,
-        (2*u13 + 2*v13 - t2 + 2*t22 + t23) // 2,
-        (2*u14 + 2*v14 - t2 + 2*t24 + t25 + 2*t26) // 2,
-        u15 + v15 + u5*v4 - t27 + t28 + t29*v1 + t1*v4 + t30,
-        u16 + v16 + t10 + u6*v4 - t31 + 2*t32 + t29*v2 + t2*v4 + t33,
-        (2*u17 + 2*v17 + 2*t10 + 2*u6*v5 - 2*t34 + 2*t35 + 2*u3*u5*v2 + t17 + 2*t2*v5 + t36) // 2,
-        (6*u18 + 6*v18 + 2*t0 - 3*t3 + 6*u7*v1 - 3*t4 + 3*t3*v1 + t4*v1) // 6,
-        (4*u19 + 4*v19 + t0 + 4*u7*v2 + 4*u8*v1 - t7 - t4 - 2*t8 + 4*t3*v2 + t7*v1 + 2*t4*v2) // 4,
-        (2*u20 + 2*v20 + t10 + 2*u7*v3 + 2*t27 - t12 - t13 + 2*t3*v3 - t30 + t12*v1 + t4*v3) // 2,
-        (6*u21 + 6*v21 + 2*t0 - 3*t5 + 6*u8*v2 - 3*t7 - 6*t8 + 3*t5*v2 + t6*u2*v1 + 3*t7*v2 + 3*t8*v2) // 6,
-        (2*u22 + 2*v22 + 2*u8*v3 + 2*t31 - 2*t32 - t12 - t13 + 2*t5*v3 - 2*t33 + t6*u3*v1 + t7*v3 + 2*t12*v2 + 2*t8*v3) // 2,
-        (2*u23 + 2*v23 - t9 + 2*u9*v3 - 2*t35 - t12 - t13 + t9*v3 - 2*t37 + t11*u3*v1 + 2*t12*v3 + t13*v3) // 2,
-        (6*u24 + 6*v24 + 2*t1 - 3*t14 + 6*u10*v1 - 3*t15 + 3*t14*v1 + t15*v1) // 6,
-        (2*u25 + 2*v25 - t10 + 2*u10*v2 + 2*t28 - t17 + 2*t14*v2 + t30 + t15*v2) // 2,
-        (4*u26 + 4*v26 + t1 + 4*u10*v3 + 4*u12*v1 - t20 - t15 - 2*t21 + 4*t14*v3 + t20*v1 + 2*t15*v3) // 4,
-        (2*u27 + 2*v27 - t16 + 2*u11*v2 + 2*t32 - t17 + t16*v2 + 2*t33 + t17*v2) // 2,
-        (2*u28 + 2*v28 + 2*u11*v3 + 2*t34 + 2*t35 - t17 + 2*t16*v3 + 2*t37 + t36 + 2*t17*v3) // 2,
-        (6*u29 + 6*v29 + 2*t1 - 3*t18 + 6*u12*v3 - 3*t20 - 6*t21 + 3*t18*v3 + t38*v1 + 3*t20*v3 + 3*t21*v3) // 6,
-        (6*u30 + 6*v30 + 2*t2 - 3*t22 + 6*u13*v2 - 3*t23 + 3*t22*v2 + t23*v2) // 6,
-        (4*u31 + 4*v31 + t2 + 4*u13*v3 + 4*u14*v2 - t25 - t23 - 2*t26 + 4*t22*v3 + t25*v2 + 2*t23*v3) // 4,
-        (6*u32 + 6*v32 + 2*t2 - 3*t24 + 6*u14*v3 - 3*t25 - 6*t26 + 3*t24*v3 + t38*v2 + 3*t25*v3 + 3*t26*v3) // 6,
+        u7 + v7 + t3 + t4,
+        u8 + v8 + t5 + t6 + t7,
+        u9 + v9 + u4*v3 - t8 + t10 + t0*v3,
+        u10 + v10 + t11 + t12,
+        u11 + v11 + t13 + t8 + t14,
+        u12 + v12 + t15 + u5*v3 + t1*v3,
+        u13 + v13 + t16 + t17,
+        u14 + v14 + t18 + u6*v3 + t2*v3,
+        u15 + v15 + u5*v4 + t8 + 2*t19 - t20 + t21 + t22*v1 + t1*v4,
+        u16 + v16 + t8 + u6*v4 - t23 + 2*t24 + t22*v2 + t2*v4 + t25,
+        u17 + v17 + t8 + u6*v5 - t26 + t27 + u3*u5*v2 + t14 + t2*v5 + t28,
+        u18 + v18 + u2*v1_3 + u4*v1_2 + u7*v1,
+        u19 + v19 + u2_2*v1_2 + u7*v2 + u8*v1 + t3*v2 + t4*v2,
+        u20 + v20 - t19 + u7*v3 + t20 + t9*v1_2 + t3*v3 + t4*v3,
+        u21 + v21 + u2_3*v1 + u4*v2_2 + u8*v2 + t0*v2_2 + t5*v2,
+        u22 + v22 + u8*v3 + t23 - t24 + u2_2*u3*v1 + t5*v3 + t6*v3 - t25 + t10*v2 + t7*v3,
+        u23 + v23 + u4*v3_2 + u9*v3 - t27 + u2*u3_2*v1 + t0*v3_2 - t29 + t10*v3,
+        u24 + v24 + u3*v1_3 + u5*v1_2 + u10*v1,
+        u25 + v25 + t19 + u10*v2 + t21 + t11*v2 + t12*v2,
+        u26 + v26 + u3_2*v1_2 + u10*v3 + u12*v1 + t11*v3 + t12*v3,
+        u27 + v27 + u5*v2_2 + u11*v2 + t24 + t1*v2_2 + t25,
+        u28 + v28 + u11*v3 + t26 + t27 + t28 + t13*v3 + t29 + t14*v3,
+        u29 + v29 + u3_3*v1 + u5*v3_2 + u12*v3 + t1*v3_2 + t15*v3,
+        u30 + v30 + u3*v2_3 + u6*v2_2 + u13*v2,
+        u31 + v31 + u3_2*v2_2 + u13*v3 + u14*v2 + t16*v3 + t17*v3,
+        u32 + v32 + u3_3*v2 + u6*v3_2 + u14*v3 + t2*v3_2 + t18*v3,
     )

@@ -7,49 +7,49 @@ Generated by tools/gen_tables.py from tools/deepthought.py; do not edit.
 def mult(u, v):
     u1, u2, u3, u4, u5, u6, u7, u8, u9, u10, u11, u12, u13, u14 = u
     v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14 = v
+    u2_2 = u2*(u2 - 1)//2
+    u2_3 = u2_2*(u2 - 2)//3
+    u2_4 = u2_3*(u2 - 3)//4
+    u3_2 = u3*(u3 - 1)//2
+    v1_2 = v1*(v1 - 1)//2
+    v1_3 = v1_2*(v1 - 2)//3
+    v1_4 = v1_3*(v1 - 3)//4
+    v2_2 = v2*(v2 - 1)//2
+    v2_3 = v2_2*(v2 - 2)//3
     t0 = u2*v1
-    t1 = u3*v1
-    t2 = t0*v1
-    t3 = u3*v2
-    t4 = u2*u2
-    t5 = t4*v1
-    t6 = t0*v2
-    t7 = u4*v1
-    t8 = t1*v1
-    t9 = t2*v1
-    t10 = u4*v2
-    t11 = u5*v1
-    t12 = t1*v2
-    t13 = t5*v1
-    t14 = t2*v2
-    t15 = u5*v2
-    t16 = t3*v2
-    t17 = t4*u2
-    t18 = t17*v1
-    t19 = t5*v2
-    t20 = t6*v2
-    t21 = u7*v1
-    t22 = u2*u3*v1
-    t23 = t0*v3
-    t24 = u3*u3
-    t25 = t11*v1
-    t26 = t13*v1
-    t27 = u8*v1
-    t28 = t18*v1
-    t29 = t13*v2
+    t1 = u2*v1_2
+    t2 = u3*v1
+    t3 = u2_2*v1
+    t4 = u3*v2
+    t5 = t0*v2
+    t6 = u2*v1_3
+    t7 = u3*v1_2
+    t8 = u4*v1
+    t9 = u2_2*v1_2
+    t10 = u5*v1
+    t11 = t1*v2
+    t12 = u2_3*v1
+    t13 = t3*v2
+    t14 = u2_2*v1_3
+    t15 = u5*v1_2
+    t16 = u7*v1
+    t17 = u2*u3
+    t18 = u2_3*v1_2
+    t19 = u8*v1
+    t20 = t9*v2
     return (
         u1 + v1,
         u2 + v2,
         u3 + v3 + t0,
-        (2*u4 + 2*v4 - t0 + 2*t1 + t2) // 2,
-        (2*u5 + 2*v5 - t0 + 2*t3 + t5 + 2*t6) // 2,
-        (6*u6 + 6*v6 + 2*t0 - 3*t1 + 6*t7 - 3*t2 + 3*t8 + t9) // 6,
-        (4*u7 + 4*v7 + t0 + 4*t10 + 4*t11 - t5 - t2 - 2*t6 + 4*t12 + t13 + 2*t14) // 4,
-        (6*u8 + 6*v8 + 2*t0 - 3*t3 + 6*t15 - 3*t5 - 6*t6 + 3*t16 + t18 + 3*t19 + 3*t20) // 6,
-        (12*u9 + 12*v9 + 4*t0 - 6*t1 + 12*u4*v3 + 6*t11 + 12*t21 - 6*t22 - 3*t2 - 6*t23 + 6*t24*v1 + 12*t1*v3 + 6*t25 - 3*t13 + 6*t22*v1 - t9 + 6*t2*v3 + 3*t26) // 12,
-        (12*u10 + 12*v10 + 3*t0 - 6*t3 + 12*t11 + 12*u5*v3 + 12*t27 - 3*t5 - 6*t22 - t2 - 6*t6 - 6*t23 + 6*t24*v2 + 12*t3*v3 + 6*t4*u3*v1 - 3*t13 + 6*t5*v3 + 12*t22*v2 + 12*t6*v3 + 4*t28 + 6*t29) // 12,
-        (24*u11 + 24*v11 - 6*t0 + 8*t1 - 12*t7 + 24*u6*v1 + 11*t2 - 12*t8 + 12*t7*v1 - 6*t9 + 4*t8*v1 + t9*v1) // 24,
-        (12*u12 + 12*v12 - 2*t0 - 6*t11 + 12*u6*v2 + 12*t21 + 2*t5 + 3*t2 + 4*t6 - 6*t12 + 12*t7*v2 + 6*t25 - 3*t13 - t9 - 6*t14 + 6*t8*v2 + t26 + 2*t9*v2) // 12,
-        (12*u13 + 12*v13 - 2*t0 - 6*t10 + 12*u7*v2 + 12*t27 + 3*t5 + 2*t2 + 6*t6 - 6*t12 + 6*t10*v2 + 12*t11*v2 - t18 - 3*t13 - 3*t19 - 6*t14 - 3*t20 + 6*t12*v2 + t28 + 3*t29 + 3*t14*v2) // 12,
-        (24*u14 + 24*v14 - 6*t0 + 8*t3 - 12*t15 + 24*u8*v2 + 11*t5 + 22*t6 - 12*t16 + 12*t15*v2 - 6*t18 - 18*t19 - 18*t20 + 4*t16*v2 + t17*u2*v1 + 4*t18*v2 + 6*t19*v2 + 4*t20*v2) // 24,
+        u4 + v4 + t1 + t2,
+        u5 + v5 + t3 + t4 + t5,
+        u6 + v6 + t6 + t7 + t8,
+        u7 + v7 + t9 + u4*v2 + t10 + t11 + t2*v2,
+        u8 + v8 + t12 + u3*v2_2 + u5*v2 + t0*v2_2 + t13,
+        u9 + v9 + t6 + 2*t9 + 3*t14 + u3_2*v1 + u4*v3 + t10 + t15 + t16 + t17*v1_2 + t1*v3 + t2*v3,
+        u10 + v10 + t3 + 3*t9 + 2*t12 + 4*t18 + u3_2*v2 + t10 + u5*v3 + t19 + t11 + u2_2*u3*v1 + t13 + t3*v3 + 2*t20 + t4*v3 + t17*v1*v2 + t5*v3,
+        u11 + v11 + u2*v1_4 + u3*v1_3 + u4*v1_2 + u6*v1,
+        u12 + v12 + t14 + t15 + u6*v2 + t16 + t6*v2 + t7*v2 + t8*v2,
+        u13 + v13 + t18 + u4*v2_2 + u7*v2 + t19 + t1*v2_2 + t20 + t2*v2_2 + t10*v2,
+        u14 + v14 + u2_4*v1 + u3*v2_3 + u5*v2_2 + u8*v2 + t0*v2_3 + t3*v2_2 + t12*v2,
     )

@@ -5,6 +5,7 @@ stays as the oracle for the power.  The library derives nothing itself."""
 
 import ast
 import collections
+import itertools
 import os
 import pathlib
 import random
@@ -15,7 +16,8 @@ import pytest
 
 from conftest import (ACCEPTED, SHIPPED, series_coords_mult, series_coords_pow,
                       series_derive, series_eval)
-from deepthought import Poly, derive, table_source
+import deepthought
+from deepthought import Poly, binomial_terms, derive, table_source
 from malcev import freegroup
 from malcev.freegroup import (build_hall_basis, coords_to_word, eval_free,
                               table_module)
@@ -175,6 +177,11 @@ def products(tree):
         for node in ast.walk(tree))
 
 
+def operations(tree):
+    """Arithmetic operations: every binary operator."""
+    return sum(isinstance(node, ast.BinOp) for node in ast.walk(tree))
+
+
 def test_emitted_tables_build_each_monomial_once():
     trees = {p.stem: ast.parse(p.read_text()) for p in TABLES.glob("c*r*.py")}
     for name, tree in trees.items():
@@ -184,13 +191,74 @@ def test_emitted_tables_build_each_monomial_once():
         # no term or monomial shares a monomial in these tables
         if name.startswith(("c2r2", "c2r3")):
             assert not reads, name
-    # 489 products form the distinct monomials of degree >= 2; written
-    # flat, as a product for each term, they took 2,058 products.
-    assert products(trees["c5r3"]) <= 489
+    # The product tables are written in the binomial basis.  Over monomials
+    # and a common denominator they took 2,497 and 9,419 operations.
+    assert operations(trees["c5r3"]) <= 1384
+    assert operations(trees["c8r2"]) <= 4499
     # The differences of u^0 .. u^5 read 276 products of monomials, then 4
     # form the binomials b2 .. b5 and 345 multiply a difference by its
     # binomial (`test_power_tables_multiply_by_e_at_most_weight_times`).
     assert products(trees["c5r3_pow"]) <= 276 + 4 + 345
+
+
+def test_product_tables_divide_only_in_their_binomial_chains():
+    # A product coordinate is an integer combination of products of
+    # binomials, so it divides by nothing.  The only `//` are the chains
+    # x_k = C(x, k) = x_(k-1)*(x - (k - 1))//k, k <= c, which follow the
+    # unpacking of u and v, each link after the one it reads.
+    for c, r in SHIPPED:
+        name = table_module("mult", c, r)
+        body = ast.parse((TABLES / f"{name}.py").read_text()).body[1].body
+        chain = [ast.unparse(n) for n in itertools.takewhile(
+            lambda n: "_" in n.targets[0].id, body[2:-1])]
+        formed = set()
+        for line in chain:
+            x, k = line.split(" ")[0].split("_")
+            k = int(k)
+            prev = x if k == 2 else f"{x}_{k - 1}"
+            assert line == f"{x}_{k} = {prev} * ({x} - {k - 1}) // {k}", name
+            assert k <= c and (k == 2 or prev in formed), (name, line)
+            formed.add(f"{x}_{k}")
+        divisions = sum(isinstance(n, ast.BinOp)
+                        and isinstance(n.op, ast.FloorDiv)
+                        for stmt in body for n in ast.walk(stmt))
+        assert divisions == len(chain), name
+        # (2,r) has no binomial of degree 2; (3,2) reads C(u2, 2), C(v1, 2)
+        assert bool(chain) == (c > 2), name
+
+
+# Entries in [-3, 3] exercise the chains' floor divisions at negative and
+# small coordinates, where C(x, k) is 0 or alternates in sign; entries of
+# 64 bits exercise them far from 0.
+@pytest.mark.parametrize("c,r", [(3, 2), (4, 2), (5, 2), (3, 3)])
+def test_product_tables_match_the_series_at_small_and_wide_entries(c, r):
+    basis = build_hall_basis(c, r)
+    rng = random.Random(c * 10 + r)
+
+    def coords(bound):
+        return tuple(rng.randint(-bound, bound) for _ in range(basis.m))
+
+    for small in (3, 1 << 64):
+        for wide in (3, 1 << 64):
+            for _ in range(10):
+                u, v = coords(small), coords(wide)
+                assert basis.mult(u, v) == series_coords_mult(basis, u, v), \
+                    (u, v)
+
+
+def test_a_non_integer_binomial_coefficient_raises(monkeypatch):
+    # Half of x_0^2 is x_0/2 + C(x_0, 2): planted in a product coordinate,
+    # it is not integer-valued, and the emitter refuses it.
+    basis = build_hall_basis(3, 2)
+    polys, width = derive(basis, "mult")
+    x = Poly.var(0, width)
+    planted = polys[:-1] + (polys[-1] + x * x // 2,)
+    monkeypatch.setattr(deepthought, "derive",
+                        lambda *args: (planted, width))
+    with pytest.raises(ValueError, match="not an integer"):
+        table_source.__wrapped__(basis, "mult")
+    # x_0^2 = x_0 + 2·C(x_0, 2), C(x_0, k) numbered k - 1
+    assert binomial_terms(x * x, width, 3) == {1: 1, 2: 2}
 
 
 def binomial_reads(tree):

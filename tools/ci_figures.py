@@ -6,14 +6,17 @@ commute) and c5r3_pow, with peak RSS, and `import malcev.cli`, timed inside;
 cold CLI runs; the stdlib modules or tables these add (the CLI's read under
 `-v`, whose stderr lists the modules held at exit); the `_tower` cache and
 `_graph` counts of `workloads.finite_plan(1, 68)`, and the compiled `mult`
-and `pow_polynomials` calls of its queries by query kind; the scans, the
-compiled calls and the time of one `consistency_check` on
+and `pow_polynomials` calls of its queries by query kind; "Product table
+operations", the binary operators of the (5,3) and (8,2) product tables
+and the warm time of one (5,3) product on entries drawn in [-2^32, 2^32];
+the scans, the compiled calls and the time of one `consistency_check` on
 F(5,3)/<a1^2, a2^2, a3^2>; the compiled calls of `subgroup_presentation` at
 (5,3) on three rows drawn in [-9, 9] by `random.Random(7)`.  The calls and
 scans are counted in-process, so they do not drift with the host.  Times
 are medians of 9.
 """
 
+import ast
 import collections
 import os
 import pathlib
@@ -23,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import timeit
 
 LIB = pathlib.Path(__file__).resolve().parent.parent / "src" / "malcev"
 LOAD = ("import malcev, resource, time; t = time.perf_counter(); malcev.{};"
@@ -108,6 +112,17 @@ def main():
     print("finite_plan(1, 68) compiled calls by query kind in one process:",
           ", ".join(f"{kind} {n}" for kind, n in sorted(by_kind.items())))
     basis = M.build_hall_basis(5, 3)
+    ops = {table: sum(isinstance(node, ast.BinOp) for node in ast.walk(
+        ast.parse((LIB / "tables" / f"{table}.py").read_text())))
+        for table in ("c5r3", "c8r2")}
+    rng = random.Random(5)
+    u, v = ([rng.randint(-1 << 32, 1 << 32) for _ in range(basis.m)]
+            for _ in range(2))
+    # before the meter, which would add its own time
+    times = timeit.repeat(lambda: basis.mult(u, v), number=200, repeat=9)
+    print(f"Product table operations: c5r3 {ops['c5r3']}, c8r2 {ops['c8r2']};"
+          " one (5,3) product on 32-bit entries: median"
+          f" {1e6 * statistics.median(times) / 200:.1f} us warm of 9")
     pres = M.from_finite_presentation(basis, [((k, 2),) for k in (1, 2, 3)])
     times = []
     for _ in range(9):  # before the meter, which would add its own time

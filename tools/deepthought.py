@@ -13,15 +13,29 @@ polynomials, gives u^2 .. u^w, and Newton's forward-difference formula
 gives u^e as the sum over j of C(e, j) times their j-th differences Δ^j.
 The inverse is the power at e = -1, where C(-1, j) = (-1)^j.  The
 polynomials are emitted as straight-line Python source, `def mult(u, v)`
-or `def pow(u, e)`.  Each distinct monomial of degree >= 2 in the
-coordinates is one product, of a shorter monomial and one variable, held
-in a local `t<k>` when two or more terms or longer monomials read it; each
-coordinate is written as `(integer combination of monomials) //
-denominator`.  A power first computes the binomials b<j> = C(e, j) up to
-the top weight, `b2 = e*(e - 1)//2`, `b3 = b2*(e - 2)//3`, ..., and writes
-its coordinate of weight w in Newton form, `(Δ^1*e + Δ^2*b2 + ... +
-Δ^w*b<w>) // denominator`, each Δ^j one integer combination of monomials
-over the coordinate's common denominator.
+or `def pow(u, e)`.  Each distinct monomial of degree >= 2 in its
+variables is one product, of a shorter monomial and one variable, held
+in a local `t<k>` when two or more terms or longer monomials read it.
+
+A product coordinate is written in Deep Thought's binomial basis, as an
+integer combination of products of binomials C(x, k) of the coordinates,
+with no division: x^n = Σ_k S(n, k)·k!·C(x, k), S the Stirling numbers of
+the second kind, turns each monomial into such products, and an
+integer-valued polynomial has integer coefficients in this basis.  Each
+C(x, k) read is one more variable `x_k`, formed once per call by the chain
+`x_2 = x*(x - 1)//2`, `x_3 = x_2*(x - 2)//3`, ...; the coordinate of
+weight 4 at (3, 2) is `u4 + v4 + u2*v1_2 + u3*v1`.  Over monomials and a
+common denominator it was `(2*u4 + 2*v4 - t0 + 2*u3*v1 + t0*v1) // 2`,
+and the (5, 3) product took 2,497 operations, not 1,384.
+
+A power first computes the binomials b<j> = C(e, j) up to the top weight,
+`b2 = e*(e - 1)//2`, `b3 = b2*(e - 2)//3`, ..., and writes its coordinate
+of weight w in Newton form, `(Δ^1*e + Δ^2*b2 + ... + Δ^w*b<w>) //
+denominator`, each Δ^j one integer combination of monomials over the
+coordinate's common denominator.  Its differences stay over monomials: in
+the binomial basis of the coordinates the (5, 3) differences grow from
+1,616 to 1,952 terms, and a (6, 2) power of 32-bit entries to a 64-bit
+exponent took 61 µs, not 58 µs (best of 7, 2-core x86 VM, Python 3.11).
 
 It is a tool, not part of the library: `tools/gen_tables.py` writes
 `table_source(basis, kind)` for every basis of `freegroup.SHIPPED_RANKS`,
@@ -163,6 +177,49 @@ def derive(basis: HallBasis, kind: str) -> tuple[tuple, int]:
     return tuple(diffs), width
 
 
+@lru_cache(maxsize=None)
+def _surjections(n: int) -> tuple[int, ...]:
+    """S(n, k)·k! for k = 0 .. n, with S the Stirling numbers of the second
+    kind: x^n is the sum over k of S(n, k)·k!·C(x, k)."""
+    if n == 0:
+        return (1,)
+    prev = _surjections(n - 1) + (0,)
+    return (0,) + tuple(k * (prev[k - 1] + prev[k]) for k in range(1, n + 1))
+
+
+def binomial_terms(p: Poly, width: int, top: int) -> dict:
+    """The integer coefficients of p in the basis of products of binomials
+    ∏_j C(x_j, k_j), k_j <= top, by x^n = Σ_k S(n, k)·k!·C(x, k).  Each
+    C(x_j, k) is one variable, numbered j·top + k - 1, so a product of
+    binomials is keyed as a square-free monomial of width 1.  An
+    integer-valued polynomial has integer coefficients in this basis, so a
+    coefficient that is not one means the derivation is wrong: it raises
+    ValueError."""
+    mask = (1 << width) - 1
+    out: dict = {}
+    for key, coef in p.terms.items():
+        terms = {0: coef}
+        j = 0
+        while key:
+            if key & mask:
+                terms = {b + (1 << j * top + k - 1): c * s
+                         for b, c in terms.items()
+                         for k, s in enumerate(_surjections(key & mask)) if s}
+            key >>= width
+            j += 1
+        for b, c in terms.items():
+            out[b] = out.get(b, 0) + c
+    coefs = {}
+    for b, c in out.items():
+        q, rem = divmod(c, p.den)
+        if rem:
+            raise ValueError(f"binomial coefficient {c}/{p.den} of an "
+                             "integer-valued polynomial is not an integer")
+        if q:
+            coefs[b] = q
+    return coefs
+
+
 def _coordinate_sources(polys: list[dict], names: list[str],
                         width: int) -> tuple[list[str], list[str]]:
     """Straight-line source of integer polynomials, each given as its
@@ -242,14 +299,38 @@ def _newton(combos: list[str], binoms: list[str]) -> str:
     return " + ".join(terms).replace("+ -", "- ")
 
 
+def _binomial_sources(polys: list[Poly], names: list[str], width: int,
+                      top: int) -> tuple[list[str], list[str], list[str]]:
+    """Straight-line source of integer-valued polynomials in the binomial
+    basis: the chain of binomials `x_k = C(x, k)` each reads, `x_2 =
+    x*(x - 1)//2`, `x_3 = x_2*(x - 2)//3`, ...; the shared products of
+    binomials; and one integer combination per polynomial.  Each C(x, k),
+    k <= top, is one more variable of `_coordinate_sources`."""
+    polys = [binomial_terms(p, width, top) for p in polys]
+    binomials = [[n if k == 1 else f"{n}_{k}" for k in range(1, top + 1)]
+                 for n in names]
+    read = 0
+    for p in polys:
+        for key in p:
+            read |= key
+    mask = (1 << top) - 1
+    chains = [f"    {b[k]} = {b[k - 1]}*({b[0]} - {k})//{k + 1}"
+              for j, b in enumerate(binomials)
+              for k in range(1, (read >> j * top & mask).bit_length())]
+    return (chains, *_coordinate_sources(
+        polys, [x for b in binomials for x in b], 1))
+
+
 @lru_cache(maxsize=None)
 def table_source(basis: HallBasis, kind: str) -> str:
     """Python source of a module defining `mult(u, v)` or `pow(u, e)` for
-    the basis: the shared monomials as locals, then each coordinate as
-    `(integer combination of monomials) // denominator`; for "pow", the
-    binomials `b<j> = C(e, j)` first, and each coordinate as
-    `(Δ^1*e + Δ^2*b2 + ... + Δ^w*b<w>) // denominator`, each Δ^j one
-    integer combination over the coordinate's common denominator."""
+    the basis.  For "mult", the binomials `x_k = C(x, k)` of the
+    coordinates, then the shared products of binomials as locals, then
+    each coordinate as an integer combination of products of binomials;
+    for "pow", the binomials `b<j> = C(e, j)`, then the shared monomials
+    as locals, then each coordinate as `(Δ^1*e + Δ^2*b2 + ... +
+    Δ^w*b<w>) // denominator`, each Δ^j one integer combination of
+    monomials over the coordinate's common denominator."""
     polys, width = derive(basis, kind)
     m = basis.m
     vectors = ("u", "v") if kind == "mult" else ("u",)
@@ -281,9 +362,10 @@ def table_source(basis: HallBasis, kind: str) -> str:
         bodies = [_newton([next(combos) for _ in coord], binoms)
                   for coord in polys]
     else:
-        dens = [p.den for p in polys]
-        assigns, bodies = _coordinate_sources([p.terms for p in polys],
-                                              names, width)
+        dens = [1] * m
+        chains, assigns, bodies = _binomial_sources(polys, names, width,
+                                                    basis.c)
+        lines += chains
     lines += [f"    {a}" for a in assigns]
     lines.append("    return (")
     lines += [f"        {body}," if den == 1 else f"        ({body}) // {den},"

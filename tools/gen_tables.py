@@ -8,15 +8,17 @@ For the free nilpotent group of class c and rank r, the two modules define
 `mult(u, v)` and `pow(u, e)`, each derived by `deepthought.table_source`
 (tools/deepthought.py, which runs the Magnus-series engine of
 tools/series.py): straight-line code that forms each distinct monomial of
-degree >= 2 in the coordinates once, as a shorter monomial times one
-variable, keeps a monomial that is read more than once in a local `t<k>`,
-and writes each coordinate as `(integer combination of monomials) //
-denominator`; a power computes the binomials C(e, j) once and writes each
+degree >= 2 in its variables once, as a shorter monomial times one
+variable, and keeps a monomial that is read more than once in a local
+`t<k>`.  A product computes the binomials C(x, k) of the coordinates it
+reads, `x_2 = x*(x - 1)//2`, `x_3 = x_2*(x - 2)//3`, ..., and writes each
+coordinate as an integer combination of products of them, with no
+division; a power computes the binomials C(e, j) once and writes each
 coordinate in Newton form, one integer combination of monomials times each
 binomial, over one denominator.  The inverse is the power at e = -1.  They
 are separate modules so that a process that only multiplies does not
 import, and with bytecode writing off compile, the power.  The whole grid
-takes about 11 s of CPU, most of it (8, 2).
+takes about 4 s of CPU, most of it (8, 2).
 
     python tools/gen_tables.py
 
