@@ -11,8 +11,9 @@ presentation and those coordinates, in an `lru_cache` of 128 entries: the
 c - 1 steps are made once per coset g Γ_c while it stays cached.  The walk
 that finds the conjugator for each h, and every witness check, run on
 every call with the caller's own g.  The power problem is one descent over
-the first nonzero columns of g and h, which finds every solution k + nZ;
-the order of g is its period n.
+the first nonzero columns of g and h: each narrows the exponent to a
+progression, the requested one first, and the last leaves every solution
+k + nZ; the order of g is its period n.
 
 The descents and the kernel compute on reduced coordinate vectors with the
 presentation's `mult`/`pow`; only the public entries see elements.  Each
@@ -234,26 +235,13 @@ def conjugacy(pres: QuotientPresentation, g: GroupElement, h: GroupElement
 # ---------------------------------------------------------------------------
 # The power problem.
 
-def _merge_progressions(r1: int, m1: int, r2: int, m2: int
-                        ) -> tuple[int, int] | None:
-    """Intersection of r1 + m1 Z and r2 + m2 Z (m2 > 0) as (r, lcm) with
-    0 <= r < lcm, or None; m1 = 0 means the single value r1."""
-    g = math.gcd(m1, m2)
-    if (r1 - r2) % g:
-        return None
-    l = m1 // g * m2
-    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g) if m2 > g else 0
-    r = (r1 + m1 * t) % l if l else r1
-    return r, l
-
-
 def power_problem(pres: QuotientPresentation, g: GroupElement,
                   h: GroupElement, progression: tuple[int, int] | None = None
                   ) -> int:
     """Some k with g^k = h, restricted to k in alpha + beta*Z when a
     progression is given; raises NoPower if none exists.  For torsion g the
-    returned k is the smallest non-negative solution.  One descent finds
-    every solution k + nZ, which is merged with the progression once."""
+    returned k is the smallest non-negative solution.  One descent, whose
+    first narrowing is the progression, finds every solution k + nZ."""
     if g.presentation != pres or h.presentation != pres:
         raise RejectedInput("elements belong to a different presentation")
     pair = (0, 1) if progression is None else progression
@@ -265,11 +253,12 @@ def power_problem(pres: QuotientPresentation, g: GroupElement,
         raise RejectedInput(
             "progression step must be positive; omit the progression"
             " for unrestricted search")
-    found = _power_search(pres, g.coords, h.coords)
-    merged = None if found is None else _merge_progressions(*found, alpha, beta)
-    if merged is None:
+    found = _power_search(pres, g.coords, h.coords, alpha, beta)
+    if found is None:
         raise NoPower
-    k = merged[0]
+    k, n = found
+    if n:
+        k %= n
     if pres.pow(g.coords, k) != h.coords:
         raise InternalConsistencyError("power witness k has g^k != h")
     if (k - alpha) % beta:
@@ -277,45 +266,46 @@ def power_problem(pres: QuotientPresentation, g: GroupElement,
     return k
 
 
-def _power_search(pres, gc, hc) -> tuple[int, int] | None:
-    """(k, n) with g^j = h exactly when j is in k + nZ, where n = 0 when g
-    has infinite order; None when h is no power of g.
+def _power_search(pres, gc, hc, a=0, b=1, done=0
+                  ) -> tuple[int, int] | None:
+    """(k, n) such that g^j = h for j in a + bZ exactly when j is in
+    k + nZ, with n = 0 for a single j; None when no j in a + bZ does.
 
-    At the first column where g or h is nonzero, the coordinate of g^j is
-    j times that of g: at a torsion column with relative order e this pins
-    j to a + bZ with b = e / gcd(g_i, e), and g^(a + bj') = h exactly when
-    (g^b)^j' = g^-a h, a pair with a later first column; at a torsion-free
-    column it pins j itself.
+    g^(a + bj') = h exactly when (g^b)^j' = g^-a h, so the search narrows
+    to that pair, whose columns before `done` are zero.  At its first
+    column i where either is nonzero, the coordinate of (g^b)^j' is j'
+    times that of g^b: at a torsion column with relative order e this pins
+    j' to a' + b'Z with b' = e / gcd(g_i, e), the pair's next narrowing,
+    and at a torsion-free column it pins j' itself.  A requested
+    progression is the first narrowing; (0, 1) narrows by nothing.
 
-    So a None is itself a proof, by plain arithmetic, that h is no power of
-    g.  At the first nonzero column i of the last pair searched, either
-    j * g_i = h_i, modulo e at a torsion column, has no solution j (g = 1
-    and h != 1 is the case g_i = 0), or the torsion-free column pins
-    j = h_i / g_i and g^j != h.  Each pair searched is (g^b, g^-a h) for
-    the pair before it, so it has a solution exactly when that one does.
+    So a None is itself a proof, by plain arithmetic: at column i of the
+    last pair, either j' * g_i = h_i, modulo e at a torsion column, has no
+    solution (g = 1 and h != 1 is the case g_i = 0), or the torsion-free
+    column pins j' = h_i / g_i and g^j' != h.
     """
-    if not any(gc):
-        return None if any(hc) else (0, 1)
-    i = min(first_nonzero(gc) or pres.m + 1, first_nonzero(hc) or pres.m + 1)
-    k0 = gc[i - 1]
-    l0 = hc[i - 1]
+    g2 = pres.pow(gc, b)
+    h2 = pres.mult(pres.pow(gc, -a), hc) if a else hc
+    if any(g2[:done]) or any(h2[:done]):
+        raise InternalConsistencyError("power search left the suffix subgroup")
+    if not any(g2):
+        return None if any(h2) else (a, b)
+    i = min(first_nonzero(g2) or pres.m + 1, first_nonzero(h2) or pres.m + 1)
+    k0 = g2[i - 1]
+    l0 = h2[i - 1]
     e = pres.torsion.get(i)
     if e is None:
-        # The i-th coordinate of g^j is j * k0 exactly.
-        if k0 == 0 or l0 % k0 or pres.pow(gc, l0 // k0) != hc:
+        # The i-th coordinate of (g^b)^j' is j' * k0 exactly.
+        if k0 == 0 or l0 % k0 or pres.pow(g2, l0 // k0) != h2:
             return None
-        return l0 // k0, 0
-    # Torsion coordinate: j * k0 = l0 (mod e) pins j to a + bZ.
+        return a + b * (l0 // k0), 0
+    # Torsion coordinate: j' * k0 = l0 (mod e) pins j' to a' + b'Z.
     gcd = math.gcd(k0, e)
     if l0 % gcd:
         return None
-    b = e // gcd
-    a = l0 // gcd * pow(k0 // gcd, -1, b) % b
-    g2 = pres.pow(gc, b)
-    h2 = pres.mult(pres.pow(gc, -a), hc) if a else hc
-    if any(g2[:i]) or any(h2[:i]):
-        raise InternalConsistencyError("power search left the suffix subgroup")
-    sub = _power_search(pres, g2, h2)
+    step = e // gcd
+    sub = _power_search(pres, g2, h2,
+                        l0 // gcd * pow(k0 // gcd, -1, step) % step, step, i)
     if sub is None:
         return None
     return a + b * sub[0], b * sub[1]

@@ -19,7 +19,7 @@ SMALL, LARGE = 16, 256  # entries in [-2^bits, 2^bits]
 # forms and kernels make fewer calls on the larger entries.
 SLACK = 8
 PROCEDURES = ("full form", "membership", "centralizer", "conjugacy",
-              "power problem", "kernel")
+              "power problem", "kernel", "power problem in a progression")
 
 
 def metered_bases(table_calls):
@@ -66,6 +66,10 @@ def compiled_calls(calls, c, seed, bits):
                      tuple(hom_apply(letters, v) for v in gens))
     kernel, _ = count("kernel", M.kernel_and_preimage, spec)
     assert all(hom_apply(letters, z.coords).is_identity() for z in kernel)
+    alpha, beta = rng.randint(-bound, bound), rng.randint(1, bound)
+    k = alpha + beta * rng.randint(-3, 3)
+    assert count("power problem in a progression", M.power_problem, pres, g,
+                 M.power(g, k), (alpha, beta)) == k
     return out
 
 

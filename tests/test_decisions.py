@@ -654,25 +654,50 @@ def test_power_problem_makes_one_descent(monkeypatch):
         M.power_problem(HEIS, g, M.power(g, -4), (0, 3))
 
 
+def progression_solutions(fg, g, h, alpha, beta):
+    """Every k in [0, lcm(order, beta)) with k in alpha + beta*Z and
+    g^k = h, from the powers of g by repeated multiplication."""
+    powers = [fg.pres.identity]
+    while (p := fg.mult(powers[-1], g)) != powers[0]:
+        powers.append(p)
+    period = math.lcm(len(powers), beta)
+    return [k for k in range(alpha % beta, period, beta)
+            if powers[k % len(powers)] == h]
+
+
+def class_3_presentation(rng):
+    """A random finite quotient of F(3,2) with a nontrivial weight-3
+    column, so that it has class 3."""
+    while True:
+        pres = random_finite_presentation(rng, 3, 2)
+        if any(e > 1 for i, e in pres.torsion.items() if pres.weights[i] == 3):
+            return pres
+
+
 def test_power_problem_progressions_match_brute_force():
     rng = random.Random(73)
-    for _ in range(3):
-        pres = random_finite_presentation(rng, 2, 2)
-        bound = M.torsion_bound(pres)
-        fg = FiniteGroup(pres)
-        for _ in range(15):
-            g = M.element(pres, rng.choice(fg.elements))
-            h = M.element(pres, rng.choice(fg.elements))
-            alpha, beta = rng.randint(-9, 9), rng.randint(1, 6)
-            # Every solution lies below lcm(order, beta) <= bound * beta.
-            solutions = [k for k in range(bound * beta)
-                         if (k - alpha) % beta == 0 and M.power(g, k) == h]
-            try:
-                k = M.power_problem(pres, g, h, (alpha, beta))
-            except M.NoPower:
-                assert not solutions
-                continue
-            assert solutions and k == solutions[0]
+    # At class 3 the narrowing recurses through several torsion columns for
+    # g that does not commute; half of those h are powers of g.
+    for c, draws in ((2, 3), (3, 8)):
+        for _ in range(draws):
+            pres = (random_finite_presentation(rng, 2, 2) if c == 2
+                    else class_3_presentation(rng))
+            fg = FiniteGroup(pres)
+            for _ in range(15):
+                g = M.element(pres, rng.choice(fg.elements))
+                if c == 3 and rng.random() < 0.5:
+                    h = M.power(g, rng.randint(-40, 40))
+                else:
+                    h = M.element(pres, rng.choice(fg.elements))
+                alpha, beta = rng.randint(-9, 9), rng.randint(1, 6)
+                solutions = progression_solutions(fg, g.coords, h.coords,
+                                                  alpha, beta)
+                try:
+                    k = M.power_problem(pres, g, h, (alpha, beta))
+                except M.NoPower:
+                    assert not solutions
+                    continue
+                assert solutions and k == solutions[0]
     # Infinite order: the one solution k either lies in the progression or
     # there is no answer.
     g = M.element(HEIS, (2, -1, 3))
@@ -695,15 +720,6 @@ def test_progression_must_be_a_pair(progression):
         M.power_problem(HEIS, g, g, progression)
 
 
-def test_merge_progressions_with_a_single_value():
-    # Step 0 means the single value r1, as the power search reports for g
-    # of infinite order.
-    assert decisions._merge_progressions(-4, 0, 2, 3) == (-4, 0)
-    assert decisions._merge_progressions(-4, 0, 0, 3) is None
-    assert decisions._merge_progressions(7, 0, 0, 1) == (7, 0)
-    assert decisions._merge_progressions(2, 5, 1, 3) == (7, 15)
-
-
 def test_corrupt_witnesses_raise(monkeypatch):
     # Each step's x, and each generator of the tower, is shifted by a2.
     power_product = decisions._power_product
@@ -723,14 +739,31 @@ def test_corrupt_witnesses_raise(monkeypatch):
         M.power_problem(HEIS, g, M.power(g, 3))
     monkeypatch.setattr(decisions, "_power_search", search)
 
-    # k = 12 gives g^k = h in Z/5 but lies outside the progression 1 + 3Z.
-    merge = decisions._merge_progressions
+    # The top-level search's k shifted by 5 is 12, which gives g^k = h in
+    # Z/5 but lies outside the progression 1 + 3Z; the recursive calls it
+    # makes are the unpatched search.
     pres = M.make_quotient_presentation(M.build_hall_basis(1, 1), ((5,),))
-    monkeypatch.setattr(decisions, "_merge_progressions",
-                        lambda *a: (merge(*a)[0] + 5, merge(*a)[1]))
+
+    def shifted_top(*args):
+        monkeypatch.setattr(decisions, "_power_search", search)
+        k, n = search(*args)
+        return k + 5, n
+
+    monkeypatch.setattr(decisions, "_power_search", shifted_top)
     with pytest.raises(InternalConsistencyError, match="progression"):
         M.power_problem(pres, M.element(pres, (1,)), M.element(pres, (2,)),
                         progression=(1, 3))
+
+
+def test_power_search_outside_the_suffix_raises(monkeypatch):
+    # In Z/5 the search narrows g = a1 by its column to (g^5, g^-2 h) with
+    # column 1 done; a pow that gives g^5 a nonzero first entry is caught.
+    pres = M.make_quotient_presentation(M.build_hall_basis(1, 1), ((5,),))
+    pow_ = pres.pow
+    monkeypatch.setattr(pres, "pow",
+                        lambda u, e: (1,) if e == 5 else pow_(u, e))
+    with pytest.raises(InternalConsistencyError, match="suffix subgroup"):
+        M.power_problem(pres, M.element(pres, (1,)), M.element(pres, (2,)))
 
 
 def test_corrupt_preimage_raises(monkeypatch):
