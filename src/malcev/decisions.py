@@ -277,14 +277,15 @@ def _power_search(pres, gc, hc, a=0, b=1, done=0
     times that of g^b: at a torsion column with relative order e this pins
     j' to a' + b'Z with b' = e / gcd(g_i, e), the pair's next narrowing,
     and at a torsion-free column it pins j' itself.  A requested
-    progression is the first narrowing; (0, 1) narrows by nothing.
+    progression is the first narrowing; (0, 1) narrows by nothing, and
+    keeps g as it is.
 
     So a None is itself a proof, by plain arithmetic: at column i of the
     last pair, either j' * g_i = h_i, modulo e at a torsion column, has no
     solution (g = 1 and h != 1 is the case g_i = 0), or the torsion-free
     column pins j' = h_i / g_i and g^j' != h.
     """
-    g2 = pres.pow(gc, b)
+    g2 = pres.pow(gc, b) if b != 1 else gc
     h2 = pres.mult(pres.pow(gc, -a), hc) if a else hc
     if any(g2[:done]) or any(h2[:done]):
         raise InternalConsistencyError("power search left the suffix subgroup")

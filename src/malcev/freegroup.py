@@ -11,9 +11,10 @@ and in e (P. Hall), and the basis owns them:
   e·u when `HallBasis.commuting(u)`: letters whose weights sum past the
   class commute, so such a power is a scaling, with no multiplication.
   Otherwise it is one call of the power polynomials, whatever |e|, the
-  inverse (e = -1) included: in Newton form, the sum over j of C(e, j)
-  times the j-th difference of u^0, u^1, ..., with the binomials C(e, j)
-  computed once per call.
+  inverse (e = -1) included: the sum over j of C(e, j) times the j-th
+  difference of u^0, u^1, ..., with each coordinate's monomials grouped
+  by their combination of the binomials C(e, j), which are computed once
+  per call.
   It is the library's one power: a torsion fold by a relator row that
   does not commute (`presentations.reduce_coords`) calls it too;
 * `eval_free` builds the product of the letter powers of a word from
@@ -36,9 +37,11 @@ that only multiplies never loads a power, and one that evaluates only
 words whose letter powers commute, as a cold `nf` of a normal-form word
 does, never loads a product.  A product table writes each coordinate in
 the binomial basis, as an integer combination of products of binomials
-C(x, k) of the coordinates, with no division; a power table writes it in
-Newton form.  At (5,3) the product table is 11.7 KB of source, most of a
-cold query's time when it is compiled.  They are
+C(x, k) of the coordinates, with no division; a power table writes it
+as a sum over combinations of the binomials C(e, j), each times the
+integer combination of the monomials that share it.  At (5,3) the product
+table is 11.7 KB of source, most of a cold query's time when it is
+compiled.  They are
 constants of the basis, derived once, outside the library, by
 `tools/gen_tables.py`.  The library accepts exactly the bases of
 `SHIPPED_RANKS` and of rank 1; `build_hall_basis` refuses any other before

@@ -8,6 +8,9 @@ def pow(u, e):
     u1, u2, u3, u4, u5, u6, u7, u8, u9, u10, u11, u12, u13, u14, u15, u16, u17, u18, u19, u20, u21, u22, u23, u24, u25, u26, u27, u28, u29, u30 = u
     b2 = e*(e - 1)//2
     b3 = b2*(e - 2)//3
+    p0 = b2 + b3
+    p1 = b2 + 2*b3
+    p2 = 3*b2 + 4*b3
     t0 = u1*u2
     t1 = u1*u3
     t2 = u2*u3
@@ -15,27 +18,15 @@ def pow(u, e):
     t4 = u2*u4
     t5 = u3*u4
     t6 = u1*u1
-    t7 = t6*u2
-    t8 = t0*u2
-    t9 = u1*u7
-    t10 = t0*u3
-    t11 = u1*u9
-    t12 = t0*u4
-    t13 = t6*u3
-    t14 = t1*u3
-    t15 = u1*u10
-    t16 = t1*u4
-    t17 = u2*u2
-    t18 = t17*u3
-    t19 = t2*u3
-    t20 = u2*u10
-    t21 = t2*u4
-    t22 = t6*u4
-    t23 = t3*u4
-    t24 = t17*u4
-    t25 = t4*u4
-    t26 = u3*u3*u4
-    t27 = t5*u4
+    t7 = u1*u7
+    t8 = t0*u3
+    t9 = u1*u9
+    t10 = t0*u4
+    t11 = u1*u10
+    t12 = t1*u4
+    t13 = u2*u2
+    t14 = u2*u10
+    t15 = t2*u4
     return (
         u1*e,
         u2*e,
@@ -47,24 +38,24 @@ def pow(u, e):
         u8*e + t3*b2,
         u9*e + t4*b2,
         u10*e + t5*b2,
-        (2*u11*e + (-t0 + 2*u1*u5 + t7)*b2 + 2*t7*b3) // 2,
-        (2*u12*e + (-t0 + 2*u2*u5 + 3*t8)*b2 + 4*t8*b3) // 2,
-        u13*e + (-t9 + u3*u5 + 2*t10)*b2 + 2*t10*b3,
-        u14*e + (-t11 + u4*u5 + 2*t12)*b2 + 2*t12*b3,
-        (2*u15*e + (-t1 + 2*u1*u6 + t13)*b2 + 2*t13*b3) // 2,
-        u16*e + (t9 + u2*u6 + t10)*b2 + 2*t10*b3,
-        (2*u17*e + (-t1 + 2*u3*u6 + 3*t14)*b2 + 4*t14*b3) // 2,
-        u18*e + (-t15 + u4*u6 + 2*t16)*b2 + 2*t16*b3,
-        (2*u19*e + (-t2 + 2*u2*u7 + t18)*b2 + 2*t18*b3) // 2,
-        (2*u20*e + (-t2 + 2*u3*u7 + 3*t19)*b2 + 4*t19*b3) // 2,
-        u21*e + (-t20 + u4*u7 + 2*t21)*b2 + 2*t21*b3,
-        (2*u22*e + (-t3 + 2*u1*u8 + t22)*b2 + 2*t22*b3) // 2,
-        u23*e + (t11 + u2*u8 + t12)*b2 + 2*t12*b3,
-        u24*e + (t15 + u3*u8 + t16)*b2 + 2*t16*b3,
-        (2*u25*e + (-t3 + 2*u4*u8 + 3*t23)*b2 + 4*t23*b3) // 2,
-        (2*u26*e + (-t4 + 2*u2*u9 + t24)*b2 + 2*t24*b3) // 2,
-        u27*e + (t20 + u3*u9 + t21)*b2 + 2*t21*b3,
-        (2*u28*e + (-t4 + 2*u4*u9 + 3*t25)*b2 + 4*t25*b3) // 2,
-        (2*u29*e + (-t5 + 2*u3*u10 + t26)*b2 + 2*t26*b3) // 2,
-        (2*u30*e + (-t5 + 2*u4*u10 + 3*t27)*b2 + 4*t27*b3) // 2,
+        (2*u11*e + (-t0 + 2*u1*u5)*b2 + t6*u2*p1) // 2,
+        (2*u12*e + (-t0 + 2*u2*u5)*b2 + t0*u2*p2) // 2,
+        u13*e + (-t7 + u3*u5)*b2 + 2*t8*p0,
+        u14*e + (-t9 + u4*u5)*b2 + 2*t10*p0,
+        (2*u15*e + (-t1 + 2*u1*u6)*b2 + t6*u3*p1) // 2,
+        u16*e + (t7 + u2*u6)*b2 + t8*p1,
+        (2*u17*e + (-t1 + 2*u3*u6)*b2 + t1*u3*p2) // 2,
+        u18*e + (-t11 + u4*u6)*b2 + 2*t12*p0,
+        (2*u19*e + (-t2 + 2*u2*u7)*b2 + t13*u3*p1) // 2,
+        (2*u20*e + (-t2 + 2*u3*u7)*b2 + t2*u3*p2) // 2,
+        u21*e + (-t14 + u4*u7)*b2 + 2*t15*p0,
+        (2*u22*e + (-t3 + 2*u1*u8)*b2 + t6*u4*p1) // 2,
+        u23*e + (t9 + u2*u8)*b2 + t10*p1,
+        u24*e + (t11 + u3*u8)*b2 + t12*p1,
+        (2*u25*e + (-t3 + 2*u4*u8)*b2 + t3*u4*p2) // 2,
+        (2*u26*e + (-t4 + 2*u2*u9)*b2 + t13*u4*p1) // 2,
+        u27*e + (t14 + u3*u9)*b2 + t15*p1,
+        (2*u28*e + (-t4 + 2*u4*u9)*b2 + t4*u4*p2) // 2,
+        (2*u29*e + (-t5 + 2*u3*u10)*b2 + u3*u3*u4*p1) // 2,
+        (2*u30*e + (-t5 + 2*u4*u10)*b2 + t5*u4*p2) // 2,
     )

@@ -8,6 +8,9 @@ def pow(u, e):
     u1, u2, u3, u4, u5, u6, u7, u8, u9, u10, u11, u12, u13, u14, u15, u16, u17, u18, u19, u20, u21, u22, u23, u24, u25, u26, u27, u28, u29, u30, u31, u32, u33, u34, u35, u36, u37, u38, u39, u40, u41, u42, u43, u44, u45, u46, u47, u48, u49, u50, u51, u52, u53, u54, u55 = u
     b2 = e*(e - 1)//2
     b3 = b2*(e - 2)//3
+    p0 = b2 + b3
+    p1 = b2 + 2*b3
+    p2 = 3*b2 + 4*b3
     t0 = u1*u2
     t1 = u1*u3
     t2 = u2*u3
@@ -19,48 +22,28 @@ def pow(u, e):
     t8 = u3*u5
     t9 = u4*u5
     t10 = u1*u1
-    t11 = t10*u2
-    t12 = t0*u2
-    t13 = u1*u8
-    t14 = t0*u3
-    t15 = u1*u10
-    t16 = t0*u4
-    t17 = u1*u13
-    t18 = t0*u5
-    t19 = t10*u3
-    t20 = t1*u3
-    t21 = u1*u11
-    t22 = t1*u4
-    t23 = u1*u14
-    t24 = t1*u5
-    t25 = u2*u2
-    t26 = t25*u3
-    t27 = t2*u3
-    t28 = u2*u11
-    t29 = t2*u4
-    t30 = u2*u14
-    t31 = t2*u5
-    t32 = t10*u4
-    t33 = t3*u4
-    t34 = u1*u15
-    t35 = t3*u5
-    t36 = t25*u4
-    t37 = t4*u4
-    t38 = u2*u15
-    t39 = t4*u5
-    t40 = u3*u3
-    t41 = t40*u4
-    t42 = t5*u4
-    t43 = u3*u15
-    t44 = t5*u5
-    t45 = t10*u5
-    t46 = t6*u5
-    t47 = t25*u5
-    t48 = t7*u5
-    t49 = t40*u5
-    t50 = t8*u5
-    t51 = u4*u4*u5
-    t52 = t9*u5
+    t11 = u1*u8
+    t12 = t0*u3
+    t13 = u1*u10
+    t14 = t0*u4
+    t15 = u1*u13
+    t16 = t0*u5
+    t17 = u1*u11
+    t18 = t1*u4
+    t19 = u1*u14
+    t20 = t1*u5
+    t21 = u2*u2
+    t22 = u2*u11
+    t23 = t2*u4
+    t24 = u2*u14
+    t25 = t2*u5
+    t26 = u1*u15
+    t27 = t3*u5
+    t28 = u2*u15
+    t29 = t4*u5
+    t30 = u3*u3
+    t31 = u3*u15
+    t32 = t5*u5
     return (
         u1*e,
         u2*e,
@@ -77,44 +60,44 @@ def pow(u, e):
         u13*e + t7*b2,
         u14*e + t8*b2,
         u15*e + t9*b2,
-        (2*u16*e + (-t0 + 2*u1*u6 + t11)*b2 + 2*t11*b3) // 2,
-        (2*u17*e + (-t0 + 2*u2*u6 + 3*t12)*b2 + 4*t12*b3) // 2,
-        u18*e + (-t13 + u3*u6 + 2*t14)*b2 + 2*t14*b3,
-        u19*e + (-t15 + u4*u6 + 2*t16)*b2 + 2*t16*b3,
-        u20*e + (-t17 + u5*u6 + 2*t18)*b2 + 2*t18*b3,
-        (2*u21*e + (-t1 + 2*u1*u7 + t19)*b2 + 2*t19*b3) // 2,
-        u22*e + (t13 + u2*u7 + t14)*b2 + 2*t14*b3,
-        (2*u23*e + (-t1 + 2*u3*u7 + 3*t20)*b2 + 4*t20*b3) // 2,
-        u24*e + (-t21 + u4*u7 + 2*t22)*b2 + 2*t22*b3,
-        u25*e + (-t23 + u5*u7 + 2*t24)*b2 + 2*t24*b3,
-        (2*u26*e + (-t2 + 2*u2*u8 + t26)*b2 + 2*t26*b3) // 2,
-        (2*u27*e + (-t2 + 2*u3*u8 + 3*t27)*b2 + 4*t27*b3) // 2,
-        u28*e + (-t28 + u4*u8 + 2*t29)*b2 + 2*t29*b3,
-        u29*e + (-t30 + u5*u8 + 2*t31)*b2 + 2*t31*b3,
-        (2*u30*e + (-t3 + 2*u1*u9 + t32)*b2 + 2*t32*b3) // 2,
-        u31*e + (t15 + u2*u9 + t16)*b2 + 2*t16*b3,
-        u32*e + (t21 + u3*u9 + t22)*b2 + 2*t22*b3,
-        (2*u33*e + (-t3 + 2*u4*u9 + 3*t33)*b2 + 4*t33*b3) // 2,
-        u34*e + (-t34 + u5*u9 + 2*t35)*b2 + 2*t35*b3,
-        (2*u35*e + (-t4 + 2*u2*u10 + t36)*b2 + 2*t36*b3) // 2,
-        u36*e + (t28 + u3*u10 + t29)*b2 + 2*t29*b3,
-        (2*u37*e + (-t4 + 2*u4*u10 + 3*t37)*b2 + 4*t37*b3) // 2,
-        u38*e + (-t38 + u5*u10 + 2*t39)*b2 + 2*t39*b3,
-        (2*u39*e + (-t5 + 2*u3*u11 + t41)*b2 + 2*t41*b3) // 2,
-        (2*u40*e + (-t5 + 2*u4*u11 + 3*t42)*b2 + 4*t42*b3) // 2,
-        u41*e + (-t43 + u5*u11 + 2*t44)*b2 + 2*t44*b3,
-        (2*u42*e + (-t6 + 2*u1*u12 + t45)*b2 + 2*t45*b3) // 2,
-        u43*e + (t17 + u2*u12 + t18)*b2 + 2*t18*b3,
-        u44*e + (t23 + u3*u12 + t24)*b2 + 2*t24*b3,
-        u45*e + (t34 + u4*u12 + t35)*b2 + 2*t35*b3,
-        (2*u46*e + (-t6 + 2*u5*u12 + 3*t46)*b2 + 4*t46*b3) // 2,
-        (2*u47*e + (-t7 + 2*u2*u13 + t47)*b2 + 2*t47*b3) // 2,
-        u48*e + (t30 + u3*u13 + t31)*b2 + 2*t31*b3,
-        u49*e + (t38 + u4*u13 + t39)*b2 + 2*t39*b3,
-        (2*u50*e + (-t7 + 2*u5*u13 + 3*t48)*b2 + 4*t48*b3) // 2,
-        (2*u51*e + (-t8 + 2*u3*u14 + t49)*b2 + 2*t49*b3) // 2,
-        u52*e + (t43 + u4*u14 + t44)*b2 + 2*t44*b3,
-        (2*u53*e + (-t8 + 2*u5*u14 + 3*t50)*b2 + 4*t50*b3) // 2,
-        (2*u54*e + (-t9 + 2*u4*u15 + t51)*b2 + 2*t51*b3) // 2,
-        (2*u55*e + (-t9 + 2*u5*u15 + 3*t52)*b2 + 4*t52*b3) // 2,
+        (2*u16*e + (-t0 + 2*u1*u6)*b2 + t10*u2*p1) // 2,
+        (2*u17*e + (-t0 + 2*u2*u6)*b2 + t0*u2*p2) // 2,
+        u18*e + (-t11 + u3*u6)*b2 + 2*t12*p0,
+        u19*e + (-t13 + u4*u6)*b2 + 2*t14*p0,
+        u20*e + (-t15 + u5*u6)*b2 + 2*t16*p0,
+        (2*u21*e + (-t1 + 2*u1*u7)*b2 + t10*u3*p1) // 2,
+        u22*e + (t11 + u2*u7)*b2 + t12*p1,
+        (2*u23*e + (-t1 + 2*u3*u7)*b2 + t1*u3*p2) // 2,
+        u24*e + (-t17 + u4*u7)*b2 + 2*t18*p0,
+        u25*e + (-t19 + u5*u7)*b2 + 2*t20*p0,
+        (2*u26*e + (-t2 + 2*u2*u8)*b2 + t21*u3*p1) // 2,
+        (2*u27*e + (-t2 + 2*u3*u8)*b2 + t2*u3*p2) // 2,
+        u28*e + (-t22 + u4*u8)*b2 + 2*t23*p0,
+        u29*e + (-t24 + u5*u8)*b2 + 2*t25*p0,
+        (2*u30*e + (-t3 + 2*u1*u9)*b2 + t10*u4*p1) // 2,
+        u31*e + (t13 + u2*u9)*b2 + t14*p1,
+        u32*e + (t17 + u3*u9)*b2 + t18*p1,
+        (2*u33*e + (-t3 + 2*u4*u9)*b2 + t3*u4*p2) // 2,
+        u34*e + (-t26 + u5*u9)*b2 + 2*t27*p0,
+        (2*u35*e + (-t4 + 2*u2*u10)*b2 + t21*u4*p1) // 2,
+        u36*e + (t22 + u3*u10)*b2 + t23*p1,
+        (2*u37*e + (-t4 + 2*u4*u10)*b2 + t4*u4*p2) // 2,
+        u38*e + (-t28 + u5*u10)*b2 + 2*t29*p0,
+        (2*u39*e + (-t5 + 2*u3*u11)*b2 + t30*u4*p1) // 2,
+        (2*u40*e + (-t5 + 2*u4*u11)*b2 + t5*u4*p2) // 2,
+        u41*e + (-t31 + u5*u11)*b2 + 2*t32*p0,
+        (2*u42*e + (-t6 + 2*u1*u12)*b2 + t10*u5*p1) // 2,
+        u43*e + (t15 + u2*u12)*b2 + t16*p1,
+        u44*e + (t19 + u3*u12)*b2 + t20*p1,
+        u45*e + (t26 + u4*u12)*b2 + t27*p1,
+        (2*u46*e + (-t6 + 2*u5*u12)*b2 + t6*u5*p2) // 2,
+        (2*u47*e + (-t7 + 2*u2*u13)*b2 + t21*u5*p1) // 2,
+        u48*e + (t24 + u3*u13)*b2 + t25*p1,
+        u49*e + (t28 + u4*u13)*b2 + t29*p1,
+        (2*u50*e + (-t7 + 2*u5*u13)*b2 + t7*u5*p2) // 2,
+        (2*u51*e + (-t8 + 2*u3*u14)*b2 + t30*u5*p1) // 2,
+        u52*e + (t31 + u4*u14)*b2 + t32*p1,
+        (2*u53*e + (-t8 + 2*u5*u14)*b2 + t8*u5*p2) // 2,
+        (2*u54*e + (-t9 + 2*u4*u15)*b2 + u4*u4*u5*p1) // 2,
+        (2*u55*e + (-t9 + 2*u5*u15)*b2 + t9*u5*p2) // 2,
     )

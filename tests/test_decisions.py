@@ -652,6 +652,13 @@ def test_power_problem_makes_one_descent(monkeypatch):
     assert M.power_problem(HEIS, g, M.power(g, -4), (2, 3)) == -4
     with pytest.raises(M.NoPower):
         M.power_problem(HEIS, g, M.power(g, -4), (0, 3))
+    # An unrestricted search starts from g itself, with no pow(g, 1).
+    pow_, exponents = HEIS.pow, []
+    monkeypatch.setattr(HEIS, "pow",
+                        lambda u, e: exponents.append(e) or pow_(u, e))
+    h = M.element(HEIS, pow_(g.coords, -4))
+    assert M.power_problem(HEIS, g, h) == -4
+    assert exponents and 1 not in exponents
 
 
 def progression_solutions(fg, g, h, alpha, beta):

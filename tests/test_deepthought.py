@@ -150,6 +150,33 @@ def test_power_polynomials_match_the_newton_sum(c, r):
             assert basis.pow(u, e) == series_coords_pow(basis, u, e), (u, e)
 
 
+# Every shipped power table, those `SAMPLED` leaves out included, against
+# Newton's formula over powers formed by the shipped product, with no
+# derivation: coordinate q of u^e has degree <= weight(q) <= c in e, so
+# u^e is the sum over j <= c of C(e, j)·Δ^j, the forward differences of
+# u^0 .. u^c.
+@pytest.mark.parametrize("c,r", SHIPPED)
+def test_every_power_table_matches_the_newton_sum_of_the_product(c, r):
+    basis = build_hall_basis(c, r)
+    rng = random.Random(c * 10 + r + 2)
+    for bits in (1, 32, 200) * 2:
+        u = tuple(rng.choice((-1, 1)) * rng.getrandbits(bits)
+                  for _ in range(basis.m))
+        column = [(0,) * basis.m, u]
+        for _ in range(c - 1):
+            column.append(basis.mult(column[-1], u))
+        diffs = []
+        while len(column) > 1:
+            column = [tuple(y - x for x, y in zip(p, q))
+                      for p, q in zip(column, column[1:])]
+            diffs.append(column[0])
+        for e in (-(1 << 64) - 3, -2, -1, 2, 3, 1 << 64):
+            newton = [0] * basis.m
+            for b, d in zip(binomials(e, c), diffs):
+                newton = [x + b * y for x, y in zip(newton, d)]
+            assert basis.pow_polynomials(u, e) == tuple(newton), (bits, e)
+
+
 def monomial_locals(tree):
     """Times each local `t<k>` is read, by name."""
     reads = {}
@@ -159,22 +186,6 @@ def monomial_locals(tree):
             count = isinstance(node.ctx, ast.Load)
             reads[node.id] = reads.get(node.id, 0) + count
     return reads
-
-
-def constant(node):
-    """True for a literal, including a negative one such as -2, which the
-    parser reads as a minus applied to 2 and the compiler folds."""
-    if isinstance(node, ast.UnaryOp):
-        node = node.operand
-    return isinstance(node, ast.Constant)
-
-
-def products(tree):
-    """Products of two non-constant factors, and powers."""
-    return sum(isinstance(node, ast.BinOp) and (
-        isinstance(node.op, ast.Pow) or isinstance(node.op, ast.Mult)
-        and not constant(node.left) and not constant(node.right))
-        for node in ast.walk(tree))
 
 
 def operations(tree):
@@ -195,10 +206,12 @@ def test_emitted_tables_build_each_monomial_once():
     # and a common denominator they took 2,497 and 9,419 operations.
     assert operations(trees["c5r3"]) <= 1384
     assert operations(trees["c8r2"]) <= 4499
-    # The differences of u^0 .. u^5 read 276 products of monomials, then 4
-    # form the binomials b2 .. b5 and 345 multiply a difference by its
-    # binomial (`test_power_tables_multiply_by_e_at_most_weight_times`).
-    assert products(trees["c5r3_pow"]) <= 276 + 4 + 345
+    # The power tables write each monomial once per coordinate, times its
+    # combination of binomials
+    # (`test_power_tables_multiply_by_e_at_most_weight_times`).  With one
+    # product by each binomial per difference they took 3,669 and 17,125.
+    assert operations(trees["c5r3_pow"]) <= 2469
+    assert operations(trees["c8r2_pow"]) <= 10883
 
 
 def test_product_tables_divide_only_in_their_binomial_chains():
@@ -261,39 +274,59 @@ def test_a_non_integer_binomial_coefficient_raises(monkeypatch):
     assert binomial_terms(x * x, width, 3) == {1: 1, 2: 2}
 
 
-def binomial_reads(tree):
+def multiplier_reads(tree):
     """For each returned coordinate of a `pow` table, how often it reads
-    each binomial `e`, `b2`, `b3`, ..."""
+    each multiplier: a binomial `e`, `b2`, `b3`, ..., or a combination
+    `p<k>` of them."""
     ret = next(n for n in ast.walk(tree) if isinstance(n, ast.Return))
     return [collections.Counter(
         n.id for n in ast.walk(elt)
-        if isinstance(n, ast.Name) and (n.id == "e" or n.id[0] == "b"))
+        if isinstance(n, ast.Name) and (n.id == "e" or n.id[0] in "bp"))
         for elt in ret.value.elts]
 
 
 def test_power_tables_multiply_by_e_at_most_weight_times():
-    # A coordinate of weight w of u**e has degree <= w in e.  In Newton
-    # form it is the sum over j <= w of C(e, j)·Δ^j, so it multiplies once
-    # by each of at most w binomials e = C(e, 1), b2 = C(e, 2), ..., which
-    # are computed once per call.
+    # A coordinate of weight w of u**e has degree <= w in e: each of its
+    # monomials t is multiplied by c_1·e + c_2·b2 + ... + c_w·b<w>, with
+    # b<j> = C(e, j) computed once per call.  Monomials whose coefficient
+    # vectors are proportional share one multiplier: the binomial itself,
+    # or a local `p<k>`, an integer combination of binomials also computed
+    # once per call, whose degree is that of its heaviest binomial.
     for c, r in SHIPPED:
         basis = build_hall_basis(c, r)
         name = table_module("pow", c, r)
         tree = ast.parse((TABLES / f"{name}.py").read_text())
         binoms = ["e"] + [f"b{j}" for j in range(2, basis.top_weight + 1)]
-        assigned = [t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
-                    for t in n.targets
-                    if isinstance(t, ast.Name) and t.id[0] == "b"]
-        assert assigned == binoms[1:], name
-        reads = binomial_reads(tree)
+        assigned = {t.id: n.value for n in ast.walk(tree)
+                    if isinstance(n, ast.Assign) for t in n.targets
+                    if isinstance(t, ast.Name) and t.id[0] in "bp"}
+        assert [b for b in assigned if b[0] == "b"] == binoms[1:], name
+        degree = {b: j for j, b in enumerate(binoms, 1)}
+        combos = set()
+        for p, value in assigned.items():
+            if p[0] == "p":
+                read = {n.id for n in ast.walk(value)
+                        if isinstance(n, ast.Name)}
+                assert read and read <= set(binoms), (name, p)
+                degree[p] = max(degree[b] for b in read)
+                # at b<j> = 2^(64j) a combination's value is its vector
+                at = {b: 1 << 64 * j for j, b in enumerate(binoms, 1)}
+                combos.add(eval(compile(ast.Expression(value), p, "eval"),
+                                at))
+        shared = [p for p in assigned if p[0] == "p"]
+        assert len(combos) == len(shared), name
+        reads = multiplier_reads(tree)
         assert len(reads) == basis.m, name
         for i, seen in enumerate(reads):
-            assert seen and set(seen) <= set(binoms[:basis.weights[i + 1]]) \
-                and max(seen.values()) == 1, (name, i, seen)
-        # the heaviest coordinate reaches its degree
-        assert set(reads[-1]) == set(binoms), name
-    reads = binomial_reads(ast.parse((TABLES / "c5r3_pow.py").read_text()))
-    assert sum(map(len, reads)) == 345
+            assert seen and max(seen.values()) == 1 and max(
+                degree[x] for x in seen) <= basis.weights[i + 1], \
+                (name, i, seen)
+        # every combination is read, and the heaviest coordinate reaches
+        # its degree
+        assert set(shared) <= set().union(*reads), name
+        assert max(degree[x] for x in reads[-1]) == basis.top_weight, name
+    reads = multiplier_reads(ast.parse((TABLES / "c5r3_pow.py").read_text()))
+    assert sum(map(len, reads)) == 491
 
 
 def test_top_weight_one_adds_and_scales_with_no_table():

@@ -9,6 +9,9 @@ cold CLI runs; the stdlib modules or tables these add (the CLI's read under
 and `pow_polynomials` calls of its queries by query kind; "Product table
 operations", the binary operators of the (5,3) and (8,2) product tables
 and the warm time of one (5,3) product on entries drawn in [-2^32, 2^32];
+"Power table operations", the binary operators of the (5,3) and (8,2)
+power tables and the warm times of one (5,3) power to a 64-bit exponent
+and of one inverse on those entries;
 the scans, the compiled calls and the time of one `consistency_check` on
 F(5,3)/<a1^2, a2^2, a3^2>; the compiled calls of `subgroup_presentation` at
 (5,3) on three rows drawn in [-9, 9] by `random.Random(7)`.  The calls and
@@ -114,7 +117,7 @@ def main():
     basis = M.build_hall_basis(5, 3)
     ops = {table: sum(isinstance(node, ast.BinOp) for node in ast.walk(
         ast.parse((LIB / "tables" / f"{table}.py").read_text())))
-        for table in ("c5r3", "c8r2")}
+        for table in ("c5r3", "c8r2", "c5r3_pow", "c8r2_pow")}
     rng = random.Random(5)
     u, v = ([rng.randint(-1 << 32, 1 << 32) for _ in range(basis.m)]
             for _ in range(2))
@@ -123,6 +126,13 @@ def main():
     print(f"Product table operations: c5r3 {ops['c5r3']}, c8r2 {ops['c8r2']};"
           " one (5,3) product on 32-bit entries: median"
           f" {1e6 * statistics.median(times) / 200:.1f} us warm of 9")
+    power, inverse = (statistics.median(timeit.repeat(
+        lambda: basis.pow(u, e), number=200, repeat=9)) / 200
+        for e in (rng.getrandbits(64), -1))
+    print(f"Power table operations: c5r3_pow {ops['c5r3_pow']}, c8r2_pow"
+          f" {ops['c8r2_pow']}; one (5,3) power to a 64-bit exponent on"
+          f" 32-bit entries: median {1e6 * power:.1f} us, one inverse:"
+          f" median {1e6 * inverse:.1f} us, warm of 9")
     pres = M.from_finite_presentation(basis, [((k, 2),) for k in (1, 2, 3)])
     times = []
     for _ in range(9):  # before the meter, which would add its own time

@@ -29,13 +29,21 @@ common denominator it was `(2*u4 + 2*v4 - t0 + 2*u3*v1 + t0*v1) // 2`,
 and the (5, 3) product took 2,497 operations, not 1,384.
 
 A power first computes the binomials b<j> = C(e, j) up to the top weight,
-`b2 = e*(e - 1)//2`, `b3 = b2*(e - 2)//3`, ..., and writes its coordinate
-of weight w in Newton form, `(Δ^1*e + Δ^2*b2 + ... + Δ^w*b<w>) //
-denominator`, each Δ^j one integer combination of monomials over the
-coordinate's common denominator.  Its differences stay over monomials: in
-the binomial basis of the coordinates the (5, 3) differences grow from
-1,616 to 1,952 terms, and a (6, 2) power of 32-bit entries to a 64-bit
-exponent took 61 µs, not 58 µs (best of 7, 2-core x86 VM, Python 3.11).
+`b2 = e*(e - 1)//2`, `b3 = b2*(e - 2)//3`, ...  Over its common
+denominator, coordinate q of weight w is Σ_t t·(c_1·e + c_2·b2 + ... +
+c_w·b<w>), the c_j the coefficients of the monomial t in Δ^1 .. Δ^w.  The
+monomials whose coefficient vectors are multiples of one primitive vector
+v are one term, their integer combination times v's combination of
+binomials: the binomial itself when v has one nonzero entry, and
+otherwise a local `p<k>` formed once per call and shared by every
+coordinate.  The coordinate of weight 4 at (3, 2) is `(2*u4*e + (-t0 +
+2*u1*u3)*b2 + u1*u1*u2*p0) // 2`, p0 = b2 + 2*b3.  In Newton form, one
+combination of monomials per difference times its binomial, a monomial
+was written once per binomial it met, and the (5, 3) power took 3,669
+operations, not 2,469.  The power stays over monomials: in the binomial
+basis of the coordinates the (5, 3) differences grow from 1,616 to 1,952
+terms, and a (6, 2) power of 32-bit entries to a 64-bit exponent took
+61 µs, not 58 µs (best of 7, 2-core x86 VM, Python 3.11).
 
 It is a tool, not part of the library: `tools/gen_tables.py` writes
 `table_source(basis, kind)` for every basis of `freegroup.SHIPPED_RANKS`,
@@ -291,12 +299,59 @@ def _coordinate_sources(polys: list[dict], names: list[str],
     return assigns, exprs
 
 
-def _newton(combos: list[str], binoms: list[str]) -> str:
-    """Source of the sum over j of combos[j]·binoms[j], each nonzero term
-    one product by its binomial."""
-    terms = [f"({c})*{b}" if " " in c else f"{c}*{b}"
-             for c, b in zip(combos, binoms) if c != "0"]
-    return " + ".join(terms).replace("+ -", "- ")
+def _power_sources(coords: tuple, names: list[str], width: int,
+                   binoms: list[str]) -> tuple[list[str], list[str],
+                                               list[str], list[int]]:
+    """Straight-line source of the power coordinates, each given as its
+    differences Δ^1 .. Δ^w: the shared combinations of binomials `p<k>`,
+    the shared monomials, one body per coordinate, and its denominator.
+
+    Over its common denominator, coordinate q is Σ_t t·(c_1·e + c_2·b2 +
+    ... + c_w·b<w>), the c_j the integer coefficients of the monomial t in
+    its differences.  Each coefficient vector is g·v with v primitive and
+    its first nonzero entry positive, and the monomials of one v are one
+    term `(Σ g·t)*P_v`: P_v is the binomial itself when v has one nonzero
+    entry, which is 1, and otherwise a local `p<k>`, the combination Σ
+    v_j·b<j>, shared by every coordinate that reads it.  Terms are ordered
+    by the degree of v, then by v; the p<k> likewise."""
+    order = lambda v: (len(v), v)
+    dens = [math.lcm(*(d.den for d in coord)) for coord in coords]
+    groups = []
+    for coord, den in zip(coords, dens):
+        rows: dict = {}
+        for j, d in enumerate(coord):
+            for key, c in d.terms.items():
+                rows.setdefault(key, [0] * len(coord))[j] = c * (den // d.den)
+        by_v: dict = {}
+        for key, row in rows.items():
+            while not row[-1]:
+                row.pop()
+            g = math.gcd(*row)
+            if next(filter(None, row)) < 0:
+                g = -g
+            by_v.setdefault(tuple(c // g for c in row), {})[key] = g
+        groups.append(sorted(by_v.items(), key=lambda item: order(item[0])))
+    # v ends in a nonzero entry, so it is one binomial when no other is
+    shared = sorted({v for coord in groups for v, _ in coord if any(v[:-1])},
+                    key=order)
+    multiplier = {v: f"p{k}" for k, v in enumerate(shared)}
+    combos = _coordinate_sources(
+        [{1 << j: c for j, c in enumerate(v) if c} for v in shared],
+        binoms, 1)[1]
+    assigns, sums = _coordinate_sources(
+        [terms for coord in groups for _, terms in coord], names, width)
+    sums = iter(sums)
+    bodies = []
+    for coord in groups:
+        terms = []
+        for v, _ in coord:
+            inner = next(sums)
+            factor = multiplier.get(v) or binoms[len(v) - 1]
+            terms.append(f"({inner})*{factor}" if " " in inner
+                         else f"{inner}*{factor}")
+        bodies.append(" + ".join(terms).replace("+ -", "- "))
+    return ([f"{multiplier[v]} = {c}" for v, c in zip(shared, combos)],
+            assigns, bodies, dens)
 
 
 def _binomial_sources(polys: list[Poly], names: list[str], width: int,
@@ -327,10 +382,11 @@ def table_source(basis: HallBasis, kind: str) -> str:
     the basis.  For "mult", the binomials `x_k = C(x, k)` of the
     coordinates, then the shared products of binomials as locals, then
     each coordinate as an integer combination of products of binomials;
-    for "pow", the binomials `b<j> = C(e, j)`, then the shared monomials
-    as locals, then each coordinate as `(Δ^1*e + Δ^2*b2 + ... +
-    Δ^w*b<w>) // denominator`, each Δ^j one integer combination of
-    monomials over the coordinate's common denominator."""
+    for "pow", the binomials `b<j> = C(e, j)`, then their shared
+    combinations `p<k>`, then the shared monomials as locals, then each
+    coordinate as `(Σ_v (Σ g·t)*P_v) // denominator`, one integer
+    combination of monomials times each binomial or `p<k>` it reads
+    (`_power_sources`)."""
     polys, width = derive(basis, kind)
     m = basis.m
     vectors = ("u", "v") if kind == "mult" else ("u",)
@@ -351,16 +407,12 @@ def table_source(basis: HallBasis, kind: str) -> str:
     lines += [f"    {', '.join(names[k * m:(k + 1) * m])}{comma} = {a}"
               for k, a in enumerate(vectors)]
     if kind == "pow":
-        dens = [math.lcm(*(d.den for d in coord)) for coord in polys]
-        assigns, flat = _coordinate_sources(
-            [{k: v * (den // d.den) for k, v in d.terms.items()}
-             for coord, den in zip(polys, dens) for d in coord], names, width)
         binoms = ["e"] + [f"b{j}" for j in range(2, basis.top_weight + 1)]
         lines += [f"    {b} = {a}*(e - {j})//{j + 1}"
                   for j, (a, b) in enumerate(zip(binoms, binoms[1:]), 1)]
-        combos = iter(flat)
-        bodies = [_newton([next(combos) for _ in coord], binoms)
-                  for coord in polys]
+        shared, assigns, bodies, dens = _power_sources(polys, names, width,
+                                                       binoms)
+        lines += [f"    {p}" for p in shared]
     else:
         dens = [1] * m
         chains, assigns, bodies = _binomial_sources(polys, names, width,

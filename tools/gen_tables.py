@@ -13,12 +13,13 @@ variable, and keeps a monomial that is read more than once in a local
 `t<k>`.  A product computes the binomials C(x, k) of the coordinates it
 reads, `x_2 = x*(x - 1)//2`, `x_3 = x_2*(x - 2)//3`, ..., and writes each
 coordinate as an integer combination of products of them, with no
-division; a power computes the binomials C(e, j) once and writes each
-coordinate in Newton form, one integer combination of monomials times each
-binomial, over one denominator.  The inverse is the power at e = -1.  They
-are separate modules so that a process that only multiplies does not
-import, and with bytecode writing off compile, the power.  The whole grid
-takes about 4 s of CPU, most of it (8, 2).
+division; a power computes, once per call, the binomials C(e, j) and the
+integer combinations of them that its coordinates read, and writes each
+coordinate over one denominator as one integer combination of monomials
+times each binomial or combination it reads.  The inverse is the power at
+e = -1.  They are separate modules so that a process that only multiplies
+does not import, and with bytecode writing off compile, the power.  The
+whole grid takes about 4 s of CPU, most of it (8, 2).
 
     python tools/gen_tables.py
 
