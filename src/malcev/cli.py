@@ -26,7 +26,7 @@ class InputError(ValueError):
     pass
 
 
-def _read_document(path) -> parsing.Document:
+def _read_document(path) -> list[parsing.GroupBlock]:
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -39,9 +39,9 @@ def _read_document(path) -> parsing.Document:
 
 
 def _one_group(doc) -> parsing.GroupBlock:
-    if len(doc.groups) != 1:
-        raise InputError(f"expected exactly one group, found {len(doc.groups)}")
-    return doc.groups[0]
+    if len(doc) != 1:
+        raise InputError(f"expected exactly one group, found {len(doc)}")
+    return doc[0]
 
 
 def _need(seq, count, what):
@@ -118,10 +118,10 @@ def _cmd_quotpres(doc):
 
 
 def _hom_spec(doc) -> tuple[decisions.HomSpec, parsing.GroupBlock]:
-    if len(doc.groups) != 2:
+    if len(doc) != 2:
         raise InputError("expected two groups: source (with generator words)"
                          " then target (with image words)")
-    src, tgt = doc.groups
+    src, tgt = doc
     gens = tuple(groups.normal_form(src.presentation, w) for w in src.words)
     imgs = tuple(groups.normal_form(tgt.presentation, w) for w in tgt.words)
     return decisions.HomSpec(source=src.presentation, target=tgt.presentation,

@@ -138,7 +138,6 @@ def _graph(target, source, gens, images):
 # ---------------------------------------------------------------------------
 # The descent through the layers of G.
 
-@lru_cache
 def _abelian(n, rows=()):
     """Z^n modulo full-form rows, of top weight 1: it adds and scales."""
     basis = HallBasis(1, n, (BasicCommutator(1, 0, 0),) * n)

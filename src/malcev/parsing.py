@@ -39,14 +39,10 @@ class GroupBlock:
         self.progression: tuple[int, int] | None = None
 
 
-class Document:
-    def __init__(self, groups: list[GroupBlock]):
-        self.groups = groups
-
-
 _INT = re.compile(r"[+-]?\d+$")
 _FACTOR = re.compile(r"a(\d+)(?:\^([+-]?\d+))?$")
 _GROUP = re.compile(r"group\s+c=([+-]?\d+)\s+r=([+-]?\d+)$")
+_SECTIONS = ("group", "subgroup", "word", "element", "progression")
 
 
 def _column(line: str, parts: list[str], i: int) -> int:
@@ -78,88 +74,77 @@ def parse_word(parts: list[str], lineno: int, line: str) -> ExpWord:
     return tuple(factors)
 
 
-def parse_document(text: str) -> Document:
+def parse_document(text: str) -> list[GroupBlock]:
+    """The document's groups, in order.  Each is built at its first line
+    that is not a relator row, where an invalid header or relator raises."""
     groups: list[GroupBlock] = []
-    # pending state while collecting `row` lines
-    pending_header: tuple[int, int, int] | None = None  # c, r, lineno
-    pending_rows: list[tuple[int, ...]] = []
-    in_subgroup = False
+    header = None  # c, r, line and relator rows of a group not yet built
+    section = None  # the key of the last line that is not a `row`
 
-    def current() -> GroupBlock:
-        _flush()
+    def block() -> GroupBlock:
+        """The last group, built first if its header is pending."""
+        nonlocal header
+        if header is not None:
+            c, r, at, rows = header
+            header = None
+            try:
+                pres = make_quotient_presentation(build_hall_basis(c, r),
+                                                  tuple(rows))
+            except (RejectedInput, ValueError) as exc:
+                raise ParseError(at, 1, str(exc)) from exc
+            groups.append(GroupBlock(pres))
         if not groups:
             raise ParseError(lineno, 1, "a `group` header is required first")
         return groups[-1]
 
-    def _flush():
-        nonlocal pending_header
-        if pending_header is not None:
-            c, r, at = pending_header
-            pending_header = None
-            try:
-                basis = build_hall_basis(c, r)
-                pres = make_quotient_presentation(basis, tuple(pending_rows))
-            except (RejectedInput, ValueError) as exc:
-                raise ParseError(at, 1, str(exc)) from exc
-            pending_rows.clear()
-            groups.append(GroupBlock(pres))
-
-    lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         key = parts[0]
+        if key == "row":
+            vals = tuple(_ints(parts[1:], lineno, raw))
+            if header is not None:
+                header[3].append(vals)
+                continue
+            current = block()
+            if section != "subgroup":
+                raise ParseError(lineno, 1,
+                                 "row outside a group header or subgroup")
+            width = current.presentation.m
+            if len(vals) != width:
+                raise ParseError(lineno, 1,
+                                 f"expected {width} entries, found {len(vals)}")
+            current.subgroups[-1] += (vals,)
+            continue
+        if key not in _SECTIONS:
+            raise ParseError(lineno, 1, f"unknown section {key!r}")
+        current = block() if header is not None or key != "group" else None
+        section = key
         if key == "group":
-            _flush()
             m = _GROUP.match(line)
             if not m:
                 raise ParseError(lineno, 1,
                                  "expected `group c=<int> r=<int>`")
-            pending_header = (int(m.group(1)), int(m.group(2)), lineno)
-            in_subgroup = False
-        elif key == "row":
-            vals = tuple(_ints(parts[1:], lineno, raw))
-            if pending_header is not None and not in_subgroup:
-                pending_rows.append(vals)
-            else:
-                block = current()
-                if not block.subgroups or not in_subgroup:
-                    raise ParseError(lineno, 1,
-                                     "row outside a group header or subgroup")
-                if len(vals) != block.presentation.m:
-                    raise ParseError(
-                        lineno, 1, f"expected {block.presentation.m} entries,"
-                        f" found {len(vals)}")
-                block.subgroups[-1] = block.subgroups[-1] + (vals,)
+            header = (int(m.group(1)), int(m.group(2)), lineno, [])
         elif key == "subgroup":
-            block = current()
-            block.subgroups.append(())
-            in_subgroup = True
-        elif key == "word":
-            block = current()
-            in_subgroup = False
-            block.words.append(parse_word(parts[1:], lineno, raw))
-        elif key == "element":
-            block = current()
-            in_subgroup = False
-            block.elements.append(parse_word(parts[1:], lineno, raw))
+            current.subgroups.append(())
         elif key == "progression":
-            block = current()
-            in_subgroup = False
             vals = _ints(parts[1:], lineno, raw)
             if len(vals) != 2:
                 raise ParseError(lineno, 1,
                                  "progression takes exactly two integers")
-            if block.progression is not None:
+            if current.progression is not None:
                 raise ParseError(lineno, 1,
                                  "a second progression in the group")
-            block.progression = (vals[0], vals[1])
+            current.progression = (vals[0], vals[1])
         else:
-            raise ParseError(lineno, 1, f"unknown section {key!r}")
-    _flush()
-    return Document(groups)
+            (current.words if key == "word" else current.elements).append(
+                parse_word(parts[1:], lineno, raw))
+    if header is not None:
+        block()
+    return groups
 
 
 # ---------------------------------------------------------------------------

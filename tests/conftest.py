@@ -36,13 +36,11 @@ SHIPPED = [(c, r) for c, r in ACCEPTED if c > 1]
 
 @pytest.fixture(autouse=True)
 def empty_tower_cache():
-    """Each test starts with the descent's three caches empty, its towers
-    (`decisions._tower`), its layers (`decisions._layer`) and its abelian
-    contexts (`decisions._abelian`), so no test reads what another test
-    left there."""
+    """Each test starts with the descent's two caches empty, its towers
+    (`decisions._tower`) and its layers (`decisions._layer`), so no test
+    reads what another test left there."""
     decisions._tower.cache_clear()
     decisions._layer.cache_clear()
-    decisions._abelian.cache_clear()
 
 
 @pytest.fixture

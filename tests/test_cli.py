@@ -333,6 +333,33 @@ def test_input_errors(tmp_path):
     assert err.startswith("error: line 5")
 
 
+@pytest.mark.parametrize("text, message", [
+    # A group is built at its first line that is not a relator row, so a
+    # refused header is reported before a bad token there ...
+    ("group c=0 r=2\nrow 1 0\nword a1 x\n",
+     "line 1, column 1: class and rank must be positive"),
+    # ... but after a bad token in its relator rows.
+    ("group c=2 r=99\nrow 1 x\nword a1\n",
+     "line 2, column 7: expected an integer, found 'x'"),
+    # An unknown section is reported before the pending rows are checked.
+    (HEIS_HEADER + "row 2 0 1\nbogus\n",
+     "line 3, column 1: unknown section 'bogus'"),
+    (HEIS_HEADER + "subgroup\nrow 1 0 0\nword a1\nrow 0 1 0\n",
+     "line 5, column 1: row outside a group header or subgroup"),
+    ("# no header yet\nrow 1 0 0\n" + HEIS_HEADER,
+     "line 2, column 1: a `group` header is required first"),
+    (HEIS_HEADER + "subgroup\nrow 1 0 0\nrow 1 0\n",
+     "line 4, column 1: expected 3 entries, found 2"),
+    (HEIS_HEADER + "word a1\nprogression 1 2\nword a1^4\nprogression 0 2\n",
+     "line 5, column 1: a second progression in the group"),
+], ids=["refused-header-then-bad-word", "refused-header-then-bad-row",
+        "unknown-section", "row-after-word", "row-before-header",
+        "short-subgroup-row", "second-progression"])
+def test_the_reader_reports_the_first_error(tmp_path, text, message):
+    status_out_err = invoke(["nf", doc(tmp_path, text)])
+    assert status_out_err == (2, "", f"error: {message}\n")
+
+
 def test_stdin_input(monkeypatch):
     status, out, _ = invoke(["nf"], stdin=HEIS_HEADER + "word a1 a2\n",
                             monkeypatch=monkeypatch)

@@ -40,7 +40,7 @@ def compiled_calls(calls, c, seed, bits):
     out = {}
 
     def count(name, procedure, *args):
-        for cache in (decisions._tower, decisions._layer, decisions._abelian):
+        for cache in (decisions._tower, decisions._layer):
             cache.cache_clear()
         calls.clear()
         answer = procedure(*args)

@@ -809,7 +809,7 @@ def test_centralizer_with_trivial_weight_c_letters(c, rows, expected):
     # Relators with pivot 1 at weight-c columns: the descent reduces the
     # weight-c letters, so a trivial one enters its cover as the identity.
     text = f"group c={c} r=2\n" + "".join(f"row {r}\n" for r in rows)
-    block = parse_document(text + "word a2\n").groups[0]
+    block = parse_document(text + "word a2\n")[0]
     g = M.normal_form(block.presentation, block.words[0])
     gens = M.centralizer(block.presentation, g)
     assert [" ".join(map(str, z.coords)) for z in gens] == expected
@@ -823,3 +823,63 @@ def test_decision_inputs_must_share_presentation():
         M.conjugacy(HEIS, M.identity(HEIS), M.identity(other))
     with pytest.raises(M.RejectedInput):
         M.power_problem(HEIS, M.identity(other), M.identity(HEIS))
+
+
+# ---------------------------------------------------------------------------
+# Brute force at rank 3 and class 4.
+
+@pytest.mark.parametrize("c, r, p, order", [(4, 2, 3, 2187), (2, 3, 3, 729),
+                                            (3, 3, 2, 2048)])
+def test_decisions_match_brute_force_at_rank_3_and_class_4(c, r, p, order):
+    # F(c,r)/<a_1^p, ..., a_r^p>: three weight-1 columns, or a fourth layer,
+    # which no rank-2 quotient of class 2 or 3 has, each with torsion at
+    # the top weight.
+    pres = M.from_finite_presentation(M.build_hall_basis(c, r),
+                                      [((k, p),) for k in range(1, r + 1)])
+    fg = FiniteGroup(pres)
+    assert fg.order == order
+    assert any(e > 1 for i, e in pres.torsion.items() if pres.weights[i] == c)
+    rng = random.Random(order)
+
+    def draw():
+        return M.element(pres, rng.choice(fg.elements))
+
+    # <z, [x, y]> is a proper subgroup: its image in G/Gamma_2 is cyclic.
+    x, y, z = draw(), draw(), draw()
+    rows = [z.coords,
+            M.mult(M.mult(M.inverse(x), M.inverse(y)), M.mult(x, y)).coords]
+    form, _ = M.full_form(pres, M.coordinate_matrix(pres, rows))
+    closure = fg.subgroup_closure(rows)
+    members = sorted(closure)
+    for _ in range(8):
+        g, u = draw(), draw()
+        for v in (draw(), M.element(pres, rng.choice(members))):
+            assert (M.membership(pres, form, v) is None) == (
+                v.coords not in closure)
+        gens = M.centralizer(pres, g)
+        assert fg.subgroup_closure([k.coords for k in gens]) == \
+            fg.centralizer_brute(g.coords)
+        for h in (M.mult(M.mult(u, g), M.inverse(u)), draw()):
+            w = M.conjugacy(pres, g, h).witness
+            assert (w is None) == (fg.conjugator_brute(g.coords, h.coords)
+                                   is None)
+            assert w is None or M.mult(M.mult(M.inverse(w), h), w) == g
+        assert M.element_order(g) == fg.element_order_brute(g.coords)
+        for h in (M.power(g, rng.randint(-40, 40)), draw()):
+            solutions = progression_solutions(fg, g.coords, h.coords, 0, 1)
+            try:
+                assert M.power_problem(pres, g, h) == solutions[0]
+            except M.NoPower:
+                assert not solutions
+    # A kernel from F(c,r) into the quotient: its full form has one row per
+    # column, and the product of their pivots is the index, |image|.
+    src = M.free_presentation(c, r)
+    images = hom_image_of_letters(src.basis, [draw() for _ in range(r)])
+    kernel, pre = M.kernel_and_preimage(M.HomSpec(
+        src, pres, tuple(letter_elements(src)), tuple(images)), images[0])
+    assert all(hom_apply(images, k.coords).is_identity() for k in kernel)
+    assert hom_apply(images, pre.coords) == images[0]
+    image = fg.subgroup_closure([im.coords for im in images[:r]])
+    assert len(kernel) == src.m
+    assert math.prod(k.coords[first_nonzero(k.coords) - 1]
+                     for k in kernel) == len(image)

@@ -334,7 +334,7 @@ def test_describe_parses_back():
     from malcev.parsing import parse_document
     pres = M.make_quotient_presentation(HEIS_BASIS, ((2, 0, 0), (0, 0, 2)))
     doc = parse_document(pres.describe())
-    assert doc.groups[0].presentation == pres
+    assert doc[0].presentation == pres
 
 
 # The four fixed quotients of the finite_decisions benchmark workload.

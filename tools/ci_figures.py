@@ -32,9 +32,19 @@ import time
 import timeit
 
 LIB = pathlib.Path(__file__).resolve().parent.parent / "src" / "malcev"
-LOAD = ("import malcev, resource, time; t = time.perf_counter(); malcev.{};"
-        " print(time.perf_counter() - t,"
-        " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+# Peak RSS is the child's own VmHWM where Linux has it: ru_maxrss carries
+# the parent's high-water mark across exec, so for c2r2 it read 17.3 MB, not
+# 14.8, from a parent that had run queries at 17.2 MB.
+LOAD = """import malcev, resource, time
+t = time.perf_counter()
+malcev.{}
+s = time.perf_counter() - t
+try:
+    with open("/proc/self/status", encoding="ascii") as fh:
+        kb = next(int(x.split()[1]) for x in fh if x.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(s, kb)"""
 IMPORT = ("import sys; bare = [*sys.modules]; import time;"
           " t = time.perf_counter(); import malcev.cli;"
           " print(time.perf_counter() - t); print(*bare); print(*sys.modules)")
@@ -98,7 +108,7 @@ def main():
                   if m.startswith("malcev.tables.")) or ["none"])
     sys.path[:0] = [str(LIB.parent), str(LIB.parent.parent / "perfbench")]
     sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
-    import malcev as M, workloads  # after the children: their RSS counts ours
+    import malcev as M, workloads
     plan, graphs, graph = workloads.finite_plan(1, 68), [], M.decisions._graph
     M.decisions._graph = lambda *args: graphs.append(1) or graph(*args)
     by_kind = collections.Counter()
