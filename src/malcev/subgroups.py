@@ -94,45 +94,103 @@ def _expr_mul(parts):
     return ("m", parts)
 
 
+def _join(word: list, tail) -> None:
+    """Append the freely reduced word `tail` to the freely reduced `word`,
+    merging the powers of one symbol that meet at the junction."""
+    i = 0
+    for sym, x in tail:
+        if not word or word[-1][0] != sym:
+            break
+        i += 1
+        x += word[-1][1]
+        if x:
+            word[-1] = (sym, x)
+            break
+        word.pop()
+    word.extend(tail[i:] if i else tail)
+
+
+def _word_power(w: list, x: int) -> list:
+    """w^x for a freely reduced word w and x != 0, by binary powering: a
+    squaring per bit of |x|, each a `_join`.  w^1 is w itself."""
+    if x < 0:
+        w, x = [(sym, -y) for sym, y in reversed(w)], -x
+    if x == 1:
+        return w
+    out: list = []
+    while True:
+        if x & 1:
+            _join(out, w)
+        x >>= 1
+        if not x:
+            return out
+        square = list(w)
+        _join(square, w)
+        w = square
+
+
 def expand_expression(expr) -> ExpWord:
     """Flatten an expression tree to a word over the original generators
     (1-based symbol indices), merging adjacent powers of one symbol.  Raises
-    SizeCapExceeded past DEFAULT_WORD_CAP letters, read at call time."""
+    SizeCapExceeded, without building a longer word, when the tree has more
+    than DEFAULT_WORD_CAP letters before merging, read at call time; a
+    letter is a generator or a power of one.
+
+    Letters stream onto the word.  The base of any other power is expanded
+    once per call, keyed by its identity, as subtrees are shared: to its
+    freely reduced word and its number n of letters.  base^x is that word
+    to the x-th power by binary powering, and counts |x| n letters.  A
+    freely reduced word is unique, so the word does not depend on the order
+    of expansion."""
     cap = DEFAULT_WORD_CAP
-    word: list = []
-    emitted = 0
-    # Entries are (subtree, inverted, repetitions).  An explicit stack, since
-    # a long chain of products nests deeper than the recursion limit.
-    stack = [(expr, False, 1)]
+    word: list = []  # the word being built: the whole one, or a base's
+    emitted = 0  # letters before merging
+    bases: dict = {}  # id of an expanded base -> (its word, its letters)
+    # Entries are (subtree, inverted), and ((outer, start, base, x), None)
+    # while base is expanded onto a word of its own, the outer word set
+    # aside with `emitted` at start.  An explicit stack, since a long chain
+    # of products nests deeper than the recursion limit.
+    stack = [(expr, False)]
     while stack:
-        e, flip, times = stack.pop()
-        if times > 1:
-            stack.append((e, flip, times - 1))
-        if e[0] == "m":
-            stack.extend([(p, flip, 1)
-                          for p in (e[1] if flip else reversed(e[1]))])
+        e, flip = stack.pop()
+        if flip is None:  # base's word is complete
+            outer, start, base, x = e
+            w, n = bases[id(base)] = word, emitted - start
+            word = outer
+        elif e[0] == "m":
+            stack.extend([(p, flip) for p in (e[1] if flip else reversed(e[1]))])
             continue
-        if e[0] == "g":
-            sym, x = e[1] + 1, -1 if flip else 1
+        elif e[0] == "g" or e[1][0] == "g":
+            sym, x = (e[1] + 1, 1) if e[0] == "g" else (e[1][1] + 1, e[2])
+            if flip:
+                x = -x
+            if emitted == cap:
+                raise SizeCapExceeded(f"expression longer than cap {cap}")
+            emitted += 1
+            if word and word[-1][0] == sym:
+                x += word[-1][1]
+                if x:
+                    word[-1] = (sym, x)
+                else:
+                    word.pop()
+            else:
+                word.append((sym, x))
+            continue
         else:
             _, base, x = e
             if flip:
                 x = -x
-            if base[0] != "g":
-                stack.append((base, x < 0, abs(x)))
+            if id(base) not in bases:
+                stack.append(((word, emitted, base, x), None))
+                stack.append((base, False))
+                word = []
                 continue
-            sym = base[1] + 1
-        if emitted == cap:
+            w, n = bases[id(base)]
+            start = emitted
+        emitted = start + abs(x) * n
+        if emitted > cap:
             raise SizeCapExceeded(f"expression longer than cap {cap}")
-        emitted += 1
-        if word and word[-1][0] == sym:
-            x += word[-1][1]
-            if x:
-                word[-1] = (sym, x)
-            else:
-                word.pop()
-        else:
-            word.append((sym, x))
+        _join(word, _word_power(w, x))
     return tuple(word)
 
 

@@ -12,10 +12,11 @@ from functools import lru_cache
 import pytest
 
 import malcev as M
-from malcev import decisions
+from malcev import decisions, subgroups
 from malcev.extgcd import InternalConsistencyError, RejectedInput, _reduction
 from malcev.freegroup import (SHIPPED_RANKS, ExpWord, HallBasis,
-                              commute_by_weight, coords_to_word, eval_free)
+                              SizeCapExceeded, commute_by_weight,
+                              coords_to_word, eval_free)
 from malcev.presentations import (FullFormViolation, check_echelon_conditions,
                                   first_nonzero)
 from malcev.subgroups import (_EXPR_ONE, ProductContext, _membership_scan,
@@ -449,6 +450,50 @@ def reduce_coefficients(a: list[int], x: list[int], A: int) -> list[int]:
     if sum(xi * ai for xi, ai in zip(x, a)) != 1:
         raise RejectedInput("sum x_i * a_i must equal 1")
     return list(_reduction(a, x, A).x_final)
+
+
+def expand_by_streaming(expr) -> ExpWord:
+    """The word of an expression tree, letter by letter: each power's base
+    is streamed onto the word |x| times and free reduction merges the
+    result away, so the work grows with every exponent.  Raises
+    SizeCapExceeded past `subgroups.DEFAULT_WORD_CAP` letters, read at call
+    time.  The library expands each composite base once instead
+    (`subgroups.expand_expression`)."""
+    cap = subgroups.DEFAULT_WORD_CAP
+    word: list = []
+    emitted = 0
+    # Entries are (subtree, inverted, repetitions).
+    stack = [(expr, False, 1)]
+    while stack:
+        e, flip, times = stack.pop()
+        if times > 1:
+            stack.append((e, flip, times - 1))
+        if e[0] == "m":
+            stack.extend([(p, flip, 1)
+                          for p in (e[1] if flip else reversed(e[1]))])
+            continue
+        if e[0] == "g":
+            sym, x = e[1] + 1, -1 if flip else 1
+        else:
+            _, base, x = e
+            if flip:
+                x = -x
+            if base[0] != "g":
+                stack.append((base, x < 0, abs(x)))
+                continue
+            sym = base[1] + 1
+        if emitted == cap:
+            raise SizeCapExceeded(f"expression longer than cap {cap}")
+        emitted += 1
+        if word and word[-1][0] == sym:
+            x += word[-1][1]
+            if x:
+                word[-1] = (sym, x)
+            else:
+                word.pop()
+        else:
+            word.append((sym, x))
+    return tuple(word)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import io
 import itertools
 import math
 import os
@@ -13,7 +14,7 @@ import malcev as M
 from conftest import (FiniteGroup, hom_apply, hom_image_of_letters,
                       oracle_centralizer, oracle_conjugator,
                       random_finite_presentation)
-from malcev import decisions, subgroups
+from malcev import cli, decisions, subgroups
 from malcev.extgcd import InternalConsistencyError
 from malcev.presentations import first_nonzero
 from malcev.parsing import parse_document
@@ -252,6 +253,27 @@ def test_conjugacy_heisenberg_fixture():
     # distinct central elements are never conjugate
     assert not M.conjugacy(HEIS, M.element(HEIS, (0, 0, 1)),
                            M.element(HEIS, (0, 0, 2))).conjugate
+
+
+def test_images_in_the_abelianization_that_differ_in_one_letter(tmp_path):
+    # g and h differ in a3 alone, so their images in G/Γ_2 differ and they
+    # are not conjugate; the descent's first check must read every
+    # weight-1 letter, not just a1 and a2.
+    pres = M.free_presentation(2, 3)
+    rng = random.Random(47)
+    path = tmp_path / "conj.txt"
+    for _ in range(200):
+        g = [rng.randint(-5, 5) for _ in range(pres.m)]
+        h = list(g)
+        h[2] += rng.choice((-1, 1)) * rng.randint(1, 5)
+        ans = M.conjugacy(pres, M.element(pres, g), M.element(pres, h))
+        assert ans.witness is None
+        words = ["word" + "".join(f" a{i}^{x}" for i, x in enumerate(v, 1))
+                 for v in (g, h)]
+        path.write_text("\n".join(["group c=2 r=3", *words, ""]))
+        out = io.StringIO()
+        assert cli.run(["conj", str(path)], out, io.StringIO()) == 1
+        assert out.getvalue() == "no\n"
 
 
 def test_conjugacy_matches_brute_force():

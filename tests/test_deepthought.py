@@ -501,6 +501,31 @@ def test_a_table_that_raises_is_not_kept(tmp_path, monkeypatch):
         assert "malcev.tables.c2r2" not in sys.modules
 
 
+def test_a_table_load_writes_and_reads_its_bytecode(tmp_path):
+    # A table runs through its file's loader, which, where bytecode is
+    # written, caches it where an import would; a second process reads
+    # that cache and compiles nothing.
+    path = tmp_path / "c2r2.py"
+    path.write_bytes((TABLES / "c2r2.py").read_bytes())
+    code = ("import importlib.util, sys\n"
+            "from importlib.machinery import SourceFileLoader\n"
+            "from malcev import freegroup\n"
+            "sys.dont_write_bytecode = False  # for the table alone\n"
+            "compiled = []\n"
+            "to_code = SourceFileLoader.source_to_code\n"
+            "SourceFileLoader.source_to_code = (lambda *args: compiled.append(1)"
+            " or to_code(*args))\n"
+            f"freegroup._TABLES = {str(tmp_path)!r}\n"
+            "print(freegroup.build_hall_basis(2, 2).mult((1, 2, 3), (4, 5, 6)),"
+            f" len(compiled), importlib.util.cache_from_source({str(path)!r}))\n")
+    product = str(build_hall_basis(2, 2).mult((1, 2, 3), (4, 5, 6))).split()
+    *first, cached = run_python(code)
+    assert first == [*product, "1"]
+    written = os.stat(cached).st_mtime_ns
+    assert run_python(code) == [*product, "0", cached]
+    assert os.stat(cached).st_mtime_ns == written
+
+
 # The power's Newton differences against the series engine's power with a
 # polynomial exponent.  The Newton sum of the differences at e = -1, the
 # sum of (-1)^j·Δ^j, is the inverse.

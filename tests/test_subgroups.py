@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -507,6 +508,67 @@ def test_expression_cap(monkeypatch):
     monkeypatch.setattr(subgroups, "DEFAULT_WORD_CAP", 2)
     with pytest.raises(SizeCapExceeded):
         M.express_in_original_generators(tracked, w)
+
+
+def _random_tree(rng):
+    """An expression tree over three generators whose nodes reuse earlier
+    ones, so subtrees are shared, and whose composite powers mostly have
+    |x| <= 3, now and then |x| log-uniform up to 10^6."""
+    nodes = [("g", k) for k in range(3)]
+    for _ in range(rng.randint(1, 10)):
+        sign = rng.choice((-1, 1))
+        pick = rng.random()
+        if pick < 0.25:
+            node = ("p", ("g", rng.randrange(3)), sign * rng.randint(1, 5))
+        elif pick < 0.6:
+            node = ("m", tuple(rng.choice(nodes)
+                               for _ in range(rng.randint(1, 4))))
+        else:
+            x = round(10 ** rng.uniform(0, 6)) if rng.random() < 0.1 else \
+                rng.randint(1, 3)
+            node = ("p", rng.choice(nodes[3:] or nodes), sign * x)
+        nodes.append(node)
+    return nodes[-1]
+
+
+@pytest.mark.parametrize("cap", [2, 64, 1 << 20])
+def test_expansion_matches_streaming(cap, monkeypatch):
+    # Each composite base expanded once and powered by squaring gives the
+    # word of streaming it |x| times, and raises at the same letter count.
+    monkeypatch.setattr(subgroups, "DEFAULT_WORD_CAP", cap)
+    rng = random.Random(47)
+    outcomes = collections.Counter()
+    for _ in range(150):
+        tree = _random_tree(rng)
+        try:
+            expected = conftest.expand_by_streaming(tree)
+        except SizeCapExceeded:
+            with pytest.raises(SizeCapExceeded):
+                expand_expression(tree)
+            outcomes["raised"] += 1
+            continue
+        assert expand_expression(tree) == expected
+        outcomes["word"] += 1
+    assert outcomes["raised"] and outcomes["word"]
+
+
+def test_deeply_nested_bases_expand_without_recursion():
+    # 5,000 composite bases, each inside the next: the stack is explicit.
+    e = ("g", 0)
+    for _ in range(5000):
+        e = ("p", ("m", (e, ("g", 1))), -1)
+    word = expand_expression(e)
+    assert word == conftest.expand_by_streaming(e)
+    assert len(word) == 3
+
+
+def test_expansion_work_does_not_grow_with_the_exponent(monkeypatch):
+    # (a1 a2 a1^-1)^(10^18) by streaming would take 3·10^18 steps; by
+    # squaring it takes 60.
+    monkeypatch.setattr(subgroups, "DEFAULT_WORD_CAP", 10 ** 20)
+    w = ("m", (("g", 0), ("g", 1), ("p", ("g", 0), -1)))
+    assert expand_expression(("p", w, 10 ** 18)) == (
+        (1, 1), (2, 10 ** 18), (1, -1))
 
 
 def test_matrix_from_another_presentation_is_rejected():

@@ -6,12 +6,14 @@ commute) and c5r3_pow, with peak RSS, and `import malcev.cli`, timed inside;
 cold CLI runs; the stdlib modules or tables these add (the CLI's read under
 `-v`, whose stderr lists the modules held at exit); the `_tower` cache and
 `_graph` counts of `workloads.finite_plan(1, 68)`, and the compiled `mult`
-and `pow_polynomials` calls of its queries by query kind; "Product table
-operations", the binary operators of the (5,3) and (8,2) product tables
-and the warm time of one (5,3) product on entries drawn in [-2^32, 2^32];
-"Power table operations", the binary operators of the (5,3) and (8,2)
-power tables and the warm times of one (5,3) power to a 64-bit exponent
-and of one inverse on those entries;
+and `pow_polynomials` calls of its queries by query kind; "Witness
+expansion", the letters before merging and the syllables after of its
+member witnesses and the warm times of expanding all of them and the
+slowest one; "Product table operations", the binary operators of the (5,3)
+and (8,2) product tables and the warm time of one (5,3) product on entries
+drawn in [-2^32, 2^32]; "Power table operations", the binary operators of
+the (5,3) and (8,2) power tables and the warm times of one (5,3) power to
+a 64-bit exponent and of one inverse on those entries;
 the scans, the compiled calls and the time of one `consistency_check` on
 F(5,3)/<a1^2, a2^2, a3^2>; the compiled calls of `subgroup_presentation` at
 (5,3) on three rows drawn in [-9, 9] by `random.Random(7)`.  The calls and
@@ -72,6 +74,21 @@ def meter(basis, tick):
                                 tick(kind) or table(*args))
 
 
+def letters(e, memo):
+    """The letters of an expression tree before merging, as the word cap
+    counts them: a generator or a power of one is one letter, and the power
+    of any other base counts the base |x| times.  `memo` keeps the count of
+    each subtree by identity, as subtrees are shared."""
+    if id(e) not in memo:
+        if e[0] == "m":
+            memo[id(e)] = sum(letters(p, memo) for p in e[1])
+        elif e[0] == "p" and e[1][0] != "g":
+            memo[id(e)] = abs(e[2]) * letters(e[1], memo)
+        else:
+            memo[id(e)] = 1
+    return memo[id(e)]
+
+
 def main():
     size = lambda glob: sum(p.stat().st_size for p in LIB.glob(glob))
     lines = sum(p.read_bytes().count(b"\n") for p in LIB.glob("*.py"))
@@ -111,6 +128,8 @@ def main():
     import malcev as M, workloads
     plan, graphs, graph = workloads.finite_plan(1, 68), [], M.decisions._graph
     M.decisions._graph = lambda *args: graphs.append(1) or graph(*args)
+    witnesses, expand = [], M.subgroups.expand_expression
+    M.subgroups.expand_expression = lambda e: witnesses.append(e) or expand(e)
     by_kind = collections.Counter()
     for basis in {pres.basis for pres in plan.presentations}:
         if basis.top_weight > 1:  # one of top weight 1 adds, with no table
@@ -124,6 +143,17 @@ def main():
           M.decisions._tower.cache_info(), len(graphs), "graphs")
     print("finite_plan(1, 68) compiled calls by query kind in one process:",
           ", ".join(f"{kind} {n}" for kind, n in sorted(by_kind.items())))
+    M.subgroups.expand_expression = expand
+    memo = {}
+    times = [statistics.median(timeit.repeat(lambda: expand(e), number=1,
+                                             repeat=9)) for e in witnesses]
+    total = statistics.median(timeit.repeat(
+        lambda: [expand(e) for e in witnesses], number=1, repeat=9))
+    print(f"Witness expansion of the {len(witnesses)} member witnesses of"
+          " finite_plan(1, 68):", sum(letters(e, memo) for e in witnesses),
+          "letters before merging,", sum(len(expand(e)) for e in witnesses),
+          f"syllables after; all of them: median {1000 * total:.2f} ms, the"
+          f" slowest: median {1e6 * max(times):.0f} us, warm of 9")
     basis = M.build_hall_basis(5, 3)
     ops = {table: sum(isinstance(node, ast.BinOp) for node in ast.walk(
         ast.parse((LIB / "tables" / f"{table}.py").read_text())))
